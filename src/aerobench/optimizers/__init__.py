@@ -2,14 +2,22 @@
 
 Every method consumes the same currency: one environment evaluation equals
 one budget unit, including finite-difference stencils and warm-start
-designs. `run_with_budget` resolves defaults, runs the method, and returns
-the full evaluation trajectory plus the resolved configuration that
-reproduces it.
+designs. A method supplies only its proposal logic: its module's
+`run(space, rng, opts, warm, budget, warn)` is a generator that yields
+`(iteration, U)`, a `(k, relaxed_dim)` batch of unit-cube rows, and is sent
+back one reward per row (maximization sense, -inf for an evaluator error).
+`run_with_budget` is the only evaluation loop. It resolves options, seeds
+the RNG, charges warm-start designs at iteration 0, evaluates batches until
+the budget is spent, spends any budget a method leaves on uniform samples,
+and returns the full evaluation trajectory plus the resolved configuration
+that reproduces it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
@@ -17,14 +25,11 @@ from ..problems.catalog import CATALOG_VERSION
 from ..space import DesignPoint
 from . import bo, cmaes, evolve, lbfgsb, pso
 from .base import (
-    BudgetExhausted,
     BudgetedObjective,
     ConfigurationError,
     EvalRecord,
     Trajectory,
-    evaluate_warmstart,
     fd_gradient,
-    finish,
 )
 from .pso import pso_coefficients
 
@@ -75,35 +80,60 @@ def run_with_budget(
 ) -> Trajectory:
     """Run one method on one task under a hard evaluation budget."""
     module = _METHODS[config.method]
+    space = env.space
     if config.method == "lbfgsb":
-        lbfgsb.check_space(env.space)
+        lbfgsb.check_space(space)
+    options = resolved_options(config)
     obj = BudgetedObjective(env, config.budget)
     resolved = {
         "method": config.method,
         "budget": config.budget,
         "seed": config.seed,
         "task": env.id,
-        "options": resolved_options(config),
+        "options": options,
         "n_warmstart": len(warmstart),
         "catalog_version": CATALOG_VERSION,
         "harness_version": _harness_version,
     }
+    rng = space.rng(config.seed)
+    warm = []
+    for point in warmstart[: config.budget]:
+        clipped = space.clip(point)
+        warm.append((space.normalize(clipped), obj.evaluate_point(clipped, 0)))
+    proposals = module.run(space, rng, options, warm, obj.remaining, obj.warnings.append)
+    iteration, rewards = 0, None
     try:
-        warm = evaluate_warmstart(obj, warmstart)
-        module.run(obj, env.space, config.seed, dict(config.options), warm)
-    except BudgetExhausted:
-        pass
-    return finish(obj, resolved, config.seed)
+        while True:
+            try:
+                iteration, batch = proposals.send(rewards)
+            except StopIteration:
+                break
+            rewards = np.array(
+                [obj.evaluate_u(u, iteration) for u in batch[: obj.remaining]]
+            )
+            if len(rewards) < len(batch):
+                break
+    finally:
+        proposals.close()
+    # A method that stops early leaves budget over; spend it on uniform samples.
+    while obj.remaining > 0:
+        obj.evaluate_u(rng.random(space.relaxed_dim), iteration)
+    return Trajectory(
+        records=tuple(obj.records),
+        resolved_config=resolved,
+        seed=config.seed,
+        best_reward=obj.best_reward,
+        best_design=obj.best_design,
+        warnings=tuple(obj.warnings),
+    )
 
 
 __all__ = [
-    "BudgetExhausted",
     "BudgetedObjective",
     "ConfigurationError",
     "EvalRecord",
     "OptimizerConfig",
     "Trajectory",
-    "evaluate_warmstart",
     "fd_gradient",
     "method_names",
     "pso_coefficients",

@@ -2,23 +2,24 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
-from ..problems.base import MAXIMIZE, ProblemEnvironment
+from ..problems.base import ProblemEnvironment
 from ..space import DesignPoint
 
 FD_EPS = 1e-4
 
+# A method's `run` yields (iteration, U) batches of unit-cube rows and is sent
+# one reward per row; warm-start designs arrive as (u, reward) pairs.
+Proposals = Generator[tuple[int, np.ndarray], np.ndarray, None]
+Warm = list[tuple[np.ndarray, float]]
+
 
 class ConfigurationError(ValueError):
     """Invalid optimizer configuration or method/space incompatibility."""
-
-
-class BudgetExhausted(Exception):
-    """Raised by the budgeted objective once n_calls evaluations are spent."""
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,11 @@ class Trajectory:
 
 
 class BudgetedObjective:
-    """Counts every environment evaluation and keeps the running best.
+    """Records every environment evaluation and keeps the running best.
 
-    Optimizers see rewards in maximization sense. Evaluations of designs
-    with evaluator errors return None; the caller decides how to treat them
-    (they still consume budget).
+    Rewards are in maximization sense. An evaluation with an evaluator error
+    is recorded with no reward and reads -inf to the caller; it still
+    consumes budget. The caller keeps within `remaining`.
     """
 
     def __init__(self, env: ProblemEnvironment, budget: int):
@@ -62,35 +63,24 @@ class BudgetedObjective:
         self.warnings: list[str] = []
         self.best_reward: float | None = None
         self.best_design: DesignPoint | None = None
-        self._iteration = 0
         self._measure_wall = bool(getattr(env.evaluator, "measures_wall_time", False))
-
-    # Optimizers bump this so results rows carry their outer loop index.
-    def set_iteration(self, iteration: int) -> None:
-        self._iteration = iteration
-
-    @property
-    def n_evals(self) -> int:
-        return len(self.records)
 
     @property
     def remaining(self) -> int:
-        return self.budget - self.n_evals
+        return self.budget - len(self.records)
 
-    def evaluate_point(self, point: DesignPoint) -> float | None:
-        if self.remaining <= 0:
-            raise BudgetExhausted()
+    def evaluate_point(self, point: DesignPoint, iteration: int) -> float:
         start = time.perf_counter() if self._measure_wall else None
         result = self.env.evaluate(point)
         wall_ms = (time.perf_counter() - start) * 1e3 if start is not None else 0.0
-        design_id = f"eval{self.n_evals:06d}"
+        design_id = f"eval{len(self.records):06d}"
         if result.error is None:
             if self.best_reward is None or result.reward > self.best_reward:
                 self.best_reward = result.reward
                 self.best_design = DesignPoint(point.values, name=design_id)
         self.records.append(
             EvalRecord(
-                iteration=self._iteration,
+                iteration=iteration,
                 design_id=design_id,
                 reward=result.reward,
                 best_so_far=self.best_reward,
@@ -99,69 +89,32 @@ class BudgetedObjective:
                 error=result.error,
             )
         )
-        return result.reward
+        return -np.inf if result.reward is None else result.reward
 
-    def evaluate_u(self, u: np.ndarray) -> float | None:
+    def evaluate_u(self, u: np.ndarray, iteration: int) -> float:
         point = self.env.space.denormalize(np.clip(u, 0.0, 1.0))
-        return self.evaluate_point(point)
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
+        return self.evaluate_point(point, iteration)
 
 
 def fd_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = FD_EPS
-) -> np.ndarray:
-    """Central finite differences on the unit cube, 2d function calls.
+    x: np.ndarray, iteration: int, eps: float = FD_EPS
+) -> Generator[tuple[int, np.ndarray], np.ndarray, np.ndarray | None]:
+    """Central finite differences on the unit cube, as one batch of 2d rows.
 
-    Stencil points are clamped per coordinate so they stay inside [0, 1];
-    the divisor uses the actual clamped spread.
+    A sub-generator for a method's `yield from`: it yields the stencil
+    (x + eps e_i, then x - eps e_i, for each coordinate i in turn) and
+    returns the gradient of the values sent back for it, or None when any
+    of them is non-finite. Stencil points are clamped per coordinate so
+    they stay inside [0, 1]; the divisor uses the actual clamped spread.
     """
     x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        hi = min(x[i] + eps, 1.0)
-        lo = max(x[i] - eps, 0.0)
-        xp = x.copy()
-        xp[i] = hi
-        xm = x.copy()
-        xm[i] = lo
-        fp = f(xp)
-        fm = f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise ValueError("non-finite objective value in FD stencil")
-        grad[i] = (fp - fm) / (hi - lo)
-    return grad
-
-
-def reward_or_neg_inf(value: float | None) -> float:
-    return -np.inf if value is None else value
-
-
-def uniform_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.random(dim)
-
-
-def finish(
-    obj: BudgetedObjective, resolved_config: dict, seed: int
-) -> Trajectory:
-    return Trajectory(
-        records=tuple(obj.records),
-        resolved_config=resolved_config,
-        seed=seed,
-        best_reward=obj.best_reward,
-        best_design=obj.best_design,
-        warnings=tuple(obj.warnings),
-    )
-
-
-def evaluate_warmstart(
-    obj: BudgetedObjective, warmstart: Sequence[DesignPoint]
-) -> list[tuple[np.ndarray, float | None]]:
-    """Charge warm-start designs to the budget before the method begins."""
-    out = []
-    for point in warmstart:
-        clipped = obj.env.space.clip(point)
-        reward = obj.evaluate_point(clipped)
-        out.append((obj.env.space.normalize(clipped), reward))
-    return out
+    hi = np.minimum(x + eps, 1.0)
+    lo = np.maximum(x - eps, 0.0)
+    idx = np.arange(len(x))
+    stencil = np.repeat(x[None, :], 2 * len(x), axis=0)
+    stencil[2 * idx, idx] = hi
+    stencil[2 * idx + 1, idx] = lo
+    values = yield iteration, stencil
+    if not np.all(np.isfinite(values)):
+        return None
+    return (values[0::2] - values[1::2]) / (hi - lo)

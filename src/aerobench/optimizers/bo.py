@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import norm, qmc
 
 from ..space import ParamSpace
-from .base import BudgetExhausted, BudgetedObjective, ConfigurationError
+from .base import ConfigurationError, Proposals, Warm
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
@@ -174,66 +174,55 @@ def log_expected_improvement(
 
 
 def run(
-    obj: BudgetedObjective,
-    space: ParamSpace,
-    seed: int,
-    options: dict,
-    warm: list[tuple[np.ndarray, float | None]],
-) -> None:
-    opts = {**DEFAULTS, **options}
+    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
+) -> Proposals:
     n_initial = int(opts["n_initial"])
     n_candidates = int(opts["n_candidates"])
     n_refine = int(opts["n_refine"])
     if n_initial < 2:
         raise ConfigurationError("n_initial must be >= 2")
-    rng = space.rng(seed)
     dim = space.relaxed_dim
 
     xs: list[np.ndarray] = []
     ys: list[float] = []
+
+    def observe(u: np.ndarray, reward: float) -> None:
+        if reward > -np.inf:
+            xs.append(np.clip(u, 0.0, 1.0))
+            ys.append(reward)
+
     for u, reward in warm:
-        if reward is not None:
-            xs.append(np.clip(u, 0.0, 1.0))
-            ys.append(reward)
+        observe(u, reward)
+    while len(xs) < n_initial:
+        u = rng.random(dim)
+        observe(u, float((yield 0, u[None])[0]))
 
-    def observe(u: np.ndarray) -> None:
-        reward = obj.evaluate_u(u)
-        if reward is not None:
-            xs.append(np.clip(u, 0.0, 1.0))
-            ys.append(reward)
-
-    try:
-        obj.set_iteration(0)
-        while len(xs) < n_initial:
-            observe(rng.random(dim))
-
-        step = 0
-        while True:
-            step += 1
-            obj.set_iteration(step)
-            gp = _GP(np.array(xs), np.array(ys), obj.warn)
-            try:
-                gp.fit(rng, opts)
-            except FloatingPointError:
-                # Fall back to random search once the model is unusable.
-                observe(rng.random(dim))
-                continue
-            best = float((max(ys) - gp.y_mean) / gp.y_std)
-            sobol = qmc.Sobol(d=dim, scramble=True, seed=int(rng.integers(2**31)))
-            cand = sobol.random(n_candidates)
-            mu, sigma = gp.posterior(cand)
-            lei = log_expected_improvement(mu, sigma, best)
-            order = np.argsort(-lei)
-            # Local refinement around the top Sobol candidates.
-            pool = [cand[i] for i in order[:n_refine]]
-            refined = []
-            for base in pool:
-                for _ in range(3):
-                    trial = np.clip(base + rng.normal(0.0, 0.05, size=dim), 0.0, 1.0)
-                    refined.append(trial)
-            all_cand = np.array(pool + refined)
-            mu2, sigma2 = gp.posterior(all_cand)
-            lei2 = log_expected_improvement(mu2, sigma2, best)
-            observe(all_cand[int(np.argmax(lei2))])
-    except BudgetExhausted:
-        pass
+    step = 0
+    while True:
+        step += 1
+        gp = _GP(np.array(xs), np.array(ys), warn)
+        try:
+            gp.fit(rng, opts)
+        except FloatingPointError:
+            # Fall back to random search once the model is unusable.
+            u = rng.random(dim)
+            observe(u, float((yield step, u[None])[0]))
+            continue
+        best = float((max(ys) - gp.y_mean) / gp.y_std)
+        sobol = qmc.Sobol(d=dim, scramble=True, seed=int(rng.integers(2**31)))
+        cand = sobol.random(n_candidates)
+        mu, sigma = gp.posterior(cand)
+        lei = log_expected_improvement(mu, sigma, best)
+        order = np.argsort(-lei)
+        # Local refinement around the top Sobol candidates.
+        pool = [cand[i] for i in order[:n_refine]]
+        refined = []
+        for base in pool:
+            for _ in range(3):
+                trial = np.clip(base + rng.normal(0.0, 0.05, size=dim), 0.0, 1.0)
+                refined.append(trial)
+        all_cand = np.array(pool + refined)
+        mu2, sigma2 = gp.posterior(all_cand)
+        lei2 = log_expected_improvement(mu2, sigma2, best)
+        u = all_cand[int(np.argmax(lei2))]
+        observe(u, float((yield step, u[None])[0]))

@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import (
-    BudgetExhausted,
-    BudgetedObjective,
-    ConfigurationError,
-    reward_or_neg_inf,
-)
+from .base import ConfigurationError, Proposals, Warm
 
 EIGEN_FLOOR = 1e-12
 
@@ -54,13 +49,8 @@ def strategy_params(dim: int, popsize: int, mu: int) -> dict:
 
 
 def run(
-    obj: BudgetedObjective,
-    space: ParamSpace,
-    seed: int,
-    options: dict,
-    warm: list[tuple[np.ndarray, float | None]],
-) -> None:
-    opts = {**DEFAULTS, **options}
+    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
+) -> Proposals:
     dim = space.relaxed_dim
     popsize = opts["popsize"]
     if popsize is None:
@@ -78,11 +68,10 @@ def run(
 
     sp = strategy_params(dim, popsize, mu)
     weights = sp["weights"]
-    rng = space.rng(seed)
 
     # Start from the best warm point when given, otherwise the cube center.
     if warm:
-        finite = [(u, r) for u, r in warm if r is not None]
+        finite = [(u, r) for u, r in warm if r > -np.inf]
         mean = (
             max(finite, key=lambda ur: ur[1])[0].copy() if finite else warm[0][0].copy()
         )
@@ -96,61 +85,55 @@ def run(
     floor_warned = False
     gen = 0
 
-    try:
-        while True:
-            obj.set_iteration(gen)
-            eigvals, eigvecs = np.linalg.eigh(cov)
-            if np.min(eigvals) < EIGEN_FLOOR:
-                eigvals = np.maximum(eigvals, EIGEN_FLOOR)
-                cov = (eigvecs * eigvals) @ eigvecs.T
-                if not floor_warned:
-                    obj.warn(
-                        f"covariance eigenvalue floored at {EIGEN_FLOOR} "
-                        f"in generation {gen}"
-                    )
-                    floor_warned = True
-            sqrt_cov = eigvecs * np.sqrt(eigvals)
-            inv_sqrt_cov = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    while True:
+        eigvals, eigvecs = np.linalg.eigh(cov)
+        if np.min(eigvals) < EIGEN_FLOOR:
+            eigvals = np.maximum(eigvals, EIGEN_FLOOR)
+            cov = (eigvecs * eigvals) @ eigvecs.T
+            if not floor_warned:
+                warn(
+                    f"covariance eigenvalue floored at {EIGEN_FLOOR} "
+                    f"in generation {gen}"
+                )
+                floor_warned = True
+        sqrt_cov = eigvecs * np.sqrt(eigvals)
+        inv_sqrt_cov = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
-            z = rng.standard_normal((popsize, dim))
-            y = z @ sqrt_cov.T
-            x = mean + sigma * y
-            x_eval = np.clip(x, 0.0, 1.0)
-            vals = np.empty(popsize)
-            for i in range(popsize):
-                vals[i] = reward_or_neg_inf(obj.evaluate_u(x_eval[i]))
+        z = rng.standard_normal((popsize, dim))
+        y = z @ sqrt_cov.T
+        x = mean + sigma * y
+        x_eval = np.clip(x, 0.0, 1.0)
+        vals = yield gen, x_eval
 
-            order = np.argsort(-vals)[:mu]
-            y_sel = y[order]
-            y_w = weights @ y_sel
-            mean = np.clip(mean + sigma * y_w, 0.0, 1.0)
+        order = np.argsort(-vals)[:mu]
+        y_sel = y[order]
+        y_w = weights @ y_sel
+        mean = np.clip(mean + sigma * y_w, 0.0, 1.0)
 
-            p_sigma = (1.0 - sp["c_sigma"]) * p_sigma + np.sqrt(
-                sp["c_sigma"] * (2.0 - sp["c_sigma"]) * sp["mu_eff"]
-            ) * (inv_sqrt_cov @ y_w)
-            norm_ps = float(np.linalg.norm(p_sigma))
-            gen_scale = np.sqrt(
-                1.0 - (1.0 - sp["c_sigma"]) ** (2.0 * (gen + 1))
-            )
-            h_sigma = float(
-                norm_ps / gen_scale / sp["chi_n"] < 1.4 + 2.0 / (dim + 1.0)
-            )
-            p_c = (1.0 - sp["c_c"]) * p_c + h_sigma * np.sqrt(
-                sp["c_c"] * (2.0 - sp["c_c"]) * sp["mu_eff"]
-            ) * y_w
+        p_sigma = (1.0 - sp["c_sigma"]) * p_sigma + np.sqrt(
+            sp["c_sigma"] * (2.0 - sp["c_sigma"]) * sp["mu_eff"]
+        ) * (inv_sqrt_cov @ y_w)
+        norm_ps = float(np.linalg.norm(p_sigma))
+        gen_scale = np.sqrt(
+            1.0 - (1.0 - sp["c_sigma"]) ** (2.0 * (gen + 1))
+        )
+        h_sigma = float(
+            norm_ps / gen_scale / sp["chi_n"] < 1.4 + 2.0 / (dim + 1.0)
+        )
+        p_c = (1.0 - sp["c_c"]) * p_c + h_sigma * np.sqrt(
+            sp["c_c"] * (2.0 - sp["c_c"]) * sp["mu_eff"]
+        ) * y_w
 
-            rank_mu = (y_sel.T * weights) @ y_sel
-            delta_h = (1.0 - h_sigma) * sp["c_c"] * (2.0 - sp["c_c"])
-            cov = (
-                (1.0 - sp["c_1"] - sp["c_mu"]) * cov
-                + sp["c_1"] * (np.outer(p_c, p_c) + delta_h * cov)
-                + sp["c_mu"] * rank_mu
-            )
-            cov = 0.5 * (cov + cov.T)
+        rank_mu = (y_sel.T * weights) @ y_sel
+        delta_h = (1.0 - h_sigma) * sp["c_c"] * (2.0 - sp["c_c"])
+        cov = (
+            (1.0 - sp["c_1"] - sp["c_mu"]) * cov
+            + sp["c_1"] * (np.outer(p_c, p_c) + delta_h * cov)
+            + sp["c_mu"] * rank_mu
+        )
+        cov = 0.5 * (cov + cov.T)
 
-            sigma *= np.exp(
-                (sp["c_sigma"] / sp["d_sigma"]) * (norm_ps / sp["chi_n"] - 1.0)
-            )
-            gen += 1
-    except BudgetExhausted:
-        pass
+        sigma *= np.exp(
+            (sp["c_sigma"] / sp["d_sigma"]) * (norm_ps / sp["chi_n"] - 1.0)
+        )
+        gen += 1

@@ -12,11 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import (
-    BudgetExhausted,
-    BudgetedObjective,
-    ConfigurationError,
-)
+from .base import ConfigurationError, Proposals, Warm
 
 DEFAULTS = {
     "archive_capacity": 100,
@@ -69,13 +65,8 @@ def mutation_scale(
 
 
 def run(
-    obj: BudgetedObjective,
-    space: ParamSpace,
-    seed: int,
-    options: dict,
-    warm: list[tuple[np.ndarray, float | None]],
-) -> None:
-    opts = {**DEFAULTS, **options}
+    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
+) -> Proposals:
     capacity = int(opts["archive_capacity"])
     pw_alpha = float(opts["pw_alpha"])
     batch_size = int(opts["batch_size"])
@@ -89,49 +80,47 @@ def run(
     g_scale = float(opts["gaussian_scale"])
     g_final = float(opts["gaussian_final_scale"])
     decay = bool(opts["decay_scale"])
-    rng = space.rng(seed)
     dim = space.relaxed_dim
-    budget0 = obj.remaining
 
     islands = [Archive(capacity) for _ in range(num_islands)]
     # Warm-start designs seed island 0; the rest start from uniform samples.
     for u, reward in warm:
-        if reward is not None:
+        if reward > -np.inf:
             islands[0].add(reward, np.clip(u, 0.0, 1.0))
 
-    try:
-        for island in islands:
-            obj.set_iteration(0)
-            while not island.entries:
-                u = rng.random(dim)
-                reward = obj.evaluate_u(u)
-                if reward is not None:
-                    island.add(reward, u)
+    # Children are proposed one at a time: each parent is drawn from an
+    # archive that already holds the previous child.
+    spent = 0
+    for island in islands:
+        while not island.entries:
+            u = rng.random(dim)
+            reward = float((yield 0, u[None])[0])
+            spent += 1
+            if reward > -np.inf:
+                island.add(reward, u)
 
-        gen = 0
-        while True:
-            gen += 1
-            obj.set_iteration(gen)
-            progress = 1.0 - obj.remaining / budget0 if budget0 else 1.0
-            sigma = mutation_scale(progress, g_scale, g_final, decay)
+    gen = 0
+    while True:
+        gen += 1
+        progress = 1.0 - (budget - spent) / budget if budget else 1.0
+        sigma = mutation_scale(progress, g_scale, g_final, decay)
+        for island in islands:
+            for _ in range(batch_size):
+                parent = island.sample_parent(rng, pw_alpha)
+                child = np.clip(
+                    parent + rng.normal(0.0, sigma, size=dim), 0.0, 1.0
+                )
+                reward = float((yield gen, child[None])[0])
+                spent += 1
+                if reward > -np.inf:
+                    island.add(reward, child)
+        if num_islands > 1 and gen % migration_interval == 0:
+            # Copy the top fraction of each archive to the next island.
+            batches = []
             for island in islands:
-                for _ in range(batch_size):
-                    parent = island.sample_parent(rng, pw_alpha)
-                    child = np.clip(
-                        parent + rng.normal(0.0, sigma, size=dim), 0.0, 1.0
-                    )
-                    reward = obj.evaluate_u(child)
-                    if reward is not None:
-                        island.add(reward, child)
-            if num_islands > 1 and gen % migration_interval == 0:
-                # Copy the top fraction of each archive to the next island.
-                batches = []
-                for island in islands:
-                    n_mig = max(1, int(migration_rate * len(island.entries)))
-                    batches.append(list(island.entries[:n_mig]))
-                for i, batch in enumerate(batches):
-                    target = islands[(i + 1) % num_islands]
-                    for reward, u in batch:
-                        target.add(reward, u)
-    except BudgetExhausted:
-        pass
+                n_mig = max(1, int(migration_rate * len(island.entries)))
+                batches.append(list(island.entries[:n_mig]))
+            for i, batch in enumerate(batches):
+                target = islands[(i + 1) % num_islands]
+                for reward, u in batch:
+                    target.add(reward, u)

@@ -7,16 +7,12 @@ until the budget runs out.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from ..space import CATEGORICAL, ParamSpace
-from .base import (
-    BudgetExhausted,
-    BudgetedObjective,
-    ConfigurationError,
-    FD_EPS,
-    fd_gradient,
-)
+from .base import FD_EPS, ConfigurationError, Proposals, Warm, fd_gradient
 
 DEFAULTS = {
     "memory": 10,
@@ -57,14 +53,8 @@ def _two_loop(grad: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
 
 
 def run(
-    obj: BudgetedObjective,
-    space: ParamSpace,
-    seed: int,
-    options: dict,
-    warm: list[tuple[np.ndarray, float | None]],
-) -> None:
-    check_space(space)
-    opts = {**DEFAULTS, **options}
+    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
+) -> Proposals:
     memory = int(opts["memory"])
     maxiter = int(opts["maxiter"])
     restarts = int(opts["restarts"])
@@ -73,70 +63,62 @@ def run(
     armijo_c = float(opts["armijo_c"])
     max_halvings = int(opts["max_halvings"])
     eps = float(opts["fd_eps"])
-    rng = space.rng(seed)
     dim = space.relaxed_dim
-
-    def f(u: np.ndarray) -> float:
-        reward = obj.evaluate_u(u)
-        # Error evaluations have no reward; treat them as a very bad value so
-        # the line search backs off instead of crashing.
-        return np.inf if reward is None else -reward
 
     # Warm starts double as extra restart points (already evaluated/charged).
     starts: list[np.ndarray] = [u for u, _ in warm]
     while len(starts) < restarts:
         starts.append(rng.random(dim))
 
-    restart = 0
-    try:
-        while True:
-            if restart < len(starts):
-                x = np.clip(starts[restart], 0.0, 1.0)
-            else:
-                x = rng.random(dim)
-            restart += 1
-            obj.set_iteration(restart - 1)
-            fx = f(x)
-            if not np.isfinite(fx):
-                continue
-            grad = fd_gradient(f, x, eps)
-            s_hist: list[np.ndarray] = []
-            y_hist: list[np.ndarray] = []
-            for _ in range(maxiter):
-                # Projected-gradient stationarity test on the box.
-                proj = x - np.clip(x - grad, 0.0, 1.0)
-                if np.max(np.abs(proj)) < gtol:
+    # The search minimizes f = -reward; an error row reads f = inf, so the
+    # line search backs off, and a non-finite FD stencil abandons the restart.
+    for it in itertools.count():
+        x = np.clip(starts[it], 0.0, 1.0) if it < len(starts) else rng.random(dim)
+        fx = -float((yield it, x[None])[0])
+        if not np.isfinite(fx):
+            continue
+        grad = yield from fd_gradient(x, it, eps)
+        if grad is None:
+            continue
+        grad = -grad
+        s_hist: list[np.ndarray] = []
+        y_hist: list[np.ndarray] = []
+        for _ in range(maxiter):
+            # Projected-gradient stationarity test on the box.
+            proj = x - np.clip(x - grad, 0.0, 1.0)
+            if np.max(np.abs(proj)) < gtol:
+                break
+            direction = -_two_loop(grad, s_hist, y_hist)
+            if float(direction @ grad) >= 0.0:
+                direction = -grad
+                s_hist.clear()
+                y_hist.clear()
+            # Backtracking Armijo line search on the projected step.
+            step = 1.0
+            x_new, f_new = None, None
+            for _ in range(max_halvings):
+                cand = np.clip(x + step * direction, 0.0, 1.0)
+                f_cand = -float((yield it, cand[None])[0])
+                decrease = armijo_c * float(grad @ (cand - x))
+                if np.isfinite(f_cand) and f_cand <= fx + decrease:
+                    x_new, f_new = cand, f_cand
                     break
-                direction = -_two_loop(grad, s_hist, y_hist)
-                if float(direction @ grad) >= 0.0:
-                    direction = -grad
-                    s_hist.clear()
-                    y_hist.clear()
-                # Backtracking Armijo line search on the projected step.
-                step = 1.0
-                x_new, f_new = None, None
-                for _ in range(max_halvings):
-                    cand = np.clip(x + step * direction, 0.0, 1.0)
-                    f_cand = f(cand)
-                    decrease = armijo_c * float(grad @ (cand - x))
-                    if np.isfinite(f_cand) and f_cand <= fx + decrease:
-                        x_new, f_new = cand, f_cand
-                        break
-                    step *= 0.5
-                if x_new is None:
-                    break
-                grad_new = fd_gradient(f, x_new, eps)
-                s = x_new - x
-                y = grad_new - grad
-                if float(s @ y) > 1e-12:
-                    s_hist.append(s)
-                    y_hist.append(y)
-                    if len(s_hist) > memory:
-                        s_hist.pop(0)
-                        y_hist.pop(0)
-                rel_drop = (fx - f_new) / max(abs(fx), abs(f_new), 1.0)
-                x, fx, grad = x_new, f_new, grad_new
-                if rel_drop < ftol:
-                    break
-    except BudgetExhausted:
-        pass
+                step *= 0.5
+            if x_new is None:
+                break
+            grad_new = yield from fd_gradient(x_new, it, eps)
+            if grad_new is None:
+                break
+            grad_new = -grad_new
+            s = x_new - x
+            y = grad_new - grad
+            if float(s @ y) > 1e-12:
+                s_hist.append(s)
+                y_hist.append(y)
+                if len(s_hist) > memory:
+                    s_hist.pop(0)
+                    y_hist.pop(0)
+            rel_drop = (fx - f_new) / max(abs(fx), abs(f_new), 1.0)
+            x, fx, grad = x_new, f_new, grad_new
+            if rel_drop < ftol:
+                break

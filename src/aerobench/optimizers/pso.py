@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import (
-    BudgetExhausted,
-    BudgetedObjective,
-    ConfigurationError,
-    reward_or_neg_inf,
-)
+from .base import ConfigurationError, Proposals, Warm
 
 DEFAULTS = {
     "swarm_size": 20,
@@ -44,18 +39,12 @@ def pso_coefficients(t: int, total: int, options: dict | None = None) -> tuple[f
 
 
 def run(
-    obj: BudgetedObjective,
-    space: ParamSpace,
-    seed: int,
-    options: dict,
-    warm: list[tuple[np.ndarray, float | None]],
-) -> None:
-    opts = {**DEFAULTS, **options}
+    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
+) -> Proposals:
     n = int(opts["swarm_size"])
     if n < 2:
         raise ConfigurationError("swarm_size must be >= 2")
     v_scale = float(opts["velocity_init_scale"])
-    rng = space.rng(seed)
     dim = space.relaxed_dim
 
     pos = rng.random((n, dim))
@@ -64,42 +53,26 @@ def run(
         pos[i] = np.clip(u, 0.0, 1.0)
     vel = rng.uniform(-v_scale, v_scale, size=(n, dim))
 
+    # One initial sweep plus T update sweeps; run_with_budget spends the rest.
+    total_iters = max(budget // n - 1, 0)
+
     pbest = pos.copy()
-    pbest_val = np.full(n, -np.inf)
-    gbest = pos[0].copy()
-    gbest_val = -np.inf
+    pbest_val = yield 0, pos
+    k = int(np.argmax(pbest_val))
+    gbest_val, gbest = pbest_val[k], pos[k].copy()
 
-    # One initial sweep plus T update sweeps fit the budget exactly.
-    total_iters = max(obj.remaining // n - 1, 0)
-
-    try:
-        obj.set_iteration(0)
-        for i in range(n):
-            val = reward_or_neg_inf(obj.evaluate_u(pos[i]))
-            pbest_val[i] = val
-            if val > gbest_val:
-                gbest_val, gbest = val, pos[i].copy()
-
-        for t in range(1, total_iters + 1):
-            obj.set_iteration(t)
-            # Sweep 1 uses the start coefficients, the final sweep the end ones.
-            w, c1, c2 = pso_coefficients(t - 1, total_iters - 1, opts)
-            r1 = rng.random((n, dim))
-            r2 = rng.random((n, dim))
-            vel = w * vel + c1 * r1 * (pbest - pos) + c2 * r2 * (gbest - pos)
-            pos = np.clip(pos + vel, 0.0, 1.0)
-            vals = np.empty(n)
-            for i in range(n):
-                vals[i] = reward_or_neg_inf(obj.evaluate_u(pos[i]))
-            # Synchronous best updates after the full sweep.
-            improved = vals > pbest_val
-            pbest[improved] = pos[improved]
-            pbest_val[improved] = vals[improved]
-            k = int(np.argmax(pbest_val))
-            if pbest_val[k] > gbest_val:
-                gbest_val, gbest = pbest_val[k], pbest[k].copy()
-        # Spend any remainder on uniform exploration rather than wasting it.
-        while True:
-            obj.evaluate_u(rng.random(dim))
-    except BudgetExhausted:
-        pass
+    for t in range(1, total_iters + 1):
+        # Sweep 1 uses the start coefficients, the final sweep the end ones.
+        w, c1, c2 = pso_coefficients(t - 1, total_iters - 1, opts)
+        r1 = rng.random((n, dim))
+        r2 = rng.random((n, dim))
+        vel = w * vel + c1 * r1 * (pbest - pos) + c2 * r2 * (gbest - pos)
+        pos = np.clip(pos + vel, 0.0, 1.0)
+        vals = yield t, pos
+        # Synchronous best updates after the full sweep.
+        improved = vals > pbest_val
+        pbest[improved] = pos[improved]
+        pbest_val[improved] = vals[improved]
+        k = int(np.argmax(pbest_val))
+        if pbest_val[k] > gbest_val:
+            gbest_val, gbest = pbest_val[k], pbest[k].copy()

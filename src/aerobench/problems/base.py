@@ -147,15 +147,7 @@ class ProblemEnvironment:
         except (KeyError, TypeError) as exc:
             # External evaluators may answer with an incomplete metrics map;
             # that is an evaluation failure, not a harness crash.
-            return EvalResult(
-                metrics={},
-                per_point=per_point,
-                violations={},
-                reward=None,
-                feasible=False,
-                confidence=0.0,
-                error=f"evaluator metrics unusable for {self.id}: {exc!r}",
-            )
+            return self._unusable(per_point, repr(exc))
         if self.confidence_fn is not None:
             confidence = float(self.confidence_fn(self.space.normalize(point)))
         else:
@@ -170,8 +162,10 @@ class ProblemEnvironment:
         violations: dict[str, float] = {}
         for spec in self.constraints:
             v = float(spec.violation(ctx))
+            # Metrics slightly out of range (a few ulp from an external
+            # solver) make v fall outside [0, 1]; that is an error row too.
             if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{self.id}: constraint {spec.name} produced v={v}")
+                return self._unusable(per_point, f"constraint {spec.name} produced v={v}")
             violations[spec.name] = v
         total_v = sum(violations.values())
         if self.sense == MAXIMIZE:
@@ -179,7 +173,7 @@ class ProblemEnvironment:
         else:
             reward = -(raw + self.penalty_weight * total_v)
         if not np.isfinite(reward):
-            raise ValueError(f"{self.id}: non-finite reward for {point.values}")
+            return self._unusable(per_point, f"non-finite reward {reward}")
         metrics = dict(agg_metrics)
         metrics.setdefault("objective", raw)
         return EvalResult(
@@ -189,6 +183,17 @@ class ProblemEnvironment:
             reward=float(reward),
             feasible=total_v == 0.0,
             confidence=confidence,
+        )
+
+    def _unusable(self, per_point: tuple, reason: str) -> EvalResult:
+        return EvalResult(
+            metrics={},
+            per_point=per_point,
+            violations={},
+            reward=None,
+            feasible=False,
+            confidence=0.0,
+            error=f"evaluator metrics unusable for {self.id}: {reason}",
         )
 
     def close(self) -> None:

@@ -1108,12 +1108,6 @@ def get_environment(
     return env
 
 
-def stand_in_landscape(task_id: str, point: DesignPoint) -> dict:
-    """Metrics of the default evaluator at the first operating point."""
-    env = get_environment(task_id)
-    return dict(env.evaluator.point_metrics(point, env.points[0], 0))
-
-
 def catalog_json() -> dict:
     return {
         "catalog_version": CATALOG_VERSION,

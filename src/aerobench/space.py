@@ -10,7 +10,6 @@ reproduce identical designs across platforms.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -261,17 +260,6 @@ class ParamSpace:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ParamSpace":
         return cls(variables=tuple(VariableSpec.from_json(v) for v in data["variables"]))
-
-
-def load_design(path: str) -> DesignPoint:
-    with open(path) as fh:
-        return DesignPoint.from_json(json.load(fh))
-
-
-def save_design(point: DesignPoint, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(point.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def continuous_space(bounds: Mapping[str, tuple[float, float]], units: Mapping[str, str] | None = None) -> ParamSpace:

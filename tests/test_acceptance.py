@@ -195,8 +195,8 @@ def test_criterion_3_budget_protocol(capfd):
                         warmstart=warm,
                     )
                     # Instrumented count includes FD stencils and the
-                    # warm-start evaluation; it can never exceed the budget.
-                    assert counter.designs <= budget, (task, method, counter.designs)
+                    # warm-start evaluation; it spends the budget exactly.
+                    assert counter.designs == budget, (task, method, counter.designs)
                     assert counter.designs == len(traj), (task, method)
             finally:
                 base.close()

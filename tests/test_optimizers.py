@@ -9,11 +9,17 @@ from aerobench.optimizers import (
     pso_coefficients,
     run_with_budget,
 )
-from aerobench.optimizers.base import BudgetedObjective, BudgetExhausted, fd_gradient
+from aerobench.optimizers.base import fd_gradient
 from aerobench.optimizers.bo import _GP
 from aerobench.optimizers.cmaes import strategy_params
 from aerobench.optimizers.evolve import Archive, mutation_scale
-from aerobench.problems import MAXIMIZE, MINIMIZE, function_environment, get_environment
+from aerobench.problems import (
+    MAXIMIZE,
+    MINIMIZE,
+    EvaluationError,
+    function_environment,
+    get_environment,
+)
 from aerobench.space import (
     CATEGORICAL,
     DesignPoint,
@@ -49,13 +55,24 @@ class TestConfig:
         assert METHODS == ["bo", "cmaes", "evolve", "lbfgsb", "pso"]
 
 
+def fd_grad(f, x):
+    """Drive the fd_gradient sub-generator with plain function values."""
+    stencil = fd_gradient(np.asarray(x, dtype=float), 0)
+    _, batch = next(stencil)
+    try:
+        stencil.send(np.array([f(u) for u in batch]))
+    except StopIteration as done:
+        return done.value
+    raise AssertionError("fd_gradient asked for a second batch")
+
+
 class TestFdGradient:
     def test_quadratic_example(self):
-        grad = fd_gradient(lambda x: float(np.sum(x**2)), np.array([0.3, 0.4]))
+        grad = fd_grad(lambda x: float(np.sum(x**2)), np.array([0.3, 0.4]))
         assert grad == pytest.approx([0.6, 0.8], abs=1e-7)
 
     def test_constant_function(self):
-        grad = fd_gradient(lambda x: 1.0, np.array([0.5, 0.5, 0.5]))
+        grad = fd_grad(lambda x: 1.0, np.array([0.5, 0.5, 0.5]))
         assert np.all(grad == 0.0)
 
     def test_costs_exactly_two_d_calls(self):
@@ -65,7 +82,7 @@ class TestFdGradient:
             calls.append(x.copy())
             return float(x.sum())
 
-        fd_gradient(f, np.array([0.2, 0.8, 0.5]))
+        fd_grad(f, np.array([0.2, 0.8, 0.5]))
         assert len(calls) == 6
 
     def test_boundary_stencil_stays_in_cube(self):
@@ -75,13 +92,12 @@ class TestFdGradient:
             seen.append(x.copy())
             return float(x[0])
 
-        grad = fd_gradient(f, np.array([0.0]))
+        grad = fd_grad(f, np.array([0.0]))
         assert all(0.0 <= x[0] <= 1.0 for x in seen)
         assert grad[0] == pytest.approx(1.0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            fd_gradient(lambda x: float("nan"), np.array([0.5]))
+        assert fd_grad(lambda x: float("nan"), np.array([0.5])) is None
 
 
 class TestBudgetProtocol:
@@ -91,7 +107,7 @@ class TestBudgetProtocol:
         traj = run_with_budget(
             sphere_env(), OptimizerConfig(method=method, budget=budget, seed=0)
         )
-        assert len(traj) <= budget
+        assert len(traj) == budget
 
     @pytest.mark.parametrize("method", METHODS)
     def test_budget_one(self, method):
@@ -171,6 +187,24 @@ class TestLbfgsb:
         )
         traj = run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=3000, seed=1))
         assert -traj.best_reward <= 1e-6
+
+    def test_error_in_fd_stencil_abandons_restart(self):
+        class FailsOnThirdCall:
+            calls = 0
+
+            def point_metrics(self, point, op, index):
+                self.calls += 1
+                if self.calls == 3:
+                    raise EvaluationError("synthetic failure")
+                return {"value": sum((v - 0.5) ** 2 for v in point.values.values())}
+
+        env = sphere_env().with_evaluator(FailsOnThirdCall())
+        traj = run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=50, seed=0))
+        assert len(traj) == 50
+        assert [r.error for r in traj.records if r.error] == ["synthetic failure"]
+        assert traj.records[2].error == "synthetic failure"
+        # Start point plus the 8-row stencil of restart 0, then restart 1.
+        assert [r.iteration for r in traj.records[:10]] == [0] * 9 + [1]
 
 
 class TestPso:

@@ -243,3 +243,33 @@ def test_evaluator_failure_becomes_error_result():
     assert result.error == "synthetic failure"
     assert result.reward is None
     assert not result.feasible
+
+
+class _NudgedBracketEvaluator:
+    """Reports `bracketed` 2 ulp above 1.0, as an external solver may."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def point_metrics(self, point, op, index):
+        metrics = dict(self.inner.point_metrics(point, op, index))
+        metrics["bracketed"] = np.nextafter(np.nextafter(metrics["bracketed"], 2.0), 2.0)
+        return metrics
+
+
+def test_out_of_range_constraint_becomes_error_result():
+    base = get_environment("bwb-drag-multipoint")
+    env = base.with_evaluator(_NudgedBracketEvaluator(base.evaluator))
+    result = env.evaluate(base.space.sample_uniform(seed=0, n=1)[0])
+    assert result.error.startswith(
+        "evaluator metrics unusable for bwb-drag-multipoint: constraint cl_reachable_p0"
+    )
+    assert result.reward is None
+    assert not result.feasible
+
+
+def test_non_finite_reward_becomes_error_result():
+    env = function_environment(continuous_space({"x": (0.0, 1.0)}), lambda u: np.inf)
+    result = env.evaluate(DesignPoint(values={"x": 0.5}))
+    assert result.error == "evaluator metrics unusable for function: non-finite reward -inf"
+    assert result.reward is None
