@@ -111,7 +111,7 @@ def run_with_budget(
             rewards = np.array(
                 [obj.evaluate_u(u, iteration) for u in batch[: obj.remaining]]
             )
-            if len(rewards) < len(batch):
+            if obj.remaining == 0:
                 break
     finally:
         proposals.close()

@@ -4,12 +4,18 @@ acquisition.
 An exact GP with an isotropic Matern-5/2 kernel models standardized rewards
 on the unit cube. Hyperparameters (length scale, signal variance, noise)
 are refit each round by multi-start gradient ascent on the marginal
-likelihood, accepting only improving steps. The acquisition is maximized
-over a Sobol candidate set plus a handful of local refinements.
+likelihood, accepting only improving steps. The fit works on the Cholesky
+factor of the covariance: the data's pairwise distances are computed once
+per model, alpha = K^-1 y comes from two triangular solves, and the
+gradient's K^-1 from LAPACK potri, with no generic solve and no identity
+matrix. The acquisition is maximized over a Sobol candidate set plus a
+handful of local refinements.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.stats import norm, qmc
 
 from ..space import ParamSpace
@@ -17,6 +23,7 @@ from .base import ConfigurationError, Proposals, Warm
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
+SQRT5 = np.sqrt(5.0)
 
 DEFAULTS = {
     "n_initial": 30,
@@ -34,10 +41,11 @@ THETA_LO = np.log(np.array([1e-3, 1e-4, 1e-8]))
 THETA_HI = np.log(np.array([1e2, 1e3, 1.0]))
 
 
-def matern52(sq_dists: np.ndarray, length: float, signal_var: float) -> np.ndarray:
-    r = np.sqrt(np.maximum(sq_dists, 0.0))
-    a = np.sqrt(5.0) * r / length
-    return signal_var * (1.0 + a + a**2 / 3.0) * np.exp(-a)
+def _matern52(r5: np.ndarray, length: float, signal_var: float):
+    """Matern-5/2 kernel on sqrt(5)-scaled distances, with a and exp(-a) for gradients."""
+    a = r5 / length
+    exp_a = np.exp(-a)
+    return signal_var * (1.0 + a + a**2 / 3.0) * exp_a, a, exp_a
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,19 +57,28 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def _chol(k_mat: np.ndarray, warn) -> np.ndarray | None:
-    """Cholesky with escalating diagonal jitter; None when it never succeeds."""
+def _scaled_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return SQRT5 * np.sqrt(_sq_dists(a, b))
+
+
+def _chol(kern: np.ndarray, noise: float, warn) -> np.ndarray | None:
+    """Lower Cholesky factor of kern + (noise + jitter) I, the jitter escalating
+    from JITTER_START; None when it never succeeds."""
+    n = len(kern)
+    diag = kern.diagonal() + noise
+    k_mat = kern.copy()
     jitter = JITTER_START
-    n = len(k_mat)
     while jitter <= JITTER_MAX:
-        try:
-            return np.linalg.cholesky(k_mat + jitter * np.eye(n))
-        except np.linalg.LinAlgError:
-            jitter *= 2.0
+        k_mat.flat[:: n + 1] = diag + jitter
+        chol, info = dpotrf(k_mat, lower=1)
+        # potrf reports no failure on NaN input; a non-finite pivot catches it.
+        if info == 0 and np.isfinite(chol.trace()):
+            return chol
+        jitter *= 2.0
     warn(
         f"GP covariance not positive definite even with jitter {JITTER_MAX}; "
-        f"condition diagnostics: diag range [{k_mat.diagonal().min():.3e}, "
-        f"{k_mat.diagonal().max():.3e}], n={n}"
+        f"condition diagnostics: diag range [{diag.min():.3e}, "
+        f"{diag.max():.3e}], n={n}"
     )
     return None
 
@@ -78,36 +95,37 @@ class _GP:
         self.y = (y - self.y_mean) / self.y_std
         self.warn = warn
         self.theta = np.log(np.array([0.5, 1.0, 1e-3]))  # (length, sf2, sn2)
+        # Every likelihood evaluation reuses the distances between the data.
+        self._r5 = _scaled_dists(x, x)
         self._chol_cache = None
         self._alpha = None
 
     def _neg_mll_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
         length, sf2, sn2 = np.exp(theta)
-        sq = _sq_dists(self.x, self.x)
-        n = len(self.x)
-        r = np.sqrt(np.maximum(sq, 0.0))
-        a = np.sqrt(5.0) * r / length
-        exp_a = np.exp(-a)
-        k_mat = sf2 * (1.0 + a + a**2 / 3.0) * exp_a + sn2 * np.eye(n)
-        chol = _chol(k_mat, lambda _msg: None)
+        kern, a, exp_a = _matern52(self._r5, length, sf2)
+        chol = _chol(kern, sn2, lambda _msg: None)
         if chol is None:
             return np.inf, None
-        alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, self.y))
+        # LAPACK potrs directly: scipy's cho_solve wrapper costs more than the solve.
+        alpha = dpotrs(chol, self.y, lower=1)[0]
+        n = len(self.y)
         nll = float(
             0.5 * self.y @ alpha
-            + np.sum(np.log(np.diag(chol)))
+            + np.sum(np.log(chol.diagonal()))
             + 0.5 * n * np.log(2.0 * np.pi)
         )
         # d(neg mll)/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
-        k_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(n)))
-        w = k_inv - np.outer(alpha, alpha)
+        #                     = 0.5 (sum(K^-1 * dK) - alpha^T dK alpha).
+        # potri writes the lower triangle of K^-1 over L; the upper keeps L's zeros.
+        k_inv = dpotri(chol, lower=1)[0]
+        k_inv = k_inv + k_inv.T
+        k_inv.flat[:: n + 1] *= 0.5
         dk_len = sf2 * (a**2 * (1.0 + a) / 3.0) * exp_a
-        dk_sf = k_mat - sn2 * np.eye(n)
-        grad = np.array(
+        grad = 0.5 * np.array(
             [
-                0.5 * float(np.sum(w * dk_len)),
-                0.5 * float(np.sum(w * dk_sf)),
-                0.5 * sn2 * float(np.trace(w)),
+                np.vdot(k_inv, dk_len) - alpha @ dk_len @ alpha,
+                np.vdot(k_inv, kern) - alpha @ kern @ alpha,
+                sn2 * (np.trace(k_inv) - alpha @ alpha),
             ]
         )
         return nll, grad
@@ -147,20 +165,17 @@ class _GP:
                 best_theta, best_val = theta, val
         self.theta = best_theta
         length, sf2, sn2 = np.exp(self.theta)
-        k_mat = matern52(_sq_dists(self.x, self.x), length, sf2) + sn2 * np.eye(
-            len(self.x)
-        )
-        chol = _chol(k_mat, self.warn)
+        chol = _chol(_matern52(self._r5, length, sf2)[0], sn2, self.warn)
         if chol is None:
             raise FloatingPointError("GP covariance factorization failed")
         self._chol_cache = chol
-        self._alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, self.y))
+        self._alpha = dpotrs(chol, self.y, lower=1)[0]
 
     def posterior(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         length, sf2, _ = np.exp(self.theta)
-        k_star = matern52(_sq_dists(x_new, self.x), length, sf2)
+        k_star = _matern52(_scaled_dists(x_new, self.x), length, sf2)[0]
         mu = k_star @ self._alpha
-        v = np.linalg.solve(self._chol_cache, k_star.T)
+        v = solve_triangular(self._chol_cache, k_star.T, lower=True, check_finite=False)
         var = np.maximum(sf2 - np.sum(v**2, axis=0), 1e-12)
         return mu, np.sqrt(var)
 

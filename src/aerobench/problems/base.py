@@ -161,7 +161,11 @@ class ProblemEnvironment:
         )
         violations: dict[str, float] = {}
         for spec in self.constraints:
-            v = float(spec.violation(ctx))
+            try:
+                v = float(spec.violation(ctx))
+            except (KeyError, TypeError) as exc:
+                # A metric read only by a constraint may be missing too.
+                return self._unusable(per_point, f"constraint {spec.name}: {exc!r}")
             # Metrics slightly out of range (a few ulp from an external
             # solver) make v fall outside [0, 1]; that is an error row too.
             if not (0.0 <= v <= 1.0):

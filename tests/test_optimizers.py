@@ -10,7 +10,7 @@ from aerobench.optimizers import (
     run_with_budget,
 )
 from aerobench.optimizers.base import fd_gradient
-from aerobench.optimizers.bo import _GP
+from aerobench.optimizers.bo import JITTER_MAX, JITTER_START, _GP, _chol, _sq_dists
 from aerobench.optimizers.cmaes import strategy_params
 from aerobench.optimizers.evolve import Archive, mutation_scale
 from aerobench.problems import (
@@ -254,7 +254,119 @@ class TestCmaes:
         assert -traj.best_reward < 1e-6
 
 
+def _reference_chol(k_mat):
+    """The jitter ladder on numpy's Cholesky: (factor, jitter) or (None, None)."""
+    jitter = JITTER_START
+    while jitter <= JITTER_MAX:
+        try:
+            return np.linalg.cholesky(k_mat + jitter * np.eye(len(k_mat))), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 2.0
+    return None, None
+
+
+def _reference_neg_mll_and_grad(x, y, theta):
+    """The likelihood with four generic solves and an explicit inverse."""
+    length, sf2, sn2 = np.exp(theta)
+    n = len(x)
+    a = np.sqrt(5.0) * np.sqrt(_sq_dists(x, x)) / length
+    exp_a = np.exp(-a)
+    k_mat = sf2 * (1.0 + a + a**2 / 3.0) * exp_a + sn2 * np.eye(n)
+    chol, _ = _reference_chol(k_mat)
+    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
+    nll = float(
+        0.5 * y @ alpha + np.sum(np.log(np.diag(chol))) + 0.5 * n * np.log(2.0 * np.pi)
+    )
+    k_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(n)))
+    w = k_inv - np.outer(alpha, alpha)
+    dk_len = sf2 * (a**2 * (1.0 + a) / 3.0) * exp_a
+    dk_sf = k_mat - sn2 * np.eye(n)
+    grad = 0.5 * np.array(
+        [np.sum(w * dk_len), np.sum(w * dk_sf), sn2 * np.trace(w)]
+    )
+    return nll, grad
+
+
+def _gp_data(duplicates):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    x = rng.random((25, 3))
+    if duplicates:
+        x = np.vstack([x[:12], x[:6]])
+    return x, np.sin(4 * x[:, 0]) + x[:, 1] * x[:, 2]
+
+
+GP_THETAS = [np.log(t) for t in ([0.5, 1.0, 1e-3], [0.05, 0.1, 1e-5], [2.0, 4.0, 1e-5])]
+
+
 class TestBo:
+    @pytest.mark.parametrize("duplicates", [False, True])
+    @pytest.mark.parametrize("theta", GP_THETAS)
+    def test_likelihood_matches_four_solve_reference(self, duplicates, theta):
+        x, y = _gp_data(duplicates)
+        gp = _GP(x, y, lambda msg: None)
+        val, grad = gp._neg_mll_and_grad(theta)
+        ref_val, ref_grad = _reference_neg_mll_and_grad(x, gp.y, theta)
+        assert val == pytest.approx(ref_val, rel=1e-10)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    @pytest.mark.parametrize("theta", GP_THETAS)
+    def test_likelihood_gradient_matches_central_differences(self, duplicates, theta):
+        x, y = _gp_data(duplicates)
+        gp = _GP(x, y, lambda msg: None)
+        _, grad = gp._neg_mll_and_grad(theta)
+        h = 1e-5
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            up, _ = gp._neg_mll_and_grad(theta + step)
+            down, _ = gp._neg_mll_and_grad(theta - step)
+            assert grad[j] == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-6)
+
+    def test_jitter_ladder_on_duplicate_points(self):
+        # The noise-free kernel of duplicated points is singular; shifted down
+        # by 3e-8 the ladder must pass 1e-8 and 2e-8 and succeed at 4e-8.
+        x, _ = _gp_data(duplicates=True)
+        r = np.sqrt(5.0 * _sq_dists(x, x))
+        k_mat = (1.0 + r + r**2 / 3.0) * np.exp(-r) - 3e-8 * np.eye(len(x))
+        warnings = []
+        chol = _chol(k_mat, 0.0, warnings.append)
+        assert _reference_chol(k_mat)[1] == 4e-8
+        np.testing.assert_allclose(
+            chol @ chol.T, k_mat + 4e-8 * np.eye(len(x)), rtol=0, atol=1e-12
+        )
+        assert np.all(np.triu(chol, 1) == 0.0)
+        assert warnings == []
+
+    @pytest.mark.parametrize(
+        "k_mat",
+        [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, np.nan], [np.nan, 1.0]])],
+        ids=["indefinite", "nan"],
+    )
+    def test_chol_gives_up_with_warning(self, k_mat):
+        warnings = []
+        assert _chol(k_mat, 0.0, warnings.append) is None
+        assert len(warnings) == 1
+        assert "not positive definite" in warnings[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fit_once_per_model_guided_evaluation(self, monkeypatch, k):
+        fits = []
+        original = _GP.fit
+
+        def counting_fit(gp, *args):
+            fits.append(len(gp.x))
+            return original(gp, *args)
+
+        monkeypatch.setattr(_GP, "fit", counting_fit)
+        options = {"n_initial": 5, "fit_starts": 2, "fit_steps": 5}
+        traj = run_with_budget(
+            sphere_env(2), OptimizerConfig(method="bo", budget=5 + k, seed=0, options=options)
+        )
+        assert len(traj) == 5 + k
+        # One fit per model-guided proposal, none after the budget is spent.
+        assert fits == list(range(5, 5 + k))
+
     def test_mll_nondecreasing_over_accepted_steps(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         x = rng.random((20, 2))

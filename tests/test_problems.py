@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from aerobench.optimizers import OptimizerConfig, run_with_budget
 from aerobench.problems import (
     EvaluationError,
     MAXIMIZE,
@@ -266,6 +267,33 @@ def test_out_of_range_constraint_becomes_error_result():
     )
     assert result.reward is None
     assert not result.feasible
+
+
+class _NoBracketEvaluator:
+    """Omits `bracketed`, which only the cl_reachable constraints read."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def point_metrics(self, point, op, index):
+        metrics = dict(self.inner.point_metrics(point, op, index))
+        del metrics["bracketed"]
+        return metrics
+
+
+def test_metric_missing_for_constraint_becomes_error_row():
+    base = get_environment("bwb-drag-multipoint")
+    env = base.with_evaluator(_NoBracketEvaluator(base.evaluator))
+    result = env.evaluate(base.space.sample_uniform(seed=0, n=1)[0])
+    assert result.error == (
+        "evaluator metrics unusable for bwb-drag-multipoint: "
+        "constraint cl_reachable_p0: KeyError('bracketed')"
+    )
+    assert result.reward is None
+    assert not result.feasible
+    traj = run_with_budget(env, OptimizerConfig(method="pso", budget=5, seed=0))
+    assert len(traj) == 5
+    assert all(r.error == result.error and r.reward is None for r in traj.records)
 
 
 def test_non_finite_reward_becomes_error_result():
