@@ -44,7 +44,7 @@ class BumpField:
 
     def value(self, u: np.ndarray) -> float:
         z = (u[None, :] - self.centers) * self.inv_widths
-        bumps = self.amplitudes @ np.exp(-np.sum(z * z, axis=1))
+        bumps = self.amplitudes @ np.exp(-(z * z).sum(axis=1))
         return float(bumps + self.trend @ u + self.bias)
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
@@ -81,9 +81,14 @@ class MetricModel:
     ) -> "MetricModel":
         return cls(field=BumpField.seeded(seed, dim), lo=lo, hi=hi, alpha_slope=alpha_slope)
 
+    def at(self, u: np.ndarray) -> float:
+        """The alpha-free part, lo + (hi - lo) * sigmoid(field(u))."""
+        return self.lo + (self.hi - self.lo) * _sigmoid(self.field.value(u))
+
     def value(self, u: np.ndarray, alpha: float = 0.0) -> float:
-        s = _sigmoid(self.field.value(u))
-        return self.lo + (self.hi - self.lo) * s + self.alpha_slope * alpha
+        # The same left-to-right sum as the docstring formula, so callers that
+        # hold at(u) fixed over an alpha sweep get identical bits.
+        return self.at(u) + self.alpha_slope * alpha
 
     def gradient(self, u: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         s = _sigmoid(self.field.value(u))

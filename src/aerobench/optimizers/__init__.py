@@ -99,7 +99,8 @@ def run_with_budget(
     warm = []
     for point in warmstart[: config.budget]:
         clipped = space.clip(point)
-        warm.append((space.normalize(clipped), obj.evaluate_point(clipped, 0)))
+        reward = obj.evaluate_point(clipped, 0)  # validates before normalize maps it
+        warm.append((space.normalize(clipped), reward))
     proposals = module.run(space, rng, options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:

@@ -131,8 +131,9 @@ class _GP:
         return nll, grad
 
     def fit(self, rng: np.random.Generator, opts: dict) -> None:
-        best_theta = self.theta
-        best_val, _ = self._neg_mll_and_grad(best_theta)
+        # The default theta is the first start, so its likelihood is evaluated
+        # there; np.clip leaves it unchanged because it lies inside the bounds.
+        best_theta, best_val = self.theta, np.inf
         starts = [self.theta] + [
             np.array(
                 [

@@ -126,6 +126,8 @@ class ProblemEnvironment:
             raise ValueError("environment needs at least one operating point")
 
     def evaluate(self, point: DesignPoint) -> EvalResult:
+        # The one validation of an evaluation: the evaluator and the
+        # confidence proxy map the point without re-checking it.
         self.space.validate(point)
         try:
             per_point = tuple(

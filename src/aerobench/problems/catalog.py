@@ -473,6 +473,24 @@ BWB_ALPHA_RANGE = (-5.0, 12.0)
 BISECTION_ITERS = 8
 
 
+def _trim_to_lift(
+    cl: MetricModel, u: np.ndarray, target: float, alpha_range: tuple[float, float]
+) -> tuple[float, bool, float]:
+    """Bisect alpha to a lift target; returns (alpha, bracketed, CL at alpha).
+
+    Only the linear alpha term of `cl` changes along the sweep, so its
+    alpha-free part is computed once; `cl.value` sums the same way, so the
+    bits match.
+    """
+    cl_u = cl.at(u)
+
+    def lift(a: float) -> float:
+        return cl_u + cl.alpha_slope * a
+
+    alpha, bracketed = bisect_alpha_to_cl(lift, target, *alpha_range, BISECTION_ITERS)
+    return alpha, bracketed, lift(alpha)
+
+
 def _build_bwb_multipoint() -> ProblemEnvironment:
     tid = "bwb-drag-multipoint"
     space = continuous_space(
@@ -500,10 +518,7 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
     b_coef = sum(s * a for s, a in zip(_BWB_CFX_SCALE, _BWB_CELL_AREAS)) / _BWB_S_REF
 
     def fn(u, point, op, k):
-        lo, hi = BWB_ALPHA_RANGE
-        alpha, bracketed = bisect_alpha_to_cl(
-            lambda a: cl.value(u, a), op.cl_target, lo, hi, BISECTION_ITERS
-        )
+        alpha, bracketed, clv = _trim_to_lift(cl, u, op.cl_target, BWB_ALPHA_RANGE)
         cpv = cp.value(u, alpha)
         cfxv = cfx.value(u, alpha)
         cells = [
@@ -515,7 +530,7 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         return {
             "alpha_star": alpha,
             "bracketed": float(bracketed),
-            "CL": cl.value(u, alpha),
+            "CL": clv,
             "Cp_mean": cpv,
             "Cfx_mean": cfxv,
             "CD_int": integrated_drag(cells, _BWB_S_REF),
@@ -682,11 +697,7 @@ def _build_transonic_range() -> ProblemEnvironment:
         return -RANGE_MACH * clv / cdv + (RANGE_MACH**2 * clv - RANGE_MACH * target) ** 2
 
     def fn(u, point, op, k):
-        lo, hi = RANGE_ALPHA_RANGE
-        alpha, bracketed = bisect_alpha_to_cl(
-            lambda a: cl.value(u, a), op.cl_target, lo, hi, BISECTION_ITERS
-        )
-        clv = cl.value(u, alpha)
+        alpha, bracketed, clv = _trim_to_lift(cl, u, op.cl_target, RANGE_ALPHA_RANGE)
         cdv = cd.value(u, alpha)
         return {
             "alpha_star": alpha,

@@ -27,10 +27,14 @@ NACA0012_UPPER = (0.1718, 0.1528, 0.1632, 0.1345, 0.1568, 0.1400, 0.1566, 0.1404
 NACA0012_LOWER = tuple(-w for w in NACA0012_UPPER)
 
 
+@lru_cache(maxsize=64)
 def bernstein_row(x: float) -> np.ndarray:
-    return np.array(
+    """Bernstein basis at x; cached (read-only) because the stations are fixed."""
+    row = np.array(
         [comb(_ORDER, i) * x**i * (1.0 - x) ** (_ORDER - i) for i in range(N_WEIGHTS)]
     )
+    row.flags.writeable = False
+    return row
 
 
 def shape_value(weights: np.ndarray, x: float) -> float:

@@ -5,12 +5,18 @@ affinely onto [0, 1]; discrete variables map by level *index* (so irregular
 level spacing does not distort the cube); categorical variables expand into a
 one-hot block and decode by argmax with the lowest index winning ties.
 
+A point is validated once, by `ProblemEnvironment.evaluate`, before an
+evaluator or the confidence proxy maps it; warm-start designs are projected
+by `clip` first and then evaluated the same way. `normalize` assumes a valid
+point and does not check it again.
+
 Sampling uses numpy's Philox counter-based generator so that identical seeds
 reproduce identical designs across platforms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -119,19 +125,25 @@ class ParamSpace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
-        names = [v.name for v in self.variables]
+        names = tuple(v.name for v in self.variables)
         if len(set(names)) != len(names):
             raise SpaceError("variable names must be unique")
         if not self.variables:
             raise SpaceError("space must declare at least one variable")
+        # The layout never changes, so every evaluation reads it from here.
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_name_set", frozenset(names))
+        object.__setattr__(
+            self, "_relaxed_dim", sum(v.relaxed_width for v in self.variables)
+        )
 
     @property
     def relaxed_dim(self) -> int:
-        return sum(v.relaxed_width for v in self.variables)
+        return self._relaxed_dim
 
     @property
     def names(self) -> list[str]:
-        return [v.name for v in self.variables]
+        return list(self._names)
 
     def var(self, name: str) -> VariableSpec:
         for v in self.variables:
@@ -145,46 +157,44 @@ class ParamSpace:
     # -- validation -------------------------------------------------------
 
     def validate(self, point: DesignPoint) -> None:
-        extra = set(point.values) - set(self.names)
-        if extra:
-            raise SpaceError(f"unknown variables in point: {sorted(extra)}")
+        values = point.values
+        if values.keys() != self._name_set:
+            extra = values.keys() - self._name_set
+            if extra:
+                raise SpaceError(f"unknown variables in point: {sorted(extra)}")
         for v in self.variables:
-            if v.name not in point.values:
-                raise SpaceError(f"missing value for {v.name!r}")
-            val = point.values[v.name]
+            try:
+                val = values[v.name]
+            except KeyError:
+                raise SpaceError(f"missing value for {v.name!r}") from None
             if v.kind == CONTINUOUS:
                 x = float(val)
-                if not np.isfinite(x):
+                if not math.isfinite(x):
                     raise SpaceError(f"{v.name}: value must be finite")
                 if x < v.lower or x > v.upper:  # type: ignore[operator]
                     raise SpaceError(
                         f"{v.name}: value {x} outside [{v.lower}, {v.upper}]"
                     )
-            else:
-                if val not in v.levels:  # type: ignore[operator]
-                    raise SpaceError(f"{v.name}: unknown level {val!r}")
+            elif val not in v.levels:  # type: ignore[operator]
+                raise SpaceError(f"{v.name}: unknown level {val!r}")
 
     # -- unit-cube mapping -------------------------------------------------
 
     def normalize(self, point: DesignPoint) -> np.ndarray:
-        self.validate(point)
-        out = np.empty(self.relaxed_dim)
-        i = 0
+        """Map a valid point onto the unit cube; the point is not re-checked."""
+        values = point.values
+        out: list[float] = []
         for v in self.variables:
-            val = point.values[v.name]
+            val = values[v.name]
             if v.kind == CONTINUOUS:
-                out[i] = (float(val) - v.lower) / (v.upper - v.lower)  # type: ignore[operator]
-                i += 1
+                out.append((float(val) - v.lower) / (v.upper - v.lower))  # type: ignore[operator]
             elif v.kind == DISCRETE:
-                idx = v.levels.index(val)  # type: ignore[union-attr]
-                out[i] = idx / (len(v.levels) - 1)  # type: ignore[arg-type]
-                i += 1
+                out.append(v.levels.index(val) / (len(v.levels) - 1))  # type: ignore[union-attr,arg-type]
             else:
-                block = np.zeros(len(v.levels))  # type: ignore[arg-type]
+                block = [0.0] * len(v.levels)  # type: ignore[arg-type]
                 block[v.levels.index(val)] = 1.0  # type: ignore[union-attr]
-                out[i : i + len(block)] = block
-                i += len(block)
-        return out
+                out.extend(block)
+        return np.array(out)
 
     def denormalize(self, u: Sequence[float], name: str | None = None) -> DesignPoint:
         u = np.asarray(u, dtype=float)
@@ -194,24 +204,26 @@ class ParamSpace:
             )
         if not np.all(np.isfinite(u)):
             raise SpaceError("unit-cube vector must be finite")
+        coords = u.tolist()
         values: dict[str, Any] = {}
         i = 0
         for v in self.variables:
             if v.kind == CONTINUOUS:
-                t = min(max(float(u[i]), 0.0), 1.0)
+                t = min(max(coords[i], 0.0), 1.0)
                 values[v.name] = v.lower + t * (v.upper - v.lower)  # type: ignore[operator]
                 i += 1
             elif v.kind == DISCRETE:
-                t = min(max(float(u[i]), 0.0), 1.0)
+                t = min(max(coords[i], 0.0), 1.0)
                 # nearest index, ties resolved toward the lower index
-                idx = int(np.ceil(t * (len(v.levels) - 1) - 0.5))  # type: ignore[arg-type]
+                idx = math.ceil(t * (len(v.levels) - 1) - 0.5)  # type: ignore[arg-type]
                 idx = min(max(idx, 0), len(v.levels) - 1)  # type: ignore[arg-type]
                 values[v.name] = v.levels[idx]  # type: ignore[index]
                 i += 1
             else:
-                block = u[i : i + len(v.levels)]  # type: ignore[arg-type]
-                values[v.name] = v.levels[int(np.argmax(block))]  # type: ignore[index]
-                i += len(v.levels)  # type: ignore[arg-type]
+                block = coords[i : i + len(v.levels)]  # type: ignore[arg-type]
+                # argmax: the lowest index wins ties
+                values[v.name] = v.levels[block.index(max(block))]  # type: ignore[index]
+                i += len(block)
         return DesignPoint(values=values, name=name)
 
     # -- sampling and projection ------------------------------------------

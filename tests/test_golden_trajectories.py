@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from aerobench.optimizers import OptimizerConfig, method_names, run_with_budget
-from aerobench.problems import MINIMIZE, function_environment, get_environment
+from aerobench.problems import MINIMIZE, function_environment, get_environment, task_ids
 from aerobench.space import continuous_space
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_trajectories.json")
@@ -29,6 +29,11 @@ WARM_SEED = 2
 # Enough for two PSO sweeps plus leftover budget, several lbfgsb gradients
 # and CMA generations; BO fits its GP a few times past the initial design.
 BUDGET = {"bo": 34, "cmaes": 50, "evolve": 50, "lbfgsb": 50, "pso": 50}
+# Every other catalog task gets a short PSO, CMA-ES and L-BFGS-B run, so each
+# evaluator (Kulfan geometry, trimmed-lift bisection, one-hot blocks, discrete
+# levels) is covered by at least one digest.
+WIDE_METHODS = ("cmaes", "lbfgsb", "pso")
+WIDE_BUDGET = 30
 
 
 def _cases() -> dict:
@@ -39,6 +44,10 @@ def _cases() -> dict:
                 cases[f"{task}/{method}/seed{seed}"] = (task, method, BUDGET[method], seed, {})
         cases[f"{TASKS[0]}/{method}/budget1"] = (TASKS[0], method, 1, 0, {})
         cases[f"sphere/{method}/budget7"] = ("sphere", method, 7, 0, {})
+    for task in task_ids():
+        if task not in TASKS:
+            for method in WIDE_METHODS:
+                cases[f"{task}/{method}/budget{WIDE_BUDGET}"] = (task, method, WIDE_BUDGET, 0, {})
     cases["sphere/evolve/islands3"] = (
         "sphere", "evolve", 41, 0, {"num_islands": 3, "migration_interval": 2}
     )

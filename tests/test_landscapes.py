@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from aerobench.landscape import BumpField, MetricModel, metric_seed
+from aerobench.landscape import BumpField, MetricModel, _sigmoid, metric_seed
 
 
 class TestMetricSeed:
@@ -53,6 +53,22 @@ class TestMetricModel:
         u = np.full(3, 0.4)
         assert model.value(u, alpha=2.0) > model.value(u, alpha=0.0)
         assert model.alpha_derivative() == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("slope", [0.04, 0.05, 1e-4])
+    def test_value_is_alpha_free_part_plus_linear_term_bit_for_bit(self, slope):
+        # Bisection holds at(u) fixed and adds the alpha term itself; that is
+        # only exact if value() sums in the same order.
+        model = MetricModel.seeded(11, dim=9, lo=-0.05, hi=0.35, alpha_slope=slope)
+        rng = np.random.Generator(np.random.Philox(key=4))
+        for _ in range(50):
+            u = rng.random(9)
+            # 0, both ends of the bwb and transonic-range brackets, and a random alpha
+            for a in (0.0, -5.0, 12.0, 2.0, float(rng.uniform(-5.0, 12.0))):
+                v = model.value(u, a)
+                assert v.hex() == (model.at(u) + model.alpha_slope * a).hex()
+                s = _sigmoid(model.field.value(u))
+                reference = model.lo + (model.hi - model.lo) * s + model.alpha_slope * a
+                assert v.hex() == reference.hex()
 
     def test_gradient_matches_fd(self):
         model = MetricModel.seeded(9, dim=5, lo=0.01, hi=0.09)

@@ -367,6 +367,22 @@ class TestBo:
         # One fit per model-guided proposal, none after the budget is spent.
         assert fits == list(range(5, 5 + k))
 
+    def test_fit_evaluates_default_theta_once(self, monkeypatch):
+        thetas = []
+        original = _GP._neg_mll_and_grad
+
+        def recording(gp, theta):
+            thetas.append(np.array(theta))
+            return original(gp, theta)
+
+        monkeypatch.setattr(_GP, "_neg_mll_and_grad", recording)
+        x, y = _gp_data(duplicates=False)
+        gp = _GP(x, y, lambda msg: None)
+        default = gp.theta.copy()
+        gp.fit(np.random.Generator(np.random.Philox(key=1)), {"fit_starts": 3, "fit_steps": 5, "fit_lr": 0.1})
+        assert np.array_equal(thetas[0], default)
+        assert sum(np.array_equal(t, default) for t in thetas) == 1
+
     def test_mll_nondecreasing_over_accepted_steps(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         x = rng.random((20, 2))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from aerobench.optimizers import OptimizerConfig, run_with_budget
+from aerobench.optimizers import BudgetedObjective, OptimizerConfig, run_with_budget
 from aerobench.problems import (
     EvaluationError,
     MAXIMIZE,
@@ -17,7 +17,7 @@ from aerobench.problems import (
     write_catalog,
 )
 from aerobench.problems.catalog import CATALOG_ENV_VAR
-from aerobench.space import DesignPoint, SpaceError, continuous_space
+from aerobench.space import DesignPoint, ParamSpace, SpaceError, continuous_space
 
 ALL_TASKS = task_ids()
 
@@ -115,6 +115,30 @@ def test_multipoint_tasks_charge_one_budget_unit():
         env.close()
 
 
+def test_one_validation_per_evaluation(monkeypatch):
+    # The harness validates a point once; the evaluator (once per operating
+    # point) and the confidence proxy map it without re-checking.
+    calls = []
+    original = ParamSpace.validate
+
+    def counting_validate(space, point):
+        calls.append(point)
+        return original(space, point)
+
+    monkeypatch.setattr(ParamSpace, "validate", counting_validate)
+    env = get_environment("airfoil-drag-multipoint")
+    try:
+        assert len(env.points) == 6
+        obj = BudgetedObjective(env, budget=2)
+        obj.evaluate_u(np.full(env.space.relaxed_dim, 0.5), 0)
+        assert len(calls) == 1
+        obj.evaluate_u(np.full(env.space.relaxed_dim, 0.25), 1)
+        assert len(calls) == 2
+        assert all(r.error is None for r in obj.records)
+    finally:
+        env.close()
+
+
 def test_bwb_bisection_metrics_present():
     env = get_environment("bwb-drag-multipoint")
     try:
@@ -190,8 +214,31 @@ class TestCatalogOverride:
         try:
             var = env.space.var("sweep_angle")
             assert (var.lower, var.upper) == (50.0, 80.0)
+            # The override space is built fresh, so it carries its own layout.
+            assert env.space._names == ("sweep_angle", "root_airfoil")
+            assert env.space._name_set == frozenset(env.space._names)
+            assert env.space.relaxed_dim == 6
         finally:
             env.close()
+
+    def test_widened_bounds_evaluate_beyond_builder_bounds(self, tmp_path, monkeypatch):
+        # The stand-in keeps mapping with the builder's space, so a design
+        # has the same metrics with or without the override, and one outside
+        # the builder's bounds is evaluated instead of raising SpaceError.
+        inside = DesignPoint(values={"sweep_angle": 60.0, "root_airfoil": "NACA2416"})
+        env = get_environment("delta-ld-single")
+        plain = env.evaluate(inside)
+
+        def widen(space):
+            for var in space["variables"]:
+                if var["name"] == "sweep_angle":
+                    var["lower"], var["upper"] = 50.0, 80.0
+
+        monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, widen))
+        env = get_environment("delta-ld-single")
+        assert env.evaluate(inside).reward == plain.reward
+        beyond = env.evaluate(DesignPoint(values={"sweep_angle": 78.0, "root_airfoil": "NACA2416"}))
+        assert beyond.error is None and np.isfinite(beyond.reward)
 
     def test_name_mismatch_rejected(self, tmp_path, monkeypatch):
         def rename(space):

@@ -114,6 +114,30 @@ class TestValidation:
         p = DesignPoint(values={"chord": 2.0, "n_engines": 2, "tail": "t-tail"})
         mixed_space.validate(p)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (
+                {"chord": 1.0, "n_engines": 2, "tail": "t-tail", "zz": 1, "aa": 2},
+                "unknown variables in point: ['aa', 'zz']",
+            ),
+            ({"chord": 1.0, "tail": "t-tail"}, "missing value for 'n_engines'"),
+            ({"chord": 3.0, "n_engines": 2, "tail": "t-tail"}, "chord: value 3.0 outside [0.5, 2.0]"),
+            ({"chord": 0.25, "n_engines": 2, "tail": "t-tail"}, "chord: value 0.25 outside [0.5, 2.0]"),
+            ({"chord": float("nan"), "n_engines": 2, "tail": "t-tail"}, "chord: value must be finite"),
+            ({"chord": float("inf"), "n_engines": 2, "tail": "t-tail"}, "chord: value must be finite"),
+            ({"chord": 1.0, "n_engines": 5, "tail": "t-tail"}, "n_engines: unknown level 5"),
+            ({"chord": 1.0, "n_engines": 2, "tail": "v-tail"}, "tail: unknown level 'v-tail'"),
+            # the first faulty variable in declaration order is reported
+            ({"chord": 3.0, "tail": "t-tail"}, "chord: value 3.0 outside [0.5, 2.0]"),
+            ({"chord": 1.0, "n_engines": 7}, "n_engines: unknown level 7"),
+        ],
+    )
+    def test_error_messages(self, mixed_space, values, message):
+        with pytest.raises(SpaceError) as exc:
+            mixed_space.validate(DesignPoint(values=values))
+        assert str(exc.value) == message
+
     def test_clip_snaps_discrete_to_nearest(self, mixed_space):
         p = DesignPoint(values={"chord": 99.0, "n_engines": 3.4, "tail": "h-tail"})
         c = mixed_space.clip(p)
@@ -148,6 +172,18 @@ class TestSerialization:
         data = json.loads(json.dumps(mixed_space.to_json()))
         again = ParamSpace.from_json(data)
         assert again == mixed_space
+
+    def test_from_json_caches_layout(self, mixed_space):
+        again = ParamSpace.from_json(json.loads(json.dumps(mixed_space.to_json())))
+        assert again._names == ("chord", "n_engines", "tail")
+        assert again._name_set == frozenset(again._names)
+        assert again.relaxed_dim == 5
+
+    def test_names_is_a_fresh_list(self, mixed_space):
+        names = mixed_space.names
+        names.append("extra")
+        assert mixed_space.names == ["chord", "n_engines", "tail"]
+        assert mixed_space.names is not mixed_space.names
 
     def test_design_json_round_trip(self):
         p = DesignPoint(values={"a": 1.5, "b": "x"}, name="d1")
