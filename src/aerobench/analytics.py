@@ -13,6 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -40,20 +41,41 @@ def best_so_far_at(
     Trajectories shorter than the prefix (early termination) extend their
     last best. Error evaluations (None) are skipped.
     """
+    return _best_at(_running_best(rewards), budget, fraction)
+
+
+def _running_best(rewards: Sequence[float | None]) -> list[float | None]:
+    """Entry i is the best reward among rewards[:i + 1], skipping errors.
+
+    `r > best` is the comparison `max()` makes, so ties and NaN resolve as a
+    prefix max would. Leading error rows fall forward to the first finite
+    reward; a run with no successful evaluation stays all None.
+    """
+    curve: list[float | None] = []
+    best = None
+    for r in rewards:
+        if r is not None and (best is None or r > best):
+            best = r
+        curve.append(best)
+    if best is not None:
+        lead = curve.count(None)
+        curve[:lead] = [curve[lead]] * lead
+    return curve
+
+
+def _best_at(curve: Sequence[float | None], budget: int, fraction: float) -> float:
+    """Look up `best_so_far_at` on a curve from `_running_best`."""
     if not 0.0 < fraction <= 1.0:
         raise AnalyticsError("fraction must be in (0, 1]")
-    if not rewards:
+    if not curve:
         raise AnalyticsError("empty trajectory")
     n = math.ceil(fraction * budget)
-    prefix = [r for r in rewards[:n] if r is not None]
-    if not prefix:
-        # A prefix of pure error rows still extends: fall back to the first
-        # finite reward anywhere, or fail if the whole run errored.
-        finite = [r for r in rewards if r is not None]
-        if not finite:
-            raise AnalyticsError("trajectory contains no successful evaluations")
-        return finite[0]
-    return max(prefix)
+    # A prefix of pure error rows (or an empty one) still extends: the curve
+    # holds the first finite reward there, or None if the whole run errored.
+    best = curve[max(min(n, len(curve)), 1) - 1]
+    if best is None:
+        raise AnalyticsError("trajectory contains no successful evaluations")
+    return best
 
 
 def normalized_rank(
@@ -165,6 +187,14 @@ class RunRecord:
     rewards: tuple[float | None, ...]
     sense: str = MAXIMIZE
 
+    @cached_property
+    def _curve(self) -> list[float | None]:
+        return _running_best(self.rewards)
+
+    def best_so_far_at(self, fraction: float) -> float:
+        """`best_so_far_at` of this run; its curve is computed once."""
+        return _best_at(self._curve, self.budget, fraction)
+
 
 @dataclass(frozen=True)
 class RunSet:
@@ -173,22 +203,25 @@ class RunSet:
 
     def __post_init__(self) -> None:
         seen = set()
+        index: dict[tuple[str, str], list[RunRecord]] = {}
         for r in self.records:
             key = (r.task, r.method, r.seed)
             if key in seen:
                 raise AnalyticsError(f"duplicate run {key}")
             seen.add(key)
+            index.setdefault((r.task, r.method), []).append(r)
+        object.__setattr__(self, "_index", index)
 
     @property
     def tasks(self) -> list[str]:
-        return sorted({r.task for r in self.records})
+        return sorted({task for task, _ in self._index})
 
     @property
     def methods(self) -> list[str]:
-        return sorted({r.method for r in self.records})
+        return sorted({method for _, method in self._index})
 
     def runs(self, task: str, method: str) -> list[RunRecord]:
-        return [r for r in self.records if r.task == task and r.method == method]
+        return list(self._index.get((task, method), ()))
 
 
 def read_run_dir(path: str) -> RunRecord:
@@ -197,9 +230,17 @@ def read_run_dir(path: str) -> RunRecord:
         config = json.load(fh)
     rewards: list[float | None] = []
     with open(os.path.join(path, "results.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            raw = row["reward"]
-            rewards.append(float(raw) if raw not in ("", "None") else None)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None:
+            if "reward" not in header:
+                raise AnalyticsError(f"{path}: results.csv has no reward column")
+            col = header.index("reward")
+            for row in reader:
+                if not row:
+                    continue  # blank line, skipped as csv.DictReader does
+                raw = row[col]
+                rewards.append(float(raw) if raw not in ("", "None") else None)
     return RunRecord(
         task=config["task"],
         method=config["method"],
@@ -255,11 +296,10 @@ class RankTable:
 
 
 def _method_score(run_set: RunSet, task: str, method: str, fraction: float) -> float | None:
-    runs = run_set.runs(task, method)
     vals = []
-    for r in runs:
+    for r in run_set.runs(task, method):
         try:
-            vals.append(best_so_far_at(r.rewards, r.budget, fraction))
+            vals.append(r.best_so_far_at(fraction))
         except AnalyticsError:
             continue
     if not vals:
@@ -345,13 +385,19 @@ def write_rank_table_csv(table: RankTable, path: str) -> None:
         writer.writerow(
             ["method"] + [f"{int(round(f * 100))}%" for f in table.fractions]
         )
+        aggregates = []
+        for frac in table.fractions:
+            try:
+                aggregates.append(table.aggregate(frac))
+            except KeyError:
+                aggregates.append({})
         for m in methods:
             row = [m]
-            for frac in table.fractions:
-                try:
-                    med, q25, q75 = table.aggregate(frac)[m]
+            for agg in aggregates:
+                if m in agg:
+                    med, q25, q75 = agg[m]
                     row.append(f"{med:.4f} [{q25:.4f}, {q75:.4f}]")
-                except KeyError:
+                else:
                     row.append("N/A")
             writer.writerow(row)
 
@@ -375,25 +421,29 @@ def write_convergence_data(
 ) -> list[str]:
     """Per (task, method) median/IQR best-so-far series as plot-data CSVs."""
     os.makedirs(out_dir, exist_ok=True)
+    fractions = [(i + 1) / points for i in range(points)]
     written = []
     for task in run_set.tasks:
         for method in run_set.methods:
             runs = run_set.runs(task, method)
             if not runs:
                 continue
-            fractions = [(i + 1) / points for i in range(points)]
-            rows = []
-            for frac in fractions:
-                vals = []
-                for r in runs:
-                    try:
-                        vals.append(best_so_far_at(r.rewards, r.budget, frac))
-                    except AnalyticsError:
-                        continue
-                if not vals:
+            # A run that errors at one fraction errors at all of them (empty
+            # or all-error), so the usable runs are the same for every point.
+            curves = []
+            for r in runs:
+                try:
+                    curves.append([r.best_so_far_at(frac) for frac in fractions])
+                except AnalyticsError:
                     continue
-                med, q25, q75 = median_iqr(vals)
-                rows.append((frac, med, q25, q75))
+            rows = []
+            if curves:
+                # One (points x runs) quantile call; each row is the same
+                # linear interpolation `median_iqr` computes per point.
+                q25, med, q75 = np.quantile(
+                    np.array(curves, dtype=float).T, [0.25, 0.5, 0.75], axis=1, method="linear"
+                )
+                rows = zip(fractions, med.tolist(), q25.tolist(), q75.tolist())
             path = os.path.join(out_dir, f"convergence_{task}_{method}.csv")
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)

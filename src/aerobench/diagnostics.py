@@ -9,6 +9,7 @@ report is injected.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -54,6 +55,20 @@ _SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas", "evidence_bund
 def bundle_schema() -> dict:
     with open(_SCHEMA_PATH) as fh:
         return json.load(fh)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle_validator():
+    """The bundle schema's validator, built on the first bundle of a process.
+
+    `jsonschema.validate` checks the schema against its metaschema and builds
+    a new validator on every call; doing that once leaves each bundle's
+    validation the same.
+    """
+    schema = bundle_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _clamp01(x: float) -> float:
@@ -700,7 +715,10 @@ def build_evidence_bundle(
         "trace": {"pipeline_version": BUNDLE_VERSION},
         "provenance": {},
     }
-    jsonschema.validate(bundle, bundle_schema())
+    # What jsonschema.validate raises, without re-checking the schema.
+    error = jsonschema.exceptions.best_match(_bundle_validator().iter_errors(bundle))
+    if error is not None:
+        raise error
     return bundle
 
 

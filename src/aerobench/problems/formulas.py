@@ -158,4 +158,4 @@ def fractional_violation(excess: float, scale: float) -> float:
     """Normalized violation: 0 when satisfied, 1 at complete failure."""
     if scale <= 0:
         raise FormulaError("scale must be positive")
-    return float(np.clip(excess / scale, 0.0, 1.0))
+    return min(max(float(excess / scale), 0.0), 1.0)

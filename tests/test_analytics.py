@@ -1,15 +1,19 @@
 """Rank statistics, correlations, and run-directory ingestion."""
 import csv
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aerobench import analytics
 from aerobench.analytics import (
     AnalyticsError,
+    RankTable,
     RunRecord,
     RunSet,
     best_so_far_at,
@@ -327,3 +331,185 @@ class TestRankTable:
         assert rows[0] == ["fraction", "median", "q25", "q75"]
         meds = [float(r[1]) for r in rows[1:]]
         assert all(a <= b for a, b in zip(meds, meds[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Best-so-far curve against the prefix-max definition
+# ---------------------------------------------------------------------------
+
+
+def _prefix_max_reference(rewards, budget, fraction):
+    """The prefix-max definition `best_so_far_at` had before it used a curve."""
+    if not 0.0 < fraction <= 1.0:
+        raise AnalyticsError("fraction must be in (0, 1]")
+    if not rewards:
+        raise AnalyticsError("empty trajectory")
+    n = math.ceil(fraction * budget)
+    prefix = [r for r in rewards[:n] if r is not None]
+    if not prefix:
+        finite = [r for r in rewards if r is not None]
+        if not finite:
+            raise AnalyticsError("trajectory contains no successful evaluations")
+        return finite[0]
+    return max(prefix)
+
+
+def _outcome(fn, *args):
+    """A comparable outcome: the exact bits of the value, or the error."""
+    try:
+        value = fn(*args)
+    except AnalyticsError as exc:
+        return ("raises", str(exc))
+    return ("value", type(value), value.hex(), math.copysign(1.0, value))
+
+
+_reward = st.one_of(
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, math.nan]),
+)
+_fraction = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    st.sampled_from([1e-300, 5e-324, 1.0 / 3.0, 1.0]),
+)
+
+
+class TestBestSoFarCurve:
+    @given(
+        st.lists(_reward, max_size=60),
+        st.integers(min_value=0, max_value=90),
+        st.one_of(_fraction, st.sampled_from([0.0, -0.5, 1.0000000000000002, 2.0, math.nan])),
+    )
+    @example([None, None, -0.0, 0.0], 4, 1.0)
+    @example([0.0, -0.0], 2, 1.0)
+    @example([-0.0, 0.0], 2, 1.0)
+    @example([math.nan, 1.0, None], 3, 1.0)
+    @example([1.0, math.nan, 2.0], 3, 0.5)
+    @example([None, None], 2, 1.0)
+    @example([], 5, 1.0)
+    @example([], 5, 0.0)
+    @settings(max_examples=600, deadline=None)
+    def test_identical_to_prefix_max(self, rewards, budget, fraction):
+        rewards = tuple(rewards)
+        assert _outcome(best_so_far_at, rewards, budget, fraction) == _outcome(
+            _prefix_max_reference, rewards, budget, fraction
+        )
+
+    @given(st.lists(_reward, min_size=1, max_size=40), st.integers(min_value=0, max_value=60))
+    @settings(max_examples=200, deadline=None)
+    def test_record_lookup_matches_function(self, rewards, budget):
+        rec = RunRecord(task="t", method="m", seed=0, budget=budget, rewards=tuple(rewards))
+        for fraction in (1e-9, 0.2, 0.5, 0.999, 1.0):
+            assert _outcome(rec.best_so_far_at, fraction) == _outcome(
+                _prefix_max_reference, rec.rewards, budget, fraction
+            )
+
+    def test_curve_computed_once_per_record(self, monkeypatch):
+        calls = []
+        original = analytics._running_best
+
+        def counting(rewards):
+            calls.append(1)
+            return original(rewards)
+
+        monkeypatch.setattr(analytics, "_running_best", counting)
+        rec = RunRecord(task="t", method="m", seed=0, budget=4, rewards=(None, 2.0, 1.0, 3.0))
+        assert [rec.best_so_far_at(f) for f in (0.25, 0.5, 0.75, 1.0)] == [2.0, 2.0, 2.0, 3.0]
+        assert len(calls) == 1
+
+
+def _reference_convergence_csv(runs, points):
+    lines = ["fraction,median,q25,q75"]
+    for i in range(points):
+        frac = (i + 1) / points
+        vals = []
+        for r in runs:
+            try:
+                vals.append(_prefix_max_reference(r.rewards, r.budget, frac))
+            except AnalyticsError:
+                continue
+        if not vals:
+            continue
+        med, q25, q75 = median_iqr(vals)
+        lines.append(",".join([f"{frac:.6f}", repr(med), repr(q25), repr(q75)]))
+    return "\r\n".join(lines) + "\r\n"
+
+
+class TestConvergenceExport:
+    @given(
+        st.lists(
+            st.tuples(st.lists(_reward, max_size=30), st.integers(min_value=1, max_value=40)),
+            min_size=1,
+            max_size=7,
+        ),
+        st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_vectorized_quantiles_match_per_point_median_iqr(self, runs, points):
+        records = tuple(
+            RunRecord(task="t", method="m", seed=s, budget=budget, rewards=tuple(rewards))
+            for s, (rewards, budget) in enumerate(runs)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            (path,) = write_convergence_data(RunSet(records=records), tmp, points=points)
+            with open(path, newline="") as fh:
+                text = fh.read()
+        assert text == _reference_convergence_csv(records, points)
+
+
+class TestRunSetIndex:
+    def test_runs_in_record_order(self):
+        records = tuple(
+            RunRecord(task=t, method=m, seed=s, budget=1, rewards=(float(s),))
+            for s in (2, 0, 1)
+            for t in ("t2", "t1")
+            for m in ("pso", "bo")
+        )
+        rs = RunSet(records=records)
+        for t in ("t1", "t2"):
+            for m in ("bo", "pso"):
+                assert rs.runs(t, m) == [r for r in records if r.task == t and r.method == m]
+        assert rs.runs("t1", "cmaes") == []
+        assert rs.tasks == ["t1", "t2"] and rs.methods == ["bo", "pso"]
+        rs.runs("t1", "bo").clear()
+        assert len(rs.runs("t1", "bo")) == 3
+
+    def test_read_run_dir_accepts_none_text_and_blank_lines(self, tmp_path):
+        d = _write_run_dir(str(tmp_path), "t", "pso", 0, (1.0, None, 2.0))
+        path = os.path.join(d, "results.csv")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace(",,", ",None,") + "\n")
+        assert read_run_dir(d).rewards == (1.0, None, 2.0)
+
+    def test_read_run_dir_without_reward_column(self, tmp_path):
+        d = _write_run_dir(str(tmp_path), "t", "pso", 0, (1.0,))
+        with open(os.path.join(d, "results.csv"), "w") as fh:
+            fh.write("iter,design_id\n0,d0\n")
+        with pytest.raises(AnalyticsError, match="reward"):
+            read_run_dir(d)
+
+    def test_rank_csv_aggregates_once_per_fraction(self, tmp_path, monkeypatch):
+        table = RankTable(
+            fractions=(0.5, 1.0),
+            per_task={
+                "t1": {0.5: {"a": 0.0, "b": 1.0}, 1.0: {"a": 1.0, "b": 0.0}},
+                "t2": {0.5: {"a": 0.0, "b": 1.0}, 1.0: {"a": 0.0, "b": 1.0}},
+            },
+        )
+        calls = []
+        original = RankTable.aggregate
+
+        def counting(self, fraction):
+            calls.append(fraction)
+            return original(self, fraction)
+
+        monkeypatch.setattr(RankTable, "aggregate", counting)
+        out = tmp_path / "rank_table.csv"
+        write_rank_table_csv(table, str(out))
+        assert calls == [0.5, 1.0]
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["a", "0.0000 [0.0000, 0.0000]", "0.5000 [0.2500, 0.7500]"]

@@ -1,11 +1,14 @@
 """Tiered design-validity checks and evidence-bundle assembly."""
 import math
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aerobench import diagnostics
 from aerobench.diagnostics import (
     A001_WARN_REL_ERR,
     EXPECTED_IMAGE_SUFFIXES,
@@ -438,3 +441,75 @@ class TestBundle:
         bundle = build_evidence_bundle(self._inputs(params, clean_metrics))
         jsonschema.validate(bundle, bundle_schema())
         assert worst_status(bundle) in ("ok", "missing", "warning", "issue", "error")
+
+
+class TestBundleValidation:
+    """One validator per process, and every bundle still validated in full."""
+
+    def _inputs(self, design_id="d0"):
+        space = continuous_space({"x": (0.0, 1.0), "y": (-2.0, 2.0)})
+        return DiagnosticInputs(
+            environment="toy",
+            design_id=design_id,
+            space=space,
+            design_params={"x": 0.5, "y": 0.0},
+            metrics={"Cd": 0.3},
+        )
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"diagnostic_status": 3},
+            {"diagnostic_status": None, "verdict": "x"},
+            {"verdict": "no status"},
+        ],
+    )
+    def test_invalid_report_raises_what_validate_raises(self, report):
+        bundle = build_evidence_bundle(self._inputs())
+        bundle["llm_report"] = dict(report)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(bundle, bundle_schema())
+        for _ in range(2):
+            with pytest.raises(jsonschema.ValidationError) as got:
+                build_evidence_bundle(self._inputs(), llm_report=report)
+            assert got.value.message == expected.value.message
+            assert list(got.value.path) == list(expected.value.path)
+            assert list(got.value.schema_path) == list(expected.value.schema_path)
+            assert got.value.validator == expected.value.validator
+
+    def test_schema_checked_once_across_bundles(self, monkeypatch):
+        cls = jsonschema.validators.validator_for(bundle_schema())
+        original = cls.check_schema
+        calls = []
+
+        def counting(klass, schema, *args, **kwargs):
+            calls.append(schema)
+            return original(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "check_schema", classmethod(counting))
+        diagnostics._bundle_validator.cache_clear()
+        try:
+            for k in range(20):
+                build_evidence_bundle(self._inputs(f"d{k}"))
+            with pytest.raises(jsonschema.ValidationError):
+                build_evidence_bundle(self._inputs(), llm_report={"diagnostic_status": 3})
+        finally:
+            diagnostics._bundle_validator.cache_clear()
+        assert len(calls) == 1
+
+    def test_mutating_returned_schema_does_not_change_validation(self):
+        schema = bundle_schema()
+        schema["required"].append("not_in_any_bundle")
+        schema["properties"]["llm_report"]["properties"]["diagnostic_status"]["type"] = "integer"
+        bundle = build_evidence_bundle(self._inputs())
+        assert bundle["llm_report"] == {"diagnostic_status": "skipped"}
+        assert bundle_schema() != schema
+        with pytest.raises(jsonschema.ValidationError):
+            build_evidence_bundle(self._inputs(), llm_report={"diagnostic_status": 3})
+
+    def test_validator_not_built_at_import(self):
+        code = (
+            "import aerobench.diagnostics as d; "
+            "assert d._bundle_validator.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

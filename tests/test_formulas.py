@@ -1,7 +1,9 @@
 """Scalarization, schedules, bisection, and geometry formula oracles."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aerobench.problems.formulas import (
@@ -196,3 +198,28 @@ class TestFractionalViolation:
         assert fractional_violation(-1.0, 2.0) == 0.0
         assert fractional_violation(1.0, 2.0) == 0.5
         assert fractional_violation(5.0, 2.0) == 1.0
+
+    @given(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+    )
+    @example(-0.0, 1.0)
+    @example(0.0, 1.0)
+    @example(-1e-300, 1.0)
+    @example(math.inf, 1.0)
+    @example(-math.inf, 1.0)
+    @example(math.nan, 1.0)
+    @example(-math.nan, 1.0)
+    @example(1.0, math.inf)
+    @settings(max_examples=500, deadline=None)
+    def test_same_bits_as_numpy_clip(self, excess, scale):
+        ref = float(np.clip(excess / scale, 0.0, 1.0))
+        got = fractional_violation(excess, scale)
+        assert type(got) is float
+        assert got.hex() == ref.hex()
+        assert math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+    def test_non_positive_scale_rejected(self):
+        for scale in (0.0, -1.0):
+            with pytest.raises(FormulaError):
+                fractional_violation(1.0, scale)
