@@ -94,9 +94,6 @@ class MetricModel:
         s = _sigmoid(self.field.value(u))
         return (self.hi - self.lo) * s * (1.0 - s) * self.field.gradient(u)
 
-    def alpha_derivative(self) -> float:
-        return self.alpha_slope
-
 
 def metric_seed(task_id: str, metric: str) -> int:
     """Stable per-(task, metric) seed derived from the names only."""

@@ -4,16 +4,19 @@ Every task couples a design space with operating points, an objective
 composition, and normalized constraints. Aerodynamic metrics come from the
 seeded smooth landscapes in :mod:`aerobench.landscape`; geometric quantities
 (airfoil thickness, wedge angles, smoothness) are computed exactly from the
-design variables. Each environment also exposes an analytic (value, gradient)
-pair over the normalized cube so finite-difference code can be checked
-against an exact oracle.
+design variables. Each environment also exposes a (value, gradient) pair over
+the relaxed cube. On ten tasks the value is the evaluated raw objective
+itself, the task's own per-point metrics and aggregate at u; on the two trim
+tasks, whose evaluator bisects alpha, it is the closed-form trim solution.
+The gradients are written by hand, and finite differences of the value
+check them (acceptance criterion 7).
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import os
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -33,11 +36,12 @@ from .base import (
     MAXIMIZE,
     MINIMIZE,
     ConstraintSpec,
-    EvalContext,
     OperatingPoint,
     ProblemEnvironment,
 )
 from .formulas import (
+    CAR_A_REF_M2,
+    CAR_Q_INF_PA,
     bisect_alpha_to_cl,
     car_drag_coefficient,
     fractional_violation,
@@ -79,15 +83,62 @@ def _model(task_id: str, name: str, dim: int, lo: float, hi: float, alpha_slope:
     return MetricModel.seeded(metric_seed(task_id, name), dim, lo, hi, alpha_slope)
 
 
-def _ratio_landscape(cl: MetricModel, cd: MetricModel):
-    def value(u: np.ndarray) -> float:
-        return cl.value(u) / cd.value(u)
-
+def _ratio_gradient(cl: MetricModel, cd: MetricModel):
     def gradient(u: np.ndarray) -> np.ndarray:
         cdv = cd.value(u)
         return (cl.gradient(u) * cdv - cl.value(u) * cd.gradient(u)) / cdv**2
 
-    return value, gradient
+    return gradient
+
+
+def _ld_aggregate(per_point, ops):
+    m = dict(per_point[0])
+    m["LD"] = m["CL"] / m["CD"]
+    return m["LD"], m
+
+
+def _stand_in_env(
+    tid: str,
+    space: ParamSpace,
+    points: tuple[OperatingPoint, ...],
+    fn: Callable[[np.ndarray, DesignPoint, OperatingPoint, int], dict],
+    aggregate: Callable,
+    *,
+    sense: str,
+    gradient: Callable[[np.ndarray], np.ndarray],
+    profile: dict,
+    label: str,
+    constraints: Sequence[ConstraintSpec] = (),
+    penalty: float = AIRFOIL_PENALTY,
+    value: Callable[[np.ndarray], float] | None = None,
+) -> ProblemEnvironment:
+    """A task over `StandInEvaluator(space, fn)`.
+
+    Unless a closed form is given, the landscape value is the raw objective
+    the evaluator path produces at u, so the two cannot drift apart.
+    """
+    if value is None:
+
+        def value(u: np.ndarray) -> float:
+            point = space.denormalize(u)
+            per_point = [fn(u, point, op, k) for k, op in enumerate(points)]
+            return aggregate(per_point, points)[0]
+
+    return ProblemEnvironment(
+        id=tid,
+        space=space,
+        points=points,
+        constraints=tuple(constraints),
+        sense=sense,
+        penalty_weight=penalty,
+        evaluator=StandInEvaluator(space, fn),
+        aggregate=aggregate,
+        confidence_fn=confidence_proxy,
+        landscape_value=value,
+        landscape_gradient=gradient,
+        diagnostics_profile=profile,
+        objective_label=label,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +173,8 @@ def _airfoil_geometry_metrics(point: DesignPoint) -> dict:
     }
 
 
-def _airfoil_geometry_constraints() -> list[ConstraintSpec]:
+def _airfoil_constraints(*task_constraints: ConstraintSpec) -> list[ConstraintSpec]:
+    """The geometry checks, then the task's own, then the confidence floor."""
     w_cap = 2.0 * geometry.reference_wiggliness()
     return [
         ConstraintSpec(
@@ -155,15 +207,13 @@ def _airfoil_geometry_constraints() -> list[ConstraintSpec]:
             "inequality",
             lambda c, cap=w_cap: fractional_violation(c.metrics["wiggliness"] - cap, cap),
         ),
+        *task_constraints,
+        ConstraintSpec(
+            "analysis_confidence",
+            "inequality",
+            lambda c: fractional_violation(0.90 - c.confidence, 0.05),
+        ),
     ]
-
-
-def _confidence_constraint() -> ConstraintSpec:
-    return ConstraintSpec(
-        "analysis_confidence",
-        "inequality",
-        lambda c: fractional_violation(0.90 - c.confidence, 0.05),
-    )
 
 
 def _build_airfoil_single() -> ProblemEnvironment:
@@ -179,38 +229,22 @@ def _build_airfoil_single() -> ProblemEnvironment:
         out.update(_airfoil_geometry_metrics(point))
         return out
 
-    def aggregate(per_point, ops):
-        m = dict(per_point[0])
-        m["LD"] = m["CL"] / m["CD"]
-        return m["LD"], m
-
-    constraints = _airfoil_geometry_constraints()
-    constraints.append(
-        ConstraintSpec(
-            "pitching_moment",
-            "inequality",
-            lambda c: fractional_violation(-0.133 - c.metrics["CM"], 0.067),
-        )
+    pitching_moment = ConstraintSpec(
+        "pitching_moment",
+        "inequality",
+        lambda c: fractional_violation(-0.133 - c.metrics["CM"], 0.067),
     )
-    constraints.append(_confidence_constraint())
-    value, grad = _ratio_landscape(cl, cd)
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(alpha=5.0, mach=0.2, reynolds=1e7),),
-        constraints=tuple(constraints),
+    return _stand_in_env(
+        tid, space, (OperatingPoint(alpha=5.0, mach=0.2, reynolds=1e7),),
+        fn, _ld_aggregate,
         sense=MAXIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=_ratio_gradient(cl, cd),
+        profile={
             "required_metrics": ["CL", "CD", "CM"],
             "compat_token": "airfoil-18w",
         },
-        objective_label="maximize CL/CD",
+        label="maximize CL/CD",
+        constraints=_airfoil_constraints(pitching_moment),
     )
 
 
@@ -244,36 +278,28 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
         m["CD_weighted"] = raw
         return raw, m
 
-    constraints = _airfoil_geometry_constraints()
+    polar = []
     for k, target in enumerate(_POLAR_CL_TARGETS):
-        constraints.append(
+        polar += [
             ConstraintSpec(
                 f"pitching_moment_p{k}",
                 "inequality",
-                lambda c, k=k: fractional_violation(
-                    -0.133 - c.per_point[k]["CM"], 0.067
-                ),
-            )
-        )
-        constraints.append(
+                lambda c, k=k: fractional_violation(-0.133 - c.per_point[k]["CM"], 0.067),
+            ),
             ConstraintSpec(
                 f"cl_reachable_p{k}",
                 "inequality",
                 lambda c, k=k, t=target: fractional_violation(
                     t - c.per_point[k]["CL_max"], 0.5
                 ),
-            )
-        )
+            ),
+        ]
     # The stand-in lift response is additive in alpha with positive slope,
     # so monotonicity holds by construction; the constraint is kept so the
     # task signature matches external evaluators that must earn it.
-    constraints.append(ConstraintSpec("alpha_monotonic", "inequality", lambda c: 0.0))
-    constraints.append(_confidence_constraint())
+    monotonic = ConstraintSpec("alpha_monotonic", "inequality", lambda c: 0.0)
 
     weights = np.array(_POLAR_WEIGHTS) / sum(_POLAR_WEIGHTS)
-
-    def value(u: np.ndarray) -> float:
-        return float(sum(w * m.value(u) for w, m in zip(weights, cd_models)))
 
     def grad(u: np.ndarray) -> np.ndarray:
         return sum(w * m.gradient(u) for w, m in zip(weights, cd_models))
@@ -284,23 +310,16 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
         )
         for t, w in zip(_POLAR_CL_TARGETS, _POLAR_WEIGHTS)
     )
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=points,
-        constraints=tuple(constraints),
+    return _stand_in_env(
+        tid, space, points, fn, aggregate,
         sense=MINIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=grad,
+        profile={
             "required_metrics": ["CD_weighted"],
             "compat_token": "airfoil-18w",
         },
-        objective_label="minimize weighted mean CD at six lift targets",
+        label="minimize weighted mean CD at six lift targets",
+        constraints=_airfoil_constraints(*polar, monotonic),
     )
 
 
@@ -321,40 +340,44 @@ def _delta_space(sweep_kind: str) -> ParamSpace:
     )
 
 
-def _build_delta_single() -> ProblemEnvironment:
-    tid = "delta-ld-single"
-    space = _delta_space(CONTINUOUS)
+def _ld_task(
+    tid: str,
+    space: ParamSpace,
+    op: OperatingPoint,
+    cl_range: tuple[float, float],
+    cd_range: tuple[float, float],
+    profile: dict,
+    label: str = "maximize CL/CD",
+) -> ProblemEnvironment:
+    """A single-point task that maximizes CL/CD and has no constraints."""
     dim = space.relaxed_dim
-    cl = _model(tid, "CL", dim, 0.3, 1.2)
-    cd = _model(tid, "CD", dim, 0.01, 0.08)
+    cl = _model(tid, "CL", dim, *cl_range)
+    cd = _model(tid, "CD", dim, *cd_range)
 
     def fn(u, point, op, k):
         return {"CL": cl.value(u), "CD": cd.value(u)}
 
-    def aggregate(per_point, ops):
-        m = dict(per_point[0])
-        m["LD"] = m["CL"] / m["CD"]
-        return m["LD"], m
-
-    value, grad = _ratio_landscape(cl, cd)
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.2e6),),
-        constraints=(),
+    return _stand_in_env(
+        tid, space, (op,), fn, _ld_aggregate,
         sense=MAXIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=_ratio_gradient(cl, cd),
+        profile=profile,
+        label=label,
+    )
+
+
+def _build_delta_single() -> ProblemEnvironment:
+    return _ld_task(
+        "delta-ld-single",
+        _delta_space(CONTINUOUS),
+        OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.2e6),
+        (0.3, 1.2),
+        (0.01, 0.08),
+        {
             "angle_params": ["sweep_angle"],
             "required_metrics": ["CL", "CD"],
             "compat_token": "delta-wing",
         },
-        objective_label="maximize CL/CD",
     )
 
 
@@ -373,38 +396,27 @@ def _build_delta_robust() -> ProblemEnvironment:
         raw = robust_min(lds)
         return raw, {"LD_worst": raw}
 
-    pairs = [_ratio_landscape(cl, cd) for cl, cd in zip(cl_models, cd_models)]
-
-    def value(u: np.ndarray) -> float:
-        return min(v(u) for v, _ in pairs)
+    grads = [_ratio_gradient(cl, cd) for cl, cd in zip(cl_models, cd_models)]
 
     def grad(u: np.ndarray) -> np.ndarray:
-        k = int(np.argmin([v(u) for v, _ in pairs]))
-        return pairs[k][1](u)
+        lds = [cl.value(u) / cd.value(u) for cl, cd in zip(cl_models, cd_models)]
+        return grads[int(np.argmin(lds))](u)
 
     points = (
         OperatingPoint(alpha=4.0, mach=0.35, reynolds=7.0e6),
         OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.5e6),
         OperatingPoint(alpha=16.0, mach=0.50, reynolds=9.5e6),
     )
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=points,
-        constraints=(),
+    return _stand_in_env(
+        tid, space, points, fn, aggregate,
         sense=MAXIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=grad,
+        profile={
             "angle_params": ["sweep_angle"],
             "required_metrics": ["LD_worst"],
             "compat_token": "delta-wing",
         },
-        objective_label="maximize worst-case CL/CD over three operating points",
+        label="maximize worst-case CL/CD over three operating points",
     )
 
 
@@ -423,39 +435,27 @@ def _build_delta_multiobjective() -> ProblemEnvironment:
         return {"CL": cl.value(u), "CD": cd.value(u), "CM": cm.value(u)}
 
     def aggregate(per_point, ops):
-        m = dict(per_point[0])
-        m["LD"] = m["CL"] / m["CD"]
+        ld, m = _ld_aggregate(per_point, ops)
         m["abs_CM"] = abs(m["CM"])
-        raw = m["LD"] - _TRIM_WEIGHT * m["abs_CM"]
-        return raw, m
+        return ld - _TRIM_WEIGHT * m["abs_CM"], m
 
-    ld_value, ld_grad = _ratio_landscape(cl, cd)
-
-    def value(u: np.ndarray) -> float:
-        return ld_value(u) - _TRIM_WEIGHT * abs(cm.value(u))
+    ld_grad = _ratio_gradient(cl, cd)
 
     def grad(u: np.ndarray) -> np.ndarray:
         return ld_grad(u) - _TRIM_WEIGHT * np.sign(cm.value(u)) * cm.gradient(u)
 
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.9e6),),
-        constraints=(),
+    return _stand_in_env(
+        tid, space, (OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.9e6),),
+        fn, aggregate,
         sense=MAXIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=grad,
+        profile={
             "angle_params": ["sweep_angle"],
             "required_metrics": ["LD", "abs_CM"],
             "compat_token": "delta-wing",
             "pareto_axes": [["LD", "maximize"], ["abs_CM", "minimize"]],
         },
-        objective_label="maximize CL/CD minus weighted trim penalty (Pareto axes recorded)",
+        label="maximize CL/CD minus weighted trim penalty (Pareto axes recorded)",
     )
 
 
@@ -489,6 +489,19 @@ def _trim_to_lift(
 
     alpha, bracketed = bisect_alpha_to_cl(lift, target, *alpha_range, BISECTION_ITERS)
     return alpha, bracketed, lift(alpha)
+
+
+def _trim_constraints(targets: Sequence[float]) -> tuple[ConstraintSpec, ...]:
+    """One lift-reachability constraint per trimmed operating point."""
+    return tuple(
+        ConstraintSpec(
+            f"cl_reachable_p{k}",
+            "inequality",
+            lambda c, k=k, t=t: (1.0 - c.per_point[k]["bracketed"])
+            * fractional_violation(abs(c.per_point[k]["CL"] - t), 0.1),
+        )
+        for k, t in enumerate(targets)
+    )
 
 
 def _build_bwb_multipoint() -> ProblemEnvironment:
@@ -540,16 +553,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         raw = float(np.mean([pp["CD_int"] for pp in per_point]))
         return raw, {"CD_int_mean": raw}
 
-    constraints = tuple(
-        ConstraintSpec(
-            f"cl_reachable_p{k}",
-            "inequality",
-            lambda c, k=k, t=t: (1.0 - c.per_point[k]["bracketed"])
-            * fractional_violation(abs(c.per_point[k]["CL"] - t), 0.1),
-        )
-        for k, t in enumerate(_BWB_CL_TARGETS)
-    )
-
     def alpha_star(u: np.ndarray, target: float) -> float:
         return (target - cl.value(u, 0.0)) / cl.alpha_slope
 
@@ -571,30 +574,30 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
     points = tuple(
         OperatingPoint(cl_target=t, mach=0.3, reynolds=1e7) for t in _BWB_CL_TARGETS
     )
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=points,
-        constraints=constraints,
+    return _stand_in_env(
+        tid, space, points, fn, aggregate,
         sense=MINIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=grad,
+        profile={
             "angle_params": ["sweep_inner", "sweep_mid", "sweep_outer"],
             "required_metrics": ["CD_int_mean"],
             "compat_token": "bwb-9p",
         },
-        objective_label="minimize mean integrated drag at five trimmed lift targets",
+        label="minimize mean integrated drag at five trimmed lift targets",
+        constraints=_trim_constraints(_BWB_CL_TARGETS),
+        value=value,
     )
 
 
 # ---------------------------------------------------------------------------
 # Transonic swept wing
 # ---------------------------------------------------------------------------
+
+_TRANSONIC_ANGLES = (
+    "sweep_angle", "dihedral_kink", "dihedral_tip",
+    "twist_1", "twist_2", "twist_3", "twist_4",
+)
+
 
 def _transonic_space() -> ParamSpace:
     bounds: dict[str, tuple[float, float]] = {
@@ -621,9 +624,7 @@ def _transonic_space() -> ParamSpace:
         bounds[f"cu{i}"] = (-0.3, 0.6)
     for i in range(10):
         bounds[f"cl{i}"] = (-0.3, 0.3)
-    units = {k: "deg" for k in ("sweep_angle", "dihedral_kink", "dihedral_tip",
-                                "twist_1", "twist_2", "twist_3", "twist_4")}
-    return continuous_space(bounds, units)
+    return continuous_space(bounds, {k: "deg" for k in _TRANSONIC_ANGLES})
 
 
 TRANSONIC_CL_FLOOR = 0.45
@@ -649,35 +650,20 @@ def _build_transonic_single() -> ProblemEnvironment:
 
     op = OperatingPoint(alpha=3.0, mach=0.82)
 
-    def value(u: np.ndarray) -> float:
-        shortfall = max(0.0, TRANSONIC_CL_FLOOR - cl.value(u, op.alpha))
-        return cd.value(u, op.alpha) + TRANSONIC_CL_PENALTY * shortfall**2
-
     def grad(u: np.ndarray) -> np.ndarray:
         shortfall = max(0.0, TRANSONIC_CL_FLOOR - cl.value(u, op.alpha))
         return cd.gradient(u) - 2.0 * TRANSONIC_CL_PENALTY * shortfall * cl.gradient(u)
 
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(op,),
-        constraints=(),
+    return _stand_in_env(
+        tid, space, (op,), fn, aggregate,
         sense=MINIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
-            "angle_params": [
-                "sweep_angle", "dihedral_kink", "dihedral_tip",
-                "twist_1", "twist_2", "twist_3", "twist_4",
-            ],
+        gradient=grad,
+        profile={
+            "angle_params": list(_TRANSONIC_ANGLES),
             "required_metrics": ["CL", "CD"],
             "compat_token": "swept-wing-38p",
         },
-        objective_label="minimize CD with quadratic lift-floor penalty",
+        label="minimize CD with quadratic lift-floor penalty",
     )
 
 
@@ -713,16 +699,6 @@ def _build_transonic_range() -> ProblemEnvironment:
         )
         return raw, {"range_objective": raw}
 
-    constraints = tuple(
-        ConstraintSpec(
-            f"cl_reachable_p{k}",
-            "inequality",
-            lambda c, k=k, t=t: (1.0 - c.per_point[k]["bracketed"])
-            * fractional_violation(abs(c.per_point[k]["CL"] - t), 0.1),
-        )
-        for k, t in enumerate(_RANGE_CL_TARGETS)
-    )
-
     weights = np.array(_RANGE_CL_TARGETS) / sum(_RANGE_CL_TARGETS)
 
     def value(u: np.ndarray) -> float:
@@ -754,27 +730,18 @@ def _build_transonic_range() -> ProblemEnvironment:
     points = tuple(
         OperatingPoint(cl_target=t, mach=RANGE_MACH, weight=t) for t in _RANGE_CL_TARGETS
     )
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=points,
-        constraints=constraints,
+    return _stand_in_env(
+        tid, space, points, fn, aggregate,
         sense=MINIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
-            "angle_params": [
-                "sweep_angle", "dihedral_kink", "dihedral_tip",
-                "twist_1", "twist_2", "twist_3", "twist_4",
-            ],
+        gradient=grad,
+        profile={
+            "angle_params": list(_TRANSONIC_ANGLES),
             "required_metrics": ["range_objective"],
             "compat_token": "swept-wing-38p",
         },
-        objective_label="minimize lift-weighted range objective at four trimmed lift targets",
+        label="minimize lift-weighted range objective at four trimmed lift targets",
+        constraints=_trim_constraints(_RANGE_CL_TARGETS),
+        value=value,
     )
 
 
@@ -783,7 +750,6 @@ def _build_transonic_range() -> ProblemEnvironment:
 # ---------------------------------------------------------------------------
 
 def _build_cca() -> ProblemEnvironment:
-    tid = "cca-ld-single"
     variables = [
         VariableSpec("dihedral_angle", CONTINUOUS, 0.25, 15.0, unit="deg"),
         VariableSpec("max_wing_blend", CONTINUOUS, 25.0, 1000.0, unit="mm"),
@@ -802,33 +768,13 @@ def _build_cca() -> ProblemEnvironment:
         VariableSpec("root_chord", CONTINUOUS, 1431.0, 2700.0, unit="mm"),
         VariableSpec("tail_root_chord", CONTINUOUS, 800.0, 1200.0, unit="mm"),
     ]
-    space = ParamSpace(tuple(variables))
-    dim = space.relaxed_dim
-    cl = _model(tid, "CL", dim, 0.2, 1.2)
-    cd = _model(tid, "CD", dim, 0.02, 0.12)
-
-    def fn(u, point, op, k):
-        return {"CL": cl.value(u), "CD": cd.value(u)}
-
-    def aggregate(per_point, ops):
-        m = dict(per_point[0])
-        m["LD"] = m["CL"] / m["CD"]
-        return m["LD"], m
-
-    value, grad = _ratio_landscape(cl, cd)
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(alpha=3.0, mach=0.4, reynolds=8e6),),
-        constraints=(),
-        sense=MAXIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+    return _ld_task(
+        "cca-ld-single",
+        ParamSpace(tuple(variables)),
+        OperatingPoint(alpha=3.0, mach=0.4, reynolds=8e6),
+        (0.2, 1.2),
+        (0.02, 0.12),
+        {
             "angle_params": [
                 "dihedral_angle", "inlet_angle_1", "inlet_angle_2",
                 "fore_top_angle", "aft_top_angle",
@@ -836,7 +782,6 @@ def _build_cca() -> ProblemEnvironment:
             "required_metrics": ["CL", "CD"],
             "compat_token": "cca-16p",
         },
-        objective_label="maximize CL/CD",
     )
 
 
@@ -902,29 +847,14 @@ def _build_car() -> ProblemEnvironment:
         m = dict(per_point[0])
         return m["Cd"], m
 
-    from .formulas import CAR_A_REF_M2, CAR_Q_INF_PA
-
-    denom = CAR_Q_INF_PA * CAR_A_REF_M2
-
-    def value(u: np.ndarray) -> float:
-        return (fp.value(u) + fs.value(u)) / denom
-
     def grad(u: np.ndarray) -> np.ndarray:
-        return (fp.gradient(u) + fs.gradient(u)) / denom
+        return (fp.gradient(u) + fs.gradient(u)) / (CAR_Q_INF_PA * CAR_A_REF_M2)
 
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(mach=0.117),),
-        constraints=(),
+    return _stand_in_env(
+        tid, space, (OperatingPoint(mach=0.117),), fn, aggregate,
         sense=MINIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+        gradient=grad,
+        profile={
             "angle_params": list(CAR_ANGLE_PARAMS),
             "scale_param": "car_size",
             "width_param": "car_width",
@@ -932,7 +862,7 @@ def _build_car() -> ProblemEnvironment:
             "required_metrics": ["drag", "Cd", "lift", "drag_pressure", "drag_shear"],
             "compat_token": "vtk_E",
         },
-        objective_label="minimize Cd",
+        label="minimize Cd",
     )
 
 
@@ -981,30 +911,23 @@ def _build_ceras() -> ProblemEnvironment:
             lambda c: fractional_violation(c.metrics["StaticMargin"] - 0.1, 0.05),
         ),
     )
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(mach=0.78),),
-        constraints=constraints,
+    return _stand_in_env(
+        tid, space, (OperatingPoint(mach=0.78),), fn, aggregate,
         sense=MINIMIZE,
-        penalty_weight=CERAS_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=fuel.value,
-        landscape_gradient=fuel.gradient,
-        diagnostics_profile={
+        gradient=fuel.gradient,
+        profile={
             "angle_params": ["sweep_wing"],
             "required_metrics": ["FuelMass", "StaticMargin"],
             "compat_token": "ceras-a320",
             "tags": ["mixed"],
         },
-        objective_label="minimize FuelMass subject to static-margin window",
+        label="minimize FuelMass subject to static-margin window",
+        constraints=constraints,
+        penalty=CERAS_PENALTY,
     )
 
 
 def _build_sta() -> ProblemEnvironment:
-    tid = "sta-ld-mixed"
     variables = (
         VariableSpec("sweep_inboard", CONTINUOUS, 10.0, 50.0, unit="deg"),
         VariableSpec("sweep_outboard", CONTINUOUS, 10.0, 70.0, unit="deg"),
@@ -1016,39 +939,19 @@ def _build_sta() -> ProblemEnvironment:
         VariableSpec("tail_geometry", CATEGORICAL, levels=("T-tail", "no T-tail")),
         VariableSpec("canard", CATEGORICAL, levels=("canard", "no canard")),
     )
-    space = ParamSpace(variables)
-    dim = space.relaxed_dim
-    cl = _model(tid, "CL", dim, 0.08, 0.4)
-    cd = _model(tid, "CD", dim, 0.008, 0.05)
-
-    def fn(u, point, op, k):
-        return {"CL": cl.value(u), "CD": cd.value(u)}
-
-    def aggregate(per_point, ops):
-        m = dict(per_point[0])
-        m["LD"] = m["CL"] / m["CD"]
-        return m["LD"], m
-
-    value, grad = _ratio_landscape(cl, cd)
-    return ProblemEnvironment(
-        id=tid,
-        space=space,
-        points=(OperatingPoint(mach=1.5, altitude=50000.0),),
-        constraints=(),
-        sense=MAXIMIZE,
-        penalty_weight=AIRFOIL_PENALTY,
-        evaluator=StandInEvaluator(space, fn),
-        aggregate=aggregate,
-        confidence_fn=confidence_proxy,
-        landscape_value=value,
-        landscape_gradient=grad,
-        diagnostics_profile={
+    return _ld_task(
+        "sta-ld-mixed",
+        ParamSpace(variables),
+        OperatingPoint(mach=1.5, altitude=50000.0),
+        (0.08, 0.4),
+        (0.008, 0.05),
+        {
             "angle_params": ["sweep_inboard", "sweep_outboard"],
             "required_metrics": ["CL", "CD"],
             "compat_token": "sta-cruise",
             "tags": ["mixed"],
         },
-        objective_label="maximize cruise CL/CD",
+        "maximize cruise CL/CD",
     )
 
 
@@ -1113,9 +1016,7 @@ def get_environment(
         from .subproc import SubprocessEvaluator
 
         kwargs = {} if timeout is None else {"timeout": timeout}
-        env = dataclasses.replace(
-            env, evaluator=SubprocessEvaluator(evaluator_command, **kwargs)
-        )
+        env = env.with_evaluator(SubprocessEvaluator(evaluator_command, **kwargs))
     return env
 
 

@@ -151,9 +151,6 @@ class ParamSpace:
                 return v
         raise SpaceError(f"unknown variable {name!r}")
 
-    def has_kind(self, kind: str) -> bool:
-        return any(v.kind == kind for v in self.variables)
-
     # -- validation -------------------------------------------------------
 
     def validate(self, point: DesignPoint) -> None:

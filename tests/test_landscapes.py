@@ -52,7 +52,6 @@ class TestMetricModel:
         model = MetricModel.seeded(5, dim=3, lo=0.0, hi=1.0, alpha_slope=0.05)
         u = np.full(3, 0.4)
         assert model.value(u, alpha=2.0) > model.value(u, alpha=0.0)
-        assert model.alpha_derivative() == pytest.approx(0.05)
 
     @pytest.mark.parametrize("slope", [0.04, 0.05, 1e-4])
     def test_value_is_alpha_free_part_plus_linear_term_bit_for_bit(self, slope):

@@ -16,7 +16,13 @@ from aerobench.problems import (
     task_ids,
     write_catalog,
 )
-from aerobench.problems.catalog import CATALOG_ENV_VAR
+from aerobench.problems.catalog import (
+    BISECTION_ITERS,
+    BWB_ALPHA_RANGE,
+    CATALOG_ENV_VAR,
+    RANGE_ALPHA_RANGE,
+    RANGE_MACH,
+)
 from aerobench.space import DesignPoint, ParamSpace, SpaceError, continuous_space
 
 ALL_TASKS = task_ids()
@@ -169,6 +175,85 @@ def test_analytic_gradient_matches_fd(task_id):
                 um[i] -= eps
                 fd = (env.landscape_value(up) - env.landscape_value(um)) / (2 * eps)
                 assert grad[i] == pytest.approx(fd, abs=1e-5)
+    finally:
+        env.close()
+
+
+TRIM_TASKS = ("bwb-drag-multipoint", "transonic-range-multipoint")
+
+
+def _landscape_and_objective(env, n=50):
+    """(landscape at the evaluated u, evaluation) for n seeded designs."""
+    rng = np.random.Generator(np.random.Philox(key=31))
+    cases = []
+    for _ in range(n):
+        point = env.space.denormalize(rng.random(env.space.relaxed_dim))
+        us = env.space.normalize(point)
+        cases.append((env.landscape_value(us), env.evaluate(point)))
+    return cases
+
+
+@pytest.mark.parametrize("task_id", [t for t in ALL_TASKS if t not in TRIM_TASKS])
+def test_landscape_is_the_evaluated_objective(task_id):
+    env = get_environment(task_id)
+    try:
+        for value, result in _landscape_and_objective(env):
+            assert value.hex() == result.metrics["objective"].hex()
+    finally:
+        env.close()
+
+
+def _alpha_slope(per_point, key):
+    # Each per-point metric is its alpha-free part at u plus slope * alpha,
+    # so the first and last operating point of one design give the slope.
+    first, last = per_point[0], per_point[-1]
+    return (last[key] - first[key]) / (last["alpha_star"] - first["alpha_star"])
+
+
+def _bwb_term_slopes(per_point, targets, delta):
+    # The integrated drag is linear in alpha.
+    return [abs(_alpha_slope(per_point, "CD_int"))] * len(per_point)
+
+
+def _range_term_slopes(per_point, targets, delta):
+    # |d/d(alpha)| of -M CL/CD + (M^2 CL - M t)^2, bounded over alpha +- delta.
+    cl_s, cd_s = _alpha_slope(per_point, "CL"), _alpha_slope(per_point, "CD")
+    m = RANGE_MACH
+    slopes = []
+    for pp, t in zip(per_point, targets):
+        cl_hi = pp["CL"] + cl_s * delta
+        cd_lo, cd_hi = pp["CD"] - cd_s * delta, pp["CD"] + cd_s * delta
+        ratio = m * (cl_s * cd_hi + cl_hi * cd_s) / cd_lo**2
+        trim = 2.0 * (abs(m * m * pp["CL"] - m * t) + m * m * cl_s * delta) * m * m * cl_s
+        slopes.append(ratio + trim)
+    return slopes
+
+
+@pytest.mark.parametrize(
+    "task_id, alpha_range, term_slopes",
+    [
+        ("bwb-drag-multipoint", BWB_ALPHA_RANGE, _bwb_term_slopes),
+        ("transonic-range-multipoint", RANGE_ALPHA_RANGE, _range_term_slopes),
+    ],
+)
+def test_trim_landscape_within_bisection_resolution(task_id, alpha_range, term_slopes):
+    # The landscape solves the trim in closed form; the evaluator bisects,
+    # which leaves each bracketed alpha within delta of the trim alpha.
+    delta = (alpha_range[1] - alpha_range[0]) / 2 ** (BISECTION_ITERS + 1)
+    env = get_environment(task_id)
+    try:
+        targets = [op.cl_target for op in env.points]
+        weights = np.array([op.weight for op in env.points])
+        weights = weights / weights.sum()
+        checked = 0
+        for value, result in _landscape_and_objective(env):
+            if any(pp["bracketed"] != 1.0 for pp in result.per_point):
+                continue
+            slopes = term_slopes(result.per_point, targets, delta)
+            bound = float(weights @ slopes) * delta
+            assert abs(value - result.metrics["objective"]) <= bound
+            checked += 1
+        assert checked >= 25
     finally:
         env.close()
 
