@@ -4,7 +4,8 @@ correlations, and median/IQR summaries over recorded run directories.
 A run set is a collection of trajectories keyed by (task, method, seed).
 Rankings are per task at a budget fraction; normalized rank maps the best
 method to 0 and the worst to 1, with ties sharing average ranks. Missing
-(did-not-complete) methods are excluded pairwise from correlations.
+(did-not-complete) methods are excluded pairwise from correlations, and
+medians across tasks or task groups cover only methods ranked on all of them.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -134,34 +135,43 @@ def spearman_rho(a: Sequence[float], b: Sequence[float]) -> float:
     return float(sa @ sb) / denom
 
 
-def mean_pairwise_spearman(
-    rankings: Sequence[Mapping[str, float]],
-) -> float:
-    """Mean Spearman rho over all unordered pairs of task rankings.
+def rho_matrix(rankings: Sequence[Mapping[str, float]]) -> np.ndarray:
+    """Spearman rho of every pair of rankings, NaN where a pair is unusable.
 
     Each pair uses only the methods present in both rankings; pairs with
-    fewer than 3 shared methods (or degenerate rankings) are excluded.
+    fewer than 3 shared methods (or degenerate rankings) are unusable.
     """
-    if len(rankings) < 2:
-        raise AnalyticsError("need at least 2 rankings")
-    rhos = []
-    for i in range(len(rankings)):
-        for j in range(i + 1, len(rankings)):
+    n = len(rankings)
+    mat = np.full((n, n), np.nan)
+    for i in range(n):
+        mat[i, i] = 1.0
+        for j in range(i + 1, n):
             shared = sorted(set(rankings[i]) & set(rankings[j]))
-            if len(shared) < 3:
-                continue
             try:
-                rhos.append(
-                    spearman_rho(
-                        [rankings[i][m] for m in shared],
-                        [rankings[j][m] for m in shared],
-                    )
+                rho = spearman_rho(
+                    [rankings[i][m] for m in shared],
+                    [rankings[j][m] for m in shared],
                 )
             except AnalyticsError:
                 continue
-    if not rhos:
+            mat[i, j] = mat[j, i] = rho
+    return mat
+
+
+def mean_rho(mat: np.ndarray) -> tuple[float, int]:
+    """Mean of a rho matrix's usable (non-NaN) upper-triangle entries, and their count."""
+    upper = mat[np.triu_indices(len(mat), 1)]
+    usable = upper[~np.isnan(upper)]
+    if not usable.size:
         raise AnalyticsError("no usable ranking pairs")
-    return float(np.mean(rhos))
+    return float(np.mean(usable)), int(usable.size)
+
+
+def mean_pairwise_spearman(rankings: Sequence[Mapping[str, float]]) -> float:
+    """Mean Spearman rho over all unordered pairs of task rankings."""
+    if len(rankings) < 2:
+        raise AnalyticsError("need at least 2 rankings")
+    return mean_rho(rho_matrix(rankings))[0]
 
 
 def median_iqr(values: Sequence[float]) -> tuple[float, float, float]:
@@ -280,19 +290,34 @@ class RankTable:
     missing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def aggregate(self, fraction: float) -> dict[str, tuple[float, float, float]]:
-        """method -> (median, q25, q75) of normalized rank across tasks."""
-        out = {}
-        methods = sorted(
-            {m for by_frac in self.per_task.values() for m in by_frac[fraction]}
-        )
-        for m in methods:
-            vals = [
-                by_frac[fraction][m]
-                for by_frac in self.per_task.values()
-                if m in by_frac[fraction]
-            ]
-            out[m] = median_iqr(vals)
-        return out
+        """method -> (median, q25, q75) of normalized rank, for methods ranked on every task."""
+        rankings = [by_frac[fraction] for by_frac in self.per_task.values()]
+        common = set(rankings[0]).intersection(*rankings[1:]) if rankings else ()
+        return {m: median_iqr([r[m] for r in rankings]) for m in sorted(common)}
+
+
+def group_rank_table(table: RankTable, group_of: Callable[[str], str]) -> RankTable:
+    """Rank table of task groups instead of tasks.
+
+    A group's entry for a method is the median of the method's normalized
+    ranks over the group's tasks, as `RankTable.aggregate` takes it; a method
+    not ranked on every one of them has no entry. Ranks are taken within each
+    task first, so the grouping does not depend on how rewards scale from
+    task to task.
+    """
+    groups: dict[str, dict] = {}
+    for task in sorted(table.per_task):
+        groups.setdefault(group_of(task), {})[task] = table.per_task[task]
+    per_group, missing = {}, {}
+    for group, per_task in groups.items():
+        tasks_of_group = RankTable(fractions=table.fractions, per_task=per_task)
+        per_group[group] = {
+            frac: {m: stats[0] for m, stats in tasks_of_group.aggregate(frac).items()}
+            for frac in table.fractions
+        }
+        if absent := sorted({m for t in per_task for m in table.missing.get(t, ())}):
+            missing[group] = tuple(absent)
+    return RankTable(fractions=table.fractions, per_task=per_group, missing=missing)
 
 
 def _method_score(run_set: RunSet, task: str, method: str, fraction: float) -> float | None:
@@ -313,20 +338,17 @@ def rank_table(run_set: RunSet) -> RankTable:
     missing: dict[str, tuple[str, ...]] = {}
     for task in run_set.tasks:
         per_task[task] = {}
-        absent = []
+        absent: dict[str, None] = {}
         for frac in run_set.budget_grid:
-            scores = {}
-            for method in run_set.methods:
-                s = _method_score(run_set, task, method, frac)
-                if s is None:
-                    if method not in absent:
-                        absent.append(method)
-                    continue
-                scores[method] = s
-            if len(scores) >= 2:
-                per_task[task][frac] = normalized_rank(scores, sense=MAXIMIZE)
-            else:
-                per_task[task][frac] = {m: 0.5 for m in scores}
+            scores = {
+                m: s
+                for m in run_set.methods
+                if (s := _method_score(run_set, task, m, frac)) is not None
+            }
+            absent.update(dict.fromkeys(m for m in run_set.methods if m not in scores))
+            per_task[task][frac] = (
+                normalized_rank(scores) if len(scores) >= 2 else dict.fromkeys(scores, 0.5)
+            )
         if absent:
             missing[task] = tuple(absent)
     return RankTable(
@@ -334,36 +356,14 @@ def rank_table(run_set: RunSet) -> RankTable:
     )
 
 
-def pairwise_rho_matrix(
-    run_set: RunSet, fraction: float = 1.0
-) -> tuple[list[str], np.ndarray]:
-    """Task-by-task Spearman rho of method scores at one budget fraction."""
-    tasks = run_set.tasks
-    rankings = []
-    for task in tasks:
-        scores = {
-            m: s
-            for m in run_set.methods
-            if (s := _method_score(run_set, task, m, fraction)) is not None
-        }
-        rankings.append(scores)
-    n = len(tasks)
-    mat = np.full((n, n), np.nan)
-    for i in range(n):
-        mat[i, i] = 1.0
-        for j in range(i + 1, n):
-            shared = sorted(set(rankings[i]) & set(rankings[j]))
-            if len(shared) < 3:
-                continue
-            try:
-                rho = spearman_rho(
-                    [rankings[i][m] for m in shared],
-                    [rankings[j][m] for m in shared],
-                )
-            except AnalyticsError:
-                continue
-            mat[i, j] = mat[j, i] = rho
-    return tasks, mat
+def pairwise_rho_matrix(table: RankTable, fraction: float = 1.0) -> tuple[list[str], np.ndarray]:
+    """Task-by-task Spearman rho of normalized ranks at one budget fraction.
+
+    Normalized ranks reverse the order of the scores on every task, so rho
+    on them is rho on the scores.
+    """
+    tasks = sorted(table.per_task)
+    return tasks, rho_matrix([table.per_task[t][fraction] for t in tasks])
 
 
 # ---------------------------------------------------------------------------

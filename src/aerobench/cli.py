@@ -254,10 +254,6 @@ def _execute_run_star(cell) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _environment_group(task: str) -> str:
-    return task.split("-", 1)[0]
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     try:
         run_set = analytics.load_run_set(args.roots)
@@ -267,29 +263,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(run_set.methods) < 2:
         print("warning: single method; rank table degenerates to 0.5", file=sys.stderr)
 
-    if args.group_by == "environment":
-        # Collapse tasks into environment groups by relabeling.
-        records = tuple(
-            analytics.RunRecord(
-                task=_environment_group(r.task),
-                method=r.method,
-                seed=hash((r.task, r.seed)) & 0x7FFFFFFF,
-                budget=r.budget,
-                rewards=r.rewards,
-                sense=r.sense,
-            )
-            for r in run_set.records
-        )
-        run_set = analytics.RunSet(records=records, budget_grid=run_set.budget_grid)
-
     os.makedirs(args.out, exist_ok=True)
     table = analytics.rank_table(run_set)
+    if args.group_by == "environment":
+        table = analytics.group_rank_table(table, lambda task: task.split("-", 1)[0])
     analytics.write_rank_table_csv(table, os.path.join(args.out, "rank_table.csv"))
-    tasks, mat = analytics.pairwise_rho_matrix(run_set)
+    tasks, mat = analytics.pairwise_rho_matrix(table)
     analytics.write_rho_matrix_csv(tasks, mat, os.path.join(args.out, "pairwise_rho.csv"))
     written = analytics.write_convergence_data(run_set, os.path.join(args.out, "convergence"))
     for task, absent in table.missing.items():
         print(f"note: {task}: no usable runs for {', '.join(absent)} (flagged N/A)")
+    try:
+        rho, pairs = analytics.mean_rho(mat)
+        print(f"mean pairwise Spearman rho at 100% budget: {rho:.6f} over {pairs} usable pairs")
+    except analytics.AnalyticsError:
+        print("mean pairwise Spearman rho at 100% budget: N/A "
+              "(no two rankings share 3 methods that do not all tie)")
     print(
         f"wrote rank_table.csv, pairwise_rho.csv, and {len(written)} "
         f"convergence series under {args.out}"
@@ -381,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="rank tables and plot data from runs")
     p_cmp.add_argument("roots", nargs="+", help="run output roots")
-    p_cmp.add_argument("--group-by", choices=("task", "environment"), default="task")
+    p_cmp.add_argument("--group-by", choices=("task", "environment"), default="task",
+                       help="environment: median of per-task ranks over each task-id prefix")
     p_cmp.add_argument("--out", default="comparison")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -1,9 +1,13 @@
 import json
 import os
 
-import pytest
+# BLAS threads contend on small machines: the GP fits in the `bo` tests run
+# several times slower with more than one thread. Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from aerobench.problems.catalog import get_environment
+import pytest  # noqa: E402
+
+from aerobench.problems.catalog import get_environment  # noqa: E402
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 

@@ -1,5 +1,7 @@
 """Rank statistics, correlations, and run-directory ingestion."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -17,8 +19,10 @@ from aerobench.analytics import (
     RunRecord,
     RunSet,
     best_so_far_at,
+    group_rank_table,
     load_run_set,
     mean_pairwise_spearman,
+    mean_rho,
     median_iqr,
     normalized_rank,
     pairwise_rho_matrix,
@@ -29,6 +33,7 @@ from aerobench.analytics import (
     write_rank_table_csv,
     write_rho_matrix_csv,
 )
+from aerobench.cli import main
 
 TOL = 1e-12
 
@@ -299,8 +304,8 @@ class TestRankTable:
         assert all(len(r) == 6 for r in rows)
 
     def test_rho_matrix_and_export(self, tmp_path):
-        rs = self._run_set(tmp_path / "runs")
-        tasks, mat = pairwise_rho_matrix(rs, fraction=1.0)
+        table = rank_table(self._run_set(tmp_path / "runs"))
+        tasks, mat = pairwise_rho_matrix(table, fraction=1.0)
         assert tasks == ["t1", "t2"]
         assert mat[0, 0] == 1.0 and mat[1, 1] == 1.0
         # Rankings share "evolve last" but swap the top two: rho = 0.5.
@@ -513,3 +518,138 @@ class TestRunSetIndex:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1] == ["a", "0.0000 [0.0000, 0.0000]", "0.5000 [0.2500, 0.7500]"]
+
+
+def _compare(root, group_by, out):
+    """stdout of `aerobench compare` and the bytes of its rank and rho files."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["compare", str(root), "--group-by", group_by, "--out", str(out)]) == 0
+    files = {}
+    for name in ("rank_table.csv", "pairwise_rho.csv"):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return stdout.getvalue(), files
+
+
+# Two or three tasks per environment prefix, so groups of several tasks occur.
+_GROUPED_TASKS = ("delta-a", "delta-b", "delta-c", "cca-a", "cca-b")
+_GROUPED_METHODS = ("m0", "m1", "m2", "m3")
+
+
+@st.composite
+def _run_trees(draw):
+    """(task, method, seed) -> rewards, and a strictly increasing map per task.
+
+    Every run has a successful evaluation and there are 1 or 3 seeds, so each
+    median over seeds is one of the seeds' scores and keeps their order under
+    any increasing map.
+    """
+    rewards = st.lists(st.one_of(st.none(), st.integers(-6, 6).map(float)), min_size=1, max_size=5)
+    tree = {}
+    tasks = draw(st.lists(st.sampled_from(_GROUPED_TASKS), min_size=2, max_size=5, unique=True))
+    for task in tasks:
+        for method in draw(st.lists(st.sampled_from(_GROUPED_METHODS), min_size=1, max_size=4, unique=True)):
+            for seed in range(draw(st.sampled_from((1, 3)))):
+                tree[(task, method, seed)] = draw(rewards.filter(lambda rs: any(r is not None for r in rs)))
+    maps = {task: draw(st.one_of(st.integers(-4, 4), st.just("rank"))) for task in tasks}
+    return tree, maps
+
+
+def _apply_maps(tree, maps):
+    """Scale each task's rewards by 2**k, or replace them by their rank among
+    the task's distinct rewards; both are exact in floats."""
+    out = {}
+    for task, how in maps.items():
+        runs = {key: rs for key, rs in tree.items() if key[0] == task}
+        distinct = sorted({r for rs in runs.values() for r in rs if r is not None})
+        for key, rs in runs.items():
+            out[key] = [
+                None if r is None
+                else float(distinct.index(r) + 1) if how == "rank"
+                else r * 2.0**how
+                for r in rs
+            ]
+    return out
+
+
+class TestCompareGrouping:
+    @given(_run_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_outputs_invariant_under_per_task_increasing_maps(self, drawn):
+        tree, maps = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, runs in (("raw", tree), ("mapped", _apply_maps(tree, maps))):
+                for (task, method, seed), rewards in runs.items():
+                    _write_run_dir(os.path.join(tmp, name), task, method, seed, rewards, budget=5)
+            for group_by in ("task", "environment"):
+                _, raw = _compare(os.path.join(tmp, "raw"), group_by, os.path.join(tmp, "o1"))
+                _, mapped = _compare(os.path.join(tmp, "mapped"), group_by, os.path.join(tmp, "o2"))
+                assert mapped == raw, group_by
+
+    def test_environment_rank_is_median_of_task_ranks_across_scales(self, tmp_path):
+        # delta-a ranks m0 > m1 > m2 > m3; delta-b ranks m1 > m0 > m3 > m2 on
+        # a scale 10^3 larger. Pooling raw rewards would let delta-b decide.
+        scores = {
+            "delta-a": {"m0": 4.0, "m1": 3.0, "m2": 2.0, "m3": 1.0},
+            "delta-b": {"m0": 3000.0, "m1": 4000.0, "m2": 1000.0, "m3": 2000.0},
+        }
+        for task, by_method in scores.items():
+            for method, score in by_method.items():
+                for seed in (0, 1, 2):
+                    _write_run_dir(str(tmp_path / "runs"), task, method, seed, (score - seed,))
+        table = rank_table(load_run_set([str(tmp_path / "runs")]))
+        stdout, files = _compare(tmp_path / "runs", "environment", tmp_path / "out")
+        rows = list(csv.reader(io.StringIO(files["rank_table.csv"].decode())))
+        expected = {"m0": 1 / 6, "m1": 1 / 6, "m2": 5 / 6, "m3": 5 / 6}
+        for method, *cells in rows[1:]:
+            ranks = [table.per_task[task][1.0][method] for task in scores]
+            assert median_iqr(ranks)[0] == pytest.approx(expected[method], abs=TOL)
+            med = f"{expected[method]:.4f}"
+            assert cells == [f"{med} [{med}, {med}]"] * 5
+        assert [row[0] for row in rows[1:]] == ["m0", "m1", "m2", "m3"]
+        assert "N/A (no two rankings" in stdout  # one group, so no pair
+
+    def test_group_entry_needs_every_task_of_the_group(self):
+        table = RankTable(
+            fractions=(1.0,),
+            per_task={
+                "d-a": {1.0: {"x": 0.0, "y": 1.0, "z": 0.5}},
+                "d-b": {1.0: {"x": 1.0, "y": 0.0}},
+                "e-a": {1.0: {"x": 0.0, "z": 1.0}},
+            },
+            missing={"d-b": ("z",), "e-a": ("y",)},
+        )
+        grouped = group_rank_table(table, lambda task: task.split("-")[0])
+        assert grouped.per_task == {"d": {1.0: {"x": 0.5, "y": 0.5}}, "e": {1.0: {"x": 0.0, "z": 1.0}}}
+        assert grouped.missing == {"d": ("z",), "e": ("y",)}
+        # Only x is ranked in both groups; y and z are N/A in the aggregate.
+        assert grouped.aggregate(1.0) == {"x": (0.25, 0.125, 0.375)}
+
+    def test_printed_mean_rho_is_the_mean_over_raw_score_rankings(self, tmp_path):
+        rng = np.random.default_rng(5)
+        methods = ("bo", "cmaes", "evolve", "lbfgsb", "pso")
+        for t in range(4):
+            for method in methods:
+                for seed in range(3):
+                    rewards = [float(v) * 10.0**t for v in rng.integers(0, 20, size=4)]
+                    _write_run_dir(str(tmp_path / "runs"), f"task{t}", method, seed, rewards)
+        run_set = load_run_set([str(tmp_path / "runs")])
+        raw_scores = [
+            {m: float(np.median([r.best_so_far_at(1.0) for r in run_set.runs(task, m)])) for m in methods}
+            for task in run_set.tasks
+        ]
+        expected = mean_pairwise_spearman(raw_scores)
+        _, mat = pairwise_rho_matrix(rank_table(run_set))
+        rho, pairs = mean_rho(mat)
+        assert rho.hex() == expected.hex()
+        assert pairs == 6
+        stdout, _ = _compare(tmp_path / "runs", "task", tmp_path / "out")
+        assert f"mean pairwise Spearman rho at 100% budget: {expected:.6f} over {pairs} usable pairs" in stdout
+
+    def test_no_usable_pair_is_reported_not_raised(self, tmp_path):
+        for task in ("t1", "t2"):
+            for method, score in (("pso", 1.0), ("cmaes", 2.0)):
+                _write_run_dir(str(tmp_path / "runs"), task, method, 0, (score,))
+        stdout, _ = _compare(tmp_path / "runs", "task", tmp_path / "out")
+        assert "mean pairwise Spearman rho at 100% budget: N/A" in stdout

@@ -223,6 +223,8 @@ class TestCompare:
             rows = list(csv.reader(fh))
         # Both tasks share the "delta" prefix, so one group remains.
         assert rows[0] == ["task", "delta"]
+        # Convergence series stay per (task, method).
+        assert len(os.listdir(cmp_dir / "convergence")) == 6
 
     def test_empty_root_fails(self, tmp_path, capsys):
         assert main(

@@ -1,12 +1,14 @@
 """`compare` outputs and evidence bundles stay byte-identical to recorded digests.
 
 `tests/data/golden_post_analysis.json` holds the sha256 of every file that
-`aerobench compare --group-by task` writes over a small seeded run tree, and
-the sha256 of `json.dumps(bundles, sort_keys=True)` for a dozen seeded
-designs. The run tree covers the edge cases of the analytics: error rows
-(some leading, some written as `None`), a run shorter than its budget, an
-all-error run, a method whose every run errored, a method absent from one
-task, a task with only two methods and a task whose methods all tie. Bundle
+`aerobench compare --group-by task` writes over a small seeded run tree, of
+every file `--group-by environment` writes over the same tree plus a second
+`delta-*` task (so one environment group holds two tasks), and the sha256 of
+`json.dumps(bundles, sort_keys=True)` for a dozen seeded designs. The run
+tree covers the edge cases of the analytics: error rows (some leading, some
+written as `None`), a run shorter than its budget, an all-error run, a
+method whose every run errored, a method absent from one task, a task with
+only two methods and a task whose methods all tie. Bundle
 artifact paths are relative to a scratch working directory, so the digests do
 not depend on where the test runs. Record the digests again (only for a
 deliberate change of outputs) with
@@ -31,6 +33,9 @@ from aerobench.problems import get_environment
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_post_analysis.json")
 
 TASKS = ("airfoil-ld-single", "delta-ld-single", "ceras-fuel-mixed", "bwb-drag-multipoint")
+# Only in the environment-mode tree: its rewards are on a scale 10^3 times
+# that of delta-ld-single, the other task of the "delta" group.
+SECOND_DELTA_TASK = "delta-ld-robust"
 METHODS = ("bo", "cmaes", "evolve", "lbfgsb", "pso")
 SEEDS = (0, 1, 2)
 BUDGET = 40
@@ -42,13 +47,13 @@ BUNDLES_PER_TASK = 3
 TIMESTAMP = "2026-01-01T00:00:00+00:00"
 
 
-def _run_rewards(t: int, m: int, s: int) -> list:
+def _run_rewards(t: int, task: str, m: int, s: int) -> list:
     """Rewards of one seeded run, None for an error row."""
     rng = np.random.default_rng([t, m, s])
     scale = 10.0 ** (t - 1)
     rewards = list(np.cumsum(rng.exponential(scale / BUDGET, BUDGET)) + scale * rng.normal(0.0, 0.05, BUDGET))
     rewards = [None if rng.random() < 0.08 else float(r) for r in rewards]
-    task, method = TASKS[t], METHODS[m]
+    method = METHODS[m]
     if (task, method) == ("airfoil-ld-single", "cmaes") and s == 1:
         rewards[:5] = [None] * 5
     if (task, method, s) == ("delta-ld-single", "pso", 0):
@@ -84,28 +89,28 @@ def _write_run(root: str, task: str, method: str, seed: int, rewards: list, budg
             ])
 
 
-def write_tree(root: str) -> None:
-    for t, task in enumerate(TASKS):
+def write_tree(root: str, tasks: tuple = TASKS) -> None:
+    for t, task in enumerate(tasks):
         for m, method in enumerate(METHODS):
             if task == "ceras-fuel-mixed" and method == "lbfgsb":
                 continue
             if task == TWO_METHOD_TASK and method not in ("cmaes", "pso"):
                 continue
             for s in SEEDS:
-                rewards = _run_rewards(t, m, s)
+                rewards = _run_rewards(t, task, m, s)
                 _write_run(root, task, method, s, rewards, BUDGET, "None" if s == 2 else "")
     for m, method in enumerate(METHODS):
         for s in SEEDS:
             _write_run(root, TIE_TASK, method, s, [1.5] * (10 + m), BUDGET, "")
 
 
-def compare_digests() -> dict:
+def compare_digests(group_by: str = "task") -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         tree = os.path.join(tmp, "tree")
         out = os.path.join(tmp, "out")
-        write_tree(tree)
+        write_tree(tree, TASKS if group_by == "task" else TASKS + (SECOND_DELTA_TASK,))
         with contextlib.redirect_stdout(io.StringIO()):
-            rc = main(["compare", tree, "--group-by", "task", "--out", out])
+            rc = main(["compare", tree, "--group-by", group_by, "--out", out])
         assert rc == 0
         digests = {}
         for dirpath, _, filenames in os.walk(out):
@@ -195,12 +200,21 @@ def test_compare_outputs_match_golden(golden):
     assert compare_digests() == golden["compare"]
 
 
+def test_environment_compare_outputs_match_golden(golden):
+    assert compare_digests("environment") == golden["compare_environment"]
+
+
 def test_bundles_match_golden(golden):
     assert bundle_digest() == golden["bundles"]
 
 
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w") as fh:
-        json.dump({"compare": compare_digests(), "bundles": bundle_digest()}, fh, indent=1, sort_keys=True)
+        golden = {
+            "compare": compare_digests(),
+            "compare_environment": compare_digests("environment"),
+            "bundles": bundle_digest(),
+        }
+        json.dump(golden, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {GOLDEN_PATH}")
