@@ -290,8 +290,13 @@ class RankTable:
     missing: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
 
     def aggregate(self, fraction: float) -> dict[str, tuple[float, float, float]]:
-        """method -> (median, q25, q75) of normalized rank, for methods ranked on every task."""
-        rankings = [by_frac[fraction] for by_frac in self.per_task.values()]
+        """method -> (median, q25, q75) of normalized rank over the tasks.
+
+        A task that ranks fewer than two methods at `fraction` compares
+        nothing and is left out; a method gets an entry only if every task
+        left in ranks it.
+        """
+        rankings = [r for by_frac in self.per_task.values() if len(r := by_frac[fraction]) >= 2]
         common = set(rankings[0]).intersection(*rankings[1:]) if rankings else ()
         return {m: median_iqr([r[m] for r in rankings]) for m in sorted(common)}
 
@@ -300,10 +305,10 @@ def group_rank_table(table: RankTable, group_of: Callable[[str], str]) -> RankTa
     """Rank table of task groups instead of tasks.
 
     A group's entry for a method is the median of the method's normalized
-    ranks over the group's tasks, as `RankTable.aggregate` takes it; a method
-    not ranked on every one of them has no entry. Ranks are taken within each
-    task first, so the grouping does not depend on how rewards scale from
-    task to task.
+    ranks over the group's tasks, as `RankTable.aggregate` takes it (so a
+    task ranking fewer than two methods is left out); a method not ranked on
+    every task left in has no entry. Ranks are taken within each task first,
+    so the grouping does not depend on how rewards scale from task to task.
     """
     groups: dict[str, dict] = {}
     for task in sorted(table.per_task):

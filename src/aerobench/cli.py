@@ -261,7 +261,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if len(run_set.methods) < 2:
-        print("warning: single method; rank table degenerates to 0.5", file=sys.stderr)
+        print("warning: single method; nothing to rank, so rank_table.csv reads N/A", file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
     table = analytics.rank_table(run_set)

@@ -94,10 +94,14 @@ class ProblemEnvironment:
     """One benchmark task: space + operating points + objective + constraints.
 
     `evaluator.point_metrics(point, op, index)` produces the per-point metric
-    map; `aggregate(per_point, ops)` turns the list of metric maps into the
-    raw objective (in the task's native sense) plus aggregate metrics. The
-    scalarized reward is always in maximization sense: minimization tasks are
-    negated after the penalty is applied.
+    map. An evaluator may also offer `design_metrics(point, ops)`, the list
+    of metric maps for all of `ops` in order; `evaluate` then makes that one
+    call per design instead of one `point_metrics` call per operating point
+    (the external-process evaluator uses it to put a whole design on the
+    wire at once). `aggregate(per_point, ops)` turns the list of metric maps
+    into the raw objective (in the task's native sense) plus aggregate
+    metrics. The scalarized reward is always in maximization sense:
+    minimization tasks are negated after the penalty is applied.
     """
 
     id: str
@@ -129,11 +133,15 @@ class ProblemEnvironment:
         # The one validation of an evaluation: the evaluator and the
         # confidence proxy map the point without re-checking it.
         self.space.validate(point)
+        design_metrics = getattr(self.evaluator, "design_metrics", None)
         try:
-            per_point = tuple(
-                dict(self.evaluator.point_metrics(point, op, k))
-                for k, op in enumerate(self.points)
-            )
+            if design_metrics is not None:
+                per_point = tuple(design_metrics(point, self.points))
+            else:
+                per_point = tuple(
+                    dict(self.evaluator.point_metrics(point, op, k))
+                    for k, op in enumerate(self.points)
+                )
         except EvaluationError as exc:
             return EvalResult(
                 metrics={},

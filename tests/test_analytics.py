@@ -327,6 +327,26 @@ class TestRankTable:
         assert table.missing.get("t1") == ("evolve",)
         assert "t2" not in table.missing
 
+    def test_task_ranking_under_two_methods_left_out_of_aggregate(self, tmp_path):
+        self._run_set(tmp_path / "runs")
+        for method in ("pso", "cmaes", "evolve"):
+            for seed in (0, 1):
+                _write_run_dir(str(tmp_path / "runs"), "t3", method, seed, (None, None, None))
+                # t4 ranks pso alone.
+                rewards = (1.0, 2.0, 3.0) if method == "pso" else (None,) * 3
+                _write_run_dir(str(tmp_path / "runs"), "t4", method, seed, rewards)
+        table = rank_table(load_run_set([str(tmp_path / "runs")]))
+        assert table.missing["t3"] == ("cmaes", "evolve", "pso")
+        assert table.aggregate(1.0) == rank_table(self._run_set(tmp_path / "healthy")).aggregate(1.0)
+        grouped = group_rank_table(table, lambda task: "all")
+        assert grouped.per_task["all"][1.0] == {m: stats[0] for m, stats in table.aggregate(1.0).items()}
+        stdout, files = _compare(tmp_path / "runs", "task", tmp_path / "out")
+        rows = list(csv.reader(io.StringIO(files["rank_table.csv"].decode())))
+        assert [row[0] for row in rows[1:]] == ["cmaes", "evolve", "pso"]
+        assert rows[2][1:] == ["1.0000 [1.0000, 1.0000]"] * 5  # evolve last on t1 and t2
+        assert rows[3][-1] == "0.2500 [0.1250, 0.3750]"
+        assert "note: t3: no usable runs for cmaes, evolve, pso" in stdout
+
     def test_convergence_export(self, tmp_path):
         rs = self._run_set(tmp_path / "runs")
         written = write_convergence_data(rs, str(tmp_path / "conv"), points=10)
