@@ -6,10 +6,16 @@ band. Lift-style metrics add a strictly positive linear term in the angle of
 attack, which guarantees monotonicity wherever an alpha sweep or bisection is
 used. Values and gradients are analytic, which gives finite-difference checks
 an exact oracle.
+
+A task reads several metrics of one design. :class:`FieldStack` stacks the
+bump fields of a task's models and evaluates all of them in one fused numpy
+pass, bit for bit what each model's own `at(u)` gives; an
+:class:`AlphaFreeTable` holds those alpha-free values for one design.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -93,6 +99,69 @@ class MetricModel:
     def gradient(self, u: np.ndarray, alpha: float = 0.0) -> np.ndarray:
         s = _sigmoid(self.field.value(u))
         return (self.hi - self.lo) * s * (1.0 - s) * self.field.gradient(u)
+
+
+class FieldStack:
+    """The bump fields of several metric models, evaluated in one pass.
+
+    The bump centres and inverse widths of all models are stacked once, so
+    a design costs one `z`, one row sum of `z*z` and one `exp` over every
+    bump of every model. Each model then finishes with its own amplitude
+    and trend dot products and `_sigmoid`. The per-row reductions and the
+    dot products see the same operands in the same order as
+    `BumpField.value`, so `at(u)` equals `[m.at(u) for m in models]` bit for
+    bit.
+    """
+
+    def __init__(self, models: Sequence[MetricModel]):
+        self.models = tuple(models)
+        self._ids = [id(m) for m in self.models]
+        fields = [m.field for m in self.models]
+        self._centers = np.concatenate([f.centers for f in fields])
+        self._inv_widths = np.concatenate([f.inv_widths for f in fields])
+        ends = np.cumsum([len(f.amplitudes) for f in fields]).tolist()
+        self._parts = [
+            (slice(start, end), f.amplitudes, f.trend, f.bias, m.lo, m.hi - m.lo)
+            for m, f, start, end in zip(self.models, fields, [0] + ends[:-1], ends)
+        ]
+
+    def at(self, u: np.ndarray) -> list[float]:
+        """The alpha-free value of every model at u, in model order."""
+        z = (u[None, :] - self._centers) * self._inv_widths
+        e = np.exp(-(z * z).sum(axis=1))
+        return [
+            lo + span * _sigmoid(float(amplitudes @ e[part] + trend @ u + bias))
+            for part, amplitudes, trend, bias, lo, span in self._parts
+        ]
+
+    def table(self, u: np.ndarray) -> "AlphaFreeTable":
+        """Every model's alpha-free value at u, filled in one pass."""
+        return AlphaFreeTable(u, dict(zip(self._ids, self.at(u))))
+
+
+class AlphaFreeTable:
+    """The alpha-free values `MetricModel.at(u)` of one design, by model.
+
+    A table from `FieldStack.table` holds every model of the stack; a bare
+    `AlphaFreeTable(u)` computes each model the first time it is read, so
+    a reader that needs two models pays for two. `value(m, alpha)` adds the
+    alpha term as `MetricModel.value` does, so the bits match either way.
+    """
+
+    __slots__ = ("_u", "_values")
+
+    def __init__(self, u: np.ndarray, values: dict[int, float] | None = None):
+        self._u = u
+        self._values = {} if values is None else values
+
+    def __getitem__(self, model: MetricModel) -> float:
+        v = self._values.get(id(model))
+        if v is None:
+            v = self._values[id(model)] = model.at(self._u)
+        return v
+
+    def value(self, model: MetricModel, alpha: float = 0.0) -> float:
+        return self[model] + model.alpha_slope * alpha
 
 
 def metric_seed(task_id: str, metric: str) -> int:

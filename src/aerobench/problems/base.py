@@ -98,8 +98,9 @@ class ProblemEnvironment:
     of metric maps for all of `ops` in order; `evaluate` then makes that one
     call per design instead of one `point_metrics` call per operating point
     (the external-process evaluator uses it to put a whole design on the
-    wire at once). `aggregate(per_point, ops)` turns the list of metric maps
-    into the raw objective (in the task's native sense) plus aggregate
+    wire at once; the stand-in evaluator, to evaluate each metric field
+    once per design). `aggregate(per_point, ops)` turns the list of metric
+    maps into the raw objective (in the task's native sense) plus aggregate
     metrics. The scalarized reward is always in maximization sense:
     minimization tasks are negated after the penalty is applied.
     """

@@ -10,17 +10,27 @@ itself, the task's own per-point metrics and aggregate at u; on the two trim
 tasks, whose evaluator bisects alpha, it is the closed-form trim solution.
 The gradients are written by hand, and finite differences of the value
 check them (acceptance criterion 7).
+
+Each task has one per-point `fn(table, point, op, index)` that reads its
+models' alpha-free values from an `AlphaFreeTable`. The design pass
+(`StandInEvaluator.design_metrics`) maps the design once and fills the table
+with one fused `FieldStack` evaluation of all the task's models; a trimmed
+point adds its alpha term to those values, as `MetricModel.value` does, so
+the bits match the per-model path. `point_metrics` fills the table lazily
+with only the models one operating point reads. `get_environment` builds
+each task once per process.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..landscape import MetricModel, metric_seed
+from ..landscape import AlphaFreeTable, FieldStack, MetricModel, metric_seed
 from ..space import (
     CATEGORICAL,
     CONTINUOUS,
@@ -60,23 +70,45 @@ AIRFOIL_PENALTY = 500.0
 
 def confidence_proxy(u: np.ndarray) -> float:
     """In-distribution proxy: 1 at the cube center, 0.85 at every corner."""
-    return 1.0 - 0.15 * float(np.mean((2.0 * u - 1.0) ** 2))
+    sq = (2.0 * u - 1.0) ** 2
+    # np.mean of a 1-D array is exactly this sum over the count.
+    return 1.0 - 0.15 * (float(sq.sum()) / len(sq))
+
+
+# fn(table, point, op, index) -> the metrics of one operating point, where
+# table holds the design's alpha-free model values.
+PointFn = Callable[[AlphaFreeTable, DesignPoint, OperatingPoint, int], dict]
 
 
 class StandInEvaluator:
-    """Deterministic per-point metric source over the normalized cube."""
+    """Deterministic metric source over the normalized cube.
 
-    def __init__(
-        self,
-        space: ParamSpace,
-        fn: Callable[[np.ndarray, DesignPoint, OperatingPoint, int], dict],
-    ):
+    `design_metrics` is the design pass: it maps the design onto the cube
+    once, evaluates every model of the task once in one fused pass
+    (`FieldStack`), and runs `fn` per operating point on those alpha-free
+    values. `point_metrics` answers one operating point and computes only
+    the models that point reads.
+    """
+
+    def __init__(self, space: ParamSpace, fn: PointFn, models: Sequence[MetricModel]):
         self._space = space
         self._fn = fn
+        self.fields = FieldStack(models)
 
     def point_metrics(self, point: DesignPoint, op: OperatingPoint, index: int) -> dict:
-        u = self._space.normalize(point)
-        return self._fn(u, point, op, index)
+        table = AlphaFreeTable(self._space.normalize(point))
+        return self._fn(table, point, op, index)
+
+    def design_metrics(self, point: DesignPoint, ops: Sequence[OperatingPoint]) -> list[dict]:
+        """Metrics of `point` at each of `ops`, in the order of `ops`."""
+        return self.metrics_at(self._space.normalize(point), point, ops)
+
+    def metrics_at(
+        self, u: np.ndarray, point: DesignPoint, ops: Sequence[OperatingPoint]
+    ) -> list[dict]:
+        """The design pass for `point`, whose unit-cube vector is `u`."""
+        table = self.fields.table(u)
+        return [self._fn(table, point, op, k) for k, op in enumerate(ops)]
 
 
 def _model(task_id: str, name: str, dim: int, lo: float, hi: float, alpha_slope: float = 0.0) -> MetricModel:
@@ -101,9 +133,10 @@ def _stand_in_env(
     tid: str,
     space: ParamSpace,
     points: tuple[OperatingPoint, ...],
-    fn: Callable[[np.ndarray, DesignPoint, OperatingPoint, int], dict],
+    fn: PointFn,
     aggregate: Callable,
     *,
+    models: Sequence[MetricModel],
     sense: str,
     gradient: Callable[[np.ndarray], np.ndarray],
     profile: dict,
@@ -112,16 +145,17 @@ def _stand_in_env(
     penalty: float = AIRFOIL_PENALTY,
     value: Callable[[np.ndarray], float] | None = None,
 ) -> ProblemEnvironment:
-    """A task over `StandInEvaluator(space, fn)`.
+    """A task over `StandInEvaluator(space, fn, models)`.
 
-    Unless a closed form is given, the landscape value is the raw objective
-    the evaluator path produces at u, so the two cannot drift apart.
+    `models` are the metric models `fn` reads. Unless a closed form is
+    given, the landscape value is the raw objective the design pass
+    produces at u, so the two cannot drift apart.
     """
+    evaluator = StandInEvaluator(space, fn, models)
     if value is None:
 
         def value(u: np.ndarray) -> float:
-            point = space.denormalize(u)
-            per_point = [fn(u, point, op, k) for k, op in enumerate(points)]
+            per_point = evaluator.metrics_at(u, space.denormalize(u), points)
             return aggregate(per_point, points)[0]
 
     return ProblemEnvironment(
@@ -131,7 +165,7 @@ def _stand_in_env(
         constraints=tuple(constraints),
         sense=sense,
         penalty_weight=penalty,
-        evaluator=StandInEvaluator(space, fn),
+        evaluator=evaluator,
         aggregate=aggregate,
         confidence_fn=confidence_proxy,
         landscape_value=value,
@@ -224,8 +258,8 @@ def _build_airfoil_single() -> ProblemEnvironment:
     cd = _model(tid, "CD", dim, 0.006, 0.05)
     cm = _model(tid, "CM", dim, -0.2, 0.05)
 
-    def fn(u, point, op, k):
-        out = {"CL": cl.value(u), "CD": cd.value(u), "CM": cm.value(u)}
+    def fn(t, point, op, k):
+        out = {"CL": t.value(cl), "CD": t.value(cd), "CM": t.value(cm)}
         out.update(_airfoil_geometry_metrics(point))
         return out
 
@@ -237,6 +271,7 @@ def _build_airfoil_single() -> ProblemEnvironment:
     return _stand_in_env(
         tid, space, (OperatingPoint(alpha=5.0, mach=0.2, reynolds=1e7),),
         fn, _ld_aggregate,
+        models=(cl, cd, cm),
         sense=MAXIMIZE,
         gradient=_ratio_gradient(cl, cd),
         profile={
@@ -260,11 +295,11 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
     cm_models = [_model(tid, f"CM@{k}", dim, -0.2, 0.05) for k in range(6)]
     cl_max = _model(tid, "CLmax", dim, 0.9, 2.0)
 
-    def fn(u, point, op, k):
+    def fn(t, point, op, k):
         out = {
-            "CD": cd_models[k].value(u),
-            "CM": cm_models[k].value(u),
-            "CL_max": cl_max.value(u),
+            "CD": t.value(cd_models[k]),
+            "CM": t.value(cm_models[k]),
+            "CL_max": t.value(cl_max),
         }
         if k == 0:
             out.update(_airfoil_geometry_metrics(point))
@@ -312,6 +347,7 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
     )
     return _stand_in_env(
         tid, space, points, fn, aggregate,
+        models=(*cd_models, *cm_models, cl_max),
         sense=MINIMIZE,
         gradient=grad,
         profile={
@@ -354,11 +390,12 @@ def _ld_task(
     cl = _model(tid, "CL", dim, *cl_range)
     cd = _model(tid, "CD", dim, *cd_range)
 
-    def fn(u, point, op, k):
-        return {"CL": cl.value(u), "CD": cd.value(u)}
+    def fn(t, point, op, k):
+        return {"CL": t.value(cl), "CD": t.value(cd)}
 
     return _stand_in_env(
         tid, space, (op,), fn, _ld_aggregate,
+        models=(cl, cd),
         sense=MAXIMIZE,
         gradient=_ratio_gradient(cl, cd),
         profile=profile,
@@ -388,8 +425,8 @@ def _build_delta_robust() -> ProblemEnvironment:
     cl_models = [_model(tid, f"CL@{k}", dim, 0.3, 1.2) for k in range(3)]
     cd_models = [_model(tid, f"CD@{k}", dim, 0.01, 0.08) for k in range(3)]
 
-    def fn(u, point, op, k):
-        return {"CL": cl_models[k].value(u), "CD": cd_models[k].value(u)}
+    def fn(t, point, op, k):
+        return {"CL": t.value(cl_models[k]), "CD": t.value(cd_models[k])}
 
     def aggregate(per_point, ops):
         lds = [pp["CL"] / pp["CD"] for pp in per_point]
@@ -409,6 +446,7 @@ def _build_delta_robust() -> ProblemEnvironment:
     )
     return _stand_in_env(
         tid, space, points, fn, aggregate,
+        models=(*cl_models, *cd_models),
         sense=MAXIMIZE,
         gradient=grad,
         profile={
@@ -431,8 +469,8 @@ def _build_delta_multiobjective() -> ProblemEnvironment:
     cd = _model(tid, "CD", dim, 0.01, 0.08)
     cm = _model(tid, "CM", dim, -0.15, 0.15)
 
-    def fn(u, point, op, k):
-        return {"CL": cl.value(u), "CD": cd.value(u), "CM": cm.value(u)}
+    def fn(t, point, op, k):
+        return {"CL": t.value(cl), "CD": t.value(cd), "CM": t.value(cm)}
 
     def aggregate(per_point, ops):
         ld, m = _ld_aggregate(per_point, ops)
@@ -447,6 +485,7 @@ def _build_delta_multiobjective() -> ProblemEnvironment:
     return _stand_in_env(
         tid, space, (OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.9e6),),
         fn, aggregate,
+        models=(cl, cd, cm),
         sense=MAXIMIZE,
         gradient=grad,
         profile={
@@ -474,15 +513,15 @@ BISECTION_ITERS = 8
 
 
 def _trim_to_lift(
-    cl: MetricModel, u: np.ndarray, target: float, alpha_range: tuple[float, float]
+    t: AlphaFreeTable, cl: MetricModel, target: float, alpha_range: tuple[float, float]
 ) -> tuple[float, bool, float]:
     """Bisect alpha to a lift target; returns (alpha, bracketed, CL at alpha).
 
     Only the linear alpha term of `cl` changes along the sweep, so its
-    alpha-free part is computed once; `cl.value` sums the same way, so the
+    alpha-free part is read once; `cl.value` sums the same way, so the
     bits match.
     """
-    cl_u = cl.at(u)
+    cl_u = t[cl]
 
     def lift(a: float) -> float:
         return cl_u + cl.alpha_slope * a
@@ -530,10 +569,10 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
     ) / _BWB_S_REF
     b_coef = sum(s * a for s, a in zip(_BWB_CFX_SCALE, _BWB_CELL_AREAS)) / _BWB_S_REF
 
-    def fn(u, point, op, k):
-        alpha, bracketed, clv = _trim_to_lift(cl, u, op.cl_target, BWB_ALPHA_RANGE)
-        cpv = cp.value(u, alpha)
-        cfxv = cfx.value(u, alpha)
+    def fn(t, point, op, k):
+        alpha, bracketed, clv = _trim_to_lift(t, cl, op.cl_target, BWB_ALPHA_RANGE)
+        cpv = t.value(cp, alpha)
+        cfxv = t.value(cfx, alpha)
         cells = [
             (cpv * cs, cfxv * fs, a, nx)
             for cs, fs, a, nx in zip(
@@ -553,14 +592,12 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         raw = float(np.mean([pp["CD_int"] for pp in per_point]))
         return raw, {"CD_int_mean": raw}
 
-    def alpha_star(u: np.ndarray, target: float) -> float:
-        return (target - cl.value(u, 0.0)) / cl.alpha_slope
-
     def value(u: np.ndarray) -> float:
+        t = AlphaFreeTable(u)
         total = 0.0
-        for t in _BWB_CL_TARGETS:
-            a = alpha_star(u, t)
-            total += a_coef * cp.value(u, a) + b_coef * cfx.value(u, a)
+        for target in _BWB_CL_TARGETS:
+            a = (target - t.value(cl, 0.0)) / cl.alpha_slope
+            total += a_coef * t.value(cp, a) + b_coef * t.value(cfx, a)
         return total / len(_BWB_CL_TARGETS)
 
     def grad(u: np.ndarray) -> np.ndarray:
@@ -576,6 +613,7 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
     )
     return _stand_in_env(
         tid, space, points, fn, aggregate,
+        models=(cl, cp, cfx),
         sense=MINIMIZE,
         gradient=grad,
         profile={
@@ -638,8 +676,8 @@ def _build_transonic_single() -> ProblemEnvironment:
     cl = _model(tid, "CL", dim, 0.25, 1.05, alpha_slope=0.05)
     cd = _model(tid, "CD", dim, 0.015, 0.08)
 
-    def fn(u, point, op, k):
-        return {"CL": cl.value(u, op.alpha), "CD": cd.value(u, op.alpha)}
+    def fn(t, point, op, k):
+        return {"CL": t.value(cl, op.alpha), "CD": t.value(cd, op.alpha)}
 
     def aggregate(per_point, ops):
         m = dict(per_point[0])
@@ -656,6 +694,7 @@ def _build_transonic_single() -> ProblemEnvironment:
 
     return _stand_in_env(
         tid, space, (op,), fn, aggregate,
+        models=(cl, cd),
         sense=MINIMIZE,
         gradient=grad,
         profile={
@@ -682,9 +721,9 @@ def _build_transonic_range() -> ProblemEnvironment:
     def term(clv: float, cdv: float, target: float) -> float:
         return -RANGE_MACH * clv / cdv + (RANGE_MACH**2 * clv - RANGE_MACH * target) ** 2
 
-    def fn(u, point, op, k):
-        alpha, bracketed, clv = _trim_to_lift(cl, u, op.cl_target, RANGE_ALPHA_RANGE)
-        cdv = cd.value(u, alpha)
+    def fn(t, point, op, k):
+        alpha, bracketed, clv = _trim_to_lift(t, cl, op.cl_target, RANGE_ALPHA_RANGE)
+        cdv = t.value(cd, alpha)
         return {
             "alpha_star": alpha,
             "bracketed": float(bracketed),
@@ -702,10 +741,11 @@ def _build_transonic_range() -> ProblemEnvironment:
     weights = np.array(_RANGE_CL_TARGETS) / sum(_RANGE_CL_TARGETS)
 
     def value(u: np.ndarray) -> float:
+        t = AlphaFreeTable(u)
         total = 0.0
-        for w, t in zip(weights, _RANGE_CL_TARGETS):
-            a = (t - cl.value(u, 0.0)) / cl.alpha_slope
-            total += w * term(cl.value(u, a), cd.value(u, a), t)
+        for w, target in zip(weights, _RANGE_CL_TARGETS):
+            a = (target - t.value(cl, 0.0)) / cl.alpha_slope
+            total += w * term(t.value(cl, a), t.value(cd, a), target)
         return float(total)
 
     def grad(u: np.ndarray) -> np.ndarray:
@@ -732,6 +772,7 @@ def _build_transonic_range() -> ProblemEnvironment:
     )
     return _stand_in_env(
         tid, space, points, fn, aggregate,
+        models=(cl, cd),
         sense=MINIMIZE,
         gradient=grad,
         profile={
@@ -832,15 +873,15 @@ def _build_car() -> ProblemEnvironment:
     fs = _model(tid, "drag_shear", dim, 15.0, 70.0)
     lift = _model(tid, "lift", dim, -400.0, 250.0)
 
-    def fn(u, point, op, k):
-        fpv = fp.value(u)
-        fsv = fs.value(u)
+    def fn(t, point, op, k):
+        fpv = t.value(fp)
+        fsv = t.value(fs)
         return {
             "drag_pressure": fpv,
             "drag_shear": fsv,
             "drag": fpv + fsv,
             "Cd": car_drag_coefficient(fpv, fsv),
-            "lift": lift.value(u),
+            "lift": t.value(lift),
         }
 
     def aggregate(per_point, ops):
@@ -852,6 +893,7 @@ def _build_car() -> ProblemEnvironment:
 
     return _stand_in_env(
         tid, space, (OperatingPoint(mach=0.117),), fn, aggregate,
+        models=(fp, fs, lift),
         sense=MINIMIZE,
         gradient=grad,
         profile={
@@ -892,8 +934,8 @@ def _build_ceras() -> ProblemEnvironment:
     fuel = _model(tid, "FuelMass", dim, 17000.0, 23000.0)
     sm = _model(tid, "StaticMargin", dim, 0.0, 0.15)
 
-    def fn(u, point, op, k):
-        return {"FuelMass": fuel.value(u), "StaticMargin": sm.value(u)}
+    def fn(t, point, op, k):
+        return {"FuelMass": t.value(fuel), "StaticMargin": t.value(sm)}
 
     def aggregate(per_point, ops):
         m = dict(per_point[0])
@@ -913,6 +955,7 @@ def _build_ceras() -> ProblemEnvironment:
     )
     return _stand_in_env(
         tid, space, (OperatingPoint(mach=0.78),), fn, aggregate,
+        models=(fuel, sm),
         sense=MINIMIZE,
         gradient=fuel.gradient,
         profile={
@@ -1001,14 +1044,26 @@ def _apply_space_override(env: ProblemEnvironment, path: str) -> ProblemEnvironm
     return dataclasses.replace(env, space=space)
 
 
+@functools.cache
+def _built(task_id: str) -> ProblemEnvironment:
+    """The task as its builder makes it, built once per process."""
+    return _BUILDERS[task_id]()
+
+
 def get_environment(
     task_id: str,
     evaluator_command: Sequence[str] | None = None,
     timeout: float | None = None,
 ) -> ProblemEnvironment:
+    """The catalog task `task_id`.
+
+    Each task is built once per process. The catalog override and an
+    external evaluator give `dataclasses.replace` copies, so the built task
+    is never changed; its stand-in evaluator holds no state between calls.
+    """
     if task_id not in _BUILDERS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(_BUILDERS)}")
-    env = _BUILDERS[task_id]()
+    env = _built(task_id)
     override = os.environ.get(CATALOG_ENV_VAR)
     if override:
         env = _apply_space_override(env, override)

@@ -8,8 +8,9 @@ whatever order they come, so a child may solve the points concurrently and
 answer each as it finishes. `point_metrics` is the one-point case. Replies
 are read straight off the child's stdout pipe with `selectors`, so the wire
 needs POSIX pipes. The timeout applies to each wait for a reply. Timeouts,
-crashes, and malformed replies raise :class:`EvaluationError`, which the
-environment converts into an explicit evaluation-error result.
+crashes, malformed replies, and a command that cannot be started raise
+:class:`EvaluationError`, which the environment converts into an explicit
+evaluation-error result.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import itertools
 import json
 import os
 import selectors
+import shlex
 import subprocess
 import time
 from typing import Sequence
@@ -55,9 +57,16 @@ class SubprocessEvaluator:
     def _ensure_running(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             self.close()
-            self._proc = subprocess.Popen(
-                self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
-            )
+            try:
+                self._proc = subprocess.Popen(
+                    self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
+                )
+            except OSError as exc:
+                # A missing or non-executable command fails every evaluation
+                # as an error row; it must not crash the run.
+                raise EvaluationError(
+                    f"cannot start evaluator {shlex.join(self._command)}: {exc}"
+                ) from exc
             self._selector = selectors.DefaultSelector()
             self._selector.register(self._proc.stdout, selectors.EVENT_READ)
         return self._proc

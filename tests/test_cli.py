@@ -86,6 +86,15 @@ class TestRun:
             # n_evals is the 1-based running count.
             assert [int(r[5]) for r in rows[1:]] == list(range(1, 41))
 
+    def test_evaluator_that_cannot_start_gives_error_rows(self, tmp_path):
+        out = tmp_path / "runs"
+        missing = str(tmp_path / "no-such-solver")
+        assert self._run(out, ["--seeds", "0", "--budget", "5", "--evaluator", missing]) == 0
+        with open(out / "delta-ld-single" / "pso" / "seed0" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        assert all(r["reward"] == "" for r in rows)
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "runs"
         self._run(out)

@@ -157,6 +157,19 @@ class TestFailureModes:
         finally:
             ev.close()
 
+    def test_command_that_cannot_start_raises_evaluation_error(self, point, op, tmp_path):
+        missing = str(tmp_path / "no-such-solver")
+        ev = SubprocessEvaluator([missing, "--flag"])
+        try:
+            with pytest.raises(EvaluationError, match="cannot start evaluator") as info:
+                ev.point_metrics(point, op, 0)
+            assert f"{missing} --flag" in str(info.value)
+            # Every later design fails the same way instead of crashing.
+            with pytest.raises(EvaluationError, match="cannot start evaluator"):
+                ev.design_metrics(point, (op, op))
+        finally:
+            ev.close()
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             SubprocessEvaluator([])
