@@ -61,9 +61,11 @@ class BumpField:
 
 
 def _sigmoid(x: float) -> float:
+    # A Python float, so metric values and the arithmetic on them (trim
+    # bisection steps) stay off numpy scalars; np.exp keeps the bits.
     if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
+        return 1.0 / (1.0 + float(np.exp(-x)))
+    e = float(np.exp(x))
     return e / (1.0 + e)
 
 

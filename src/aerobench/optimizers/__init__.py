@@ -10,14 +10,13 @@ back one reward per row (maximization sense, -inf for an evaluator error).
 the RNG, charges warm-start designs at iteration 0, evaluates batches until
 the budget is spent, spends any budget a method leaves on uniform samples,
 and returns the full evaluation trajectory plus the resolved configuration
-that reproduces it.
+that reproduces it. The warm-start designs, each yielded batch and the
+leftover samples each go to the environment as one batch.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
@@ -96,11 +95,12 @@ def run_with_budget(
         "harness_version": _harness_version,
     }
     rng = space.rng(config.seed)
+    clipped = [space.clip(point) for point in warmstart[: config.budget]]
     warm = []
-    for point in warmstart[: config.budget]:
-        clipped = space.clip(point)
-        reward = obj.evaluate_point(clipped, 0)  # validates before normalize maps it
-        warm.append((space.normalize(clipped), reward))
+    if clipped:
+        # Evaluation validates the designs before normalize maps them.
+        warm_rewards = obj.evaluate_batch(clipped, 0).tolist()
+        warm = [(space.normalize(p), r) for p, r in zip(clipped, warm_rewards)]
     proposals = module.run(space, rng, options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:
@@ -109,16 +109,15 @@ def run_with_budget(
                 iteration, batch = proposals.send(rewards)
             except StopIteration:
                 break
-            rewards = np.array(
-                [obj.evaluate_u(u, iteration) for u in batch[: obj.remaining]]
-            )
+            rewards = obj.evaluate_rows(batch[: obj.remaining], iteration)
             if obj.remaining == 0:
                 break
     finally:
         proposals.close()
-    # A method that stops early leaves budget over; spend it on uniform samples.
-    while obj.remaining > 0:
-        obj.evaluate_u(rng.random(space.relaxed_dim), iteration)
+    # A method that stops early leaves budget over; spend it on uniform
+    # samples, drawn as one batch (the same values as one draw per row).
+    if obj.remaining > 0:
+        obj.evaluate_rows(rng.random((obj.remaining, space.relaxed_dim)), iteration)
     return Trajectory(
         records=tuple(obj.records),
         resolved_config=resolved,

@@ -1,9 +1,8 @@
 """Shared run machinery: budget accounting, trajectories, FD gradients."""
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -52,6 +51,11 @@ class BudgetedObjective:
     Rewards are in maximization sense. An evaluation with an evaluator error
     is recorded with no reward and reads -inf to the caller; it still
     consumes budget. The caller keeps within `remaining`.
+
+    `evaluate_batch` is the one evaluation path: a batch goes to the
+    environment as one unit and is recorded in row order, so design ids,
+    the running best and the budget are what one-at-a-time evaluation
+    gives. `evaluate_rows` and `evaluate_u` are its unit-cube forms.
     """
 
     def __init__(self, env: ProblemEnvironment, budget: int):
@@ -69,31 +73,40 @@ class BudgetedObjective:
     def remaining(self) -> int:
         return self.budget - len(self.records)
 
-    def evaluate_point(self, point: DesignPoint, iteration: int) -> float:
-        start = time.perf_counter() if self._measure_wall else None
-        result = self.env.evaluate(point)
-        wall_ms = (time.perf_counter() - start) * 1e3 if start is not None else 0.0
-        design_id = f"eval{len(self.records):06d}"
-        if result.error is None:
-            if self.best_reward is None or result.reward > self.best_reward:
-                self.best_reward = result.reward
-                self.best_design = DesignPoint(point.values, name=design_id)
-        self.records.append(
-            EvalRecord(
-                iteration=iteration,
-                design_id=design_id,
-                reward=result.reward,
-                best_so_far=self.best_reward,
-                feasible=result.feasible,
-                wall_ms=wall_ms,
-                error=result.error,
+    def evaluate_batch(self, points: Sequence[DesignPoint], iteration: int) -> np.ndarray:
+        """Evaluate `points` as one batch; one reward per point, -inf on error."""
+        results = self.env.evaluate_batch(points)
+        # An evaluator that measures wall time reports in `reply_ms`, per
+        # design, the time from sending the batch to that design's last reply.
+        wall = self.env.evaluator.reply_ms if self._measure_wall else [0.0] * len(points)
+        rewards = np.empty(len(points))
+        for i, (point, result, wall_ms) in enumerate(zip(points, results, wall)):
+            design_id = f"eval{len(self.records):06d}"
+            if result.error is None:
+                if self.best_reward is None or result.reward > self.best_reward:
+                    self.best_reward = result.reward
+                    self.best_design = DesignPoint(point.values, name=design_id)
+            self.records.append(
+                EvalRecord(
+                    iteration=iteration,
+                    design_id=design_id,
+                    reward=result.reward,
+                    best_so_far=self.best_reward,
+                    feasible=result.feasible,
+                    wall_ms=wall_ms,
+                    error=result.error,
+                )
             )
-        )
-        return -np.inf if result.reward is None else result.reward
+            rewards[i] = -np.inf if result.reward is None else result.reward
+        return rewards
+
+    def evaluate_rows(self, U: np.ndarray, iteration: int) -> np.ndarray:
+        """Evaluate unit-cube rows (clipped to the cube) as one batch."""
+        points = [self.env.space.denormalize(np.clip(u, 0.0, 1.0)) for u in U]
+        return self.evaluate_batch(points, iteration)
 
     def evaluate_u(self, u: np.ndarray, iteration: int) -> float:
-        point = self.env.space.denormalize(np.clip(u, 0.0, 1.0))
-        return self.evaluate_point(point, iteration)
+        return float(self.evaluate_rows(u[None, :], iteration)[0])
 
 
 def fd_gradient(

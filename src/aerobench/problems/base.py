@@ -94,15 +94,18 @@ class ProblemEnvironment:
     """One benchmark task: space + operating points + objective + constraints.
 
     `evaluator.point_metrics(point, op, index)` produces the per-point metric
-    map. An evaluator may also offer `design_metrics(point, ops)`, the list
-    of metric maps for all of `ops` in order; `evaluate` then makes that one
-    call per design instead of one `point_metrics` call per operating point
-    (the external-process evaluator uses it to put a whole design on the
-    wire at once; the stand-in evaluator, to evaluate each metric field
-    once per design). `aggregate(per_point, ops)` turns the list of metric
-    maps into the raw objective (in the task's native sense) plus aggregate
-    metrics. The scalarized reward is always in maximization sense:
-    minimization tasks are negated after the penalty is applied.
+    map. An evaluator may also offer `batch_metrics(points, ops)`, which
+    returns one entry per design, in order: the list of its metric maps for
+    all of `ops`, or the `EvaluationError` that design failed with.
+    `evaluate_batch` then makes that one call per batch instead of one
+    `point_metrics` call per (design, operating point) (the external-process
+    evaluator uses it to put a whole batch on the wire at once; the
+    stand-in evaluator, to evaluate each metric field once per design).
+    `evaluate(point)` is the one-design batch. `aggregate(per_point, ops)`
+    turns the list of metric maps into the raw objective (in the task's
+    native sense) plus aggregate metrics. The scalarized reward is always in
+    maximization sense: minimization tasks are negated after the penalty is
+    applied.
     """
 
     id: str
@@ -131,19 +134,36 @@ class ProblemEnvironment:
             raise ValueError("environment needs at least one operating point")
 
     def evaluate(self, point: DesignPoint) -> EvalResult:
-        # The one validation of an evaluation: the evaluator and the
-        # confidence proxy map the point without re-checking it.
-        self.space.validate(point)
-        design_metrics = getattr(self.evaluator, "design_metrics", None)
+        return self.evaluate_batch([point])[0]
+
+    def evaluate_batch(self, points: Sequence[DesignPoint]) -> list[EvalResult]:
+        """Evaluate a batch of designs with one evaluator call, in order.
+
+        Every point is validated first; that is the one validation of an
+        evaluation, and the evaluator and the confidence proxy map the
+        points without re-checking them.
+        """
+        for point in points:
+            self.space.validate(point)
+        batch_metrics = getattr(self.evaluator, "batch_metrics", None)
+        if batch_metrics is not None:
+            entries = batch_metrics(points, self.points)
+        else:
+            entries = [self._point_by_point(point) for point in points]
+        return [self._score(point, entry) for point, entry in zip(points, entries)]
+
+    def _point_by_point(self, point: DesignPoint) -> list | EvaluationError:
         try:
-            if design_metrics is not None:
-                per_point = tuple(design_metrics(point, self.points))
-            else:
-                per_point = tuple(
-                    dict(self.evaluator.point_metrics(point, op, k))
-                    for k, op in enumerate(self.points)
-                )
+            return [
+                dict(self.evaluator.point_metrics(point, op, k))
+                for k, op in enumerate(self.points)
+            ]
         except EvaluationError as exc:
+            return exc
+
+    def _score(self, point: DesignPoint, entry: Sequence | EvaluationError) -> EvalResult:
+        """Aggregate, constraints and reward of one design's metric maps."""
+        if isinstance(entry, EvaluationError):
             return EvalResult(
                 metrics={},
                 per_point=(),
@@ -151,12 +171,14 @@ class ProblemEnvironment:
                 reward=None,
                 feasible=False,
                 confidence=0.0,
-                error=str(exc),
+                error=str(entry),
             )
+        per_point = tuple(entry)
         try:
             raw, agg_metrics = self.aggregate(per_point, self.points)
-        except (KeyError, TypeError) as exc:
-            # External evaluators may answer with an incomplete metrics map;
+        except (KeyError, TypeError, ArithmeticError) as exc:
+            # External evaluators may answer with an incomplete metrics map,
+            # or with values (a zero drag) the aggregate cannot divide by;
             # that is an evaluation failure, not a harness crash.
             return self._unusable(per_point, repr(exc))
         if self.confidence_fn is not None:
@@ -174,8 +196,8 @@ class ProblemEnvironment:
         for spec in self.constraints:
             try:
                 v = float(spec.violation(ctx))
-            except (KeyError, TypeError) as exc:
-                # A metric read only by a constraint may be missing too.
+            except (KeyError, TypeError, ArithmeticError) as exc:
+                # A metric read only by a constraint may be missing or zero too.
                 return self._unusable(per_point, f"constraint {spec.name}: {exc!r}")
             # Metrics slightly out of range (a few ulp from an external
             # solver) make v fall outside [0, 1]; that is an error row too.

@@ -12,11 +12,11 @@ The gradients are written by hand, and finite differences of the value
 check them (acceptance criterion 7).
 
 Each task has one per-point `fn(table, point, op, index)` that reads its
-models' alpha-free values from an `AlphaFreeTable`. The design pass
-(`StandInEvaluator.design_metrics`) maps the design once and fills the table
-with one fused `FieldStack` evaluation of all the task's models; a trimmed
-point adds its alpha term to those values, as `MetricModel.value` does, so
-the bits match the per-model path. `point_metrics` fills the table lazily
+models' alpha-free values from an `AlphaFreeTable`. The design pass (run
+per design by `StandInEvaluator.batch_metrics`) maps the design once and
+fills the table with one fused `FieldStack` evaluation of all the task's
+models; a trimmed point adds its alpha term to those values, as
+`MetricModel.value` does, so the bits match the per-model path. `point_metrics` fills the table lazily
 with only the models one operating point reads. `get_environment` builds
 each task once per process.
 """
@@ -83,10 +83,10 @@ PointFn = Callable[[AlphaFreeTable, DesignPoint, OperatingPoint, int], dict]
 class StandInEvaluator:
     """Deterministic metric source over the normalized cube.
 
-    `design_metrics` is the design pass: it maps the design onto the cube
-    once, evaluates every model of the task once in one fused pass
-    (`FieldStack`), and runs `fn` per operating point on those alpha-free
-    values. `point_metrics` answers one operating point and computes only
+    `batch_metrics` runs the design pass per design: it maps the design
+    onto the cube once, evaluates every model of the task once in one fused
+    pass (`FieldStack`), and runs `fn` per operating point on those
+    alpha-free values. `point_metrics` answers one operating point and computes only
     the models that point reads.
     """
 
@@ -99,9 +99,11 @@ class StandInEvaluator:
         table = AlphaFreeTable(self._space.normalize(point))
         return self._fn(table, point, op, index)
 
-    def design_metrics(self, point: DesignPoint, ops: Sequence[OperatingPoint]) -> list[dict]:
-        """Metrics of `point` at each of `ops`, in the order of `ops`."""
-        return self.metrics_at(self._space.normalize(point), point, ops)
+    def batch_metrics(
+        self, points: Sequence[DesignPoint], ops: Sequence[OperatingPoint]
+    ) -> list[list[dict]]:
+        """Metrics of each of `points` at each of `ops`, one design pass each."""
+        return [self.metrics_at(self._space.normalize(p), p, ops) for p in points]
 
     def metrics_at(
         self, u: np.ndarray, point: DesignPoint, ops: Sequence[OperatingPoint]

@@ -1,16 +1,18 @@
 """External evaluators as child processes speaking line-delimited JSON.
 
 Each request carries the design values and one operating point; the child
-answers with a metrics map or an error object under the same id. One design
-is in flight at a time: `design_metrics` writes the requests for all of a
-design's operating points at once and matches the replies to them by id, in
-whatever order they come, so a child may solve the points concurrently and
-answer each as it finishes. `point_metrics` is the one-point case. Replies
-are read straight off the child's stdout pipe with `selectors`, so the wire
-needs POSIX pipes. The timeout applies to each wait for a reply. Timeouts,
-crashes, malformed replies, and a command that cannot be started raise
-:class:`EvaluationError`, which the environment converts into an explicit
-evaluation-error result.
+answers with a metrics map or an error object under the same id. One batch
+is in flight at a time: `batch_metrics` sends the requests for every design
+and operating point of a batch and matches the replies to them by id, in
+whatever order they come, so a child may solve the designs and points of a
+batch concurrently and answer each as it finishes. `point_metrics` is the
+one-request case. The child's stdin is non-blocking and shares one selector
+with its stdout, so replies are read while a batch larger than the pipe
+buffer is still being written; the wire needs POSIX pipes. The timeout
+applies to each wait for a reply. Timeouts, crashes, malformed replies, and
+a command that cannot be started become an :class:`EvaluationError` for
+each design of the batch still without its replies; an error reply fails
+its own design. The environment turns these into evaluation-error results.
 """
 from __future__ import annotations
 
@@ -31,8 +33,24 @@ DEFAULT_TIMEOUT_S = 300.0
 _READ_SIZE = 65536
 
 
+class _Batch:
+    """The replies of one batch, filed by design and operating point."""
+
+    def __init__(self, n_points: int, n_ops: int):
+        self.start = time.perf_counter()
+        self.metrics: list[list] = [[None] * n_ops for _ in range(n_points)]
+        self.errors: dict[int, dict[int, object]] = {}
+        self.unanswered = [n_ops] * n_points
+        self.reply_ms = [0.0] * n_points
+
+    def answered(self, design: int) -> None:
+        self.unanswered[design] -= 1
+        if not self.unanswered[design]:
+            self.reply_ms[design] = (time.perf_counter() - self.start) * 1e3
+
+
 class SubprocessEvaluator:
-    """One child process serving one caller, one design at a time."""
+    """One child process serving one caller, one batch at a time."""
 
     # Real external solvers have meaningful wall time; stand-ins report zero
     # so recorded runs stay byte-identical across machines.
@@ -51,6 +69,10 @@ class SubprocessEvaluator:
         # Request ids count up per evaluator, never per child, so they stay
         # unique across child restarts without a random draw per request.
         self._ids = itertools.count()
+        # Per design of the last batch, the milliseconds from sending the
+        # batch to that design's last reply (to the end of the batch for a
+        # design left without its replies).
+        self.reply_ms: list[float] = []
 
     # -- child lifecycle ---------------------------------------------------
 
@@ -67,6 +89,9 @@ class SubprocessEvaluator:
                 raise EvaluationError(
                     f"cannot start evaluator {shlex.join(self._command)}: {exc}"
                 ) from exc
+            # Writes never block: a batch larger than the pipe buffer is
+            # written as the child reads it, while its replies are read.
+            os.set_blocking(self._proc.stdin.fileno(), False)
             self._selector = selectors.DefaultSelector()
             self._selector.register(self._proc.stdout, selectors.EVENT_READ)
         return self._proc
@@ -88,7 +113,6 @@ class SubprocessEvaluator:
                 proc.kill()
                 proc.wait()
         for stream in (proc.stdin, proc.stdout):
-            # Closing stdin flushes what a failed write left buffered.
             with contextlib.suppress(OSError):
                 stream.close()
 
@@ -96,78 +120,126 @@ class SubprocessEvaluator:
         self.close()
         raise EvaluationError(message)
 
-    def _read_line(self) -> bytes | None:
-        """The child's next reply line, or None once it has closed stdout."""
-        deadline = None
-        while (end := self._buffer.find(b"\n")) < 0:
-            if deadline is None:
-                deadline = time.monotonic() + self._timeout
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._selector.select(remaining):
-                self._fail(f"evaluator timed out after {self._timeout} s")
-            chunk = os.read(self._proc.stdout.fileno(), _READ_SIZE)
-            if not chunk:
-                # A last line without a newline still counts as a reply.
-                line = bytes(self._buffer)
-                self._buffer.clear()
-                return line or None
-            self._buffer += chunk
-        line = bytes(self._buffer[:end])
-        del self._buffer[: end + 1]
-        return line
-
     # -- protocol ----------------------------------------------------------
 
     def point_metrics(self, point: DesignPoint, op: OperatingPoint, index: int) -> dict:
-        return self.design_metrics(point, (op,))[0]
+        [entry] = self.batch_metrics([point], (op,))
+        if isinstance(entry, EvaluationError):
+            raise entry
+        return entry[0]
 
-    def design_metrics(self, point: DesignPoint, ops: Sequence[OperatingPoint]) -> list[dict]:
-        """Metrics of `point` at each of `ops`, in the order of `ops`."""
-        params = json.dumps(point.to_json())
-        # Request id -> (index in ops, request line). The lines are byte for
-        # byte what json.dumps gives for the request object.
+    def batch_metrics(
+        self, points: Sequence[DesignPoint], ops: Sequence[OperatingPoint]
+    ) -> list[list[dict] | EvaluationError]:
+        """Per design, in order: its metrics at each of `ops`, or its error."""
+        ops_json = [json.dumps(op.to_json()) for op in ops]
+        # Request id -> (design, index in ops, request line). The lines are
+        # byte for byte what json.dumps gives for the request object.
         pending = {}
-        for k, op in enumerate(ops):
-            request_id = str(next(self._ids))
-            op_json = json.dumps(op.to_json())
-            line = f'{{"id": "{request_id}", "params": {params}, "operating_point": {op_json}}}\n'
-            pending[request_id] = (k, line.encode())
-        out: list = [None] * len(ops)
-        errors: dict[int, object] = {}
-        # One silent retry on a fresh child covers a child that crashed
-        # between designs. A child that exits after answering part of the
-        # design has not used it up: the rest goes to a fresh child.
+        for d, point in enumerate(points):
+            params = json.dumps(point.to_json())
+            for k, op_json in enumerate(ops_json):
+                request_id = str(next(self._ids))
+                line = f'{{"id": "{request_id}", "params": {params}, "operating_point": {op_json}}}\n'
+                pending[request_id] = (d, k, line.encode())
+        batch = _Batch(len(points), len(ops))
+        failure = None
+        if pending:
+            try:
+                self._exchange(pending, batch)
+            except EvaluationError as exc:
+                failure = exc
+        end_ms = (time.perf_counter() - batch.start) * 1e3
+        out: list = []
+        for d, metrics in enumerate(batch.metrics):
+            if batch.unanswered[d]:
+                batch.reply_ms[d] = end_ms
+            errors = batch.errors.get(d)
+            if errors:
+                out.append(EvaluationError(f"evaluator error: {errors[min(errors)]}"))
+            elif batch.unanswered[d]:
+                out.append(failure)
+            else:
+                out.append(metrics)
+        self.reply_ms = batch.reply_ms
+        return out
+
+    def _exchange(self, pending: dict, batch: _Batch) -> None:
+        """Send every pending request and file every reply in `batch`.
+
+        One silent retry on a fresh child covers a child that crashed
+        between batches. A child that exits after answering part of the
+        batch has not used it up: the rest goes to a fresh child, and the
+        answered requests are not sent again. Error replies are filed, not
+        raised, so the exchange reads every reply of the batch and the next
+        batch never reads a stale line.
+        """
         retry = True
         while pending:
             proc = self._ensure_running()
             sent = len(pending)
-            # Writing the whole design before reading cannot deadlock: a
-            # design's requests are a few KiB, well under the 64 KiB pipe
-            # buffer, so the write returns before the child reads any.
-            try:
-                proc.stdin.write(b"".join(request for _, request in pending.values()))
-                proc.stdin.flush()
-            except OSError as exc:
-                failure = f"evaluator pipe closed: {exc}"
-            else:
-                while pending and (line := self._read_line()) is not None:
-                    self._take_reply(line, pending, out, errors)
-                if not pending:
-                    break
-                failure = f"evaluator exited (code {proc.poll()}) before replying"
+            data = b"".join(line for _, _, line in pending.values())
+            if self._send_and_read(data, pending, batch):
+                return
+            failure = f"evaluator exited (code {proc.poll()}) before replying"
             self.close()
             if len(pending) < sent:
                 continue
             if not retry:
                 raise EvaluationError(failure)
             retry = False
-        if errors:
-            # Raised only once every reply is in, so the next design never
-            # reads a stale line.
-            raise EvaluationError(f"evaluator error: {errors[min(errors)]}")
-        return out
 
-    def _take_reply(self, line: bytes, pending: dict, out: list, errors: dict) -> None:
+    def _send_and_read(self, data: bytes, pending: dict, batch: _Batch) -> bool:
+        """Write `data` while filing replies; False if the child closes stdout first."""
+        stdin = self._proc.stdin
+        view = memoryview(data)
+        self._selector.register(stdin, selectors.EVENT_WRITE)
+        try:
+            deadline = time.monotonic() + self._timeout
+            while pending:
+                while pending and (end := self._buffer.find(b"\n")) >= 0:
+                    line = bytes(self._buffer[:end])
+                    del self._buffer[: end + 1]
+                    self._take_reply(line, pending, batch)
+                    deadline = time.monotonic() + self._timeout
+                if not pending:
+                    break
+                remaining = deadline - time.monotonic()
+                events = self._selector.select(remaining) if remaining > 0 else ()
+                if not events:
+                    self._fail(f"evaluator timed out after {self._timeout} s")
+                for key, _ in events:
+                    if key.fileobj is stdin:
+                        view = self._write(stdin, view)
+                        continue
+                    chunk = os.read(self._proc.stdout.fileno(), _READ_SIZE)
+                    if not chunk:
+                        # A last line without a newline still counts as a reply.
+                        if self._buffer:
+                            line = bytes(self._buffer)
+                            self._buffer.clear()
+                            self._take_reply(line, pending, batch)
+                        return not pending
+                    self._buffer += chunk
+            return True
+        finally:
+            if view and self._selector is not None:
+                self._selector.unregister(stdin)
+
+    def _write(self, stdin, view: memoryview) -> memoryview:
+        """Write what the pipe takes now; stop watching stdin once all is out."""
+        try:
+            view = view[os.write(stdin.fileno(), view) :]
+        except BlockingIOError:
+            return view
+        except OSError:
+            # The child is gone; what it answered before is still read.
+            view = view[:0]
+        if not view:
+            self._selector.unregister(stdin)
+        return view
+
+    def _take_reply(self, line: bytes, pending: dict, batch: _Batch) -> None:
         """File one reply line under the request it answers."""
         try:
             reply = json.loads(line)
@@ -179,11 +251,12 @@ class SubprocessEvaluator:
         entry = pending.pop(reply_id, None) if isinstance(reply_id, str) else None
         if entry is None:
             self._fail(f"reply id {reply_id!r} matches no pending request")
-        k = entry[0]
+        design, k, _ = entry
         if "error" in reply:
-            errors[k] = reply["error"]
-            return
-        metrics = reply.get("metrics")
-        if not isinstance(metrics, dict):
-            self._fail("evaluator reply lacks a metrics object")
-        out[k] = metrics
+            batch.errors.setdefault(design, {})[k] = reply["error"]
+        else:
+            metrics = reply.get("metrics")
+            if not isinstance(metrics, dict):
+                self._fail("evaluator reply lacks a metrics object")
+            batch.metrics[design][k] = metrics
+        batch.answered(design)

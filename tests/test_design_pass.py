@@ -1,6 +1,6 @@
 """The stand-in design pass: one fused field evaluation per design, bit for bit.
 
-`StandInEvaluator.design_metrics` evaluates every metric model of a task once
+`StandInEvaluator.batch_metrics` evaluates every metric model of a task once
 per design with `FieldStack`; `point_metrics` computes only the models one
 operating point reads. Both must give exactly the metrics the per-model
 `MetricModel.at` path gives, and catalog tasks are built once per process
@@ -64,12 +64,33 @@ def test_fused_kernel_equals_each_model_bit_for_bit(task_id):
         assert [v.hex() for v in fused] == [m.at(u).hex() for m in fields.models]
 
 
+def _numpy_scalar_at(model, u):
+    """`MetricModel.at(u)` in the numpy-scalar arithmetic it once used."""
+    x = model.field.value(u)
+    s = 1.0 / (1.0 + np.exp(-x)) if x >= 0 else np.exp(x) / (1.0 + np.exp(x))
+    return model.lo + (model.hi - model.lo) * s
+
+
+@pytest.mark.parametrize("task_id", ALL_TASKS)
+def test_metric_values_are_python_floats_with_the_numpy_bits(task_id):
+    # Python floats keep the trim bisection and every metric off numpy
+    # scalar arithmetic; the values must not move by a bit.
+    env = get_environment(task_id)
+    fields = env.evaluator.fields
+    for u in _unit_points(env.space.relaxed_dim, key=31):
+        fused = fields.at(u)
+        single = [m.at(u) for m in fields.models]
+        assert all(type(v) is float for v in fused + single)
+        expected = [float(_numpy_scalar_at(m, u)).hex() for m in fields.models]
+        assert [v.hex() for v in fused] == [v.hex() for v in single] == expected
+
+
 @pytest.mark.parametrize("task_id", ALL_TASKS)
 def test_design_pass_equals_point_metrics_bit_for_bit(task_id):
     env = get_environment(task_id)
     for u in _unit_points(env.space.relaxed_dim, key=23):
         point = env.space.denormalize(u)
-        design = env.evaluator.design_metrics(point, env.points)
+        design = env.evaluator.batch_metrics([point], env.points)[0]
         single = [env.evaluator.point_metrics(point, op, k) for k, op in enumerate(env.points)]
         assert len(design) == len(env.points)
         for d, s in zip(design, single):
@@ -176,7 +197,7 @@ def test_missing_model_is_read_lazily_in_the_design_pass():
     cl, cd = stand_in.fields.models
     partial = StandInEvaluator(env.space, stand_in._fn, (cl,))
     point = env.space.sample_uniform(seed=4, n=1)[0]
-    full = stand_in.design_metrics(point, env.points)
-    assert [_hex_metrics(m) for m in partial.design_metrics(point, env.points)] == [
+    full = stand_in.batch_metrics([point], env.points)[0]
+    assert [_hex_metrics(m) for m in partial.batch_metrics([point], env.points)[0]] == [
         _hex_metrics(m) for m in full
     ]

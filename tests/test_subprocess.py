@@ -1,6 +1,7 @@
 """Line-delimited JSON subprocess evaluator protocol."""
 import json
 import os
+import signal
 import sys
 
 import pytest
@@ -74,6 +75,29 @@ for line in sys.stdin:
 """
 
 
+# Logs "pid id" of each request it reads to argv[2] and answers with the
+# design's "a", the alpha and its pid, except: design a=2 gets an error reply;
+# design a=99 hangs ("hang") or exits unanswered ("exit").
+DESIGN_CHILD = """
+import json, os, sys, time
+mode, log = sys.argv[1], sys.argv[2]
+for line in sys.stdin:
+    request = json.loads(line)
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {request['id']}\\n")
+    a = request["params"]["a"]
+    if a == 99.0:
+        if mode == "hang":
+            time.sleep(60)
+        sys.exit(3)
+    alpha = request["operating_point"]["alpha"]
+    reply = {"id": request["id"], "metrics": {"a": a, "alpha": alpha, "pid": os.getpid()}}
+    if a == 2.0:
+        reply = {"id": request["id"], "error": "no convergence at a=2"}
+    print(json.dumps(reply), flush=True)
+"""
+
+
 # Answers with the raw request line it read.
 RAW_LINE_CHILD = """
 import json, sys
@@ -88,6 +112,18 @@ def _inline(script, *args):
 
 def _ops(*alphas):
     return [OperatingPoint(alpha=a) for a in alphas]
+
+
+def _designs(*values):
+    return [DesignPoint(values={"a": a, "b": 0.5}) for a in values]
+
+
+def _one_design(ev, point, ops):
+    """`batch_metrics` on a batch of one design; raises that design's error."""
+    [entry] = ev.batch_metrics([point], ops)
+    if isinstance(entry, EvaluationError):
+        raise entry
+    return entry
 
 
 @pytest.fixture
@@ -166,7 +202,7 @@ class TestFailureModes:
             assert f"{missing} --flag" in str(info.value)
             # Every later design fails the same way instead of crashing.
             with pytest.raises(EvaluationError, match="cannot start evaluator"):
-                ev.design_metrics(point, (op, op))
+                _one_design(ev, point, (op, op))
         finally:
             ev.close()
 
@@ -182,7 +218,7 @@ class TestPipelinedDesign:
         ev = SubprocessEvaluator(_inline(REVERSE_CHILD))
         try:
             for alphas in ((1.0, 2.0, 3.0, 4.0), (8.0, 7.0, 6.0, 5.0)):
-                metrics = ev.design_metrics(point, _ops(*alphas))
+                metrics = _one_design(ev, point, _ops(*alphas))
                 assert [m["alpha"] for m in metrics] == list(alphas)
         finally:
             ev.close()
@@ -191,7 +227,7 @@ class TestPipelinedDesign:
         ops = [OperatingPoint(alpha=1.0, mach=0.7), OperatingPoint(cl_target=0.5, weight=2.0)]
         ev = SubprocessEvaluator(_inline(RAW_LINE_CHILD))
         try:
-            lines = [m["line"] for m in ev.design_metrics(point, ops)]
+            lines = [m["line"] for m in _one_design(ev, point, ops)]
         finally:
             ev.close()
         for line, op in zip(lines, ops):
@@ -203,12 +239,12 @@ class TestPipelinedDesign:
     def test_error_reply_raises_after_the_design_and_keeps_the_child(self, point):
         ev = SubprocessEvaluator(_inline(ALPHA_CHILD, "exit"))
         try:
-            pid = ev.design_metrics(point, _ops(5.0))[0]["pid"]
+            pid = _one_design(ev, point, _ops(5.0))[0]["pid"]
             with pytest.raises(EvaluationError, match="no convergence at alpha 2"):
-                ev.design_metrics(point, _ops(1.0, 2.0, 3.0, 4.0))
+                _one_design(ev, point, _ops(1.0, 2.0, 3.0, 4.0))
             # The replies to 3 and 4 were read with the design, so the next
             # design reads its own replies from the same child.
-            metrics = ev.design_metrics(point, _ops(5.0, 6.0, 7.0, 8.0))
+            metrics = _one_design(ev, point, _ops(5.0, 6.0, 7.0, 8.0))
             assert [m["alpha"] for m in metrics] == [5.0, 6.0, 7.0, 8.0]
             assert {m["pid"] for m in metrics} == {pid}
         finally:
@@ -220,7 +256,7 @@ class TestPipelinedDesign:
         single = SubprocessEvaluator(_command("crash"))
         try:
             expected = [single.point_metrics(point, op, k) for k, op in enumerate(ops)]
-            assert pipelined.design_metrics(point, ops) == expected
+            assert _one_design(pipelined, point, ops) == expected
             assert [m["weight"] for m in expected] == [0.5, 1.0, 2.0]
         finally:
             pipelined.close()
@@ -230,8 +266,8 @@ class TestPipelinedDesign:
         log = tmp_path / "ids.txt"
         ev = SubprocessEvaluator(_inline(LOGGING_CRASH_CHILD, str(log)))
         try:
-            metrics = ev.design_metrics(point, _ops(1.0, 2.0, 3.0))
-            metrics += ev.design_metrics(point, _ops(4.0))
+            metrics = _one_design(ev, point, _ops(1.0, 2.0, 3.0))
+            metrics += _one_design(ev, point, _ops(4.0))
         finally:
             ev.close()
         assert [m["alpha"] for m in metrics] == [1.0, 2.0, 3.0, 4.0]
@@ -244,14 +280,108 @@ class TestPipelinedDesign:
     def test_failure_mid_design_then_fresh_child(self, point, mode):
         ev = SubprocessEvaluator(_inline(ALPHA_CHILD, mode), timeout=0.5)
         try:
-            pid = ev.design_metrics(point, _ops(1.0))[0]["pid"]
+            pid = _one_design(ev, point, _ops(1.0))[0]["pid"]
             with pytest.raises(EvaluationError, match="timed out" if mode == "hang" else "exited"):
-                ev.design_metrics(point, _ops(1.0, 99.0, 3.0))
-            metrics = ev.design_metrics(point, _ops(1.0, 3.0))
+                _one_design(ev, point, _ops(1.0, 99.0, 3.0))
+            metrics = _one_design(ev, point, _ops(1.0, 3.0))
             assert [m["alpha"] for m in metrics] == [1.0, 3.0]
             assert metrics[0]["pid"] == metrics[1]["pid"] != pid
         finally:
             ev.close()
+
+
+class TestBatchInFlight:
+    def _log(self, path):
+        """The (pid, request id) pairs the children read, in order."""
+        return [tuple(line.split()) for line in path.read_text().splitlines()]
+
+    def test_error_reply_fails_only_its_design(self, tmp_path):
+        ev = SubprocessEvaluator(_inline(DESIGN_CHILD, "exit", str(tmp_path / "log")))
+        try:
+            out = ev.batch_metrics(_designs(1.0, 2.0, 3.0), _ops(1.0, 5.0))
+            assert isinstance(out[1], EvaluationError)
+            assert "no convergence at a=2" in str(out[1])
+            assert [[(m["a"], m["alpha"]) for m in out[d]] for d in (0, 2)] == [
+                [(1.0, 1.0), (1.0, 5.0)],
+                [(3.0, 1.0), (3.0, 5.0)],
+            ]
+            # Every reply of the batch was read, so the same child answers
+            # the next batch with its own replies.
+            [after] = ev.batch_metrics(_designs(4.0), _ops(1.0))
+            assert after[0]["a"] == 4.0 and after[0]["pid"] == out[0][0]["pid"]
+        finally:
+            ev.close()
+
+    def test_crash_mid_batch_retries_once_and_keeps_answered_designs(self, tmp_path):
+        log = tmp_path / "log"
+        ev = SubprocessEvaluator(_inline(DESIGN_CHILD, "exit", str(log)))
+        try:
+            out = ev.batch_metrics(_designs(1.0, 99.0, 3.0), _ops(1.0, 5.0))
+        finally:
+            ev.close()
+        assert [m["alpha"] for m in out[0]] == [1.0, 5.0]
+        assert all(isinstance(e, EvaluationError) and "exited" in str(e) for e in out[1:])
+        reads = self._log(log)
+        # The first child answers design 0 and exits at design 1; a fresh
+        # child gets only the unanswered requests and exits without an
+        # answer, and so does the one retry.
+        assert len({pid for pid, _ in reads}) == 3
+        ids = [request_id for _, request_id in reads]
+        assert ids[:3] == [ids[0], ids[1], ids[2]] and ids[3:] == [ids[2], ids[2]]
+        assert len(set(ids[:3])) == 3
+
+    def test_timeout_fails_only_the_unanswered_designs(self, tmp_path):
+        ev = SubprocessEvaluator(_inline(DESIGN_CHILD, "hang", str(tmp_path / "log")), timeout=0.5)
+        try:
+            out = ev.batch_metrics(_designs(1.0, 99.0, 3.0), _ops(1.0, 5.0))
+            assert [m["a"] for m in out[0]] == [1.0, 1.0]
+            assert all(isinstance(e, EvaluationError) and "timed out" in str(e) for e in out[1:])
+            # Design 0 took its time to its last reply; the others, to the
+            # end of the batch.
+            assert 0.0 < ev.reply_ms[0] < ev.reply_ms[1] == ev.reply_ms[2]
+            [after] = ev.batch_metrics(_designs(3.0), _ops(1.0))
+            assert after[0]["pid"] != out[0][0]["pid"]
+        finally:
+            ev.close()
+
+    def test_batch_larger_than_the_pipe_buffers_completes(self):
+        # 1200 requests of about 1.3 KiB out and 1200 replies of about 90
+        # bytes back: both exceed a 64 KiB pipe buffer, so a writer that
+        # blocks until every request is written would wait on a child that
+        # waits on it. The alarm turns such a deadlock into a failure.
+        designs = [
+            DesignPoint(values={f"p{i:02d}": d + i / 64 for i in range(60)}) for d in range(40)
+        ]
+        ops = [OperatingPoint(alpha=float(a), weight=1.0 + a) for a in range(30)]
+        assert sum(len(json.dumps(p.to_json())) for p in designs) * len(ops) > 65536
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, 60.0)
+        ev = SubprocessEvaluator(_command())
+        try:
+            out = ev.batch_metrics(designs, ops)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+            ev.close()
+        assert len(json.dumps(out)) > 65536
+        for design, metrics in zip(designs, out):
+            assert [m["weight"] for m in metrics] == [op.weight for op in ops]
+            assert {m["param_sum"] for m in metrics} == {float(sum(design.values.values()))}
+
+    def test_reply_ms_follows_each_design(self):
+        ev = SubprocessEvaluator(_command())
+        try:
+            assert ev.batch_metrics([], _ops(1.0)) == [] and ev.reply_ms == []
+            out = ev.batch_metrics(_designs(*range(8)), _ops(1.0, 2.0))
+        finally:
+            ev.close()
+        assert len(out) == len(ev.reply_ms) == 8
+        # The echo child answers in order, so each design finishes later.
+        assert 0.0 < ev.reply_ms[0] and ev.reply_ms == sorted(ev.reply_ms)
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("batch did not complete: the wire deadlocked")
 
 
 class TestWireEquivalence:
