@@ -6,7 +6,7 @@ from typing import Generator, Sequence
 
 import numpy as np
 
-from ..problems.base import ProblemEnvironment
+from ..problems.base import EvalResult, ProblemEnvironment
 from ..space import DesignPoint
 
 FD_EPS = 1e-4
@@ -52,10 +52,10 @@ class BudgetedObjective:
     is recorded with no reward and reads -inf to the caller; it still
     consumes budget. The caller keeps within `remaining`.
 
-    `evaluate_batch` is the one evaluation path: a batch goes to the
-    environment as one unit and is recorded in row order, so design ids,
-    the running best and the budget are what one-at-a-time evaluation
-    gives. `evaluate_rows` and `evaluate_u` are its unit-cube forms.
+    Each batch goes to the environment as one unit and is recorded in row
+    order, so design ids, the running best and the budget are what
+    one-at-a-time evaluation gives. `evaluate_rows` decodes unit-cube rows
+    once; `evaluate_batch` takes designs from outside the cube.
     """
 
     def __init__(self, env: ProblemEnvironment, budget: int):
@@ -74,8 +74,17 @@ class BudgetedObjective:
         return self.budget - len(self.records)
 
     def evaluate_batch(self, points: Sequence[DesignPoint], iteration: int) -> np.ndarray:
-        """Evaluate `points` as one batch; one reward per point, -inf on error."""
-        results = self.env.evaluate_batch(points)
+        """Evaluate designs from outside the cube; one reward per point, -inf on error."""
+        return self._record(points, self.env.evaluate_batch(points), iteration)
+
+    def evaluate_rows(self, U: np.ndarray, iteration: int) -> np.ndarray:
+        """Evaluate unit-cube rows (clipped to the cube) as one batch."""
+        points, rows = self.env.space.decode(U)
+        return self._record(points, self.env.evaluate_decoded(points, rows), iteration)
+
+    def _record(
+        self, points: Sequence[DesignPoint], results: Sequence[EvalResult], iteration: int
+    ) -> np.ndarray:
         # An evaluator that measures wall time reports in `reply_ms`, per
         # design, the time from sending the batch to that design's last reply.
         wall = self.env.evaluator.reply_ms if self._measure_wall else [0.0] * len(points)
@@ -99,14 +108,6 @@ class BudgetedObjective:
             )
             rewards[i] = -np.inf if result.reward is None else result.reward
         return rewards
-
-    def evaluate_rows(self, U: np.ndarray, iteration: int) -> np.ndarray:
-        """Evaluate unit-cube rows (clipped to the cube) as one batch."""
-        points = [self.env.space.denormalize(np.clip(u, 0.0, 1.0)) for u in U]
-        return self.evaluate_batch(points, iteration)
-
-    def evaluate_u(self, u: np.ndarray, iteration: int) -> float:
-        return float(self.evaluate_rows(u[None, :], iteration)[0])
 
 
 def fd_gradient(

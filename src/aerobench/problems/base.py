@@ -88,24 +88,26 @@ class EvalResult:
     confidence: float
     error: str | None = None
 
+    @classmethod
+    def failure(cls, error: str, per_point: tuple = ()) -> "EvalResult":
+        """An evaluation that produced no reward, for the reason `error`."""
+        return cls({}, per_point, {}, reward=None, feasible=False, confidence=0.0, error=error)
+
 
 @dataclass(frozen=True)
 class ProblemEnvironment:
     """One benchmark task: space + operating points + objective + constraints.
 
-    `evaluator.point_metrics(point, op, index)` produces the per-point metric
-    map. An evaluator may also offer `batch_metrics(points, ops)`, which
-    returns one entry per design, in order: the list of its metric maps for
-    all of `ops`, or the `EvaluationError` that design failed with.
-    `evaluate_batch` then makes that one call per batch instead of one
-    `point_metrics` call per (design, operating point) (the external-process
-    evaluator uses it to put a whole batch on the wire at once; the
-    stand-in evaluator, to evaluate each metric field once per design).
-    `evaluate(point)` is the one-design batch. `aggregate(per_point, ops)`
-    turns the list of metric maps into the raw objective (in the task's
-    native sense) plus aggregate metrics. The scalarized reward is always in
-    maximization sense: minimization tasks are negated after the penalty is
-    applied.
+    The evaluator has one hook, called once per batch: `batch_metrics(points,
+    ops)` returns per design, in order, its metric maps at all of `ops` or
+    the `EvaluationError` it failed with; an `EvaluationError` raised fails
+    every design of the batch. `evaluate_batch(points)` validates and
+    normalizes designs from outside the cube (CLI, warm-start, external
+    designs); the driver's rows come decoded by `ParamSpace.decode` to
+    `evaluate_decoded`. `aggregate(per_point, ops)` turns the metric maps
+    into the raw objective (in the task's native sense) plus aggregate
+    metrics. The scalarized reward is always in maximization sense:
+    minimization tasks are negated after the penalty is applied.
     """
 
     id: str
@@ -137,42 +139,29 @@ class ProblemEnvironment:
         return self.evaluate_batch([point])[0]
 
     def evaluate_batch(self, points: Sequence[DesignPoint]) -> list[EvalResult]:
-        """Evaluate a batch of designs with one evaluator call, in order.
+        """Validate designs from outside the cube, then evaluate them in order.
 
-        Every point is validated first; that is the one validation of an
-        evaluation, and the evaluator and the confidence proxy map the
-        points without re-checking them.
+        This is the one validation of such a design; the evaluator and the
+        confidence proxy map it without re-checking it.
         """
         for point in points:
             self.space.validate(point)
-        batch_metrics = getattr(self.evaluator, "batch_metrics", None)
-        if batch_metrics is not None:
-            entries = batch_metrics(points, self.points)
-        else:
-            entries = [self._point_by_point(point) for point in points]
-        return [self._score(point, entry) for point, entry in zip(points, entries)]
+        return self.evaluate_decoded(points, np.array([self.space.normalize(p) for p in points]))
 
-    def _point_by_point(self, point: DesignPoint) -> list | EvaluationError:
+    def evaluate_decoded(self, points: Sequence[DesignPoint], rows: np.ndarray) -> list[EvalResult]:
+        """Evaluate valid designs, whose unit-cube rows are `rows`, with one evaluator call."""
         try:
-            return [
-                dict(self.evaluator.point_metrics(point, op, k))
-                for k, op in enumerate(self.points)
-            ]
+            entries = self.evaluator.batch_metrics(points, self.points)
         except EvaluationError as exc:
-            return exc
+            entries = [exc] * len(points)
+        return [self._score(p, row, entry) for p, row, entry in zip(points, rows, entries)]
 
-    def _score(self, point: DesignPoint, entry: Sequence | EvaluationError) -> EvalResult:
+    def _score(
+        self, point: DesignPoint, row: np.ndarray, entry: Sequence | EvaluationError
+    ) -> EvalResult:
         """Aggregate, constraints and reward of one design's metric maps."""
         if isinstance(entry, EvaluationError):
-            return EvalResult(
-                metrics={},
-                per_point=(),
-                violations={},
-                reward=None,
-                feasible=False,
-                confidence=0.0,
-                error=str(entry),
-            )
+            return EvalResult.failure(str(entry))
         per_point = tuple(entry)
         try:
             raw, agg_metrics = self.aggregate(per_point, self.points)
@@ -181,17 +170,8 @@ class ProblemEnvironment:
             # or with values (a zero drag) the aggregate cannot divide by;
             # that is an evaluation failure, not a harness crash.
             return self._unusable(per_point, repr(exc))
-        if self.confidence_fn is not None:
-            confidence = float(self.confidence_fn(self.space.normalize(point)))
-        else:
-            confidence = 1.0
-        ctx = EvalContext(
-            point=point,
-            space=self.space,
-            per_point=per_point,
-            metrics=agg_metrics,
-            confidence=confidence,
-        )
+        confidence = 1.0 if self.confidence_fn is None else float(self.confidence_fn(row))
+        ctx = EvalContext(point, self.space, per_point, agg_metrics, confidence)
         violations: dict[str, float] = {}
         for spec in self.constraints:
             try:
@@ -223,15 +203,7 @@ class ProblemEnvironment:
         )
 
     def _unusable(self, per_point: tuple, reason: str) -> EvalResult:
-        return EvalResult(
-            metrics={},
-            per_point=per_point,
-            violations={},
-            reward=None,
-            feasible=False,
-            confidence=0.0,
-            error=f"evaluator metrics unusable for {self.id}: {reason}",
-        )
+        return EvalResult.failure(f"evaluator metrics unusable for {self.id}: {reason}", per_point)
 
     def close(self) -> None:
         closer = getattr(self.evaluator, "close", None)
@@ -268,9 +240,8 @@ class _FunctionEvaluator:
         self._space = space
         self._fn = fn
 
-    def point_metrics(self, point: DesignPoint, op: OperatingPoint, index: int) -> dict:
-        u = self._space.normalize(point)
-        return {"value": float(self._fn(u))}
+    def batch_metrics(self, points: Sequence[DesignPoint], ops: Sequence[OperatingPoint]) -> list:
+        return [[{"value": float(self._fn(self._space.normalize(p)))} for _ in ops] for p in points]
 
 
 def function_environment(

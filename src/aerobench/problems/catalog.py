@@ -13,12 +13,11 @@ check them (acceptance criterion 7).
 
 Each task has one per-point `fn(table, point, op, index)` that reads its
 models' alpha-free values from an `AlphaFreeTable`. The design pass (run
-per design by `StandInEvaluator.batch_metrics`) maps the design once and
-fills the table with one fused `FieldStack` evaluation of all the task's
-models; a trimmed point adds its alpha term to those values, as
-`MetricModel.value` does, so the bits match the per-model path. `point_metrics` fills the table lazily
-with only the models one operating point reads. `get_environment` builds
-each task once per process.
+per design by `StandInEvaluator.batch_metrics`, the environment's one
+evaluator hook) maps the design once and fills the table with one fused
+`FieldStack` evaluation of all the task's models; a trimmed point adds its
+alpha term to those values, as `MetricModel.value` does, so the bits match
+the per-model path. `get_environment` builds each task once per process.
 """
 from __future__ import annotations
 
@@ -86,8 +85,8 @@ class StandInEvaluator:
     `batch_metrics` runs the design pass per design: it maps the design
     onto the cube once, evaluates every model of the task once in one fused
     pass (`FieldStack`), and runs `fn` per operating point on those
-    alpha-free values. `point_metrics` answers one operating point and computes only
-    the models that point reads.
+    alpha-free values. `point_metrics` answers one operating point and
+    computes only the models that point reads.
     """
 
     def __init__(self, space: ParamSpace, fn: PointFn, models: Sequence[MetricModel]):
@@ -95,6 +94,7 @@ class StandInEvaluator:
         self._fn = fn
         self.fields = FieldStack(models)
 
+    # Kept for one-request callers (a wire child serving the catalog); the environment uses batches.
     def point_metrics(self, point: DesignPoint, op: OperatingPoint, index: int) -> dict:
         table = AlphaFreeTable(self._space.normalize(point))
         return self._fn(table, point, op, index)
@@ -103,6 +103,7 @@ class StandInEvaluator:
         self, points: Sequence[DesignPoint], ops: Sequence[OperatingPoint]
     ) -> list[list[dict]]:
         """Metrics of each of `points` at each of `ops`, one design pass each."""
+        # The builder's space, not the environment's rows: an override keeps a design's metrics.
         return [self.metrics_at(self._space.normalize(p), p, ops) for p in points]
 
     def metrics_at(

@@ -122,6 +122,7 @@ class SubprocessEvaluator:
 
     # -- protocol ----------------------------------------------------------
 
+    # Kept for one-request callers outside the environment, which sends only batches.
     def point_metrics(self, point: DesignPoint, op: OperatingPoint, index: int) -> dict:
         [entry] = self.batch_metrics([point], (op,))
         if isinstance(entry, EvaluationError):

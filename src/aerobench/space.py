@@ -5,10 +5,11 @@ affinely onto [0, 1]; discrete variables map by level *index* (so irregular
 level spacing does not distort the cube); categorical variables expand into a
 one-hot block and decode by argmax with the lowest index winning ties.
 
-A point is validated once, by `ProblemEnvironment.evaluate`, before an
-evaluator or the confidence proxy maps it; warm-start designs are projected
-by `clip` first and then evaluated the same way. `normalize` assumes a valid
-point and does not check it again.
+`decode` maps unit-cube rows to valid points, and to rows equal to
+`normalize(point)`, in one pass per variable kind; decoded points are never
+validated. Points from outside the cube (CLI, warm-start designs after `clip`,
+external designs) are validated once, by `ProblemEnvironment.evaluate_batch`.
+`normalize` assumes a valid point and does not check it again.
 
 Sampling uses numpy's Philox counter-based generator so that identical seeds
 reproduce identical designs across platforms.
@@ -133,9 +134,16 @@ class ParamSpace:
         # The layout never changes, so every evaluation reads it from here.
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_name_set", frozenset(names))
-        object.__setattr__(
-            self, "_relaxed_dim", sum(v.relaxed_width for v in self.variables)
-        )
+        # Where each variable sits on the cube, laid out once for `decode`.
+        starts = np.cumsum([0] + [v.relaxed_width for v in self.variables]).tolist()
+        object.__setattr__(self, "_relaxed_dim", starts[-1])
+        placed = list(zip(starts, self.variables))
+        cont = [(c, v) for c, v in placed if v.kind == CONTINUOUS]
+        bounds = [(v.lower, v.upper - v.lower, v.upper) for _, v in cont]
+        object.__setattr__(self, "_cont_cols", _index([c for c, _ in cont]))
+        object.__setattr__(self, "_cont_names", tuple(v.name for _, v in cont))
+        object.__setattr__(self, "_bounds", tuple(np.array(bounds, dtype=float).reshape(-1, 3).T))
+        object.__setattr__(self, "_level_vars", [(c, v) for c, v in placed if v.kind != CONTINUOUS])
 
     @property
     def relaxed_dim(self) -> int:
@@ -193,35 +201,44 @@ class ParamSpace:
                 out.extend(block)
         return np.array(out)
 
-    def denormalize(self, u: Sequence[float], name: str | None = None) -> DesignPoint:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.relaxed_dim,):
-            raise SpaceError(
-                f"expected vector of length {self.relaxed_dim}, got shape {u.shape}"
-            )
-        if not np.all(np.isfinite(u)):
+    def decode(self, U: np.ndarray) -> tuple[list[DesignPoint], np.ndarray]:
+        """Map unit-cube rows to points and their rows, one pass per variable kind.
+
+        Rows are clipped to the cube first. A discrete coordinate takes the
+        nearest level index, ties toward the lower index; a categorical block
+        takes its argmax, the lowest index winning ties. A continuous value
+        is clamped to its upper bound, which `lower + 1.0 * (upper - lower)`
+        can round past. Every point is valid, and `rows[i]` is
+        `normalize(points[i])` bit for bit.
+        """
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 2 or U.shape[1] != self._relaxed_dim:
+            raise SpaceError(f"expected rows of length {self._relaxed_dim}, got shape {U.shape}")
+        if not np.isfinite(U).all():
             raise SpaceError("unit-cube vector must be finite")
-        coords = u.tolist()
-        values: dict[str, Any] = {}
-        i = 0
-        for v in self.variables:
-            if v.kind == CONTINUOUS:
-                t = min(max(coords[i], 0.0), 1.0)
-                values[v.name] = v.lower + t * (v.upper - v.lower)  # type: ignore[operator]
-                i += 1
-            elif v.kind == DISCRETE:
-                t = min(max(coords[i], 0.0), 1.0)
-                # nearest index, ties resolved toward the lower index
-                idx = math.ceil(t * (len(v.levels) - 1) - 0.5)  # type: ignore[arg-type]
-                idx = min(max(idx, 0), len(v.levels) - 1)  # type: ignore[arg-type]
-                values[v.name] = v.levels[idx]  # type: ignore[index]
-                i += 1
+        T = np.minimum(np.maximum(U, 0.0), 1.0)
+        rows = np.zeros(U.shape)
+        cols, (lo, width, hi) = self._cont_cols, self._bounds
+        x = np.minimum(lo + T[:, cols] * width, hi)
+        rows[:, cols] = (x - lo) / width
+        columns = dict(zip(self._cont_names, x.T.tolist()))
+        # Level variables are few; a loop over rows is cheaper than numpy calls.
+        for c, v in self._level_vars:
+            k = len(v.levels)  # type: ignore[arg-type]
+            if v.kind == DISCRETE:
+                picks = [math.ceil(t * (k - 1) - 0.5) for t in T[:, c].tolist()]
+                rows[:, c] = [i / (k - 1) for i in picks]
             else:
-                block = coords[i : i + len(v.levels)]  # type: ignore[arg-type]
-                # argmax: the lowest index wins ties
-                values[v.name] = v.levels[block.index(max(block))]  # type: ignore[index]
-                i += len(block)
-        return DesignPoint(values=values, name=name)
+                picks = [block.index(max(block)) for block in T[:, c : c + k].tolist()]
+                for i, j in enumerate(picks):
+                    rows[i, c + j] = 1.0
+            columns[v.name] = [v.levels[i] for i in picks]  # type: ignore[index]
+        values = zip(*(columns[name] for name in self._names))
+        return [DesignPoint(dict(zip(self._names, vals))) for vals in values], rows
+
+    def denormalize(self, u: Sequence[float]) -> DesignPoint:
+        """The point of one unit-cube vector (clipped to the cube): the one-row case of `decode`."""
+        return self.decode(np.asarray(u, dtype=float)[None])[0][0]
 
     # -- sampling and projection ------------------------------------------
 
@@ -269,6 +286,13 @@ class ParamSpace:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ParamSpace":
         return cls(variables=tuple(VariableSpec.from_json(v) for v in data["variables"]))
+
+
+def _index(cols: list[int]) -> slice | np.ndarray:
+    """Columns as a basic slice when they are one run (cheaper to index), else an array."""
+    if cols and cols == list(range(cols[0], cols[-1] + 1)):
+        return slice(cols[0], cols[-1] + 1)
+    return np.array(cols, dtype=int)
 
 
 def continuous_space(bounds: Mapping[str, tuple[float, float]], units: Mapping[str, str] | None = None) -> ParamSpace:

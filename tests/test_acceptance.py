@@ -156,16 +156,15 @@ def test_criterion_2_optimizer_sanity(capfd):
 
 
 class _CountingEvaluator:
-    """Counts whole-design evaluations (first operating point only)."""
+    """Counts whole-design evaluations."""
 
     def __init__(self, inner):
         self.inner = inner
         self.designs = 0
 
-    def point_metrics(self, point, op, index):
-        if index == 0:
-            self.designs += 1
-        return self.inner.point_metrics(point, op, index)
+    def batch_metrics(self, points, ops):
+        self.designs += len(points)
+        return self.inner.batch_metrics(points, ops)
 
 
 def test_criterion_3_budget_protocol(capfd):

@@ -26,9 +26,6 @@ class _Recording:
         self.inner = inner
         self.batches = []
 
-    def point_metrics(self, point, op, index):
-        return self.inner.point_metrics(point, op, index)
-
     def batch_metrics(self, points, ops):
         self.batches.append(list(points))
         return self.inner.batch_metrics(points, ops)
@@ -117,6 +114,25 @@ class _OneFails:
         return out
 
 
+class _RaisesForTheBatch:
+    """Raises instead of answering: every design of the batch has failed."""
+
+    def batch_metrics(self, points, ops):
+        raise EvaluationError("solver license expired")
+
+
+def test_raised_evaluation_error_is_one_error_row_per_design():
+    base = get_environment("airfoil-drag-multipoint")
+    env = base.with_evaluator(_RaisesForTheBatch())
+    obj = BudgetedObjective(env, budget=3)
+    rewards = obj.evaluate_rows(np.random.default_rng(3).random((3, base.space.relaxed_dim)), 0)
+    assert (rewards == -np.inf).all()
+    assert [r.error for r in obj.records] == ["solver license expired"] * 3
+    traj = run_with_budget(env, OptimizerConfig(method="pso", budget=25, seed=0))
+    assert len(traj.records) == 25
+    assert all(r.reward is None and r.error == "solver license expired" for r in traj.records)
+
+
 def test_one_failed_design_is_one_error_row():
     base = get_environment("airfoil-drag-multipoint")
     env = base.with_evaluator(_OneFails(base.evaluator))
@@ -136,9 +152,11 @@ class _ZeroMetrics:
     def __init__(self, inner):
         self.inner = inner
 
-    def point_metrics(self, point, op, index):
-        metrics = self.inner.point_metrics(point, op, index)
-        return {k: 0.0 if isinstance(v, float) else v for k, v in metrics.items()}
+    def batch_metrics(self, points, ops):
+        return [
+            [{k: 0.0 if isinstance(v, float) else v for k, v in metrics.items()} for metrics in entry]
+            for entry in self.inner.batch_metrics(points, ops)
+        ]
 
 
 @pytest.mark.parametrize("task_id", ALL_TASKS)

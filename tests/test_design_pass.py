@@ -141,7 +141,7 @@ def test_confidence_proxy_is_the_mean_form_bit_for_bit(u):
 
 
 class _BrokenEvaluator:
-    def point_metrics(self, point, op, index):
+    def batch_metrics(self, points, ops):
         raise EvaluationError("synthetic failure")
 
     def close(self):

@@ -192,11 +192,16 @@ class TestLbfgsb:
         class FailsOnThirdCall:
             calls = 0
 
-            def point_metrics(self, point, op, index):
-                self.calls += 1
-                if self.calls == 3:
-                    raise EvaluationError("synthetic failure")
-                return {"value": sum((v - 0.5) ** 2 for v in point.values.values())}
+            def batch_metrics(self, points, ops):
+                out = []
+                for point in points:
+                    self.calls += 1
+                    if self.calls == 3:
+                        out.append(EvaluationError("synthetic failure"))
+                    else:
+                        value = sum((v - 0.5) ** 2 for v in point.values.values())
+                        out.append([{"value": value} for _ in ops])
+                return out
 
         env = sphere_env().with_evaluator(FailsOnThirdCall())
         traj = run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=50, seed=0))

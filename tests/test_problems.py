@@ -121,28 +121,48 @@ def test_multipoint_tasks_charge_one_budget_unit():
         env.close()
 
 
-def test_one_validation_per_evaluation(monkeypatch):
-    # The harness validates a point once; the evaluator (once per operating
-    # point) and the confidence proxy map it without re-checking.
+def _count_calls(monkeypatch, name):
     calls = []
-    original = ParamSpace.validate
+    original = getattr(ParamSpace, name)
 
-    def counting_validate(space, point):
-        calls.append(point)
-        return original(space, point)
+    def counting(space, *args):
+        calls.append(args)
+        return original(space, *args)
 
-    monkeypatch.setattr(ParamSpace, "validate", counting_validate)
+    monkeypatch.setattr(ParamSpace, name, counting)
+    return calls
+
+
+def test_one_validation_per_evaluation(monkeypatch):
+    # A decoded row is valid by construction and is never validated (the
+    # decode property test in test_decode.py proves it); a design from
+    # outside the cube is validated once. The evaluator and the confidence
+    # proxy map it without re-checking.
+    calls = _count_calls(monkeypatch, "validate")
     env = get_environment("airfoil-drag-multipoint")
     try:
         assert len(env.points) == 6
         obj = BudgetedObjective(env, budget=2)
-        obj.evaluate_u(np.full(env.space.relaxed_dim, 0.5), 0)
-        assert len(calls) == 1
-        obj.evaluate_u(np.full(env.space.relaxed_dim, 0.25), 1)
-        assert len(calls) == 2
+        obj.evaluate_rows(np.full(env.space.relaxed_dim, 0.5)[None, :], 0)
+        assert len(calls) == 0
+        obj.evaluate_rows(np.full(env.space.relaxed_dim, 0.25)[None, :], 1)
+        assert len(calls) == 0
         assert all(r.error is None for r in obj.records)
+        assert env.evaluate(env.space.denormalize(np.full(env.space.relaxed_dim, 0.25))).error is None
+        assert len(calls) == 1
     finally:
         env.close()
+
+
+def test_decoded_evaluation_normalizes_once(monkeypatch):
+    # Only the stand-in evaluator maps the design; the confidence proxy
+    # reads the decoded row.
+    calls = _count_calls(monkeypatch, "normalize")
+    env = get_environment("airfoil-drag-multipoint")
+    obj = BudgetedObjective(env, budget=1)
+    obj.evaluate_rows(np.full((1, env.space.relaxed_dim), 0.5), 0)
+    assert obj.records[0].error is None
+    assert len(calls) == 1
 
 
 def test_bwb_bisection_metrics_present():
@@ -365,7 +385,7 @@ class TestFunctionEnvironment:
 
 
 class _BrokenEvaluator:
-    def point_metrics(self, point, op, index):
+    def batch_metrics(self, points, ops):
         raise EvaluationError("synthetic failure")
 
 
@@ -384,10 +404,12 @@ class _NudgedBracketEvaluator:
     def __init__(self, inner):
         self.inner = inner
 
-    def point_metrics(self, point, op, index):
-        metrics = dict(self.inner.point_metrics(point, op, index))
-        metrics["bracketed"] = np.nextafter(np.nextafter(metrics["bracketed"], 2.0), 2.0)
-        return metrics
+    def batch_metrics(self, points, ops):
+        out = self.inner.batch_metrics(points, ops)
+        for per_point in out:
+            for metrics in per_point:
+                metrics["bracketed"] = np.nextafter(np.nextafter(metrics["bracketed"], 2.0), 2.0)
+        return out
 
 
 def test_out_of_range_constraint_becomes_error_result():
@@ -407,10 +429,12 @@ class _NoBracketEvaluator:
     def __init__(self, inner):
         self.inner = inner
 
-    def point_metrics(self, point, op, index):
-        metrics = dict(self.inner.point_metrics(point, op, index))
-        del metrics["bracketed"]
-        return metrics
+    def batch_metrics(self, points, ops):
+        out = self.inner.batch_metrics(points, ops)
+        for per_point in out:
+            for metrics in per_point:
+                del metrics["bracketed"]
+        return out
 
 
 def test_metric_missing_for_constraint_becomes_error_row():
