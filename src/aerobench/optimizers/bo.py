@@ -3,19 +3,25 @@ acquisition.
 
 An exact GP with an isotropic Matern-5/2 kernel models standardized rewards
 on the unit cube. Hyperparameters (length scale, signal variance, noise)
-are refit each round by multi-start gradient ascent on the marginal
-likelihood, accepting only improving steps. The fit works on the Cholesky
-factor of the covariance: the data's pairwise distances are computed once
-per model, alpha = K^-1 y comes from two triangular solves, and the
-gradient's K^-1 from LAPACK potri, with no generic solve and no identity
-matrix. The acquisition is maximized over a Sobol candidate set plus a
-handful of local refinements.
+are refit each round by gradient ascent on the marginal likelihood,
+accepting only improving steps. Until a fit succeeds, each fit is cold: it
+starts from a default theta and `fit_starts - 1` random ones. After that
+each fit is warm, one start from the theta of the last successful fit,
+since one new point barely moves the optimum. The fit works on the Cholesky factor of the
+covariance: the data's pairwise distances are computed once per model,
+alpha = K^-1 y comes from two triangular solves, and the gradient's K^-1
+from LAPACK potri, with no generic solve and no identity matrix. The
+acquisition, log EI, is computed in the stable form of Ament et
+al. (NeurIPS 2023), so it stays finite and ordered far below the incumbent
+instead of sitting on a floor. It is maximized over a Sobol candidate set
+plus a handful of local refinements.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.special import erfcx
 from scipy.stats import norm, qmc
 
 from ..space import ParamSpace
@@ -25,6 +31,9 @@ JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 SQRT5 = np.sqrt(5.0)
 
+# `fit_starts` counts the starts of a cold fit: the default theta plus
+# `fit_starts - 1` random ones. Once a fit has succeeded, each later fit is
+# warm, a single start from the last fitted theta.
 DEFAULTS = {
     "n_initial": 30,
     "n_candidates": 256,
@@ -39,6 +48,8 @@ DEFAULTS = {
 # keep the fit away from degenerate kernels.
 THETA_LO = np.log(np.array([1e-3, 1e-4, 1e-8]))
 THETA_HI = np.log(np.array([1e2, 1e3, 1.0]))
+DEFAULT_THETA = np.log(np.array([0.5, 1.0, 1e-3]))  # the cold fit's first start
+DEFAULT_THETA.flags.writeable = False
 
 
 def _matern52(r5: np.ndarray, length: float, signal_var: float):
@@ -86,7 +97,7 @@ def _chol(kern: np.ndarray, noise: float, warn) -> np.ndarray | None:
 class _GP:
     """Exact GP on standardized targets with Matern-5/2 kernel."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, warn):
+    def __init__(self, x: np.ndarray, y: np.ndarray, warn, theta: np.ndarray | None = None):
         self.x = x
         self.y_mean = float(np.mean(y))
         self.y_std = float(np.std(y))
@@ -94,7 +105,9 @@ class _GP:
             self.y_std = 1.0
         self.y = (y - self.y_mean) / self.y_std
         self.warn = warn
-        self.theta = np.log(np.array([0.5, 1.0, 1e-3]))  # (length, sf2, sn2)
+        # A given theta (the last round's fit) makes the fit warm: one start there.
+        self._warm = theta is not None
+        self.theta = DEFAULT_THETA if theta is None else theta
         # Every likelihood evaluation reuses the distances between the data.
         self._r5 = _scaled_dists(x, x)
         self._chol_cache = None
@@ -131,19 +144,22 @@ class _GP:
         return nll, grad
 
     def fit(self, rng: np.random.Generator, opts: dict) -> None:
-        # The default theta is the first start, so its likelihood is evaluated
-        # there; np.clip leaves it unchanged because it lies inside the bounds.
+        # self.theta is the first start, so its likelihood is evaluated there;
+        # np.clip leaves it unchanged because it lies inside the bounds. A warm
+        # fit draws no random starts.
         best_theta, best_val = self.theta, np.inf
-        starts = [self.theta] + [
-            np.array(
-                [
-                    rng.uniform(np.log(0.05), np.log(2.0)),
-                    rng.uniform(np.log(0.1), np.log(4.0)),
-                    rng.uniform(np.log(1e-6), np.log(1e-2)),
-                ]
-            )
-            for _ in range(int(opts["fit_starts"]) - 1)
-        ]
+        starts = [self.theta]
+        if not self._warm:
+            starts += [
+                np.array(
+                    [
+                        rng.uniform(np.log(0.05), np.log(2.0)),
+                        rng.uniform(np.log(0.1), np.log(4.0)),
+                        rng.uniform(np.log(1e-6), np.log(1e-2)),
+                    ]
+                )
+                for _ in range(int(opts["fit_starts"]) - 1)
+            ]
         for theta in starts:
             theta = np.clip(theta.copy(), THETA_LO, THETA_HI)
             val, grad = self._neg_mll_and_grad(theta)
@@ -181,12 +197,48 @@ class _GP:
         return mu, np.sqrt(var)
 
 
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+_LOG_SQRT_PI_2 = 0.5 * np.log(0.5 * np.pi)
+# Below this z, log h(z) is its asymptote -z^2/2 - log(2 pi)/2 - 2 log|z|. In
+# the erfcx form, 1 - |z| erfcx(-z/sqrt2) sqrt(pi/2) ~ 1/z^2 carries a relative
+# rounding error of about eps z^2, and the asymptote one of about 3/z^2; the
+# two are equal at |z| = (3/eps)^(1/4) ~ 1.1e4, where they agree to 1e-8. At
+# the paper's -1/sqrt(eps) the erfcx form has lost every digit of that term
+# and rounds to log(0) or NaN just above it.
+_Z_ASYMPTOTE = -((3.0 / np.finfo(float).eps) ** 0.25)
+
+
+def _log1mexp(x: np.ndarray) -> np.ndarray:
+    """log(1 - exp(x)) for x < 0, accurate near 0 and far below it."""
+    out = np.empty_like(x)
+    near = x > -np.log(2.0)
+    out[near] = np.log(-np.expm1(x[near]))
+    out[~near] = np.log1p(-np.exp(x[~near]))
+    return out
+
+
+def _log_h(z: np.ndarray) -> np.ndarray:
+    """log(phi(z) + z Phi(z)), the log EI of a unit-variance posterior."""
+    out = np.empty_like(z)
+    upper = z > -1.0
+    tail = z <= _Z_ASYMPTOTE
+    mid = ~upper & ~tail
+    zu, zm, zt = z[upper], z[mid], z[tail]
+    out[upper] = np.log(norm.pdf(zu) + zu * norm.cdf(zu))
+    # phi(z) + z Phi(z) = phi(z) (1 - |z| erfcx(-z/sqrt2) sqrt(pi/2)) for z < 0.
+    out[mid] = -0.5 * zm**2 - _LOG_SQRT_2PI + _log1mexp(
+        np.log(erfcx(-zm / np.sqrt(2.0)) * np.abs(zm)) + _LOG_SQRT_PI_2
+    )
+    out[tail] = -0.5 * zt**2 - _LOG_SQRT_2PI - 2.0 * np.log(np.abs(zt))
+    return out
+
+
 def log_expected_improvement(
     mu: np.ndarray, sigma: np.ndarray, best: float
 ) -> np.ndarray:
-    z = (mu - best) / sigma
-    ei = (mu - best) * norm.cdf(z) + sigma * norm.pdf(z)
-    return np.log(np.maximum(ei, 1e-300))
+    """log EI = log h(z) + log sigma, finite however far below best mu lies
+    (Ament et al., "Unexpected Improvements to Expected Improvement", 2023)."""
+    return _log_h((mu - best) / sigma) + np.log(sigma)
 
 
 def run(
@@ -214,9 +266,11 @@ def run(
         observe(u, float((yield 0, u[None])[0]))
 
     step = 0
+    # The last successful fit's theta warm-starts the next; None means cold.
+    theta = None
     while True:
         step += 1
-        gp = _GP(np.array(xs), np.array(ys), warn)
+        gp = _GP(np.array(xs), np.array(ys), warn, theta)
         try:
             gp.fit(rng, opts)
         except FloatingPointError:
@@ -224,6 +278,7 @@ def run(
             u = rng.random(dim)
             observe(u, float((yield step, u[None])[0]))
             continue
+        theta = gp.theta
         best = float((max(ys) - gp.y_mean) / gp.y_std)
         sobol = qmc.Sobol(d=dim, scramble=True, seed=int(rng.integers(2**31)))
         cand = sobol.random(n_candidates)

@@ -193,17 +193,25 @@ def _airfoil_space() -> ParamSpace:
     return continuous_space(bounds)
 
 
-_THICKNESS_GRID = tuple(0.05 * i for i in range(1, 20))
+# Thickness t(x) = sqrt(x)(1-x) (S_u(x) - S_l(x)) + x t_te is checked at 19
+# grid stations (for t_min) and then at x = 0.33 and 0.90. The stations, their
+# Bernstein basis (8 x 21) and class-function factors are built once.
+_THICKNESS_STATIONS = tuple(0.05 * i for i in range(1, 20)) + (0.33, 0.90)
+_THICKNESS_X = np.array(_THICKNESS_STATIONS)
+_THICKNESS_BASIS = np.stack([geometry.bernstein_row(x) for x in _THICKNESS_STATIONS], axis=1)
+_THICKNESS_CLASS = np.sqrt(_THICKNESS_X) * (1.0 - _THICKNESS_X)
 
 
 def _airfoil_geometry_metrics(point: DesignPoint) -> dict:
     upper, lower = geometry.surface_weights(point.values)
     t_te = float(point["t_te"])
-    t_min = min(geometry.thickness(upper, lower, t_te, x) for x in _THICKNESS_GRID)
+    # A (2, 8) @ (8, 21) product sums each station like the per-station np.dot.
+    shape = np.stack([upper, lower]) @ _THICKNESS_BASIS
+    t = _THICKNESS_CLASS * (shape[0] - shape[1]) + _THICKNESS_X * t_te
     return {
-        "t_033": geometry.thickness(upper, lower, t_te, 0.33),
-        "t_090": geometry.thickness(upper, lower, t_te, 0.90),
-        "t_min": t_min,
+        "t_033": t[-2],
+        "t_090": t[-1],
+        "t_min": t[:-2].min(),
         "theta_te": geometry.trailing_wedge_angle_deg(upper, lower, t_te),
         "theta_le": geometry.leading_edge_angle_deg(upper, lower),
         "wiggliness": wiggliness([upper, lower]),

@@ -41,11 +41,6 @@ def shape_value(weights: np.ndarray, x: float) -> float:
     return float(np.dot(weights, bernstein_row(x)))
 
 
-def thickness(upper: np.ndarray, lower: np.ndarray, t_te: float, x: float) -> float:
-    c = np.sqrt(x) * (1.0 - x)
-    return c * (shape_value(upper, x) - shape_value(lower, x)) + x * t_te
-
-
 def trailing_wedge_angle_deg(upper: np.ndarray, lower: np.ndarray, t_te: float) -> float:
     """Opening angle between the surface tangents at the trailing edge."""
     su = shape_value(upper, 1.0)

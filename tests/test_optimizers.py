@@ -10,7 +10,18 @@ from aerobench.optimizers import (
     run_with_budget,
 )
 from aerobench.optimizers.base import fd_gradient
-from aerobench.optimizers.bo import JITTER_MAX, JITTER_START, _GP, _chol, _sq_dists
+from scipy.stats import norm
+
+from aerobench.optimizers import bo
+from aerobench.optimizers.bo import (
+    DEFAULT_THETA,
+    JITTER_MAX,
+    JITTER_START,
+    _GP,
+    _chol,
+    _sq_dists,
+    log_expected_improvement,
+)
 from aerobench.optimizers.cmaes import strategy_params
 from aerobench.optimizers.evolve import Archive, mutation_scale
 from aerobench.problems import (
@@ -300,6 +311,11 @@ def _gp_data(duplicates):
     return x, np.sin(4 * x[:, 0]) + x[:, 1] * x[:, 2]
 
 
+def _forrester(u):
+    x = float(u[0])
+    return float((6 * x - 2) ** 2 * np.sin(12 * x - 4))
+
+
 GP_THETAS = [np.log(t) for t in ([0.5, 1.0, 1e-3], [0.05, 0.1, 1e-5], [2.0, 4.0, 1e-5])]
 
 
@@ -388,6 +404,101 @@ class TestBo:
         assert np.array_equal(thetas[0], default)
         assert sum(np.array_equal(t, default) for t in thetas) == 1
 
+    @staticmethod
+    def _record_fits(monkeypatch, fail=()):
+        """The thetas each fit evaluated the likelihood at, and each fit's
+        result; fits whose index is in `fail` then raise FloatingPointError,
+        as a failed final factorization does."""
+        evaluated, fitted = [], []
+        original_fit, original_nll = _GP.fit, _GP._neg_mll_and_grad
+
+        def recording_nll(gp, theta):
+            evaluated[-1].append(np.array(theta))
+            return original_nll(gp, theta)
+
+        def recording_fit(gp, *args):
+            evaluated.append([])
+            original_fit(gp, *args)
+            fitted.append(gp.theta.copy())
+            if len(fitted) - 1 in fail:
+                raise FloatingPointError("GP covariance factorization failed")
+
+        monkeypatch.setattr(_GP, "_neg_mll_and_grad", recording_nll)
+        monkeypatch.setattr(_GP, "fit", recording_fit)
+        return evaluated, fitted
+
+    @staticmethod
+    def _run_sphere(budget):
+        # n_initial 5, so budget - 5 fits; fit_steps 8, so a warm fit makes <= 9 calls.
+        options = {"n_initial": 5, "fit_steps": 8}
+        run_with_budget(
+            sphere_env(2), OptimizerConfig(method="bo", budget=budget, seed=3, options=options)
+        )
+
+    def test_each_fit_warm_starts_from_the_last_fitted_theta(self, monkeypatch):
+        evaluated, fitted = self._record_fits(monkeypatch)
+        self._run_sphere(budget=12)
+        assert len(fitted) == 7
+        # The cold fit starts at the default theta and runs fit_starts (4) starts.
+        assert np.array_equal(evaluated[0][0], DEFAULT_THETA)
+        assert len(evaluated[0]) > 9
+        for previous, thetas in zip(fitted, evaluated[1:]):
+            assert np.array_equal(thetas[0], previous)
+            assert len(thetas) <= 9
+
+    def test_failed_fit_keeps_the_last_successful_theta(self, monkeypatch):
+        evaluated, fitted = self._record_fits(monkeypatch, fail={2})
+        self._run_sphere(budget=10)
+        # The failed fit moved theta, but the next fit starts where fit 1 ended.
+        assert not np.array_equal(fitted[2], fitted[1])
+        assert np.array_equal(evaluated[3][0], fitted[1])
+        assert len(evaluated[3]) <= 9
+
+    def test_fit_after_only_failures_runs_cold(self, monkeypatch):
+        evaluated, fitted = self._record_fits(monkeypatch, fail={0, 1})
+        self._run_sphere(budget=9)
+        for thetas in evaluated[:3]:
+            assert np.array_equal(thetas[0], DEFAULT_THETA)
+            assert len(thetas) > 9
+        assert np.array_equal(evaluated[3][0], fitted[2])
+
+    def test_log_ei_finite_increasing_and_equal_to_log_ei_where_representable(self):
+        mu = np.linspace(-40.0, 3.0, 4301)
+        lei = log_expected_improvement(mu, np.ones_like(mu), 0.0)
+        assert np.all(np.isfinite(lei))
+        assert np.all(np.diff(lei) > 0)
+        ei = mu * norm.cdf(mu) + norm.pdf(mu)
+        shown = ei > 1e-200
+        assert shown.sum() > 3000
+        # Relative: near z = -30 the direct formula itself loses about 1e-10 of
+        # log(EI) ~ -458 to cancellation between phi(z) and z Phi(z).
+        np.testing.assert_allclose(lei[shown], np.log(ei[shown]), rtol=1e-12, atol=0)
+
+    def test_log_ei_tail_stays_finite_and_decreasing(self):
+        z = -np.logspace(0.0, 9.0, 20001)
+        lei = log_expected_improvement(z, np.ones_like(z), 0.0)
+        assert np.all(np.isfinite(lei))
+        assert np.all(np.diff(lei) < 0)
+
+    def test_forrester_acquisition_has_no_ties(self, monkeypatch):
+        # Under a log(max(EI, 1e-300)) floor, most Sobol candidates of this run
+        # tied on that floor; distinct candidates must get distinct values.
+        calls = []
+
+        def recording(mu, sigma, best):
+            lei = log_expected_improvement(mu, sigma, best)
+            calls.append(lei)
+            return lei
+
+        monkeypatch.setattr(bo, "log_expected_improvement", recording)
+        env = function_environment(continuous_space({"x": (0.0, 1.0)}), _forrester, MINIMIZE)
+        run_with_budget(env, OptimizerConfig(method="bo", budget=60, seed=11))
+        sobol = [lei for lei in calls if len(lei) == bo.DEFAULTS["n_candidates"]]
+        assert len(sobol) == 30
+        for lei in sobol:
+            assert np.all(np.isfinite(lei))
+            assert len(np.unique(lei)) == len(lei)
+
     def test_mll_nondecreasing_over_accepted_steps(self):
         rng = np.random.Generator(np.random.Philox(key=3))
         x = rng.random((20, 2))
@@ -410,12 +521,7 @@ class TestBo:
 
     def test_finds_multimodal_basin(self):
         space = continuous_space({"x": (0.0, 1.0)})
-
-        def forrester(u):
-            x = float(u[0])
-            return float((6 * x - 2) ** 2 * np.sin(12 * x - 4))
-
-        env = function_environment(space, forrester, MINIMIZE)
+        env = function_environment(space, _forrester, MINIMIZE)
         traj = run_with_budget(env, OptimizerConfig(method="bo", budget=60, seed=11))
         assert abs(traj.best_design.values["x"] - 0.757249) <= 0.05
 

@@ -16,12 +16,15 @@ from aerobench.problems import (
     task_ids,
     write_catalog,
 )
+from aerobench.problems import geometry
 from aerobench.problems.catalog import (
     BISECTION_ITERS,
     BWB_ALPHA_RANGE,
     CATALOG_ENV_VAR,
     RANGE_ALPHA_RANGE,
     RANGE_MACH,
+    _airfoil_geometry_metrics,
+    _airfoil_space,
 )
 from aerobench.space import DesignPoint, ParamSpace, SpaceError, continuous_space
 
@@ -276,6 +279,28 @@ def test_trim_landscape_within_bisection_resolution(task_id, alpha_range, term_s
         assert checked >= 25
     finally:
         env.close()
+
+
+def _station_thickness(upper, lower, t_te, x):
+    """Thickness at one station with one np.dot per surface, as before the matmul."""
+    row = geometry.bernstein_row(x)
+    c = np.sqrt(x) * (1.0 - x)
+    return c * (float(np.dot(upper, row)) - float(np.dot(lower, row))) + x * t_te
+
+
+def test_airfoil_thickness_matches_per_station_dot():
+    grid = tuple(0.05 * i for i in range(1, 20))
+    for point in _airfoil_space().sample_uniform(seed=12, n=500):
+        upper, lower = geometry.surface_weights(point.values)
+        t_te = float(point["t_te"])
+        metrics = _airfoil_geometry_metrics(point)
+        expected = {
+            "t_033": _station_thickness(upper, lower, t_te, 0.33),
+            "t_090": _station_thickness(upper, lower, t_te, 0.90),
+            "t_min": min(_station_thickness(upper, lower, t_te, x) for x in grid),
+        }
+        for key, value in expected.items():
+            assert float(metrics[key]).hex() == float(value).hex(), key
 
 
 def test_describe_is_json_serializable():
