@@ -1,9 +1,12 @@
 """Tiered design-validity checks and evidence-bundle assembly."""
+import copy
+import functools
 import math
 import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from aerobench.diagnostics import (
     near_bound_fraction,
     worst_status,
 )
+from aerobench.problems.catalog import get_environment
 from aerobench.space import continuous_space
 
 TOL = 1e-9
@@ -511,5 +515,149 @@ class TestBundleValidation:
         code = (
             "import aerobench.diagnostics as d; "
             "assert d._bundle_validator.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _corpus():
+    """Real bundles from catalog designs, with and without artifacts, images and a report."""
+    bundles = []
+    for t, task in enumerate(("car-drag-single", "delta-ld-single", "bwb-drag-multipoint")):
+        env = get_environment(task)
+        for k, point in enumerate(env.space.sample_uniform(t, 2)):
+            inputs = DiagnosticInputs(
+                environment=task,
+                design_id=f"{task}-{k}",
+                space=env.space,
+                design_params=dict(point.values),
+                metrics=dict(env.evaluate(point).metrics),
+                artifacts={"base_vtk_path": "absent_base.vtk"} if k else {},
+                images=tuple(f"sol/{task}_{s}" for s in EXPECTED_IMAGE_SUFFIXES[:4]) if k else None,
+                profile=env.diagnostics_profile,
+            )
+            report = {"diagnostic_status": "complete", "k": k} if k else None
+            bundles.append(build_evidence_bundle(inputs, llm_report=report))
+        env.close()
+    return tuple(bundles)
+
+
+def _locations(node, path=()):
+    """The path of every value in a bundle, the root's `()` first."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _locations(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _locations(value, path + (i,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _assert_same_outcome(bundle):
+    """The predicate accepts only valid bundles, and `_validated` returns the
+    bundle or raises exactly what `jsonschema.validate` raises. Returns
+    whether the predicate accepted the bundle."""
+    accepted = diagnostics._bundle_accepts()(bundle)
+    if accepted:
+        assert diagnostics._bundle_validator().is_valid(bundle)
+    try:
+        jsonschema.validate(bundle, bundle_schema())
+    except jsonschema.ValidationError as expected:
+        with pytest.raises(jsonschema.ValidationError) as got:
+            diagnostics._validated(bundle)
+        assert got.value.message == expected.message
+        assert list(got.value.path) == list(expected.path)
+        assert list(got.value.schema_path) == list(expected.schema_path)
+        assert got.value.validator == expected.validator
+    else:
+        assert diagnostics._validated(bundle) is bundle
+    return accepted
+
+
+_REPLACEMENTS = (
+    None, True, False, 0, 1, -1, 2, 0.5, 1.0, 3.0, -0.5, math.nan, math.inf, -math.inf,
+    np.float64(2.0), np.float64(0.5), np.int64(1), np.int64(-1),
+    "x", "ok", "0.1.0", "feasibility", (), ("x",), [], ["x"], [1], {}, {"k": 1},
+)
+_NEW_KEYS = ("extra", "ok", "severity", "version", "feasibility", "check_id")
+
+
+class TestCompiledPredicate:
+    """Valid bundles skip `jsonschema`; any other bundle gets its exact error."""
+
+    def test_corpus_accepted(self):
+        for bundle in _corpus():
+            assert _assert_same_outcome(bundle)
+
+    @pytest.mark.parametrize(
+        "path, value, accepted, valid",
+        [
+            (("evidence_bundle", "feasibility", 0, "severity"), math.nan, True, True),
+            (("evidence_bundle", "feasibility", 0, "severity"), True, False, False),
+            (("evidence_bundle", "geometry", 0, "severity"), np.float64(2.0), False, False),
+            (("evidence_bundle", "summary", "aero", "ok"), 1.0, False, True),
+            (("evidence_bundle", "aero", 0, "severity"), 1.5, False, False),
+            (("evidence_bundle", "summary", "geometry", "issue"), -1, False, False),
+        ],
+    )
+    def test_explicit_mutations(self, path, value, accepted, valid):
+        bundle = copy.deepcopy(_corpus()[0])
+        _at(bundle, path[:-1])[path[-1]] = value
+        assert _assert_same_outcome(bundle) is accepted
+        assert diagnostics._bundle_validator().is_valid(bundle) is valid
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_bundles_match_jsonschema(self, data):
+        bundle = copy.deepcopy(data.draw(st.sampled_from(_corpus())))
+        locations = list(_locations(bundle))
+        value = copy.deepcopy(data.draw(st.sampled_from(_REPLACEMENTS)))
+        action = data.draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "replace":
+            path = data.draw(st.sampled_from(locations))
+            if path:
+                _at(bundle, path[:-1])[path[-1]] = value
+            else:
+                bundle = value
+        elif action == "delete":
+            path = data.draw(st.sampled_from(locations[1:]))
+            del _at(bundle, path[:-1])[path[-1]]
+        else:
+            dicts = [p for p in locations if isinstance(_at(bundle, p), dict)]
+            path = data.draw(st.sampled_from(dicts))
+            _at(bundle, path)[data.draw(st.sampled_from(_NEW_KEYS))] = value
+        _assert_same_outcome(bundle)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["properties"]["design_id"].update(pattern="^[a-z]"),
+            lambda s: s["definitions"]["check"]["properties"]["metadata"].update(
+                patternProperties={"^x": {"type": "string"}}
+            ),
+            lambda s: s["properties"]["evidence_bundle"]["properties"]["aero"]["items"].update(
+                {"$ref": "checks.json#/definitions/check"}
+            ),
+            lambda s: s.update({"$schema": "http://json-schema.org/draft-04/schema#"}),
+        ],
+        ids=["pattern", "patternProperties", "non-local-ref", "draft-04"],
+    )
+    def test_uncompiled_schema_raises(self, edit):
+        schema = bundle_schema()
+        diagnostics._compile_accepts(schema)
+        edit(schema)
+        with pytest.raises(ValueError):
+            diagnostics._compile_accepts(schema)
+
+    def test_predicate_not_built_at_import(self):
+        code = (
+            "import aerobench.diagnostics as d; "
+            "assert d._bundle_accepts.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", code], check=True)

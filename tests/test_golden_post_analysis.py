@@ -208,6 +208,21 @@ def test_bundles_match_golden(golden):
     assert bundle_digest() == golden["bundles"]
 
 
+def test_golden_bundles_skip_jsonschema(golden, monkeypatch):
+    """The compiled predicate accepts every golden bundle on its own."""
+    cls = type(diagnostics._bundle_validator())
+    original = cls.iter_errors
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "iter_errors", counting)
+    assert bundle_digest() == golden["bundles"]
+    assert calls == []
+
+
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w") as fh:
         golden = {
