@@ -291,6 +291,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _all_str(values) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.task not in catalog.task_ids():
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
@@ -307,14 +311,32 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         print("error: design and metrics files must contain JSON objects", file=sys.stderr)
         return 1
 
+    metrics = payload.get("metrics", payload)
+    images = payload.get("images")
+    artifacts = payload.get("model_artifacts", {})
+    environment = payload.get("environment", args.task)
+    design_id = design.get("name") or payload.get("design_id", "design")
+    if not isinstance(metrics, dict):
+        problem = "metrics must be a JSON object"
+    elif images is not None and not (isinstance(images, list) and _all_str(images)):
+        problem = "images must be a list of strings"
+    elif not isinstance(artifacts, dict) or not _all_str(
+        p for p in artifacts.values() if p is not None
+    ):
+        problem = "model_artifacts must be an object of string paths"
+    elif not _all_str((environment, design_id)):
+        problem = "environment and design_id must be strings"
+    else:
+        problem = None
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
+
     env = catalog.get_environment(args.task)
     try:
-        metrics = payload.get("metrics", payload)
-        images = payload.get("images")
-        artifacts = payload.get("model_artifacts", {})
         inputs = DiagnosticInputs(
-            environment=payload.get("environment", args.task),
-            design_id=design.get("name") or payload.get("design_id", "design"),
+            environment=environment,
+            design_id=design_id,
             space=env.space,
             design_params=design,
             metrics=metrics,

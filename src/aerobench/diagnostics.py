@@ -31,6 +31,10 @@ STATUS_ISSUE = "issue"
 STATUS_ERROR = "error"
 STATUS_MISSING = "missing"
 _STATUSES = (STATUS_OK, STATUS_WARNING, STATUS_ISSUE, STATUS_ERROR, STATUS_MISSING)
+# Least to most severe, for `worst_status`.
+_STATUS_ORDER = {
+    STATUS_OK: 0, STATUS_MISSING: 1, STATUS_WARNING: 2, STATUS_ISSUE: 3, STATUS_ERROR: 4
+}
 
 # G-check thresholds.
 NEAR_BOUND_MARGIN_RATIO = 0.05
@@ -267,73 +271,87 @@ class DiagnosticInputs:
 
 
 # ---------------------------------------------------------------------------
+# Check outcomes
+# ---------------------------------------------------------------------------
+
+_TIERS = {"F": "feasibility", "G": "geometry", "A": "aero"}
+
+
+def _missing(
+    check_id: str, message: str, threshold: Any, refs: tuple[str, ...], value: Any = None
+) -> CheckResult:
+    """A check whose inputs were not supplied: `missing` at severity 0."""
+    return CheckResult(
+        check_id, _TIERS[check_id[0]], STATUS_MISSING, 0.0, message, value, threshold, refs
+    )
+
+
+def _flag(
+    check_id: str,
+    tripped: bool,
+    status: str,
+    severity: float,
+    ok_msg: str,
+    bad_msg: str,
+    value: Any,
+    threshold: Any,
+    refs: tuple[str, ...],
+) -> CheckResult:
+    """`status` at the clamped `severity` if `tripped`, else `ok` at severity 0."""
+    tier = _TIERS[check_id[0]]
+    if tripped:
+        return CheckResult(
+            check_id, tier, status, _clamp01(severity), bad_msg, value, threshold, refs
+        )
+    return CheckResult(check_id, tier, STATUS_OK, 0.0, ok_msg, value, threshold, refs)
+
+
+def _as_float(value: Any) -> float | None:
+    """`float(value)`, or None when the value has no float reading."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+# ---------------------------------------------------------------------------
 # Feasibility tier (F001-F006)
 # ---------------------------------------------------------------------------
 
 
 def check_bounds_and_presence(inputs: DiagnosticInputs) -> list[CheckResult]:
-    space = inputs.space
     params = inputs.design_params
     refs = inputs.design_refs
-
-    missing = [v.name for v in space.variables if v.name not in params]
-    results = [
-        CheckResult(
-            check_id="F001_required_params_present",
-            tier="feasibility",
-            status=STATUS_OK if not missing else STATUS_ISSUE,
-            severity=0.0 if not missing else 1.0,
-            message=(
-                "All required parameters present."
-                if not missing
-                else f"Missing required parameters: {missing}."
-            ),
-            value={"missing": missing},
-            threshold=None,
-            evidence_refs=refs[:1],
-        )
-    ]
-
+    missing = [v.name for v in inputs.space.variables if v.name not in params]
     violations = []
-    for v in space.variables:
+    for v in inputs.space.variables:
         if v.name not in params:
             continue
         val = params[v.name]
-        if v.kind == CONTINUOUS:
-            try:
-                x = float(val)
-            except (TypeError, ValueError):
-                violations.append({"key": v.name, "value": val, "reason": "non-numeric"})
-                continue
-            # Bounds are a closed interval: exactly-at-bound passes.
-            if not (v.lower <= x <= v.upper):
-                violations.append(
-                    {
-                        "key": v.name,
-                        "value": x,
-                        "lower": v.lower,
-                        "upper": v.upper,
-                    }
-                )
-        else:
+        if v.kind != CONTINUOUS:
             if val not in v.levels:
                 violations.append({"key": v.name, "value": val, "reason": "unknown level"})
-    results.append(
-        CheckResult(
-            check_id="F002_param_bounds_respected",
-            tier="feasibility",
-            status=STATUS_OK if not violations else STATUS_ISSUE,
-            severity=0.0 if not violations else 1.0,
-            message=(
-                "All parameter values within bounds."
-                if not violations
-                else f"{len(violations)} parameter(s) violate bounds."
-            ),
-            value={"violations": violations},
-            threshold="within configured bounds",
-            evidence_refs=refs,
-        )
-    )
+            continue
+        x = _as_float(val)
+        if x is None:
+            violations.append({"key": v.name, "value": val, "reason": "non-numeric"})
+        # Bounds are a closed interval: exactly-at-bound passes.
+        elif not v.lower <= x <= v.upper:
+            violations.append({"key": v.name, "value": x, "lower": v.lower, "upper": v.upper})
+    results = [
+        _flag(
+            "F001_required_params_present", bool(missing), STATUS_ISSUE, 1.0,
+            "All required parameters present.",
+            f"Missing required parameters: {missing}.",
+            {"missing": missing}, None, refs[:1],
+        ),
+        _flag(
+            "F002_param_bounds_respected", bool(violations), STATUS_ISSUE, 1.0,
+            "All parameter values within bounds.",
+            f"{len(violations)} parameter(s) violate bounds.",
+            {"violations": violations}, "within configured bounds", refs,
+        ),
+    ]
 
     for check_id, key, label in (
         ("F003_base_vtk_exists", "base_vtk_path", "Base VTK"),
@@ -341,55 +359,25 @@ def check_bounds_and_presence(inputs: DiagnosticInputs) -> list[CheckResult]:
     ):
         path = inputs.artifacts.get(key)
         if path is None:
-            status = STATUS_MISSING
-            msg = f"{label} path not supplied."
-        elif os.path.exists(path):
-            status = STATUS_OK
-            msg = f"{label} exists."
+            results.append(_missing(check_id, f"{label} path not supplied.", None, ()))
         else:
-            status = STATUS_ISSUE
-            msg = f"{label} not found at the declared path."
-        results.append(
-            CheckResult(
-                check_id=check_id,
-                tier="feasibility",
-                status=status,
-                severity=1.0 if status == STATUS_ISSUE else 0.0,
-                message=msg,
-                value=path,
-                threshold=None,
-                evidence_refs=(path,) if path else (),
-            )
-        )
+            results.append(_flag(
+                check_id, not os.path.exists(path), STATUS_ISSUE, 1.0,
+                f"{label} exists.", f"{label} not found at the declared path.",
+                path, None, (path,) if path else (),
+            ))
 
     required_metrics = list(inputs.profile.get("required_metrics", inputs.metrics))
     metric_missing = [k for k in required_metrics if k not in inputs.metrics]
     non_finite = [
-        k
-        for k in required_metrics
-        if k in inputs.metrics
-        and not (
-            isinstance(inputs.metrics[k], (int, float))
-            and math.isfinite(inputs.metrics[k])
-        )
+        k for k in required_metrics if k in inputs.metrics and _finite(inputs.metrics, k) is None
     ]
-    clean = not metric_missing and not non_finite
-    results.append(
-        CheckResult(
-            check_id="F005_metrics_finite",
-            tier="feasibility",
-            status=STATUS_OK if clean else STATUS_ISSUE,
-            severity=0.0 if clean else 1.0,
-            message=(
-                "All required metrics are finite."
-                if clean
-                else f"Metric problems: missing {metric_missing}, non-finite {non_finite}."
-            ),
-            value={"missing": metric_missing, "non_finite": non_finite},
-            threshold=None,
-            evidence_refs=refs,
-        )
-    )
+    results.append(_flag(
+        "F005_metrics_finite", bool(metric_missing or non_finite), STATUS_ISSUE, 1.0,
+        "All required metrics are finite.",
+        f"Metric problems: missing {metric_missing}, non-finite {non_finite}.",
+        {"missing": metric_missing, "non_finite": non_finite}, None, refs,
+    ))
 
     # F006: opaque compatibility-token equality between the environment's
     # expected token and the provided artifact path, with the short style
@@ -397,35 +385,24 @@ def check_bounds_and_presence(inputs: DiagnosticInputs) -> list[CheckResult]:
     token = inputs.profile.get("compat_token")
     norm_path = inputs.artifacts.get("norm_stats_path", "")
     base_path = inputs.artifacts.get("base_vtk_path", "")
+    value = {"style": None, "norm_stats_path": norm_path or None}
     if token is None or (not base_path and not norm_path):
-        status = STATUS_MISSING
-        msg = (
+        results.append(_missing(
+            "F006_body_style_norm_compatibility",
             "No compatibility token declared for this environment."
             if token is None
-            else "No artifacts supplied for compatibility inference."
-        )
-        style = None
+            else "No artifacts supplied for compatibility inference.",
+            None, refs, value,
+        ))
     else:
-        style = str(token).rsplit("_", 1)[-1]
+        value["style"] = style = str(token).rsplit("_", 1)[-1]
         compatible = token in (base_path or "") or token in (norm_path or "")
-        status = STATUS_OK if compatible else STATUS_ISSUE
-        msg = (
-            f"Norm stats compatible with inferred body style '{style}'."
-            if compatible
-            else f"Artifacts do not match compatibility token '{token}'."
-        )
-    results.append(
-        CheckResult(
-            check_id="F006_body_style_norm_compatibility",
-            tier="feasibility",
-            status=status,
-            severity=0.0 if status in (STATUS_OK, STATUS_MISSING) else 1.0,
-            message=msg,
-            value={"style": style, "norm_stats_path": norm_path or None},
-            threshold=None,
-            evidence_refs=refs,
-        )
-    )
+        results.append(_flag(
+            "F006_body_style_norm_compatibility", not compatible, STATUS_ISSUE, 1.0,
+            f"Norm stats compatible with inferred body style '{style}'.",
+            f"Artifacts do not match compatibility token '{token}'.",
+            value, None, refs,
+        ))
     return results
 
 
@@ -452,9 +429,8 @@ def near_bound_fraction(
     for v in space.variables:
         if v.kind != CONTINUOUS or v.name not in params:
             continue
-        try:
-            x = float(params[v.name])
-        except (TypeError, ValueError):
+        x = _as_float(params[v.name])
+        if x is None:
             continue
         total += 1
         margin = margin_ratio * (v.upper - v.lower)
@@ -465,155 +441,105 @@ def near_bound_fraction(
     return len(keys) / total, keys
 
 
+def _read_floats(
+    params: Mapping[str, Any], keys: Sequence[str]
+) -> tuple[dict[str, float | None], list[str], list[str]]:
+    """The float reading of each of `keys` in `params`, the absent keys and the non-numeric."""
+    values = {k: _as_float(params[k]) for k in keys if k in params}
+    absent = [k for k in keys if k not in params]
+    return values, absent, [k for k, x in values.items() if x is None]
+
+
 def check_geometry(inputs: DiagnosticInputs) -> list[CheckResult]:
     space = inputs.space
     params = inputs.design_params
+    profile = inputs.profile
     refs = inputs.design_refs
-    results = []
 
+    threshold = {"warn_fraction": G001_WARN_FRACTION, "margin_ratio": NEAR_BOUND_MARGIN_RATIO}
     try:
         fraction, keys = near_bound_fraction(space, params)
     except ValueError:
-        results.append(
-            CheckResult(
-                check_id="G001_param_extremeness_ratio",
-                tier="geometry",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message="No numeric parameters available for extremeness analysis.",
-                value=None,
-                threshold={"warn_fraction": G001_WARN_FRACTION, "margin_ratio": NEAR_BOUND_MARGIN_RATIO},
-                evidence_refs=refs,
-            )
+        g001 = _missing(
+            "G001_param_extremeness_ratio",
+            "No numeric parameters available for extremeness analysis.",
+            threshold, refs,
         )
     else:
-        tripped = fraction > G001_WARN_FRACTION
-        severity = (
-            _clamp01(0.5 + 2.0 * (fraction - G001_WARN_FRACTION)) if tripped else 0.0
-        )
-        results.append(
-            CheckResult(
-                check_id="G001_param_extremeness_ratio",
-                tier="geometry",
-                status=STATUS_WARNING if tripped else STATUS_OK,
-                severity=severity,
-                message=(
-                    f"High fraction of parameters near bounds ({fraction:.2f})."
-                    if tripped
-                    else f"Parameter extremeness acceptable ({fraction:.2f})."
-                ),
-                value={"near_bound_fraction": fraction, "near_bound_keys": keys},
-                threshold={
-                    "warn_fraction": G001_WARN_FRACTION,
-                    "margin_ratio": NEAR_BOUND_MARGIN_RATIO,
-                },
-                evidence_refs=refs,
-            )
+        g001 = _flag(
+            "G001_param_extremeness_ratio", fraction > G001_WARN_FRACTION, STATUS_WARNING,
+            0.5 + 2.0 * (fraction - G001_WARN_FRACTION),
+            f"Parameter extremeness acceptable ({fraction:.2f}).",
+            f"High fraction of parameters near bounds ({fraction:.2f}).",
+            {"near_bound_fraction": fraction, "near_bound_keys": keys}, threshold, refs,
         )
 
-    angle_params = list(inputs.profile.get("angle_params", []))
-    missing_angles = [k for k in angle_params if k not in params]
-    if not angle_params or missing_angles:
-        results.append(
-            CheckResult(
-                check_id="G002_combined_angle_stress",
-                tier="geometry",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message=(
-                    "No angle-type parameters declared."
-                    if not angle_params
-                    else f"Angle parameters missing: {missing_angles}."
-                ),
-                value=None,
-                threshold={"warn_sum": G002_WARN_SUM},
-                evidence_refs=refs,
-            )
+    angle_params = list(profile.get("angle_params", []))
+    angles, absent, non_numeric = _read_floats(params, angle_params)
+    threshold = {"warn_sum": G002_WARN_SUM}
+    if not angle_params:
+        g002 = _missing(
+            "G002_combined_angle_stress", "No angle-type parameters declared.", threshold, refs
+        )
+    elif absent or non_numeric:
+        g002 = _missing(
+            "G002_combined_angle_stress",
+            f"Angle parameters missing: {absent}."
+            if absent
+            else f"Angle parameters non-numeric: {non_numeric}.",
+            threshold, refs,
         )
     else:
-        angle_sum = float(sum(abs(float(params[k])) for k in angle_params))
-        tripped = angle_sum > G002_WARN_SUM
-        severity = _clamp01(angle_sum / (2.0 * G002_WARN_SUM)) if tripped else 0.0
-        results.append(
-            CheckResult(
-                check_id="G002_combined_angle_stress",
-                tier="geometry",
-                status=STATUS_WARNING if tripped else STATUS_OK,
-                severity=severity,
-                message=(
-                    f"Combined angle stress is high ({angle_sum:.2f} deg abs-sum)."
-                    if tripped
-                    else f"Combined angle stress acceptable ({angle_sum:.2f} deg abs-sum)."
-                ),
-                value={"combined_abs_angle_sum": angle_sum},
-                threshold={"warn_sum": G002_WARN_SUM},
-                evidence_refs=refs,
-            )
+        angle_sum = float(sum(abs(angles[k]) for k in angle_params))
+        g002 = _flag(
+            "G002_combined_angle_stress", angle_sum > G002_WARN_SUM, STATUS_WARNING,
+            angle_sum / (2.0 * G002_WARN_SUM),
+            f"Combined angle stress acceptable ({angle_sum:.2f} deg abs-sum).",
+            f"Combined angle stress is high ({angle_sum:.2f} deg abs-sum).",
+            {"combined_abs_angle_sum": angle_sum}, threshold, refs,
         )
 
-    scale_key = inputs.profile.get("scale_param")
-    width_key = inputs.profile.get("width_param")
-    length_key = inputs.profile.get("length_param")
-    declared = scale_key and width_key and length_key
-    have_all = declared and all(k in params for k in (scale_key, width_key, length_key))
-    if not have_all:
-        results.append(
-            CheckResult(
-                check_id="G003_size_width_length_coupling",
-                tier="geometry",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message=(
-                    "No scale/width/length parameters declared."
-                    if not declared
-                    else "Declared scale/width/length parameters missing from design."
-                ),
-                value=None,
-                threshold={"warn_score": G003_WARN_SCORE},
-                evidence_refs=refs,
-            )
+    size_keys = [profile.get(k) for k in ("scale_param", "width_param", "length_param")]
+    sizes, absent, non_numeric = _read_floats(params, size_keys)
+    threshold = {"warn_score": G003_WARN_SCORE}
+    if not all(size_keys):
+        g003 = _missing(
+            "G003_size_width_length_coupling",
+            "No scale/width/length parameters declared.", threshold, refs,
+        )
+    elif absent or non_numeric:
+        g003 = _missing(
+            "G003_size_width_length_coupling",
+            "Declared scale/width/length parameters missing from design."
+            if absent
+            else f"Scale/width/length parameters non-numeric: {non_numeric}.",
+            threshold, refs,
         )
     else:
-        scale_var = space.var(scale_key)
-        width_var = space.var(width_key)
-        length_var = space.var(length_key)
-        scale_nominal = 0.5 * (scale_var.lower + scale_var.upper)
-        scale_half = 0.5 * (scale_var.upper - scale_var.lower)
-        width_half = 0.5 * (width_var.upper - width_var.lower)
-        length_half = 0.5 * (length_var.upper - length_var.lower)
-        scale = float(params[scale_key])
-        width = float(params[width_key])
-        length = float(params[length_key])
+        scale_key, width_key, length_key = size_keys
+        scale_var, width_var, length_var = (space.var(k) for k in size_keys)
+        scale, width, length = (sizes[k] for k in size_keys)
         coupling = (
-            abs(scale - scale_nominal) / scale_half
-            + abs(width) / width_half
-            + abs(length) / length_half
+            abs(scale - 0.5 * (scale_var.lower + scale_var.upper))
+            / (0.5 * (scale_var.upper - scale_var.lower))
+            + abs(width) / (0.5 * (width_var.upper - width_var.lower))
+            + abs(length) / (0.5 * (length_var.upper - length_var.lower))
         )
-        tripped = coupling > G003_WARN_SCORE
-        severity = _clamp01(coupling / G003_SEVERITY_MAX) if tripped else 0.0
-        results.append(
-            CheckResult(
-                check_id="G003_size_width_length_coupling",
-                tier="geometry",
-                status=STATUS_WARNING if tripped else STATUS_OK,
-                severity=severity,
-                message=(
-                    "Global scale + width/length coupling is aggressive; "
-                    "geometry realism risk increased."
-                    if tripped
-                    else "Scale/width/length coupling within expected range."
-                ),
-                value={
-                    scale_key: scale,
-                    f"abs_{width_key}": abs(width),
-                    f"abs_{length_key}": abs(length),
-                    "coupling_score": coupling,
-                },
-                threshold={"warn_score": G003_WARN_SCORE},
-                evidence_refs=refs,
-            )
+        g003 = _flag(
+            "G003_size_width_length_coupling", coupling > G003_WARN_SCORE, STATUS_WARNING,
+            coupling / G003_SEVERITY_MAX,
+            "Scale/width/length coupling within expected range.",
+            "Global scale + width/length coupling is aggressive; "
+            "geometry realism risk increased.",
+            {
+                scale_key: scale,
+                f"abs_{width_key}": abs(width),
+                f"abs_{length_key}": abs(length),
+                "coupling_score": coupling,
+            },
+            threshold, refs,
         )
-    return results
+    return [g001, g002, g003]
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +549,8 @@ def check_geometry(inputs: DiagnosticInputs) -> list[CheckResult]:
 
 def _finite(metrics: Mapping[str, Any], key: str) -> float | None:
     val = metrics.get(key)
-    if isinstance(val, (int, float)) and math.isfinite(val):
-        return float(val)
-    return None
+    x = _as_float(val) if isinstance(val, (int, float)) else None
+    return x if x is not None and math.isfinite(x) else None
 
 
 def check_aero(inputs: DiagnosticInputs) -> list[CheckResult]:
@@ -636,161 +561,74 @@ def check_aero(inputs: DiagnosticInputs) -> list[CheckResult]:
     drag = _finite(metrics, "drag")
     dp = _finite(metrics, "drag_pressure")
     ds = _finite(metrics, "drag_shear")
+    threshold = {"warn_rel_err": A001_WARN_REL_ERR}
     if drag is None or dp is None or ds is None:
-        results.append(
-            CheckResult(
-                check_id="A001_drag_decomposition_consistency",
-                tier="aero",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message="Drag decomposition metrics unavailable.",
-                value=None,
-                threshold={"warn_rel_err": A001_WARN_REL_ERR},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_missing(
+            "A001_drag_decomposition_consistency",
+            "Drag decomposition metrics unavailable.", threshold, refs,
+        ))
     else:
         rel_err = abs(drag - (dp + ds)) / max(abs(drag), 1e-12)
-        tripped = rel_err > A001_WARN_REL_ERR
-        severity = (
-            _clamp01((rel_err - A001_WARN_REL_ERR) / A001_WARN_REL_ERR) if tripped else 0.0
-        )
-        results.append(
-            CheckResult(
-                check_id="A001_drag_decomposition_consistency",
-                tier="aero",
-                status=STATUS_WARNING if tripped else STATUS_OK,
-                severity=severity,
-                message=(
-                    f"Drag decomposition inconsistent (rel_err={rel_err:.5f})."
-                    if tripped
-                    else f"Drag decomposition consistent (rel_err={rel_err:.5f})."
-                ),
-                value={
-                    "drag": drag,
-                    "drag_pressure_plus_shear": dp + ds,
-                    "rel_err": rel_err,
-                },
-                threshold={"warn_rel_err": A001_WARN_REL_ERR},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_flag(
+            "A001_drag_decomposition_consistency", rel_err > A001_WARN_REL_ERR, STATUS_WARNING,
+            (rel_err - A001_WARN_REL_ERR) / A001_WARN_REL_ERR,
+            f"Drag decomposition consistent (rel_err={rel_err:.5f}).",
+            f"Drag decomposition inconsistent (rel_err={rel_err:.5f}).",
+            {"drag": drag, "drag_pressure_plus_shear": dp + ds, "rel_err": rel_err},
+            threshold, refs,
+        ))
 
     cd = _finite(metrics, "Cd")
     lo, hi = A002_CD_RANGE
+    threshold = {"min": lo, "max": hi}
     if cd is None:
-        results.append(
-            CheckResult(
-                check_id="A002_cd_plausible_range",
-                tier="aero",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message="Cd metric unavailable.",
-                value=None,
-                threshold={"min": lo, "max": hi},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_missing(
+            "A002_cd_plausible_range", "Cd metric unavailable.", threshold, refs
+        ))
     else:
         excess = max(lo - cd, cd - hi, 0.0)
-        tripped = excess > 0.0
-        results.append(
-            CheckResult(
-                check_id="A002_cd_plausible_range",
-                tier="aero",
-                status=STATUS_WARNING if tripped else STATUS_OK,
-                severity=_clamp01(excess / hi) if tripped else 0.0,
-                message=(
-                    "Cd outside plausible warning band."
-                    if tripped
-                    else "Cd within plausible warning band."
-                ),
-                value=cd,
-                threshold={"min": lo, "max": hi},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_flag(
+            "A002_cd_plausible_range", excess > 0.0, STATUS_WARNING, excess / hi,
+            "Cd within plausible warning band.", "Cd outside plausible warning band.",
+            cd, threshold, refs,
+        ))
 
     lift = _finite(metrics, "lift")
+    threshold = {"warn_abs": A003_WARN_ABS_LIFT}
     if lift is None:
-        results.append(
-            CheckResult(
-                check_id="A003_lift_plausible_range",
-                tier="aero",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message="Lift metric unavailable.",
-                value=None,
-                threshold={"warn_abs": A003_WARN_ABS_LIFT},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_missing(
+            "A003_lift_plausible_range", "Lift metric unavailable.", threshold, refs
+        ))
     else:
         excess = abs(lift) - A003_WARN_ABS_LIFT
-        tripped = excess > 0.0
-        results.append(
-            CheckResult(
-                check_id="A003_lift_plausible_range",
-                tier="aero",
-                status=STATUS_WARNING if tripped else STATUS_OK,
-                severity=_clamp01(excess / A003_WARN_ABS_LIFT) if tripped else 0.0,
-                message=(
-                    "Lift magnitude outside plausible warning range."
-                    if tripped
-                    else "Lift magnitude within plausible warning range."
-                ),
-                value=lift,
-                threshold={"warn_abs": A003_WARN_ABS_LIFT},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_flag(
+            "A003_lift_plausible_range", excess > 0.0, STATUS_WARNING,
+            excess / A003_WARN_ABS_LIFT,
+            "Lift magnitude within plausible warning range.",
+            "Lift magnitude outside plausible warning range.",
+            lift, threshold, refs,
+        ))
 
+    total = len(EXPECTED_IMAGE_SUFFIXES)
+    threshold = {"expected_total": total}
     if inputs.images is None:
-        results.append(
-            CheckResult(
-                check_id="A004_image_availability_signal",
-                tier="aero",
-                status=STATUS_MISSING,
-                severity=0.0,
-                message="No image list supplied.",
-                value=None,
-                threshold={"expected_total": len(EXPECTED_IMAGE_SUFFIXES)},
-                evidence_refs=refs,
-            )
-        )
+        results.append(_missing(
+            "A004_image_availability_signal", "No image list supplied.", threshold, refs
+        ))
         return results
-
     suffix_map = {
         suffix: any(img.endswith(suffix) for img in inputs.images)
         for suffix in EXPECTED_IMAGE_SUFFIXES
     }
     present = sum(suffix_map.values())
-    total = len(EXPECTED_IMAGE_SUFFIXES)
-    coverage = present / total
-    tripped = present < total
-    results.append(
-        CheckResult(
-            check_id="A004_image_availability_signal",
-            tier="aero",
-            status=STATUS_WARNING if tripped else STATUS_OK,
-            severity=_clamp01((total - present) / total) if tripped else 0.0,
-            message=(
-                "All expected flow images are available."
-                if not tripped
-                else "Missing flow images: "
-                + ", ".join(s for s, ok in suffix_map.items() if not ok)
-                + "."
-            ),
-            value={
-                "present": present,
-                "total": total,
-                "coverage": coverage,
-                "suffix_map": suffix_map,
-            },
-            threshold={"expected_total": total},
-            evidence_refs=tuple(inputs.images),
-        )
-    )
+    results.append(_flag(
+        "A004_image_availability_signal", present < total, STATUS_WARNING,
+        (total - present) / total,
+        "All expected flow images are available.",
+        "Missing flow images: " + ", ".join(s for s, ok in suffix_map.items() if not ok) + ".",
+        {"present": present, "total": total, "coverage": present / total, "suffix_map": suffix_map},
+        threshold, tuple(inputs.images),
+    ))
     return results
 
 
@@ -876,17 +714,10 @@ def _validated(bundle: dict) -> dict:
 
 def worst_status(bundle: Mapping[str, Any]) -> str:
     """The most severe status across all tiers of an assembled bundle."""
-    order = {
-        STATUS_OK: 0,
-        STATUS_MISSING: 1,
-        STATUS_WARNING: 2,
-        STATUS_ISSUE: 3,
-        STATUS_ERROR: 4,
-    }
     worst = STATUS_OK
     eb = bundle["evidence_bundle"]
     for tier in ("feasibility", "geometry", "aero"):
         for check in eb[tier]:
-            if order[check["status"]] > order[worst]:
+            if _STATUS_ORDER[check["status"]] > _STATUS_ORDER[worst]:
                 worst = check["status"]
     return worst

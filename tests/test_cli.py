@@ -305,6 +305,33 @@ class TestDiagnose:
              "--task", "car-drag-single"]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"metrics": [1, 2]},
+            {"metrics": "Cd"},
+            {"images": 5},
+            {"images": ["a_Pressure_iso.png", 1]},
+            {"model_artifacts": {"base_vtk_path": 1}},
+            {"model_artifacts": ["model/norm_stats.pt"]},
+            {"environment": 5},
+            {"design_id": ["d0"]},
+        ],
+        ids=[
+            "metrics-list", "metrics-str", "images-int", "images-non-str",
+            "artifact-int", "artifacts-list", "environment-int", "design-id-list",
+        ],
+    )
+    def test_malformed_payload_exits_one(self, tmp_path, car_env, capsys, payload):
+        d, m = self._write_inputs(tmp_path, _midpoint_design(car_env.space), payload)
+        out = tmp_path / "bundle.json"
+        assert main(
+            ["diagnose", "--design", d, "--metrics", m,
+             "--task", "car-drag-single", "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_wrapped_metrics_payload(self, tmp_path, car_env, golden_artifacts):
         design = _midpoint_design(car_env.space)
         payload = {

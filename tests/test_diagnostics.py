@@ -1,5 +1,6 @@
 """Tiered design-validity checks and evidence-bundle assembly."""
 import copy
+import dataclasses
 import functools
 import math
 import subprocess
@@ -251,6 +252,32 @@ class TestNearBoundFraction:
             near_bound_fraction(space, {"x": 0.5}, margin_ratio=0.5)
 
 
+class TestGeometryInputs:
+    @pytest.mark.parametrize(
+        "bad", ["abc", None, [1.0], 10**400], ids=["text", "null", "list", "huge-int"]
+    )
+    @pytest.mark.parametrize(
+        "key, check_id",
+        [
+            ("ramp_angle", "G002_combined_angle_stress"),
+            ("car_size", "G003_size_width_length_coupling"),
+            ("car_len", "G003_size_width_length_coupling"),
+        ],
+    )
+    def test_non_numeric_param_reads_missing(self, golden, car_env, key, check_id, bad):
+        inputs = golden_inputs(golden, car_env)
+        params = {**inputs.design_params, key: bad}
+        bundle = build_evidence_bundle(dataclasses.replace(inputs, design_params=params))
+        geometry = {c["check_id"]: c for c in bundle["evidence_bundle"]["geometry"]}
+        assert geometry[check_id]["status"] == "missing"
+        assert key in geometry[check_id]["message"]
+        f002 = bundle["evidence_bundle"]["feasibility"][1]
+        assert f002["value"]["violations"] == [
+            {"key": key, "value": bad, "reason": "non-numeric"}
+        ]
+        assert worst_status(bundle) == "issue"
+
+
 class TestSeverityInvariants:
     def test_ok_implies_zero_severity_enforced(self):
         with pytest.raises(ValueError):
@@ -436,15 +463,55 @@ class TestBundle:
             st.floats(allow_nan=True, allow_infinity=True),
             max_size=5,
         ),
+        st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_bundle_always_schema_valid(self, params, metrics):
+    def test_bundle_always_schema_valid(self, car_env, params, metrics, data):
         clean_metrics = {
             k: v for k, v in metrics.items() if math.isfinite(v)
         } | {k: v for k, v in metrics.items() if not math.isfinite(v)}
         bundle = build_evidence_bundle(self._inputs(params, clean_metrics))
         jsonschema.validate(bundle, bundle_schema())
         assert worst_status(bundle) in ("ok", "missing", "warning", "issue", "error")
+
+        # The car task's profile runs G002/G003 on its angle, scale, width
+        # and length parameters, which may be non-numeric too.
+        profile = car_env.diagnostics_profile
+        checked = {
+            *profile["angle_params"],
+            profile["scale_param"],
+            profile["width_param"],
+            profile["length_param"],
+        }
+        any_value = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=5), st.none()
+        )
+        car_params = data.draw(
+            st.fixed_dictionaries(
+                {
+                    v.name: any_value if v.name in checked else st.floats(v.lower, v.upper)
+                    for v in car_env.space.variables
+                }
+            )
+        )
+        bundle = build_evidence_bundle(
+            DiagnosticInputs(
+                environment="car-drag-single",
+                design_id="d0",
+                space=car_env.space,
+                design_params=car_params,
+                metrics=clean_metrics,
+                profile=profile,
+            )
+        )
+        jsonschema.validate(bundle, bundle_schema())
+        geometry = {c["check_id"]: c for c in bundle["evidence_bundle"]["geometry"]}
+        if any(car_params[k] is None for k in profile["angle_params"]):
+            assert geometry["G002_combined_angle_stress"]["status"] == "missing"
+        if any(car_params[k] is None for k in checked - set(profile["angle_params"])):
+            assert geometry["G003_size_width_length_coupling"]["status"] == "missing"
+        if any(car_params[k] is None for k in checked):
+            assert worst_status(bundle) == "issue"
 
 
 class TestBundleValidation:
