@@ -28,7 +28,7 @@ from .diagnostics import (
 )
 from .optimizers import ConfigurationError, OptimizerConfig, method_names, run_with_budget
 from .problems import catalog
-from .space import DesignPoint, SpaceError
+from .space import DesignPoint, ParamSpace, SpaceError
 
 RESULTS_HEADER = ("iter", "design_id", "reward", "best_reward", "feasible", "n_evals", "wall_ms")
 
@@ -112,24 +112,20 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _load_warmstart(path: str) -> list[dict]:
+def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[DesignPoint]]:
+    """Every row of the warm-start CSV read into each task's space by `clip`."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _coerce_design(row: dict, space) -> DesignPoint:
-    values = {}
-    for var in space.variables:
-        if var.name not in row:
-            raise SpaceError(f"warm-start row missing variable {var.name!r}")
-        raw = row[var.name]
-        if var.kind == "continuous":
-            values[var.name] = float(raw)
-        elif var.kind == "discrete":
-            values[var.name] = type(var.levels[0])(float(raw))
-        else:
-            values[var.name] = raw
-    return DesignPoint(values=values)
+        rows = list(csv.DictReader(fh))
+    warm = {}
+    for task, space in spaces.items():
+        warm[task] = []
+        for n, row in enumerate(rows, start=1):
+            try:
+                point = DesignPoint({name: row[name] for name in space.names if name in row})
+                warm[task].append(space.clip(point))
+            except SpaceError as exc:
+                raise SpaceError(f"warm-start row {n} for {task}: {exc}") from None
+    return warm
 
 
 def _execute_run(
@@ -138,15 +134,14 @@ def _execute_run(
     seed: int,
     budget: int,
     out_dir: str,
-    warmstart_rows: list[dict],
+    warmstart: list[DesignPoint],
     evaluator_command: list[str] | None,
 ) -> str | None:
     """Run one (task, method, seed) cell; returns an error string or None."""
     env = catalog.get_environment(task, evaluator_command=evaluator_command)
     try:
-        warm = [_coerce_design(row, env.space) for row in warmstart_rows]
         config = OptimizerConfig(method=method, budget=budget, seed=seed)
-        trajectory = run_with_budget(env, config, warmstart=warm)
+        trajectory = run_with_budget(env, config, warmstart=warmstart)
     except ConfigurationError as exc:
         return f"{task}/{method}/seed{seed}: {exc}"
     finally:
@@ -184,11 +179,6 @@ def _execute_run(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        seeds = _parse_seeds(args.seeds)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     tasks = args.task.split(",")
     methods = args.method.split(",")
     known = catalog.task_ids()
@@ -200,8 +190,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         if method not in method_names():
             print(f"error: unknown method {method!r}", file=sys.stderr)
             return 1
-
-    warmstart_rows = _load_warmstart(args.warmstart) if args.warmstart else []
+    # Bad seeds, catalog overrides or warm-start rows stop the run before anything is written.
+    try:
+        seeds = _parse_seeds(args.seeds)
+        spaces = {task: catalog.get_environment(task).space for task in tasks}
+        warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else {}
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError covers SpaceError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     evaluator_command = args.evaluator.split() if args.evaluator else None
 
     os.makedirs(args.out, exist_ok=True)
@@ -223,7 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cells = [
         (task, method, seed, args.budget,
          os.path.join(args.out, task, method, f"seed{seed}"),
-         warmstart_rows, evaluator_command)
+         warm.get(task, []), evaluator_command)
         for task in tasks
         for method in methods
         for seed in seeds

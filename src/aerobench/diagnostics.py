@@ -549,7 +549,8 @@ def check_geometry(inputs: DiagnosticInputs) -> list[CheckResult]:
 
 def _finite(metrics: Mapping[str, Any], key: str) -> float | None:
     val = metrics.get(key)
-    x = _as_float(val) if isinstance(val, (int, float)) else None
+    # A JSON boolean is an int to Python, but it is not a metric value.
+    x = _as_float(val) if isinstance(val, (int, float)) and not isinstance(val, bool) else None
     return x if x is not None and math.isfinite(x) else None
 
 

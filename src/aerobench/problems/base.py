@@ -1,12 +1,13 @@
 """Problem environments: operating points, constraints, and evaluation."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..space import DesignPoint, ParamSpace
+from .formulas import FormulaError, penalized_reward
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -44,27 +45,16 @@ class OperatingPoint:
                 out[key] = val
         return out
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, Any]) -> "OperatingPoint":
-        return cls(
-            alpha=data.get("alpha"),
-            mach=data.get("mach"),
-            reynolds=data.get("reynolds"),
-            altitude=data.get("altitude"),
-            cl_target=data.get("cl_target"),
-            weight=data.get("weight", 1.0),
-        )
-
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Everything a constraint rule may inspect."""
+    """Everything a constraint rule may inspect; `row` is the design's unit-cube row."""
 
     point: DesignPoint
     space: ParamSpace
     per_point: tuple[Mapping[str, float], ...]
     metrics: Mapping[str, float]
-    confidence: float
+    row: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,13 +75,12 @@ class EvalResult:
     violations: Mapping[str, float]
     reward: float | None
     feasible: bool
-    confidence: float
     error: str | None = None
 
     @classmethod
     def failure(cls, error: str, per_point: tuple = ()) -> "EvalResult":
         """An evaluation that produced no reward, for the reason `error`."""
-        return cls({}, per_point, {}, reward=None, feasible=False, confidence=0.0, error=error)
+        return cls({}, per_point, {}, reward=None, feasible=False, error=error)
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,6 @@ class ProblemEnvironment:
         [Sequence[Mapping[str, float]], Sequence[OperatingPoint]],
         tuple[float, dict[str, float]],
     ]
-    confidence_fn: Callable[[np.ndarray], float] | None = None
     landscape_value: Callable[[np.ndarray], float] | None = None
     landscape_gradient: Callable[[np.ndarray], np.ndarray] | None = None
     diagnostics_profile: Mapping[str, Any] = field(default_factory=dict)
@@ -141,8 +129,8 @@ class ProblemEnvironment:
     def evaluate_batch(self, points: Sequence[DesignPoint]) -> list[EvalResult]:
         """Validate designs from outside the cube, then evaluate them in order.
 
-        This is the one validation of such a design; the evaluator and the
-        confidence proxy map it without re-checking it.
+        This is the one validation of such a design; the evaluator maps it
+        without re-checking it, and constraints read its normalized row.
         """
         for point in points:
             self.space.validate(point)
@@ -170,25 +158,22 @@ class ProblemEnvironment:
             # or with values (a zero drag) the aggregate cannot divide by;
             # that is an evaluation failure, not a harness crash.
             return self._unusable(per_point, repr(exc))
-        confidence = 1.0 if self.confidence_fn is None else float(self.confidence_fn(row))
-        ctx = EvalContext(point, self.space, per_point, agg_metrics, confidence)
+        ctx = EvalContext(point, self.space, per_point, agg_metrics, row)
         violations: dict[str, float] = {}
         for spec in self.constraints:
             try:
-                v = float(spec.violation(ctx))
+                violations[spec.name] = float(spec.violation(ctx))
             except (KeyError, TypeError, ArithmeticError) as exc:
                 # A metric read only by a constraint may be missing or zero too.
                 return self._unusable(per_point, f"constraint {spec.name}: {exc!r}")
+        try:
+            reward = penalized_reward(raw, violations, self.penalty_weight, self.sense)
+        except FormulaError as exc:
             # Metrics slightly out of range (a few ulp from an external
-            # solver) make v fall outside [0, 1]; that is an error row too.
-            if not (0.0 <= v <= 1.0):
-                return self._unusable(per_point, f"constraint {spec.name} produced v={v}")
-            violations[spec.name] = v
-        total_v = sum(violations.values())
-        if self.sense == MAXIMIZE:
-            reward = raw - self.penalty_weight * total_v
-        else:
-            reward = -(raw + self.penalty_weight * total_v)
+            # solver) put a violation outside [0, 1]; that is an error row too.
+            return self._unusable(per_point, str(exc))
+        if self.sense == MINIMIZE:
+            reward = -reward
         if not np.isfinite(reward):
             return self._unusable(per_point, f"non-finite reward {reward}")
         metrics = dict(agg_metrics)
@@ -198,8 +183,7 @@ class ProblemEnvironment:
             per_point=per_point,
             violations=violations,
             reward=float(reward),
-            feasible=total_v == 0.0,
-            confidence=confidence,
+            feasible=not any(violations.values()),
         )
 
     def _unusable(self, per_point: tuple, reason: str) -> EvalResult:
@@ -211,9 +195,7 @@ class ProblemEnvironment:
             closer()
 
     def with_evaluator(self, evaluator: Any) -> "ProblemEnvironment":
-        import dataclasses
-
-        return dataclasses.replace(self, evaluator=evaluator)
+        return replace(self, evaluator=evaluator)
 
     def describe(self) -> dict:
         """Catalog entry: structured metadata without the evaluator."""

@@ -60,6 +60,7 @@ from .formulas import (
     weighted_multipoint,
     wiggliness,
 )
+from .subproc import SubprocessEvaluator
 
 CATALOG_VERSION = "1"
 CATALOG_ENV_VAR = "AEROBENCH_CATALOG"
@@ -170,7 +171,6 @@ def _stand_in_env(
         penalty_weight=penalty,
         evaluator=evaluator,
         aggregate=aggregate,
-        confidence_fn=confidence_proxy,
         landscape_value=value,
         landscape_gradient=gradient,
         diagnostics_profile=profile,
@@ -256,7 +256,7 @@ def _airfoil_constraints(*task_constraints: ConstraintSpec) -> list[ConstraintSp
         ConstraintSpec(
             "analysis_confidence",
             "inequality",
-            lambda c: fractional_violation(0.90 - c.confidence, 0.05),
+            lambda c: fractional_violation(0.90 - confidence_proxy(c.row), 0.05),
         ),
     ]
 
@@ -1046,12 +1046,15 @@ def _apply_space_override(env: ProblemEnvironment, path: str) -> ProblemEnvironm
     if env.id not in entries:
         return env
     space = ParamSpace.from_json(entries[env.id]["space"])
-    if space.names != env.space.names or any(
-        a.kind != b.kind for a, b in zip(space.variables, env.space.variables)
-    ):
-        raise SpaceError(
-            f"catalog override for {env.id} must keep variable names and kinds"
-        )
+    if space.names != env.space.names:
+        raise SpaceError(f"catalog override for {env.id} must keep the variable names")
+    # The stand-in evaluator maps a design by the task's own kinds and levels.
+    for new, old in zip(space.variables, env.space.variables):
+        if new.kind != old.kind or not set(new.levels or ()) <= set(old.levels or ()):
+            raise SpaceError(
+                f"catalog override for {env.id}: {new.name} must keep its kind"
+                " and use only the task's levels"
+            )
     return dataclasses.replace(env, space=space)
 
 
@@ -1064,7 +1067,6 @@ def _built(task_id: str) -> ProblemEnvironment:
 def get_environment(
     task_id: str,
     evaluator_command: Sequence[str] | None = None,
-    timeout: float | None = None,
 ) -> ProblemEnvironment:
     """The catalog task `task_id`.
 
@@ -1079,10 +1081,7 @@ def get_environment(
     if override:
         env = _apply_space_override(env, override)
     if evaluator_command:
-        from .subproc import SubprocessEvaluator
-
-        kwargs = {} if timeout is None else {"timeout": timeout}
-        env = env.with_evaluator(SubprocessEvaluator(evaluator_command, **kwargs))
+        env = env.with_evaluator(SubprocessEvaluator(evaluator_command))
     return env
 
 

@@ -17,7 +17,7 @@ def penalized_reward(raw: float, violations: Mapping[str, float], lam: float, se
     total = 0.0
     for name, v in violations.items():
         if not (0.0 <= v <= 1.0):
-            raise FormulaError(f"violation {name!r}={v} outside [0, 1]")
+            raise FormulaError(f"constraint {name} produced v={v}, outside [0, 1]")
         total += v
     if sense == "maximize":
         return raw - lam * total

@@ -8,8 +8,9 @@ one-hot block and decode by argmax with the lowest index winning ties.
 `decode` maps unit-cube rows to valid points, and to rows equal to
 `normalize(point)`, in one pass per variable kind; decoded points are never
 validated. Points from outside the cube (CLI, warm-start designs after `clip`,
-external designs) are validated once, by `ProblemEnvironment.evaluate_batch`.
-`normalize` assumes a valid point and does not check it again.
+external designs) are validated once, by `ProblemEnvironment.evaluate_batch`;
+`validate` and `clip` share one numeric read, so such input raises only
+`SpaceError`. `normalize` assumes a valid point and does not check it again.
 
 Sampling uses numpy's Philox counter-based generator so that identical seeds
 reproduce identical designs across platforms.
@@ -17,8 +18,9 @@ reproduce identical designs across platforms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -162,26 +164,28 @@ class ParamSpace:
     # -- validation -------------------------------------------------------
 
     def validate(self, point: DesignPoint) -> None:
-        values = point.values
-        if values.keys() != self._name_set:
-            extra = values.keys() - self._name_set
-            if extra:
-                raise SpaceError(f"unknown variables in point: {sorted(extra)}")
-        for v in self.variables:
-            try:
-                val = values[v.name]
-            except KeyError:
-                raise SpaceError(f"missing value for {v.name!r}") from None
+        for v, val in self._read(point):
             if v.kind == CONTINUOUS:
-                x = float(val)
+                x = _number(v, val)
                 if not math.isfinite(x):
                     raise SpaceError(f"{v.name}: value must be finite")
                 if x < v.lower or x > v.upper:  # type: ignore[operator]
-                    raise SpaceError(
-                        f"{v.name}: value {x} outside [{v.lower}, {v.upper}]"
-                    )
-            elif val not in v.levels:  # type: ignore[operator]
-                raise SpaceError(f"{v.name}: unknown level {val!r}")
+                    raise SpaceError(f"{v.name}: value {x} outside [{v.lower}, {v.upper}]")
+            else:
+                if v.kind == DISCRETE:
+                    _number(v, val)  # a bool is not a level, though True == 1
+                if val not in v.levels:  # type: ignore[operator]
+                    raise SpaceError(f"{v.name}: unknown level {val!r}")
+
+    def _read(self, point: DesignPoint) -> Iterator[tuple[VariableSpec, Any]]:
+        """Each variable with its value, in order; an unknown or missing name raises."""
+        extra = point.values.keys() - self._name_set
+        if extra:
+            raise SpaceError(f"unknown variables in point: {sorted(extra)}")
+        for v in self.variables:
+            if v.name not in point.values:
+                raise SpaceError(f"missing value for {v.name!r}")
+            yield v, point.values[v.name]
 
     # -- unit-cube mapping -------------------------------------------------
 
@@ -261,21 +265,23 @@ class ParamSpace:
         return points
 
     def clip(self, point: DesignPoint) -> DesignPoint:
-        extra = set(point.values) - set(self.names)
-        if extra:
-            raise SpaceError(f"unknown variables in point: {sorted(extra)}")
+        """A valid point from an outside design, whose numbers may be text: continuous values
+        clamp (±inf too), discrete ones snap to the nearest level, earlier on ties; NaN raises."""
         values: dict[str, Any] = {}
-        for v in self.variables:
-            val = point.values[v.name]
-            if v.kind == CONTINUOUS:
-                values[v.name] = min(max(float(val), v.lower), v.upper)  # type: ignore[type-var]
-            elif v.kind == DISCRETE:
-                dists = [abs(float(val) - float(lv)) for lv in v.levels]  # type: ignore[union-attr]
-                values[v.name] = v.levels[int(np.argmin(dists))]  # type: ignore[index]
-            else:
+        for v, val in self._read(point):
+            if v.kind == CATEGORICAL:
                 if val not in v.levels:  # type: ignore[operator]
                     raise SpaceError(f"{v.name}: unknown level {val!r}")
-                values[v.name] = val
+            else:
+                x = _number(v, val, text=True)
+                if math.isnan(x):
+                    raise SpaceError(f"{v.name}: value must not be NaN")
+                if v.kind == CONTINUOUS:
+                    val = min(max(x, v.lower), v.upper)  # type: ignore[type-var]
+                else:
+                    x = min(max(x, min(v.levels)), max(v.levels))  # type: ignore[type-var,arg-type]
+                    val = min(v.levels, key=lambda lv: abs(x - lv))  # type: ignore[type-var,arg-type]
+            values[v.name] = val
         return DesignPoint(values=values, name=point.name)
 
     # -- serialization -----------------------------------------------------
@@ -286,6 +292,18 @@ class ParamSpace:
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ParamSpace":
         return cls(variables=tuple(VariableSpec.from_json(v) for v in data["variables"]))
+
+
+def _number(v: VariableSpec, val: Any, text: bool = False) -> float:
+    """`val` as a float: a real number but not a bool, or with `text` a numeric string."""
+    if isinstance(val, bool) or not (isinstance(val, numbers.Real) or text and isinstance(val, str)):
+        raise SpaceError(f"{v.name}: value {val!r} is not a number")
+    try:
+        return float(val)
+    except ValueError:
+        raise SpaceError(f"{v.name}: value {val!r} is not a number") from None
+    except OverflowError:
+        raise SpaceError(f"{v.name}: value is too large for a float") from None
 
 
 def _index(cols: list[int]) -> slice | np.ndarray:

@@ -193,6 +193,48 @@ class TestRun:
         cfg = json.loads(_read(d / "resolved_config.json"))
         assert cfg["n_warmstart"] == 1
 
+    @pytest.mark.parametrize(
+        "tasks, rows, message",
+        [
+            ("delta-ld-single", None, "No such file or directory"),
+            ("delta-ld-single", [{"sweep_angle": "60"}],
+             "warm-start row 1 for delta-ld-single: missing value for 'root_airfoil'"),
+            ("delta-ld-single", [{"sweep_angle": "60", "root_airfoil": "NACA2416"},
+                                 {"sweep_angle": "abc", "root_airfoil": "NACA2416"}],
+             "warm-start row 2 for delta-ld-single: sweep_angle: value 'abc' is not a number"),
+            ("delta-ld-robust", [{"sweep_angle": "nan", "root_airfoil": "NACA2416"}],
+             "warm-start row 1 for delta-ld-robust: sweep_angle: value must not be NaN"),
+            ("delta-ld-single", [{"sweep_angle": "60", "root_airfoil": "NACA9999"}],
+             "warm-start row 1 for delta-ld-single: root_airfoil: unknown level 'NACA9999'"),
+            ("delta-ld-single,car-drag-single", [{"sweep_angle": "60", "root_airfoil": "NACA2416"}],
+             "warm-start row 1 for car-drag-single: missing value for"),
+        ],
+    )
+    def test_warmstart_that_does_not_fit_writes_nothing(self, tmp_path, capsys, tasks, rows, message):
+        warm_csv = tmp_path / "warm.csv"
+        if rows is not None:
+            with open(warm_csv, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+        out = tmp_path / "runs"
+        argv = ["--task", tasks, "--seeds", "0", "--budget", "5", "--warmstart", str(warm_csv)]
+        assert self._run(out, extra=argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (out / "manifest.json").exists()
+
+    def test_catalog_override_with_unknown_level_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        space = catalog.get_environment("delta-ld-robust").space.to_json()
+        space["variables"][0]["levels"] = [55.0, 60.0, 65.0, 70.0, 75.0]
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps({"tasks": {"delta-ld-robust": {"space": space}}}))
+        monkeypatch.setenv(catalog.CATALOG_ENV_VAR, str(override))
+        out = tmp_path / "runs"
+        assert self._run(out, extra=["--task", "delta-ld-robust", "--seeds", "0", "--budget", "5"]) == 1
+        assert "error: catalog override for delta-ld-robust" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestCompare:
     @pytest.fixture()

@@ -385,6 +385,16 @@ class TestAeroTier:
         assert a003.status == "warning"
         assert a003.severity == pytest.approx(0.5)
 
+    def test_bool_metric_is_not_a_number(self, golden, car_env):
+        # JSON `true` is an int to Python; it must not read as Cd = 1.0.
+        inputs = dataclasses.replace(
+            golden_inputs(golden, car_env), metrics={**golden["metrics"], "Cd": True}
+        )
+        f005 = _by_id(check_bounds_and_presence(inputs))["F005_metrics_finite"]
+        assert f005.status == "issue"
+        assert f005.value == {"missing": [], "non_finite": ["Cd"]}
+        assert _by_id(check_aero(inputs))["A002_cd_plausible_range"].status == "missing"
+
     def test_a004_partial_images(self):
         space = continuous_space({"x": (0.0, 1.0)})
         images = tuple(f"/tmp/{s}" for s in EXPECTED_IMAGE_SUFFIXES[:4])

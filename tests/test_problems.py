@@ -168,6 +168,39 @@ def test_decoded_evaluation_normalizes_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("value", ["abc", None, 10**400], ids=["text", "none", "huge-int"])
+def test_evaluate_rejects_a_value_that_is_not_a_number(value):
+    env = get_environment("delta-ld-single")
+    with pytest.raises(SpaceError, match="sweep_angle: value"):
+        env.evaluate(DesignPoint(values={"sweep_angle": value, "root_airfoil": "NACA2416"}))
+
+
+def test_confidence_proxy_runs_only_where_a_constraint_reads_it(monkeypatch):
+    # Tasks are built fresh so that each reads the counting proxy.
+    from aerobench.problems import catalog
+
+    rows = []
+    proxy = catalog.confidence_proxy
+
+    def counting(u):
+        rows.append(np.array(u))
+        return proxy(u)
+
+    monkeypatch.setattr(catalog, "confidence_proxy", counting)
+    expected = {"delta-ld-single": 0, "airfoil-ld-single": 1, "airfoil-drag-multipoint": 1}
+    for task_id, per_eval in expected.items():
+        env = catalog._BUILDERS[task_id]()
+        point = env.space.sample_uniform(seed=4, n=1)[0]
+        rows.clear()
+        assert env.evaluate(point).error is None
+        obj = BudgetedObjective(env, budget=1)
+        obj.evaluate_rows(env.space.normalize(point)[None, :], 0)
+        assert len(rows) == 2 * per_eval, task_id
+        # The proxy reads the design's own unit-cube row.
+        for row in rows:
+            assert row.tolist() == env.space.normalize(point).tolist()
+
+
 def test_bwb_bisection_metrics_present():
     env = get_environment("bwb-drag-multipoint")
     try:
@@ -391,6 +424,17 @@ class TestCatalogOverride:
         monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, requantize))
         with pytest.raises(ValueError):
             get_environment("delta-ld-single")
+
+    def test_level_the_task_does_not_have_rejected(self, tmp_path, monkeypatch):
+        # The stand-in maps a design by the task's own levels, so 60.0 could
+        # not be evaluated; the override is refused before any run.
+        space = json.loads(json.dumps(get_environment("delta-ld-robust").space.to_json()))
+        space["variables"][0]["levels"] = [55.0, 60.0, 65.0, 70.0, 75.0]
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps({"tasks": {"delta-ld-robust": {"space": space}}}))
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
+        with pytest.raises(SpaceError, match="sweep_angle must keep its kind and use only"):
+            get_environment("delta-ld-robust")
 
 
 class TestFunctionEnvironment:

@@ -131,6 +131,12 @@ class TestValidation:
             # the first faulty variable in declaration order is reported
             ({"chord": 3.0, "tail": "t-tail"}, "chord: value 3.0 outside [0.5, 2.0]"),
             ({"chord": 1.0, "n_engines": 7}, "n_engines: unknown level 7"),
+            # only a real number is read: not text, None, a bool or an oversized int
+            ({"chord": "abc", "n_engines": 2, "tail": "t-tail"}, "chord: value 'abc' is not a number"),
+            ({"chord": None, "n_engines": 2, "tail": "t-tail"}, "chord: value None is not a number"),
+            ({"chord": True, "n_engines": 2, "tail": "t-tail"}, "chord: value True is not a number"),
+            ({"chord": 10**400, "n_engines": 2, "tail": "t-tail"}, "chord: value is too large for a float"),
+            ({"chord": 1.0, "n_engines": True, "tail": "t-tail"}, "n_engines: value True is not a number"),
         ],
     )
     def test_error_messages(self, mixed_space, values, message):
@@ -143,6 +149,28 @@ class TestValidation:
         c = mixed_space.clip(p)
         assert c.values["chord"] == 2.0
         assert c.values["n_engines"] == 3
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"chord": 1.0, "tail": "t-tail"}, "missing value for 'n_engines'"),
+            ({"chord": 1.0, "n_engines": float("nan"), "tail": "t-tail"}, "n_engines: value must not be NaN"),
+            ({"chord": float("nan"), "n_engines": 2, "tail": "t-tail"}, "chord: value must not be NaN"),
+            ({"chord": "abc", "n_engines": 2, "tail": "t-tail"}, "chord: value 'abc' is not a number"),
+            ({"chord": 1.0, "n_engines": None, "tail": "t-tail"}, "n_engines: value None is not a number"),
+        ],
+    )
+    def test_clip_rejects(self, mixed_space, values, message):
+        with pytest.raises(SpaceError) as exc:
+            mixed_space.clip(DesignPoint(values=values))
+        assert str(exc.value) == message
+
+    def test_clip_reads_text_and_clamps_infinity(self, mixed_space):
+        # A CSV cell is text; +inf on a discrete variable snaps to its top level.
+        p = DesignPoint(values={"chord": "-inf", "n_engines": float("inf"), "tail": "h-tail"})
+        assert mixed_space.clip(p).values == {"chord": 0.5, "n_engines": 4, "tail": "h-tail"}
+        p = DesignPoint(values={"chord": "1.25", "n_engines": "2.6", "tail": "h-tail"})
+        assert mixed_space.clip(p).values == {"chord": 1.25, "n_engines": 3, "tail": "h-tail"}
 
 
 class TestSampling:
