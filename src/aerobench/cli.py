@@ -26,7 +26,7 @@ from .diagnostics import (
     build_evidence_bundle,
     worst_status,
 )
-from .optimizers import ConfigurationError, OptimizerConfig, method_names, run_with_budget
+from .optimizers import ConfigurationError, OptimizerConfig, run_with_budget
 from .problems import catalog
 from .space import DesignPoint, ParamSpace, SpaceError
 
@@ -186,16 +186,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         if task not in known:
             print(f"error: unknown task {task!r}", file=sys.stderr)
             return 1
-    for method in methods:
-        if method not in method_names():
-            print(f"error: unknown method {method!r}", file=sys.stderr)
-            return 1
-    # Bad seeds, catalog overrides or warm-start rows stop the run before anything is written.
+    # A bad method, seed, budget, catalog override or warm-start row stops
+    # the run before anything is written.
     try:
         seeds = _parse_seeds(args.seeds)
+        for method in methods:
+            for seed in seeds:
+                OptimizerConfig(method=method, budget=args.budget, seed=seed)
         spaces = {task: catalog.get_environment(task).space for task in tasks}
         warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else {}
-    except (OSError, ValueError, csv.Error) as exc:  # ValueError covers SpaceError
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError covers SpaceError, ConfigurationError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     evaluator_command = args.evaluator.split() if args.evaluator else None
@@ -227,7 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     errors: list[str] = []
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for err in pool.map(_execute_run_star, cells):
+            for err in pool.map(_execute_run, *zip(*cells)):
                 if err:
                     errors.append(err)
     else:
@@ -239,10 +239,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
     print(f"completed {len(cells) - len(errors)}/{len(cells)} runs under {args.out}")
     return 1 if errors else 0
-
-
-def _execute_run_star(cell) -> str | None:
-    return _execute_run(*cell)
 
 
 # ---------------------------------------------------------------------------

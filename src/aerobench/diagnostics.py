@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import jsonschema
 
-from .space import CONTINUOUS, DesignPoint, ParamSpace
+from .space import CONTINUOUS, ParamSpace, as_number
 
 BUNDLE_VERSION = "0.1.0"
 
@@ -306,14 +306,6 @@ def _flag(
     return CheckResult(check_id, tier, STATUS_OK, 0.0, ok_msg, value, threshold, refs)
 
 
-def _as_float(value: Any) -> float | None:
-    """`float(value)`, or None when the value has no float reading."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Feasibility tier (F001-F006)
 # ---------------------------------------------------------------------------
@@ -323,21 +315,12 @@ def check_bounds_and_presence(inputs: DiagnosticInputs) -> list[CheckResult]:
     params = inputs.design_params
     refs = inputs.design_refs
     missing = [v.name for v in inputs.space.variables if v.name not in params]
+    # The space decides what a valid value is; F002 lists every finding.
     violations = []
-    for v in inputs.space.variables:
-        if v.name not in params:
-            continue
-        val = params[v.name]
-        if v.kind != CONTINUOUS:
-            if val not in v.levels:
-                violations.append({"key": v.name, "value": val, "reason": "unknown level"})
-            continue
-        x = _as_float(val)
-        if x is None:
-            violations.append({"key": v.name, "value": val, "reason": "non-numeric"})
-        # Bounds are a closed interval: exactly-at-bound passes.
-        elif not v.lower <= x <= v.upper:
-            violations.append({"key": v.name, "value": x, "lower": v.lower, "upper": v.upper})
+    for f in inputs.space.findings(params):
+        v = f.variable
+        why = {"reason": f.reason} if f.reason else {"lower": v.lower, "upper": v.upper}
+        violations.append({"key": v.name, "value": f.value, **why})
     results = [
         _flag(
             "F001_required_params_present", bool(missing), STATUS_ISSUE, 1.0,
@@ -419,17 +402,16 @@ def near_bound_fraction(
     """Fraction of numeric parameters within margin_ratio of a bound.
 
     A parameter counts as near-bound iff min(x - l, u - x) is at most
-    margin_ratio times the bound range (inclusive). Non-numeric entries
-    (for example a free-text name) are excluded from the denominator.
+    margin_ratio times the bound range (inclusive). Entries with no reading
+    by `as_number` (a free-text name, numeric text, a bool) are excluded from
+    the denominator.
     """
     if not 0.0 < margin_ratio < 0.5:
         raise ValueError("margin_ratio must be in (0, 0.5)")
     keys: list[str] = []
     total = 0
     for v in space.variables:
-        if v.kind != CONTINUOUS or v.name not in params:
-            continue
-        x = _as_float(params[v.name])
+        x = as_number(params.get(v.name)) if v.kind == CONTINUOUS else None
         if x is None:
             continue
         total += 1
@@ -444,8 +426,8 @@ def near_bound_fraction(
 def _read_floats(
     params: Mapping[str, Any], keys: Sequence[str]
 ) -> tuple[dict[str, float | None], list[str], list[str]]:
-    """The float reading of each of `keys` in `params`, the absent keys and the non-numeric."""
-    values = {k: _as_float(params[k]) for k in keys if k in params}
+    """The `as_number` reading of each of `keys` in `params`, the absent keys and the non-numeric."""
+    values = {k: as_number(params[k]) for k in keys if k in params}
     absent = [k for k in keys if k not in params]
     return values, absent, [k for k, x in values.items() if x is None]
 
@@ -482,13 +464,8 @@ def check_geometry(inputs: DiagnosticInputs) -> list[CheckResult]:
             "G002_combined_angle_stress", "No angle-type parameters declared.", threshold, refs
         )
     elif absent or non_numeric:
-        g002 = _missing(
-            "G002_combined_angle_stress",
-            f"Angle parameters missing: {absent}."
-            if absent
-            else f"Angle parameters non-numeric: {non_numeric}.",
-            threshold, refs,
-        )
+        why = f"missing: {absent}" if absent else f"non-numeric: {non_numeric}"
+        g002 = _missing("G002_combined_angle_stress", f"Angle parameters {why}.", threshold, refs)
     else:
         angle_sum = float(sum(abs(angles[k]) for k in angle_params))
         g002 = _flag(
@@ -508,13 +485,9 @@ def check_geometry(inputs: DiagnosticInputs) -> list[CheckResult]:
             "No scale/width/length parameters declared.", threshold, refs,
         )
     elif absent or non_numeric:
-        g003 = _missing(
-            "G003_size_width_length_coupling",
-            "Declared scale/width/length parameters missing from design."
-            if absent
-            else f"Scale/width/length parameters non-numeric: {non_numeric}.",
-            threshold, refs,
-        )
+        why = ("Declared scale/width/length parameters missing from design." if absent
+               else f"Scale/width/length parameters non-numeric: {non_numeric}.")
+        g003 = _missing("G003_size_width_length_coupling", why, threshold, refs)
     else:
         scale_key, width_key, length_key = size_keys
         scale_var, width_var, length_var = (space.var(k) for k in size_keys)
@@ -548,9 +521,8 @@ def check_geometry(inputs: DiagnosticInputs) -> list[CheckResult]:
 
 
 def _finite(metrics: Mapping[str, Any], key: str) -> float | None:
-    val = metrics.get(key)
     # A JSON boolean is an int to Python, but it is not a metric value.
-    x = _as_float(val) if isinstance(val, (int, float)) and not isinstance(val, bool) else None
+    x = as_number(metrics.get(key))
     return x if x is not None and math.isfinite(x) else None
 
 

@@ -11,12 +11,16 @@ the RNG, charges warm-start designs at iteration 0, evaluates batches until
 the budget is spent, spends any budget a method leaves on uniform samples,
 and returns the full evaluation trajectory plus the resolved configuration
 that reproduces it. The warm-start designs, each yielded batch and the
-leftover samples each go to the environment as one batch.
+leftover samples each go to the environment as one batch. Warm-start designs
+are projected by `ParamSpace.clip`, which returns valid points, and are
+normalized once: the same rows are evaluated and handed to the method.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
@@ -59,6 +63,8 @@ class OptimizerConfig:
             )
         if self.budget < 1:
             raise ConfigurationError("budget must be >= 1")
+        if not 0 <= self.seed < 2**128:
+            raise ConfigurationError(f"seed {self.seed} is not a Philox key: need 0 <= seed < 2**128")
         module = _METHODS[self.method]
         unknown = set(self.options) - set(module.DEFAULTS)
         if unknown:
@@ -98,9 +104,8 @@ def run_with_budget(
     clipped = [space.clip(point) for point in warmstart[: config.budget]]
     warm = []
     if clipped:
-        # Evaluation validates the designs before normalize maps them.
-        warm_rewards = obj.evaluate_batch(clipped, 0).tolist()
-        warm = [(space.normalize(p), r) for p, r in zip(clipped, warm_rewards)]
+        rows = np.array([space.normalize(p) for p in clipped])
+        warm = list(zip(rows, obj.evaluate_decoded(clipped, rows, 0).tolist()))
     proposals = module.run(space, rng, options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:

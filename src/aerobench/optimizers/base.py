@@ -6,7 +6,7 @@ from typing import Generator, Sequence
 
 import numpy as np
 
-from ..problems.base import EvalResult, ProblemEnvironment
+from ..problems.base import ProblemEnvironment
 from ..space import DesignPoint
 
 FD_EPS = 1e-4
@@ -50,17 +50,17 @@ class BudgetedObjective:
 
     Rewards are in maximization sense. An evaluation with an evaluator error
     is recorded with no reward and reads -inf to the caller; it still
-    consumes budget. The caller keeps within `remaining`.
+    consumes budget. The caller keeps within `remaining`, and
+    `OptimizerConfig` owns the rule that a budget is at least 1.
 
     Each batch goes to the environment as one unit and is recorded in row
     order, so design ids, the running best and the budget are what
     one-at-a-time evaluation gives. `evaluate_rows` decodes unit-cube rows
-    once; `evaluate_batch` takes designs from outside the cube.
+    once; `evaluate_decoded` takes valid designs with their rows (the
+    driver's clipped warm-start designs), so neither is validated.
     """
 
     def __init__(self, env: ProblemEnvironment, budget: int):
-        if budget < 1:
-            raise ConfigurationError("budget must be >= 1")
         self.env = env
         self.budget = budget
         self.records: list[EvalRecord] = []
@@ -73,18 +73,15 @@ class BudgetedObjective:
     def remaining(self) -> int:
         return self.budget - len(self.records)
 
-    def evaluate_batch(self, points: Sequence[DesignPoint], iteration: int) -> np.ndarray:
-        """Evaluate designs from outside the cube; one reward per point, -inf on error."""
-        return self._record(points, self.env.evaluate_batch(points), iteration)
-
     def evaluate_rows(self, U: np.ndarray, iteration: int) -> np.ndarray:
         """Evaluate unit-cube rows (clipped to the cube) as one batch."""
-        points, rows = self.env.space.decode(U)
-        return self._record(points, self.env.evaluate_decoded(points, rows), iteration)
+        return self.evaluate_decoded(*self.env.space.decode(U), iteration)
 
-    def _record(
-        self, points: Sequence[DesignPoint], results: Sequence[EvalResult], iteration: int
+    def evaluate_decoded(
+        self, points: Sequence[DesignPoint], rows: np.ndarray, iteration: int
     ) -> np.ndarray:
+        """Evaluate valid designs, whose unit-cube rows are `rows`; one reward each, -inf on error."""
+        results = self.env.evaluate_decoded(points, rows)
         # An evaluator that measures wall time reports in `reply_ms`, per
         # design, the time from sending the batch to that design's last reply.
         wall = self.env.evaluator.reply_ms if self._measure_wall else [0.0] * len(points)

@@ -91,8 +91,9 @@ class ProblemEnvironment:
     ops)` returns per design, in order, its metric maps at all of `ops` or
     the `EvaluationError` it failed with; an `EvaluationError` raised fails
     every design of the batch. `evaluate_batch(points)` validates and
-    normalizes designs from outside the cube (CLI, warm-start, external
-    designs); the driver's rows come decoded by `ParamSpace.decode` to
+    normalizes designs from outside (`evaluate`, external callers); the
+    driver's designs are valid already, decoded by `ParamSpace.decode` or
+    projected by `ParamSpace.clip`, and go with their rows to
     `evaluate_decoded`. `aggregate(per_point, ops)` turns the metric maps
     into the raw objective (in the task's native sense) plus aggregate
     metrics. The scalarized reward is always in maximization sense:
@@ -127,7 +128,7 @@ class ProblemEnvironment:
         return self.evaluate_batch([point])[0]
 
     def evaluate_batch(self, points: Sequence[DesignPoint]) -> list[EvalResult]:
-        """Validate designs from outside the cube, then evaluate them in order.
+        """Validate designs from outside the driver, then evaluate them in order.
 
         This is the one validation of such a design; the evaluator maps it
         without re-checking it, and constraints read its normalized row.

@@ -5,12 +5,13 @@ affinely onto [0, 1]; discrete variables map by level *index* (so irregular
 level spacing does not distort the cube); categorical variables expand into a
 one-hot block and decode by argmax with the lowest index winning ties.
 
-`decode` maps unit-cube rows to valid points, and to rows equal to
-`normalize(point)`, in one pass per variable kind; decoded points are never
-validated. Points from outside the cube (CLI, warm-start designs after `clip`,
-external designs) are validated once, by `ProblemEnvironment.evaluate_batch`;
-`validate` and `clip` share one numeric read, so such input raises only
-`SpaceError`. `normalize` assumes a valid point and does not check it again.
+The space owns the rule for a valid value: a real number, not a bool
+(`as_number`), finite and inside closed bounds, or one of the levels.
+`validate` raises on the first value that breaks it, `findings` lists all.
+`decode` (unit-cube rows, in one pass per variable kind) and `clip` (outside
+designs, whose numbers may be text) return valid points that are not checked
+again; `ProblemEnvironment.evaluate_batch` validates designs from outside the
+driver once, so such input raises only `SpaceError`.
 
 Sampling uses numpy's Philox counter-based generator so that identical seeds
 reproduce identical designs across platforms.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +51,9 @@ class VariableSpec:
         if self.kind not in _KINDS:
             raise SpaceError(f"unknown variable kind {self.kind!r}")
         if self.kind == CONTINUOUS:
-            if self.lower is None or self.upper is None:
-                raise SpaceError(f"{self.name}: continuous variable needs bounds")
-            lo, hi = float(self.lower), float(self.upper)
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise SpaceError(f"{self.name}: bounds must be finite with lower < upper")
+            lo, hi = as_number(self.lower), as_number(self.upper)
+            if lo is None or hi is None or not -math.inf < lo < hi < math.inf:
+                raise SpaceError(f"{self.name}: continuous variable needs finite bounds, lower < upper")
             if self.levels is not None:
                 raise SpaceError(f"{self.name}: continuous variable cannot have levels")
         else:
@@ -63,16 +62,10 @@ class VariableSpec:
             if len(set(self.levels)) != len(self.levels):
                 raise SpaceError(f"{self.name}: levels must be distinct")
             if self.kind == DISCRETE and not all(
-                isinstance(v, (int, float)) and np.isfinite(v) for v in self.levels
+                x is not None and math.isfinite(x) for x in map(as_number, self.levels)
             ):
                 raise SpaceError(f"{self.name}: discrete levels must be finite numbers")
             object.__setattr__(self, "levels", tuple(self.levels))
-
-    @property
-    def relaxed_width(self) -> int:
-        if self.kind == CATEGORICAL:
-            return len(self.levels)  # type: ignore[arg-type]
-        return 1
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"name": self.name, "kind": self.kind}
@@ -136,8 +129,10 @@ class ParamSpace:
         # The layout never changes, so every evaluation reads it from here.
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_name_set", frozenset(names))
-        # Where each variable sits on the cube, laid out once for `decode`.
-        starts = np.cumsum([0] + [v.relaxed_width for v in self.variables]).tolist()
+        # Where each variable sits on the cube (a categorical one takes a
+        # one-hot block), laid out once for `decode`.
+        widths = [len(v.levels) if v.kind == CATEGORICAL else 1 for v in self.variables]  # type: ignore[arg-type]
+        starts = np.cumsum([0] + widths).tolist()
         object.__setattr__(self, "_relaxed_dim", starts[-1])
         placed = list(zip(starts, self.variables))
         cont = [(c, v) for c, v in placed if v.kind == CONTINUOUS]
@@ -164,18 +159,16 @@ class ParamSpace:
     # -- validation -------------------------------------------------------
 
     def validate(self, point: DesignPoint) -> None:
+        """Raise `SpaceError` on a missing or unknown name, or on the first of `findings`."""
         for v, val in self._read(point):
-            if v.kind == CONTINUOUS:
-                x = _number(v, val)
-                if not math.isfinite(x):
-                    raise SpaceError(f"{v.name}: value must be finite")
-                if x < v.lower or x > v.upper:  # type: ignore[operator]
-                    raise SpaceError(f"{v.name}: value {x} outside [{v.lower}, {v.upper}]")
-            else:
-                if v.kind == DISCRETE:
-                    _number(v, val)  # a bool is not a level, though True == 1
-                if val not in v.levels:  # type: ignore[operator]
-                    raise SpaceError(f"{v.name}: unknown level {val!r}")
+            finding = _finding(v, val)
+            if finding is not None:
+                raise SpaceError(finding.message)
+
+    def findings(self, values: Mapping[str, Any]) -> list[Finding]:
+        """Every value in `values` that does not fit its variable, in order; other names are skipped."""
+        found = [_finding(v, values[v.name]) for v in self.variables if v.name in values]
+        return [f for f in found if f is not None]
 
     def _read(self, point: DesignPoint) -> Iterator[tuple[VariableSpec, Any]]:
         """Each variable with its value, in order; an unknown or missing name raises."""
@@ -265,15 +258,21 @@ class ParamSpace:
         return points
 
     def clip(self, point: DesignPoint) -> DesignPoint:
-        """A valid point from an outside design, whose numbers may be text: continuous values
-        clamp (±inf too), discrete ones snap to the nearest level, earlier on ties; NaN raises."""
+        """A point that passes `validate`, from an outside design whose numbers may be text:
+        continuous values clamp (±inf too), discrete ones snap to the nearest level, earlier
+        on ties; NaN, a non-number and an unknown categorical level raise."""
         values: dict[str, Any] = {}
         for v, val in self._read(point):
             if v.kind == CATEGORICAL:
                 if val not in v.levels:  # type: ignore[operator]
                     raise SpaceError(f"{v.name}: unknown level {val!r}")
             else:
-                x = _number(v, val, text=True)
+                try:
+                    x = float(val) if isinstance(val, str) else as_number(val)
+                except ValueError:
+                    x = None
+                if x is None:
+                    raise SpaceError(_finding(v, val).message)  # type: ignore[union-attr]
                 if math.isnan(x):
                     raise SpaceError(f"{v.name}: value must not be NaN")
                 if v.kind == CONTINUOUS:
@@ -294,16 +293,42 @@ class ParamSpace:
         return cls(variables=tuple(VariableSpec.from_json(v) for v in data["variables"]))
 
 
-def _number(v: VariableSpec, val: Any, text: bool = False) -> float:
-    """`val` as a float: a real number but not a bool, or with `text` a numeric string."""
-    if isinstance(val, bool) or not (isinstance(val, numbers.Real) or text and isinstance(val, str)):
-        raise SpaceError(f"{v.name}: value {val!r} is not a number")
+class Finding(NamedTuple):
+    """A value that does not fit `variable`: `reason` is "non-numeric" or "unknown level",
+    or None for a number outside the bounds, whose `value` is then its float."""
+
+    variable: VariableSpec
+    reason: str | None
+    value: Any
+    message: str
+
+
+def as_number(val: Any) -> float | None:
+    """`val` as a float if it is a real number, not a bool nor an int too large for a float."""
+    # A float or int skips the `numbers.Real` check, which costs about ten times as much.
+    if type(val) not in (float, int) and (isinstance(val, bool) or not isinstance(val, numbers.Real)):
+        return None
     try:
         return float(val)
-    except ValueError:
-        raise SpaceError(f"{v.name}: value {val!r} is not a number") from None
     except OverflowError:
-        raise SpaceError(f"{v.name}: value is too large for a float") from None
+        return None
+
+
+def _finding(v: VariableSpec, val: Any) -> Finding | None:
+    if v.kind != CATEGORICAL:
+        x = as_number(val)
+        if x is None:
+            huge = isinstance(val, numbers.Integral) and not isinstance(val, bool)
+            why = "is too large for a float" if huge else f"{val!r} is not a number"
+            return Finding(v, "non-numeric", val, f"{v.name}: value {why}")
+        if v.kind == CONTINUOUS:
+            if v.lower <= x <= v.upper:  # type: ignore[operator]
+                return None  # NaN and ±inf fall outside the closed bounds
+            why = f"{x} outside [{v.lower}, {v.upper}]" if math.isfinite(x) else "must be finite"
+            return Finding(v, None, x, f"{v.name}: value {why}")
+    if val in v.levels:  # type: ignore[operator]
+        return None
+    return Finding(v, "unknown level", val, f"{v.name}: unknown level {val!r}")
 
 
 def _index(cols: list[int]) -> slice | np.ndarray:

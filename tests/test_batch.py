@@ -1,7 +1,7 @@
 """One batch in flight: `run_with_budget` hands each proposal batch to the environment.
 
 `run_with_budget` evaluates each yielded batch, the warm-start designs and
-the leftover budget as one `evaluate_batch` call each, and records them in
+the leftover budget as one `evaluate_decoded` call each, and records them in
 row order, so every reward, design id and budget count is what one design
 at a time gives. `ProblemEnvironment.evaluate(point)` is the one-design
 batch, and an evaluator failure on any metric value becomes an error row.
@@ -14,7 +14,7 @@ import pytest
 from aerobench import optimizers
 from aerobench.optimizers import BudgetedObjective, OptimizerConfig, run_with_budget
 from aerobench.problems import EvaluationError, get_environment, task_ids
-from aerobench.space import DesignPoint, SpaceError
+from aerobench.space import DesignPoint, ParamSpace, SpaceError
 
 ALL_TASKS = task_ids()
 
@@ -73,6 +73,26 @@ def test_warm_start_is_one_batch_at_iteration_zero():
     assert [p.values for p in batches[0]] == [env.space.clip(p).values for p in warm]
     assert [r.iteration for r in traj.records[:3]] == [0, 0, 0]
     assert len(traj.records) == 10
+
+
+def test_warm_start_designs_are_normalized_once_and_not_validated(monkeypatch):
+    # `clip` returns valid points; each warm row is computed once and goes
+    # both to the evaluation and to the method. The stand-in evaluator
+    # normalizes each of the 10 evaluated designs itself.
+    calls = {"validate": 0, "normalize": 0}
+    for name in calls:
+        original = getattr(ParamSpace, name)
+
+        def counting(space, point, name=name, original=original):
+            calls[name] += 1
+            return original(space, point)
+
+        monkeypatch.setattr(ParamSpace, name, counting)
+    env = get_environment("delta-ld-single")
+    warm = env.space.sample_uniform(seed=6, n=3)
+    traj = run_with_budget(env, OptimizerConfig(method="pso", budget=10, seed=4), warm)
+    assert len(traj.records) == 10
+    assert calls == {"validate": 0, "normalize": 13}
 
 
 def test_leftover_budget_is_one_batch_of_the_sequential_draws(monkeypatch):

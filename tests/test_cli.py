@@ -159,6 +159,23 @@ class TestRun:
              "--budget", "5", "--out", str(tmp_path / "y")]
         ) == 1
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--seeds=-1"], "seed -1 is not a Philox key"),
+            (["--budget", "0"], "budget must be >= 1"),
+            (["--method", "pso,sgd"], "unknown method 'sgd'"),
+        ],
+        ids=["negative-seed", "zero-budget", "unknown-method"],
+    )
+    def test_bad_grid_writes_nothing(self, tmp_path, capsys, extra, message):
+        # Every (method, seed) configuration is checked before the manifest.
+        out = tmp_path / "runs"
+        assert self._run(out, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_seed_range_and_duplicates(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(

@@ -30,7 +30,7 @@ from aerobench.diagnostics import (
     worst_status,
 )
 from aerobench.problems.catalog import get_environment
-from aerobench.space import continuous_space
+from aerobench.space import DesignPoint, SpaceError, continuous_space
 
 TOL = 1e-9
 
@@ -276,6 +276,67 @@ class TestGeometryInputs:
             {"key": key, "value": bad, "reason": "non-numeric"}
         ]
         assert worst_status(bundle) == "issue"
+
+
+# Every kind of value a design file can hold, for one variable.
+_ANY_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**6), 10**6),
+    st.just(10**400),
+    st.booleans(),
+    st.floats(-50.0, 50.0).map(repr),
+    st.sampled_from(["0.8", "inf", "nan", "1e400", " 2 "]),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.floats(-1.0, 1.0), max_size=2),
+)
+
+
+class TestOneValueRule:
+    """F002 and `ParamSpace.validate` read a design value by the same rule."""
+
+    @pytest.mark.parametrize("task_id", ["car-drag-single", "ceras-fuel-mixed"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_f002_lists_a_value_exactly_when_validate_rejects_it(self, golden, task_id, data):
+        env = get_environment(task_id)
+        space = env.space
+        designs = [p.values for p in space.sample_uniform(seed=5, n=3)]
+        if task_id == "car-drag-single":
+            designs.append(golden["design_params"])
+        design = data.draw(st.sampled_from(designs))
+        var = data.draw(st.sampled_from(space.variables))
+        levels = [lv for v in space.variables if v.levels for lv in v.levels]
+        value = data.draw(_ANY_VALUE | st.sampled_from(levels) if levels else _ANY_VALUE)
+        params = {**design, var.name: value}
+        try:
+            space.validate(DesignPoint.from_json(params))
+            rejected = []
+        except SpaceError:
+            rejected = [var.name]
+        inputs = DiagnosticInputs(
+            environment=task_id, design_id="d", space=space, design_params=params, metrics={}
+        )
+        f002 = _by_id(check_bounds_and_presence(inputs))["F002_param_bounds_respected"]
+        assert [v["key"] for v in f002.value["violations"]] == rejected
+
+    @pytest.mark.parametrize("bad", [True, "0.8"], ids=["bool", "numeric-text"])
+    def test_bool_and_numeric_text_are_not_numbers(self, golden, car_env, bad):
+        inputs = golden_inputs(golden, car_env)
+        params = {**inputs.design_params, "car_size": bad}
+        bundle = build_evidence_bundle(dataclasses.replace(inputs, design_params=params))
+        f002 = bundle["evidence_bundle"]["feasibility"][1]
+        assert f002["value"]["violations"] == [
+            {"key": "car_size", "value": bad, "reason": "non-numeric"}
+        ]
+        g003 = bundle["evidence_bundle"]["geometry"][2]
+        assert g003["check_id"] == "G003_size_width_length_coupling"
+        assert g003["status"] == "missing" and "car_size" in g003["message"]
+        # G001 leaves the value out of its denominator (it is at its bound).
+        assert "car_size" in near_bound_fraction(car_env.space, inputs.design_params)[1]
+        fraction, keys = near_bound_fraction(car_env.space, params)
+        assert "car_size" not in keys
+        assert fraction == len(keys) / (len(car_env.space.variables) - 1)
 
 
 class TestSeverityInvariants:

@@ -58,6 +58,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             OptimizerConfig(method="pso", budget=0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_must_be_a_philox_key(self, seed):
+        with pytest.raises(ConfigurationError, match="Philox key"):
+            OptimizerConfig(method="pso", budget=10, seed=seed)
+        assert OptimizerConfig(method="pso", budget=10, seed=2**128 - 1).seed == 2**128 - 1
+
     def test_unknown_options_rejected(self):
         with pytest.raises(ConfigurationError):
             OptimizerConfig(method="pso", budget=10, seed=0, options={"nope": 1})

@@ -244,3 +244,43 @@ def test_philox_sampling_is_seed_deterministic(seed):
     a = space.sample_uniform(seed=seed, n=3)
     b = space.sample_uniform(seed=seed, n=3)
     assert [p.values for p in a] == [p.values for p in b]
+
+
+@st.composite
+def _spaces_with_integer_bounds(draw):
+    """Mixed spaces whose bounds may be ints and whose discrete levels may be floats."""
+    number = st.integers(-50, 50) | st.integers(-5000, 5000).map(lambda k: k / 100)
+    variables = []
+    for i in range(draw(st.integers(1, 3))):
+        lo, hi = sorted(draw(st.lists(number, min_size=2, max_size=2, unique_by=float)))
+        variables.append(VariableSpec(name=f"c{i}", kind=CONTINUOUS, lower=lo, upper=hi))
+    for i in range(draw(st.integers(0, 2))):
+        levels = draw(st.lists(number, min_size=2, max_size=5, unique_by=float))
+        variables.append(VariableSpec(name=f"d{i}", kind=DISCRETE, levels=tuple(levels)))
+    if draw(st.booleans()):
+        variables.append(VariableSpec(name="k", kind=CATEGORICAL, levels=("a", "b", "c")))
+    return ParamSpace(variables=tuple(variables))
+
+
+@given(space=_spaces_with_integer_bounds(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_point_clip_returns_is_valid(space, data):
+    # The driver evaluates clipped warm-start designs without validating them.
+    number = (
+        st.floats(allow_nan=False)
+        | st.integers(-(10**6), 10**6)
+        | st.sampled_from([float("inf"), float("-inf"), -0.0])
+    )
+    text = number.map(str) | st.sampled_from(["inf", "-inf", "1e400", " 7 ", "-0"])
+    values = {}
+    for v in space.variables:
+        if v.kind == CATEGORICAL:
+            values[v.name] = data.draw(st.sampled_from(v.levels))
+        else:
+            values[v.name] = data.draw(number | text | st.sampled_from(v.levels or (v.lower, v.upper)))
+    space.validate(space.clip(DesignPoint(values=values)))
+
+
+def test_a_bool_is_not_a_discrete_level():
+    with pytest.raises(SpaceError, match="discrete levels must be finite numbers"):
+        VariableSpec(name="d", kind=DISCRETE, levels=(True, 2))
