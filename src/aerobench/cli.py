@@ -9,6 +9,7 @@ partially completed grid remains self-describing.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import csv
 import datetime
@@ -107,9 +108,15 @@ def _parse_seeds(text: str) -> list[int]:
             seeds.append(int(part))
     if not seeds:
         raise ValueError("no seeds given")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("duplicate seeds")
-    return seeds
+    return _distinct(seeds, "seeds")
+
+
+def _distinct(items: list, what: str) -> list:
+    """`items` unchanged; a value given twice would run one cell twice into one directory."""
+    twice = [str(item) for item, n in collections.Counter(items).items() if n > 1]
+    if twice:
+        raise ValueError(f"duplicate {what}: {', '.join(twice)}")
+    return items
 
 
 def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[DesignPoint]]:
@@ -186,9 +193,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         if task not in known:
             print(f"error: unknown task {task!r}", file=sys.stderr)
             return 1
-    # A bad method, seed, budget, catalog override or warm-start row stops
-    # the run before anything is written.
+    # A repeated task, method or seed, a bad method, seed, budget, job count,
+    # catalog override or warm-start row stops the run before anything is written.
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        _distinct(tasks, "tasks")
+        _distinct(methods, "methods")
         seeds = _parse_seeds(args.seeds)
         for method in methods:
             for seed in seeds:

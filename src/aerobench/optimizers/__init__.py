@@ -14,9 +14,14 @@ that reproduces it. The warm-start designs, each yielded batch and the
 leftover samples each go to the environment as one batch. Warm-start designs
 are projected by `ParamSpace.clip`, which returns valid points, and are
 normalized once: the same rows are evaluated and handed to the method.
+
+A method's module is imported the first time the method is looked up (by
+`OptimizerConfig`, `resolved_options` or `run_with_budget`), so importing
+this package loads none of them, and only a `bo` run loads scipy.
 """
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -26,7 +31,6 @@ from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
 from ..problems.catalog import CATALOG_VERSION
 from ..space import DesignPoint
-from . import bo, cmaes, evolve, lbfgsb, pso
 from .base import (
     BudgetedObjective,
     ConfigurationError,
@@ -34,19 +38,30 @@ from .base import (
     Trajectory,
     fd_gradient,
 )
-from .pso import pso_coefficients
 
-_METHODS = {
-    "lbfgsb": lbfgsb,
-    "pso": pso,
-    "cmaes": cmaes,
-    "bo": bo,
-    "evolve": evolve,
-}
+# Method name -> its module, None until the first lookup imports it.
+_METHODS = dict.fromkeys(("lbfgsb", "pso", "cmaes", "bo", "evolve"))
 
 
 def method_names() -> list[str]:
     return sorted(_METHODS)
+
+
+def _method(name: str):
+    """The module of a known method, imported on its first lookup."""
+    module = _METHODS[name]
+    if module is None:
+        module = _METHODS[name] = importlib.import_module(f".{name}", __name__)
+    return module
+
+
+def __getattr__(name: str):
+    # Re-exported without importing pso along with the package.
+    if name == "pso_coefficients":
+        from .pso import pso_coefficients
+
+        return pso_coefficients
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +80,7 @@ class OptimizerConfig:
             raise ConfigurationError("budget must be >= 1")
         if not 0 <= self.seed < 2**128:
             raise ConfigurationError(f"seed {self.seed} is not a Philox key: need 0 <= seed < 2**128")
-        module = _METHODS[self.method]
-        unknown = set(self.options) - set(module.DEFAULTS)
+        unknown = set(self.options) - set(_method(self.method).DEFAULTS)
         if unknown:
             raise ConfigurationError(
                 f"{self.method}: unknown options {sorted(unknown)}"
@@ -74,8 +88,7 @@ class OptimizerConfig:
 
 
 def resolved_options(config: OptimizerConfig) -> dict:
-    module = _METHODS[config.method]
-    return {**module.DEFAULTS, **dict(config.options)}
+    return {**_method(config.method).DEFAULTS, **dict(config.options)}
 
 
 def run_with_budget(
@@ -84,10 +97,10 @@ def run_with_budget(
     warmstart: Sequence[DesignPoint] = (),
 ) -> Trajectory:
     """Run one method on one task under a hard evaluation budget."""
-    module = _METHODS[config.method]
+    module = _method(config.method)
     space = env.space
     if config.method == "lbfgsb":
-        lbfgsb.check_space(space)
+        module.check_space(space)
     options = resolved_options(config)
     obj = BudgetedObjective(env, config.budget)
     resolved = {

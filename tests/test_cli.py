@@ -176,6 +176,24 @@ class TestRun:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--task", "delta-ld-single,delta-ld-single"], "duplicate tasks: delta-ld-single"),
+            (["--method", "pso,evolve,pso"], "duplicate methods: pso"),
+            (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["--jobs=-2"], "--jobs must be >= 1, got -2"),
+        ],
+        ids=["duplicate-task", "duplicate-method", "zero-jobs", "negative-jobs"],
+    )
+    def test_repeated_cell_or_bad_job_count_writes_nothing(self, tmp_path, capsys, extra, message):
+        # A repeated task or method would run one cell twice into one directory.
+        out = tmp_path / "runs"
+        assert self._run(out, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_seed_range_and_duplicates(self, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(

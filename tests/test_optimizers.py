@@ -486,6 +486,33 @@ class TestBo:
         assert np.all(np.isfinite(lei))
         assert np.all(np.diff(lei) < 0)
 
+    def test_log_ei_upper_branch_is_the_norm_form_bit_for_bit(self):
+        # z > -1 takes log(phi + z Phi) with phi and Phi written out; it must
+        # be scipy's norm.pdf and norm.cdf to the last bit, from the first
+        # doubles above -1 to z = 40.
+        just_above = np.nextafter(-1.0, 0.0) + np.arange(64) * np.spacing(1.0)
+        grid = np.linspace(-1.0, 40.0, 400_001)[1:]
+        seeded = np.random.default_rng(7).uniform(-1.0, 40.0, 100_000)
+        z = np.concatenate([just_above, grid, seeded[seeded > -1.0]])
+        assert np.all(z > -1.0) and z.max() == 40.0
+        got = bo._log_h(z)
+        want = np.log(norm.pdf(z) + z * norm.cdf(z))
+        differ = [(v, a.hex(), b.hex()) for v, a, b in zip(z.tolist(), got.tolist(), want.tolist())
+                  if a.hex() != b.hex()]
+        assert differ == []
+
+    def test_refinement_batch_draws_the_per_trial_values(self):
+        # bo draws its 3 * n_refine perturbations as one batch; on the Philox
+        # stream that is the same values, in the same order, leaving the same
+        # state, as one draw of `dim` per trial.
+        rng = continuous_space({"x": (0.0, 1.0)}).rng
+        for seed in range(10):
+            for dim in (1, 3, 6, 17):
+                one, batch = rng(seed), rng(seed)
+                rows = [one.normal(0.0, 0.05, size=dim) for _ in range(30)]
+                assert np.array_equal(np.array(rows), batch.normal(0.0, 0.05, size=(30, dim)))
+                assert repr(one.bit_generator.state) == repr(batch.bit_generator.state)
+
     def test_forrester_acquisition_has_no_ties(self, monkeypatch):
         # Under a log(max(EI, 1e-300)) floor, most Sobol candidates of this run
         # tied on that floor; distinct candidates must get distinct values.
