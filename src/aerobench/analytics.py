@@ -235,9 +235,25 @@ class RunSet:
 
 
 def read_run_dir(path: str) -> RunRecord:
-    """Read one seed directory (results.csv + resolved_config.json)."""
-    with open(os.path.join(path, "resolved_config.json")) as fh:
-        config = json.load(fh)
+    """Read one seed directory (results.csv + resolved_config.json).
+
+    A reward of "" or "None" is an error row. A malformed directory raises
+    AnalyticsError naming it and the problem.
+    """
+    try:
+        with open(os.path.join(path, "resolved_config.json")) as fh:
+            config = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise AnalyticsError(f"{path}: resolved_config.json is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise AnalyticsError(f"{path}: resolved_config.json must hold a JSON object")
+    missing = [key for key in ("task", "method", "seed", "budget") if key not in config]
+    if missing:
+        raise AnalyticsError(f"{path}: resolved_config.json has no {', '.join(missing)}")
+    for key in ("seed", "budget"):
+        value = config[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise AnalyticsError(f"{path}: resolved_config.json {key} must be an integer, got {value!r}")
     rewards: list[float | None] = []
     with open(os.path.join(path, "results.csv"), newline="") as fh:
         reader = csv.reader(fh)
@@ -249,13 +265,21 @@ def read_run_dir(path: str) -> RunRecord:
             for row in reader:
                 if not row:
                     continue  # blank line, skipped as csv.DictReader does
-                raw = row[col]
-                rewards.append(float(raw) if raw not in ("", "None") else None)
+                try:
+                    raw = row[col]
+                    reward = float(raw) if raw not in ("", "None") else None
+                except (IndexError, ValueError):
+                    reward = math.nan
+                if reward != reward:
+                    raise AnalyticsError(
+                        f"{path}: results.csv line {reader.line_num}: reward is not a number"
+                    )
+                rewards.append(reward)
     return RunRecord(
         task=config["task"],
         method=config["method"],
-        seed=int(config["seed"]),
-        budget=int(config["budget"]),
+        seed=config["seed"],
+        budget=config["budget"],
         rewards=tuple(rewards),
         sense=config.get("sense", MAXIMIZE),
     )

@@ -15,6 +15,7 @@ import csv
 import datetime
 import json
 import os
+import shlex
 import sys
 from typing import Sequence
 
@@ -119,6 +120,19 @@ def _distinct(items: list, what: str) -> list:
     return items
 
 
+def _evaluator_argv(command: str | None) -> list[str] | None:
+    """The `--evaluator` command split as a POSIX shell would; None for the stand-in."""
+    if command is None:
+        return None
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:  # unbalanced quotes
+        raise ValueError(f"--evaluator {command!r}: {exc}") from None
+    if not argv:
+        raise ValueError("--evaluator is blank")
+    return argv
+
+
 def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[DesignPoint]]:
     """Every row of the warm-start CSV read into each task's space by `clip`."""
     with open(path, newline="") as fh:
@@ -194,10 +208,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"error: unknown task {task!r}", file=sys.stderr)
             return 1
     # A repeated task, method or seed, a bad method, seed, budget, job count,
-    # catalog override or warm-start row stops the run before anything is written.
+    # evaluator command, catalog override or warm-start row stops the run
+    # before anything is written.
     try:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        evaluator_command = _evaluator_argv(args.evaluator)
         _distinct(tasks, "tasks")
         _distinct(methods, "methods")
         seeds = _parse_seeds(args.seeds)
@@ -209,7 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError, csv.Error) as exc:  # ValueError covers SpaceError, ConfigurationError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    evaluator_command = args.evaluator.split() if args.evaluator else None
 
     os.makedirs(args.out, exist_ok=True)
     manifest = {
@@ -217,6 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "methods": methods,
         "seeds": seeds,
         "budget": args.budget,
+        "evaluator": evaluator_command,
         "output_root": os.path.abspath(args.out),
         "catalog_version": catalog.CATALOG_VERSION,
         "harness_version": __version__,

@@ -2,26 +2,28 @@
 
 Every method consumes the same currency: one environment evaluation equals
 one budget unit, including finite-difference stencils and warm-start
-designs. A method supplies only its proposal logic: its module's
-`run(space, rng, opts, warm, budget, warn)` is a generator that yields
-`(iteration, U)`, a `(k, relaxed_dim)` batch of unit-cube rows, and is sent
-back one reward per row (maximization sense, -inf for an evaluator error).
-`run_with_budget` is the only evaluation loop. It resolves options, seeds
-the RNG, charges warm-start designs at iteration 0, evaluates batches until
-the budget is spent, spends any budget a method leaves on uniform samples,
-and returns the full evaluation trajectory plus the resolved configuration
-that reproduces it. The warm-start designs, each yielded batch and the
-leftover samples each go to the environment as one batch. Warm-start designs
-are projected by `ParamSpace.clip`, which returns valid points, and are
-normalized once: the same rows are evaluated and handed to the method.
-
-A method's module is imported the first time the method is looked up (by
-`OptimizerConfig`, `resolved_options` or `run_with_budget`), so importing
-this package loads none of them, and only a `bo` run loads scipy.
+designs. A method module is its options' `DEFAULTS`, a `check(opts, space)`
+that raises `ConfigurationError` for options it cannot run with or a space
+it does not apply to, and its proposal logic, `run(dim, rng, opts, warm,
+budget, warn)`: a generator that yields `(iteration, U)`, a `(k, dim)` batch
+of unit-cube rows (`dim` is the space's `relaxed_dim`), and is sent back one
+reward per row (maximization sense, -inf for an evaluator error).
+`run_with_budget` is the only evaluation loop, and it names no method. It
+types the options and runs `check` before anything is evaluated, seeds the
+RNG, charges warm-start designs at iteration 0, evaluates batches until the
+budget is spent, spends budget a method leaves on uniform samples, and
+returns the trajectory plus the resolved configuration that reproduces it.
+Warm-start designs, each yielded batch and the leftover samples each go to
+the environment as one batch. Warm-start designs are projected by `clip` and
+normalized once: the same rows, inside [0, 1], are evaluated and handed to
+the method. A method's module is imported the first time the method is
+looked up, so importing this package loads none, and only `bo` loads scipy.
 """
 from __future__ import annotations
 
 import importlib
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -80,15 +82,38 @@ class OptimizerConfig:
             raise ConfigurationError("budget must be >= 1")
         if not 0 <= self.seed < 2**128:
             raise ConfigurationError(f"seed {self.seed} is not a Philox key: need 0 <= seed < 2**128")
-        unknown = set(self.options) - set(_method(self.method).DEFAULTS)
-        if unknown:
-            raise ConfigurationError(
-                f"{self.method}: unknown options {sorted(unknown)}"
-            )
+        resolved_options(self)
 
 
 def resolved_options(config: OptimizerConfig) -> dict:
-    return {**_method(config.method).DEFAULTS, **dict(config.options)}
+    """The method's defaults updated by the given options, each typed by `_typed`:
+    exactly what the method reads and `resolved_config.json` records."""
+    defaults = _method(config.method).DEFAULTS
+    unknown = set(config.options) - set(defaults)
+    if unknown:
+        raise ConfigurationError(f"{config.method}: unknown options {sorted(unknown)}")
+    return {
+        **defaults,
+        **{name: _typed(config.method, name, v, defaults[name]) for name, v in config.options.items()},
+    }
+
+
+def _typed(method: str, name: str, value, default):
+    """`value` given its default's type, or ConfigurationError: a bool default
+    takes a bool, an int default an int (not a bool), a float default a finite
+    int or float (stored as float), and a None default None or an int."""
+    is_int = isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float) and is_int and abs(value) <= sys.float_info.max:
+        value = float(value)  # a larger int would overflow float()
+    ok, kind = {
+        bool: (isinstance(value, bool), "a bool"),
+        int: (is_int, "an int"),
+        float: (isinstance(value, float) and math.isfinite(value), "a finite number"),
+        type(None): (value is None or is_int, "None or an int"),
+    }[type(default)]
+    if not ok:
+        raise ConfigurationError(f"{method}: option {name} must be {kind}, got {value!r}")
+    return float(value) if isinstance(default, float) else value
 
 
 def run_with_budget(
@@ -99,9 +124,8 @@ def run_with_budget(
     """Run one method on one task under a hard evaluation budget."""
     module = _method(config.method)
     space = env.space
-    if config.method == "lbfgsb":
-        module.check_space(space)
     options = resolved_options(config)
+    module.check(options, space)
     obj = BudgetedObjective(env, config.budget)
     resolved = {
         "method": config.method,
@@ -119,7 +143,7 @@ def run_with_budget(
     if clipped:
         rows = np.array([space.normalize(p) for p in clipped])
         warm = list(zip(rows, obj.evaluate_decoded(clipped, rows, 0).tolist()))
-    proposals = module.run(space, rng, options, warm, obj.remaining, obj.warnings.append)
+    proposals = module.run(space.relaxed_dim, rng, options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:
         while True:

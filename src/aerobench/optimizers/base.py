@@ -12,13 +12,22 @@ from ..space import DesignPoint
 FD_EPS = 1e-4
 
 # A method's `run` yields (iteration, U) batches of unit-cube rows and is sent
-# one reward per row; warm-start designs arrive as (u, reward) pairs.
+# one reward per row. Warm-start designs arrive as (u, reward) pairs, each u
+# the normalized row of a design `ParamSpace.clip` made valid, so it already
+# lies in [0, 1] and a method need not clip it.
 Proposals = Generator[tuple[int, np.ndarray], np.ndarray, None]
 Warm = list[tuple[np.ndarray, float]]
 
 
 class ConfigurationError(ValueError):
     """Invalid optimizer configuration or method/space incompatibility."""
+
+
+def check_at_least(opts: dict, **minimums) -> None:
+    """Raise ConfigurationError for the first named option below its minimum."""
+    for name, minimum in minimums.items():
+        if opts[name] < minimum:
+            raise ConfigurationError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from scipy.special import erfcx, ndtr
 from scipy.stats import qmc
 
 from ..space import ParamSpace
-from .base import ConfigurationError, Proposals, Warm
+from .base import Proposals, Warm, check_at_least
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
@@ -158,15 +158,15 @@ class _GP:
                         rng.uniform(np.log(1e-6), np.log(1e-2)),
                     ]
                 )
-                for _ in range(int(opts["fit_starts"]) - 1)
+                for _ in range(opts["fit_starts"] - 1)
             ]
         for theta in starts:
             theta = np.clip(theta.copy(), THETA_LO, THETA_HI)
             val, grad = self._neg_mll_and_grad(theta)
             if not np.isfinite(val):
                 continue
-            lr = float(opts["fit_lr"])
-            for _ in range(int(opts["fit_steps"])):
+            lr = opts["fit_lr"]
+            for _ in range(opts["fit_steps"]):
                 if grad is None or not np.all(np.isfinite(grad)):
                     break
                 cand = np.clip(theta - lr * grad, THETA_LO, THETA_HI)
@@ -244,27 +244,22 @@ def log_expected_improvement(
     return _log_h((mu - best) / sigma) + np.log(sigma)
 
 
-def run(
-    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
-) -> Proposals:
-    n_initial = int(opts["n_initial"])
-    n_candidates = int(opts["n_candidates"])
-    n_refine = int(opts["n_refine"])
-    if n_initial < 2:
-        raise ConfigurationError("n_initial must be >= 2")
-    dim = space.relaxed_dim
+def check(opts: dict, space: ParamSpace) -> None:
+    check_at_least(opts, n_initial=2, n_candidates=1, n_refine=1)
 
+
+def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
     xs: list[np.ndarray] = []
     ys: list[float] = []
 
     def observe(u: np.ndarray, reward: float) -> None:
         if reward > -np.inf:
-            xs.append(np.clip(u, 0.0, 1.0))
+            xs.append(u)
             ys.append(reward)
 
     for u, reward in warm:
         observe(u, reward)
-    while len(xs) < n_initial:
+    while len(xs) < opts["n_initial"]:
         u = rng.random(dim)
         observe(u, float((yield 0, u[None])[0]))
 
@@ -284,13 +279,13 @@ def run(
         theta = gp.theta
         best = float((max(ys) - gp.y_mean) / gp.y_std)
         sobol = qmc.Sobol(d=dim, scramble=True, seed=int(rng.integers(2**31)))
-        cand = sobol.random(n_candidates)
+        cand = sobol.random(opts["n_candidates"])
         mu, sigma = gp.posterior(cand)
         lei = log_expected_improvement(mu, sigma, best)
         order = np.argsort(-lei)
         # Local refinement: three perturbations of each top Sobol candidate,
         # drawn as one batch (the same values as one draw per trial).
-        pool = cand[order[:n_refine]]
+        pool = cand[order[: opts["n_refine"]]]
         noise = rng.normal(0.0, 0.05, size=(3 * len(pool), dim))
         refined = np.clip(np.repeat(pool, 3, axis=0) + noise, 0.0, 1.0)
         all_cand = np.concatenate([pool, refined])

@@ -48,34 +48,33 @@ def strategy_params(dim: int, popsize: int, mu: int) -> dict:
     }
 
 
-def run(
-    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
-) -> Proposals:
-    dim = space.relaxed_dim
+def _sizes(opts: dict, dim: int) -> tuple[int, int]:
     popsize = opts["popsize"]
     if popsize is None:
         popsize = 4 + int(np.floor(3.0 * np.log(dim)))
-    popsize = int(popsize)
+    return popsize, popsize // 2 if opts["mu"] is None else opts["mu"]
+
+
+def check(opts: dict, space: ParamSpace) -> None:
+    popsize, mu = _sizes(opts, space.relaxed_dim)
     if popsize < 2:
         raise ConfigurationError("popsize must be >= 2")
-    mu = opts["mu"]
-    mu = popsize // 2 if mu is None else int(mu)
     if not 1 <= mu <= popsize:
         raise ConfigurationError("mu must be in [1, popsize]")
-    sigma = float(opts["sigma0"])
-    if sigma <= 0:
+    if opts["sigma0"] <= 0:
         raise ConfigurationError("sigma0 must be positive")
 
+
+def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
+    popsize, mu = _sizes(opts, dim)
+    sigma = opts["sigma0"]
     sp = strategy_params(dim, popsize, mu)
     weights = sp["weights"]
 
     # Start from the best warm point when given, otherwise the cube center.
     if warm:
         finite = [(u, r) for u, r in warm if r > -np.inf]
-        mean = (
-            max(finite, key=lambda ur: ur[1])[0].copy() if finite else warm[0][0].copy()
-        )
-        mean = np.clip(mean, 0.0, 1.0)
+        mean = max(finite, key=lambda ur: ur[1])[0] if finite else warm[0][0]
     else:
         mean = np.full(dim, 0.5)
 

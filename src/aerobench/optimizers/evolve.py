@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import ConfigurationError, Proposals, Warm
+from .base import Proposals, Warm, check_at_least
 
 DEFAULTS = {
     "archive_capacity": 100,
@@ -31,8 +31,6 @@ class Archive:
     """Bounded elite store ordered best-first; worst member is evicted."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError("archive_capacity must be >= 1")
         self.capacity = capacity
         self.entries: list[tuple[float, np.ndarray]] = []
 
@@ -64,29 +62,19 @@ def mutation_scale(
     return start * frac
 
 
-def run(
-    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
-) -> Proposals:
-    capacity = int(opts["archive_capacity"])
-    pw_alpha = float(opts["pw_alpha"])
-    batch_size = int(opts["batch_size"])
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
-    num_islands = int(opts["num_islands"])
-    if num_islands < 1:
-        raise ConfigurationError("num_islands must be >= 1")
-    migration_interval = int(opts["migration_interval"])
-    migration_rate = float(opts["migration_rate"])
-    g_scale = float(opts["gaussian_scale"])
-    g_final = float(opts["gaussian_final_scale"])
-    decay = bool(opts["decay_scale"])
-    dim = space.relaxed_dim
+def check(opts: dict, space: ParamSpace) -> None:
+    check_at_least(opts, archive_capacity=1, batch_size=1, num_islands=1, migration_interval=1)
+    check_at_least(opts, gaussian_scale=0, gaussian_final_scale=0)
 
-    islands = [Archive(capacity) for _ in range(num_islands)]
+
+def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
+    num_islands = opts["num_islands"]
+    g_scale, g_final = opts["gaussian_scale"], opts["gaussian_final_scale"]
+    islands = [Archive(opts["archive_capacity"]) for _ in range(num_islands)]
     # Warm-start designs seed island 0; the rest start from uniform samples.
     for u, reward in warm:
         if reward > -np.inf:
-            islands[0].add(reward, np.clip(u, 0.0, 1.0))
+            islands[0].add(reward, u)
 
     # Children are proposed one at a time: each parent is drawn from an
     # archive that already holds the previous child.
@@ -103,10 +91,10 @@ def run(
     while True:
         gen += 1
         progress = 1.0 - (budget - spent) / budget if budget else 1.0
-        sigma = mutation_scale(progress, g_scale, g_final, decay)
+        sigma = mutation_scale(progress, g_scale, g_final, opts["decay_scale"])
         for island in islands:
-            for _ in range(batch_size):
-                parent = island.sample_parent(rng, pw_alpha)
+            for _ in range(opts["batch_size"]):
+                parent = island.sample_parent(rng, opts["pw_alpha"])
                 child = np.clip(
                     parent + rng.normal(0.0, sigma, size=dim), 0.0, 1.0
                 )
@@ -114,11 +102,11 @@ def run(
                 spent += 1
                 if reward > -np.inf:
                     island.add(reward, child)
-        if num_islands > 1 and gen % migration_interval == 0:
+        if num_islands > 1 and gen % opts["migration_interval"] == 0:
             # Copy the top fraction of each archive to the next island.
             batches = []
             for island in islands:
-                n_mig = max(1, int(migration_rate * len(island.entries)))
+                n_mig = max(1, int(opts["migration_rate"] * len(island.entries)))
                 batches.append(list(island.entries[:n_mig]))
             for i, batch in enumerate(batches):
                 target = islands[(i + 1) % num_islands]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import ConfigurationError, Proposals, Warm
+from .base import Proposals, Warm, check_at_least
 
 DEFAULTS = {
     "swarm_size": 20,
@@ -27,10 +27,7 @@ DEFAULTS = {
 def pso_coefficients(t: int, total: int, options: dict | None = None) -> tuple[float, float, float]:
     """(inertia, cognitive, social) at iteration t of a run with `total` steps."""
     opts = {**DEFAULTS, **(options or {})}
-    if total <= 0:
-        frac = 0.0
-    else:
-        frac = t / total
+    frac = t / total if total > 0 else 0.0
     # Convex-combination form keeps the endpoints and midpoint exact.
     w = (1.0 - frac) * opts["inertia_start"] + frac * opts["inertia_end"]
     c1 = (1.0 - frac) * opts["cognitive_start"] + frac * opts["cognitive_end"]
@@ -38,19 +35,16 @@ def pso_coefficients(t: int, total: int, options: dict | None = None) -> tuple[f
     return float(w), float(c1), float(c2)
 
 
-def run(
-    space: ParamSpace, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn
-) -> Proposals:
-    n = int(opts["swarm_size"])
-    if n < 2:
-        raise ConfigurationError("swarm_size must be >= 2")
-    v_scale = float(opts["velocity_init_scale"])
-    dim = space.relaxed_dim
+def check(opts: dict, space: ParamSpace) -> None:
+    check_at_least(opts, swarm_size=2, velocity_init_scale=0)
 
+
+def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
+    n, v_scale = opts["swarm_size"], opts["velocity_init_scale"]
     pos = rng.random((n, dim))
     # Warm-start designs replace the first initial particles.
     for i, (u, _) in enumerate(warm[:n]):
-        pos[i] = np.clip(u, 0.0, 1.0)
+        pos[i] = u
     vel = rng.uniform(-v_scale, v_scale, size=(n, dim))
 
     # One initial sweep plus T update sweeps; run_with_budget spends the rest.

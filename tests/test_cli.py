@@ -2,9 +2,12 @@
 import csv
 import json
 import os
+import shlex
+import sys
 
 import pytest
 
+import aerobench
 from aerobench.cli import RESULTS_HEADER, main
 from aerobench.problems import catalog
 from aerobench.space import CONTINUOUS, DISCRETE
@@ -25,6 +28,22 @@ def _midpoint_design(space):
         else:
             values[v.name] = v.levels[0]
     return values
+
+
+# Serves delta-ld-single's stand-in metrics over the evaluator protocol.
+_STAND_IN_SOLVER = """\
+import json, sys
+sys.path.insert(0, {src!r})
+from aerobench.problems import catalog
+from aerobench.space import DesignPoint
+env = catalog.get_environment("delta-ld-single")
+for line in sys.stdin:
+    if line.strip():
+        request = json.loads(line)
+        point = DesignPoint.from_json(request["params"])
+        metrics = env.evaluator.point_metrics(point, env.points[0], 0)
+        print(json.dumps({{"id": request["id"], "metrics": metrics}}), flush=True)
+"""
 
 
 class TestList:
@@ -105,6 +124,39 @@ class TestRun:
         assert manifest["seeds"] == [0, 1]
         assert manifest["budget"] == 40
         assert "catalog_version" in manifest and "harness_version" in manifest
+
+    def test_quoted_evaluator_command_runs_and_is_recorded(self, tmp_path):
+        # A script path with a space, quoted as a shell would take it, that
+        # serves the stand-in's own metrics: the rewards equal a stand-in run.
+        script = tmp_path / "my solver.py"
+        script.write_text(_STAND_IN_SOLVER.format(src=os.path.dirname(os.path.dirname(aerobench.__file__))))
+        command = f'{shlex.quote(sys.executable)} "{script}"'
+        wired, stand_in = tmp_path / "wired", tmp_path / "stand_in"
+        assert self._run(wired, ["--seeds", "0", "--budget", "6", "--evaluator", command]) == 0
+        assert self._run(stand_in, ["--seeds", "0", "--budget", "6"]) == 0
+        rewards = []
+        for root in (wired, stand_in):
+            with open(root / "delta-ld-single" / "pso" / "seed0" / "results.csv", newline="") as fh:
+                rewards.append([row["reward"] for row in csv.DictReader(fh)])
+        assert rewards[0] == rewards[1] and all(rewards[0])
+        manifests = [json.loads(_read(root / "manifest.json")) for root in (wired, stand_in)]
+        assert [m["evaluator"] for m in manifests] == [[sys.executable, str(script)], None]
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (" ", "--evaluator is blank"),
+            ("", "--evaluator is blank"),
+            ('python3 "my solver.py', "No closing quotation"),
+        ],
+        ids=["space", "empty", "unbalanced-quote"],
+    )
+    def test_bad_evaluator_command_writes_nothing(self, tmp_path, capsys, command, message):
+        out = tmp_path / "runs"
+        assert self._run(out, ["--seeds", "0", "--budget", "5", "--evaluator", command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_repeat_run_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -316,6 +368,30 @@ class TestCompare:
         assert main(
             ["compare", str(tmp_path / "empty"), "--out", str(tmp_path / "o")]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "config, reward, message",
+        [
+            ('{"task": "t", "method": "m", "seed": 0}', "1.0", "resolved_config.json has no budget"),
+            ('{"task": "t", "method": "m", "se', "1.0", "resolved_config.json is not valid JSON"),
+            ('["t", "m", 0, 5]', "1.0", "resolved_config.json must hold a JSON object"),
+            ('{"task": "t", "method": "m", "seed": "0", "budget": 5}', "1.0", "seed must be an integer"),
+            (None, "abc", "results.csv line 3: reward is not a number"),
+            (None, "nan", "results.csv line 3: reward is not a number"),
+        ],
+        ids=["no-budget", "truncated", "list", "text-seed", "text-reward", "nan-reward"],
+    )
+    def test_malformed_run_directory_fails_before_writing(self, tmp_path, capsys, config, reward, message):
+        run_dir = tmp_path / "runs" / "t" / "m" / "seed0"
+        run_dir.mkdir(parents=True)
+        config = config or '{"task": "t", "method": "m", "seed": 0, "budget": 5}'
+        (run_dir / "resolved_config.json").write_text(config)
+        (run_dir / "results.csv").write_text(f"iter,reward\n0,1.5\n0,{reward}\n0,None\n0,\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", str(tmp_path / "runs"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir}: ") and message in err
+        assert not out.exists()
 
 
 class TestDiagnose:

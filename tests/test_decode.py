@@ -5,12 +5,14 @@ validating them, so decoding must give valid points by construction and the
 same bits as the per-row mapping it replaced.
 """
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aerobench import optimizers
 from aerobench.optimizers import OptimizerConfig, run_with_budget
 from aerobench.problems import function_environment, get_environment, task_ids
 from aerobench.space import (
@@ -118,6 +120,44 @@ def test_every_cube_row_decodes_to_a_valid_point(space, data):
     for point, row in zip(points, rows):
         space.validate(point)
         assert row.tobytes() == space.normalize(point).tobytes()
+
+
+def _outside_value(v):
+    """Any value `clip` accepts for variable `v`, inside its bounds or not."""
+    if v.kind == CATEGORICAL:
+        return st.sampled_from(v.levels)
+    edges = [v.lower, v.upper] if v.kind == CONTINUOUS else list(v.levels)
+    return st.floats(allow_nan=False) | st.sampled_from(edges)
+
+
+@given(space=_mixed_spaces(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_warm_start_row_a_method_is_handed_lies_in_the_cube(space, data):
+    # Methods do not clip warm-start rows: the driver's rows of clipped designs are in [0, 1].
+    designs = data.draw(
+        st.lists(
+            st.fixed_dictionaries({v.name: _outside_value(v) for v in space.variables}),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    handed = []
+
+    def run(dim, rng, opts, warm, budget, warn):
+        handed.extend(u for u, _ in warm)
+        return
+        yield
+
+    fake = types.SimpleNamespace(DEFAULTS={}, check=lambda opts, space: None, run=run)
+    env = function_environment(space, lambda u: 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(optimizers._METHODS, "pso", fake)
+        warm = [DesignPoint(values) for values in designs]
+        run_with_budget(env, OptimizerConfig(method="pso", budget=len(warm) + 1, seed=0), warm)
+    assert len(handed) == len(designs)
+    for u in handed:
+        assert u.shape == (space.relaxed_dim,)
+        assert np.all((u >= 0.0) & (u <= 1.0)), u
 
 
 @pytest.mark.parametrize("method", ["cmaes", "pso", "lbfgsb", "evolve"])

@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from aerobench.cli import main
 from aerobench.optimizers import OptimizerConfig, method_names, run_with_budget
 from aerobench.problems import MINIMIZE, function_environment, get_environment, task_ids
 from aerobench.space import continuous_space
@@ -107,6 +108,35 @@ def test_goldens_cover_every_case(goldens):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trajectory_matches_golden(case, goldens):
     assert trajectory_digest(*CASES[case]) == goldens[case]
+
+
+@pytest.mark.parametrize("method", method_names())
+def test_a_written_resolved_config_reruns_its_trajectory(method, goldens, tmp_path):
+    # `aerobench run` records the typed options; they rebuild the same run.
+    task = TASKS[0]
+    argv = ["run", "--task", task, "--method", method, "--seeds", "0",
+            "--budget", str(BUDGET[method]), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / task / method / "seed0" / "resolved_config.json") as fh:
+        cfg = json.load(fh)
+    config = OptimizerConfig(
+        **{k: cfg[k] for k in ("method", "budget", "seed")}, options=cfg["options"]
+    )
+    digest = trajectory_digest(task, config.method, config.budget, config.seed, config.options)
+    assert digest == goldens[f"{task}/{method}/seed0"]
+
+
+def test_written_options_given_as_ints_rerun_their_trajectory():
+    # sigma0=1 runs and is recorded as 1.0; the recorded options give the same digest.
+    options = {"sigma0": 1, "popsize": 6}
+    config = OptimizerConfig(method="cmaes", budget=30, seed=0, options=options)
+    traj = run_with_budget(_environment("sphere"), config)
+    written = json.loads(json.dumps(traj.resolved_config))["options"]
+    assert written == {"sigma0": 1.0, "popsize": 6, "mu": None}
+    assert type(written["sigma0"]) is float
+    assert trajectory_digest("sphere", "cmaes", 30, 0, written) == trajectory_digest(
+        "sphere", "cmaes", 30, 0, options
+    )
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 """Budget accounting, method invariants, and per-method behavior."""
+import re
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from aerobench.optimizers import (
     OptimizerConfig,
     method_names,
     pso_coefficients,
+    resolved_options,
     run_with_budget,
 )
 from aerobench.optimizers.base import fd_gradient
 from scipy.stats import norm
 
-from aerobench.optimizers import bo
+from aerobench.optimizers import bo, pso
 from aerobench.optimizers.bo import (
     DEFAULT_THETA,
     JITTER_MAX,
@@ -70,6 +73,69 @@ class TestConfig:
 
     def test_method_names(self):
         assert METHODS == ["bo", "cmaes", "evolve", "lbfgsb", "pso"]
+
+    @pytest.mark.parametrize(
+        "method, options",
+        [
+            ("evolve", {"decay_scale": "False"}),
+            ("cmaes", {"popsize": 7.9}),
+            ("pso", {"swarm_size": "20"}),
+            ("pso", {"swarm_size": True}),
+            ("cmaes", {"sigma0": float("nan")}),
+            ("cmaes", {"sigma0": float("inf")}),
+            ("cmaes", {"sigma0": 10**400}),
+            ("cmaes", {"sigma0": "0.3"}),
+            ("cmaes", {"mu": 2.0}),
+            ("bo", {"n_initial": 5.0}),
+            ("evolve", {"pw_alpha": None}),
+            ("evolve", {"decay_scale": 1}),
+        ],
+    )
+    def test_option_of_another_type_fails_at_construction(self, method, options):
+        (name, value), = options.items()
+        message = f"option {name} must be .*, got {re.escape(repr(value))}"
+        with pytest.raises(ConfigurationError, match=message):
+            OptimizerConfig(method=method, budget=10, seed=0, options=options)
+
+    def test_options_resolve_to_their_defaults_types(self):
+        config = OptimizerConfig(
+            method="cmaes", budget=10, seed=0, options={"sigma0": 1, "popsize": 6, "mu": None}
+        )
+        resolved = resolved_options(config)
+        assert resolved == {"sigma0": 1.0, "popsize": 6, "mu": None}
+        assert type(resolved["sigma0"]) is float
+        assert resolved_options(OptimizerConfig(method="pso", budget=10, seed=0)) == pso.DEFAULTS
+
+    @pytest.mark.parametrize(
+        "method, options, message",
+        [
+            ("bo", {"n_initial": 1}, "n_initial must be >= 2"),
+            ("bo", {"n_candidates": 0}, "n_candidates must be >= 1"),
+            ("bo", {"n_refine": 0}, "n_refine must be >= 1"),
+            ("cmaes", {"popsize": 1}, "popsize must be >= 2"),
+            ("cmaes", {"mu": 0}, r"mu must be in \[1, popsize\]"),
+            ("cmaes", {"popsize": 4, "mu": 5}, r"mu must be in \[1, popsize\]"),
+            ("cmaes", {"sigma0": 0.0}, "sigma0 must be positive"),
+            ("evolve", {"archive_capacity": 0}, "archive_capacity must be >= 1"),
+            ("evolve", {"batch_size": 0}, "batch_size must be >= 1"),
+            ("evolve", {"num_islands": 0}, "num_islands must be >= 1"),
+            ("evolve", {"num_islands": 2, "migration_interval": 0}, "migration_interval must be"),
+            ("evolve", {"gaussian_scale": -0.1}, "gaussian_scale must be >= 0"),
+            ("evolve", {"gaussian_final_scale": -0.1}, "gaussian_final_scale must be >= 0"),
+            ("lbfgsb", {"fd_eps": 0.0}, "fd_eps must be positive"),
+            ("pso", {"swarm_size": 1}, "swarm_size must be >= 2"),
+            ("pso", {"velocity_init_scale": -0.1}, "velocity_init_scale must be >= 0"),
+        ],
+    )
+    def test_bad_value_is_refused_before_any_evaluation(self, method, options, message):
+        evaluated = []
+        space = continuous_space({f"x{i}": (0.0, 1.0) for i in range(4)})
+        env = function_environment(space, lambda u: evaluated.append(u) or 0.0)
+        warm = space.sample_uniform(seed=3, n=3)
+        config = OptimizerConfig(method=method, budget=30, seed=0, options=options)
+        with pytest.raises(ConfigurationError, match=message):
+            run_with_budget(env, config, warmstart=warm)
+        assert evaluated == []
 
 
 def fd_grad(f, x):
@@ -186,6 +252,18 @@ class TestLbfgsb:
         env = function_environment(space, lambda u: 0.0)
         with pytest.raises(ConfigurationError):
             run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=10, seed=0))
+
+    def test_categorical_only_space_refused_before_warm_start_is_evaluated(self):
+        evaluated = []
+        space = ParamSpace(variables=(VariableSpec(name="k", kind=CATEGORICAL, levels=("a", "b")),))
+        env = function_environment(space, lambda u: evaluated.append(u) or 0.0)
+        warm = [DesignPoint({"k": level}) for level in ("a", "b", "a")]
+        with pytest.raises(ConfigurationError, match="purely categorical"):
+            run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=10, seed=0), warm)
+        assert evaluated == []
+        # The same warm start runs under a method that applies to the space.
+        run_with_budget(env, OptimizerConfig(method="pso", budget=10, seed=0), warm)
+        assert len(evaluated) == 10
 
     def test_convex_quadratic_convergence(self):
         # Rotated convex quadratic with optimum off-center.

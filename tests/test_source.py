@@ -61,3 +61,73 @@ def test_only_bo_imports_scipy():
 def test_the_scipy_check_sees_imports_in_functions_and_skips_relative_ones():
     tree = ast.parse("import a.b\nfrom c.d import e\nfrom . import f\ndef g():\n    import h\n")
     assert _imported_packages(tree) == {"a", "c", "h"}
+
+
+OPTIMIZERS = SRC / "aerobench" / "optimizers"
+METHOD_MODULES = sorted(p for p in OPTIMIZERS.glob("*.py") if p.stem not in ("__init__", "base"))
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_method_module_defines_defaults_check_and_run():
+    assert [p.stem for p in METHOD_MODULES] == ["bo", "cmaes", "evolve", "lbfgsb", "pso"]
+    for path in METHOD_MODULES:
+        body = _tree(path).body
+        functions = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        assigned = {
+            t.id for node in body if isinstance(node, ast.Assign) for t in node.targets if isinstance(t, ast.Name)
+        }
+        assert {"check", "run"} <= functions and "DEFAULTS" in assigned, path.stem
+
+
+def _coerced_options(tree: ast.Module) -> list[str]:
+    """`int`, `float` or `bool` calls on a subscript of `opts`, e.g. `int(opts["n"])`."""
+    return [
+        f"{node.func.id} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("int", "float", "bool")
+        and any(
+            isinstance(arg, ast.Subscript) and getattr(arg.value, "id", None) == "opts" for arg in node.args
+        )
+    ]
+
+
+def test_no_method_coerces_its_options():
+    # resolved_options types every option once; a method reads them as they are.
+    found = {p.stem: _coerced_options(_tree(p)) for p in METHOD_MODULES}
+    assert {stem: casts for stem, casts in found.items() if casts} == {}
+
+
+def test_the_coercion_check_sees_a_cast_of_an_option():
+    tree = ast.parse('a = int(opts["n"])\nb = float(x["y"])\nc = bool(opts)\n')
+    assert _coerced_options(tree) == ["int (line 1)"]
+
+
+def _method_name_comparisons(tree: ast.Module) -> list[int]:
+    """Lines that compare `config.method` with a string literal."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "method"
+            for side in (node.left, *node.comparators)
+        )
+        and any(
+            isinstance(side, ast.Constant) and isinstance(side.value, str)
+            for side in (node.left, *node.comparators)
+        )
+    ]
+
+
+def test_the_driver_names_no_method():
+    assert _method_name_comparisons(_tree(OPTIMIZERS / "__init__.py")) == []
+
+
+def test_the_method_name_check_sees_a_comparison():
+    tree = ast.parse('if config.method == "lbfgsb":\n    f()\nif config.method in names:\n    f()\n')
+    assert _method_name_comparisons(tree) == [1]
