@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-DEFAULT_BUDGET_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
+# The budget fractions `rank_table` ranks at.
+BUDGET_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
@@ -195,11 +196,16 @@ class RunRecord:
     seed: int
     budget: int
     rewards: tuple[float | None, ...]
-    sense: str = MAXIMIZE
 
     @cached_property
     def _curve(self) -> list[float | None]:
         return _running_best(self.rewards)
+
+    @property
+    def usable(self) -> bool:
+        """Whether the run has a successful evaluation: only then does
+        `best_so_far_at` answer, and at every fraction."""
+        return bool(self._curve) and self._curve[-1] is not None
 
     def best_so_far_at(self, fraction: float) -> float:
         """`best_so_far_at` of this run; its curve is computed once."""
@@ -209,7 +215,6 @@ class RunRecord:
 @dataclass(frozen=True)
 class RunSet:
     records: tuple[RunRecord, ...]
-    budget_grid: tuple[float, ...] = DEFAULT_BUDGET_GRID
 
     def __post_init__(self) -> None:
         seen = set()
@@ -281,13 +286,10 @@ def read_run_dir(path: str) -> RunRecord:
         seed=config["seed"],
         budget=config["budget"],
         rewards=tuple(rewards),
-        sense=config.get("sense", MAXIMIZE),
     )
 
 
-def load_run_set(
-    roots: Iterable[str], budget_grid: Sequence[float] = DEFAULT_BUDGET_GRID
-) -> RunSet:
+def load_run_set(roots: Iterable[str]) -> RunSet:
     """Scan `<root>/<task>/<method>/seed<k>/` layouts into a RunSet."""
     records = []
     for root in roots:
@@ -297,7 +299,7 @@ def load_run_set(
                 dirnames.clear()
     if not records:
         raise AnalyticsError(f"no runs found under {list(roots)}")
-    return RunSet(records=tuple(records), budget_grid=tuple(budget_grid))
+    return RunSet(records=tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +352,7 @@ def group_rank_table(table: RankTable, group_of: Callable[[str], str]) -> RankTa
 
 
 def _method_score(run_set: RunSet, task: str, method: str, fraction: float) -> float | None:
-    vals = []
-    for r in run_set.runs(task, method):
-        try:
-            vals.append(r.best_so_far_at(fraction))
-        except AnalyticsError:
-            continue
+    vals = [r.best_so_far_at(fraction) for r in run_set.runs(task, method) if r.usable]
     if not vals:
         return None
     return float(np.median(vals))
@@ -368,7 +365,7 @@ def rank_table(run_set: RunSet) -> RankTable:
     for task in run_set.tasks:
         per_task[task] = {}
         absent: dict[str, None] = {}
-        for frac in run_set.budget_grid:
+        for frac in BUDGET_GRID:
             scores = {
                 m: s
                 for m in run_set.methods
@@ -380,9 +377,7 @@ def rank_table(run_set: RunSet) -> RankTable:
             )
         if absent:
             missing[task] = tuple(absent)
-    return RankTable(
-        fractions=run_set.budget_grid, per_task=per_task, missing=missing
-    )
+    return RankTable(fractions=BUDGET_GRID, per_task=per_task, missing=missing)
 
 
 def pairwise_rho_matrix(table: RankTable, fraction: float = 1.0) -> tuple[list[str], np.ndarray]:
@@ -414,12 +409,7 @@ def write_rank_table_csv(table: RankTable, path: str) -> None:
         writer.writerow(
             ["method"] + [f"{int(round(f * 100))}%" for f in table.fractions]
         )
-        aggregates = []
-        for frac in table.fractions:
-            try:
-                aggregates.append(table.aggregate(frac))
-            except KeyError:
-                aggregates.append({})
+        aggregates = [table.aggregate(frac) for frac in table.fractions]
         for m in methods:
             row = [m]
             for agg in aggregates:
@@ -457,14 +447,7 @@ def write_convergence_data(
             runs = run_set.runs(task, method)
             if not runs:
                 continue
-            # A run that errors at one fraction errors at all of them (empty
-            # or all-error), so the usable runs are the same for every point.
-            curves = []
-            for r in runs:
-                try:
-                    curves.append([r.best_so_far_at(frac) for frac in fractions])
-                except AnalyticsError:
-                    continue
+            curves = [[r.best_so_far_at(frac) for frac in fractions] for r in runs if r.usable]
             rows = []
             if curves:
                 # One (points x runs) quantile call; each row is the same

@@ -104,6 +104,8 @@ def _parse_seeds(text: str) -> list[int]:
         part = part.strip()
         if "-" in part and not part.startswith("-"):
             lo, hi = part.split("-", 1)
+            if int(lo) > int(hi):
+                raise ValueError(f"seed range {part!r} is empty")
             seeds.extend(range(int(lo), int(hi) + 1))
         elif part:
             seeds.append(int(part))
@@ -251,17 +253,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         for method in methods
         for seed in seeds
     ]
-    errors: list[str] = []
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for err in pool.map(_execute_run, *zip(*cells)):
-                if err:
-                    errors.append(err)
+            outcomes = list(pool.map(_execute_run, *zip(*cells)))
     else:
-        for cell in cells:
-            err = _execute_run(*cell)
-            if err:
-                errors.append(err)
+        outcomes = [_execute_run(*cell) for cell in cells]
+    errors = [err for err in outcomes if err]
     for err in errors:
         print(f"error: {err}", file=sys.stderr)
     print(f"completed {len(cells) - len(errors)}/{len(cells)} runs under {args.out}")
@@ -310,10 +307,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _all_str(values) -> bool:
-    return all(isinstance(v, str) for v in values)
-
-
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.task not in catalog.task_ids():
         print(f"error: unknown task {args.task!r}", file=sys.stderr)
@@ -330,46 +323,26 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         print("error: design and metrics files must contain JSON objects", file=sys.stderr)
         return 1
 
-    metrics = payload.get("metrics", payload)
-    images = payload.get("images")
-    artifacts = payload.get("model_artifacts", {})
-    environment = payload.get("environment", args.task)
-    design_id = design.get("name") or payload.get("design_id", "design")
-    if not isinstance(metrics, dict):
-        problem = "metrics must be a JSON object"
-    elif images is not None and not (isinstance(images, list) and _all_str(images)):
-        problem = "images must be a list of strings"
-    elif not isinstance(artifacts, dict) or not _all_str(
-        p for p in artifacts.values() if p is not None
-    ):
-        problem = "model_artifacts must be an object of string paths"
-    elif not _all_str((environment, design_id)):
-        problem = "environment and design_id must be strings"
-    else:
-        problem = None
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
-
     env = catalog.get_environment(args.task)
+    env.close()  # diagnose reads only the task's space and diagnostics profile
     try:
         inputs = DiagnosticInputs(
-            environment=environment,
-            design_id=design_id,
+            environment=payload.get("environment", args.task),
+            design_id=design.get("name") or payload.get("design_id", "design"),
             space=env.space,
             design_params=design,
-            metrics=metrics,
-            artifacts=artifacts,
-            images=tuple(images) if images is not None else None,
+            metrics=payload.get("metrics", payload),
+            artifacts=payload.get("model_artifacts", {}),
+            images=payload.get("images"),
             profile=env.diagnostics_profile,
             design_refs=(os.path.abspath(args.design),),
         )
-        bundle = build_evidence_bundle(
-            inputs,
-            timestamp_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        )
-    finally:
-        env.close()
+    except ValueError as exc:  # malformed payload
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    bundle = build_evidence_bundle(
+        inputs, timestamp_utc=datetime.datetime.now(datetime.timezone.utc).isoformat()
+    )
 
     out = args.out or "evidence_bundle.json"
     with open(out, "w") as fh:

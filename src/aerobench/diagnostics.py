@@ -255,19 +255,41 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class DiagnosticInputs:
-    """Everything the deterministic tier inspects for one design."""
+    """Everything the deterministic tier inspects for one design. Malformed
+    inputs raise ValueError here, before any check runs; a list of images is
+    stored as a tuple."""
 
     environment: str
     design_id: str
     space: ParamSpace
     design_params: Mapping[str, Any]
     metrics: Mapping[str, Any]
-    artifacts: Mapping[str, str] = field(default_factory=dict)
+    artifacts: Mapping[str, str | None] = field(default_factory=dict)
     # None means "no image list supplied" (A004 reports missing); an empty
     # tuple means "nothing rendered" (A004 reports zero coverage).
     images: tuple[str, ...] | None = None
     profile: Mapping[str, Any] = field(default_factory=dict)
     design_refs: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.design_params, Mapping):
+            raise ValueError("design_params must be a JSON object")
+        if not isinstance(self.metrics, Mapping):
+            raise ValueError("metrics must be a JSON object")
+        if self.images is not None:
+            if not isinstance(self.images, (list, tuple)) or not _all_str(self.images):
+                raise ValueError("images must be a list of strings")
+            object.__setattr__(self, "images", tuple(self.images))
+        if not isinstance(self.artifacts, Mapping) or not _all_str(
+            p for p in self.artifacts.values() if p is not None
+        ):
+            raise ValueError("model_artifacts must be an object of string paths")
+        if not _all_str((self.environment, self.design_id)):
+            raise ValueError("environment and design_id must be strings")
+
+
+def _all_str(values) -> bool:
+    return all(isinstance(v, str) for v in values)
 
 
 # ---------------------------------------------------------------------------

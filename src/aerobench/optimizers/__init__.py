@@ -33,13 +33,7 @@ from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
 from ..problems.catalog import CATALOG_VERSION
 from ..space import DesignPoint
-from .base import (
-    BudgetedObjective,
-    ConfigurationError,
-    EvalRecord,
-    Trajectory,
-    fd_gradient,
-)
+from .base import BudgetedObjective, ConfigurationError, Trajectory
 
 # Method name -> its module, None until the first lookup imports it.
 _METHODS = dict.fromkeys(("lbfgsb", "pso", "cmaes", "bo", "evolve"))
@@ -57,15 +51,6 @@ def _method(name: str):
     return module
 
 
-def __getattr__(name: str):
-    # Re-exported without importing pso along with the package.
-    if name == "pso_coefficients":
-        from .pso import pso_coefficients
-
-        return pso_coefficients
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     method: str
@@ -78,6 +63,9 @@ class OptimizerConfig:
             raise ConfigurationError(
                 f"unknown method {self.method!r}; choose from {method_names()}"
             )
+        for name in ("budget", "seed"):
+            if not _is_int(value := getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
         if self.budget < 1:
             raise ConfigurationError("budget must be >= 1")
         if not 0 <= self.seed < 2**128:
@@ -98,11 +86,15 @@ def resolved_options(config: OptimizerConfig) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _typed(method: str, name: str, value, default):
     """`value` given its default's type, or ConfigurationError: a bool default
     takes a bool, an int default an int (not a bool), a float default a finite
     int or float (stored as float), and a None default None or an int."""
-    is_int = isinstance(value, int) and not isinstance(value, bool)
+    is_int = _is_int(value)
     if isinstance(default, float) and is_int and abs(value) <= sys.float_info.max:
         value = float(value)  # a larger int would overflow float()
     ok, kind = {
@@ -163,7 +155,6 @@ def run_with_budget(
     return Trajectory(
         records=tuple(obj.records),
         resolved_config=resolved,
-        seed=config.seed,
         best_reward=obj.best_reward,
         best_design=obj.best_design,
         warnings=tuple(obj.warnings),
@@ -173,12 +164,9 @@ def run_with_budget(
 __all__ = [
     "BudgetedObjective",
     "ConfigurationError",
-    "EvalRecord",
     "OptimizerConfig",
     "Trajectory",
-    "fd_gradient",
     "method_names",
-    "pso_coefficients",
     "resolved_options",
     "run_with_budget",
 ]

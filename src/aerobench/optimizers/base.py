@@ -45,7 +45,6 @@ class EvalRecord:
 class Trajectory:
     records: tuple[EvalRecord, ...]
     resolved_config: dict
-    seed: int
     best_reward: float | None
     best_design: DesignPoint | None
     warnings: tuple[str, ...] = ()
@@ -76,7 +75,11 @@ class BudgetedObjective:
         self.warnings: list[str] = []
         self.best_reward: float | None = None
         self.best_design: DesignPoint | None = None
-        self._measure_wall = bool(getattr(env.evaluator, "measures_wall_time", False))
+        # An external solver's evaluator reports in `reply_ms`, per design of
+        # its last batch, the milliseconds from sending the batch to that
+        # design's last reply. Stand-ins have no `reply_ms` and record zero,
+        # so their runs stay byte-identical across machines.
+        self._measure_wall = hasattr(env.evaluator, "reply_ms")
 
     @property
     def remaining(self) -> int:
@@ -91,8 +94,6 @@ class BudgetedObjective:
     ) -> np.ndarray:
         """Evaluate valid designs, whose unit-cube rows are `rows`; one reward each, -inf on error."""
         results = self.env.evaluate_decoded(points, rows)
-        # An evaluator that measures wall time reports in `reply_ms`, per
-        # design, the time from sending the batch to that design's last reply.
         wall = self.env.evaluator.reply_ms if self._measure_wall else [0.0] * len(points)
         rewards = np.empty(len(points))
         for i, (point, result, wall_ms) in enumerate(zip(points, results, wall)):

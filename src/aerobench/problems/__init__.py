@@ -17,17 +17,6 @@ from .catalog import (
     task_ids,
     write_catalog,
 )
-from .formulas import (
-    bisect_alpha_to_cl,
-    car_drag_coefficient,
-    integrated_drag,
-    pareto_front,
-    penalized_reward,
-    reynolds_schedule,
-    robust_min,
-    weighted_multipoint,
-    wiggliness,
-)
 from .subproc import SubprocessEvaluator
 
 __all__ = [
@@ -46,14 +35,5 @@ __all__ = [
     "get_environment",
     "task_ids",
     "write_catalog",
-    "bisect_alpha_to_cl",
-    "car_drag_coefficient",
-    "integrated_drag",
-    "pareto_front",
-    "penalized_reward",
-    "reynolds_schedule",
-    "robust_min",
-    "weighted_multipoint",
-    "wiggliness",
     "SubprocessEvaluator",
 ]

@@ -52,10 +52,6 @@ class _Batch:
 class SubprocessEvaluator:
     """One child process serving one caller, one batch at a time."""
 
-    # Real external solvers have meaningful wall time; stand-ins report zero
-    # so recorded runs stay byte-identical across machines.
-    measures_wall_time = True
-
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_TIMEOUT_S):
         if not command:
             raise ValueError("evaluator command must be non-empty")
@@ -71,7 +67,7 @@ class SubprocessEvaluator:
         self._ids = itertools.count()
         # Per design of the last batch, the milliseconds from sending the
         # batch to that design's last reply (to the end of the batch for a
-        # design left without its replies).
+        # design left without its replies): the driver's `wall_ms`.
         self.reply_ms: list[float] = []
 
     # -- child lifecycle ---------------------------------------------------

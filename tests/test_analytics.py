@@ -238,7 +238,6 @@ class TestRunIngestion:
         assert rec.method == "pso"
         assert rec.seed == 3
         assert rec.rewards == (1.0, None, 2.5)
-        assert rec.sense == "maximize"
 
     def test_load_run_set_walks_layout(self, tmp_path):
         for task in ("t1", "t2"):

@@ -217,8 +217,10 @@ class TestRun:
             (["--seeds=-1"], "seed -1 is not a Philox key"),
             (["--budget", "0"], "budget must be >= 1"),
             (["--method", "pso,sgd"], "unknown method 'sgd'"),
+            (["--seeds", "3-1"], "seed range '3-1' is empty"),
+            (["--seeds", "0,3-1"], "seed range '3-1' is empty"),
         ],
-        ids=["negative-seed", "zero-budget", "unknown-method"],
+        ids=["negative-seed", "zero-budget", "unknown-method", "reversed-range", "reversed-range-in-list"],
     )
     def test_bad_grid_writes_nothing(self, tmp_path, capsys, extra, message):
         # Every (method, seed) configuration is checked before the manifest.

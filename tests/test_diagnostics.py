@@ -481,6 +481,47 @@ class TestAeroTier:
         assert a_empty["A004_image_availability_signal"].severity == 1.0
 
 
+class TestMalformedInputs:
+    """The library refuses what `aerobench diagnose` refuses, before any check."""
+
+    @staticmethod
+    def _inputs(**given):
+        fields = dict(
+            environment="toy", design_id="d0", space=continuous_space({"x": (0.0, 1.0)}),
+            design_params={"x": 0.5}, metrics={},
+        )
+        return DiagnosticInputs(**{**fields, **given})
+
+    @pytest.mark.parametrize(
+        "given, message",
+        [
+            # The eight payloads of the CLI's malformed-payload test.
+            ({"metrics": [1, 2]}, "metrics must be a JSON object"),
+            ({"metrics": "Cd"}, "metrics must be a JSON object"),
+            ({"images": 5}, "images must be a list of strings"),
+            ({"images": ["a_Pressure_iso.png", 1]}, "images must be a list of strings"),
+            ({"artifacts": {"base_vtk_path": 1}}, "model_artifacts must be an object of string paths"),
+            ({"artifacts": ["model/norm_stats.pt"]}, "model_artifacts must be an object of string paths"),
+            ({"environment": 5}, "environment and design_id must be strings"),
+            ({"design_id": ["d0"]}, "environment and design_id must be strings"),
+            # A path of 0 would make F003 look at file descriptor 0.
+            ({"artifacts": {"base_vtk_path": 0}}, "model_artifacts must be an object of string paths"),
+            ({"artifacts": {"norm_stats_path": 99}}, "model_artifacts must be an object of string paths"),
+            ({"images": [1]}, "images must be a list of strings"),
+            ({"images": "a_Pressure_iso.png"}, "images must be a list of strings"),
+            ({"design_params": [1]}, "design_params must be a JSON object"),
+        ],
+    )
+    def test_malformed_inputs_raise(self, given, message):
+        with pytest.raises(ValueError, match=message):
+            self._inputs(**given)
+
+    def test_image_list_is_stored_as_a_tuple(self):
+        inputs = self._inputs(images=["a.png"], artifacts={"base_vtk_path": None})
+        assert inputs.images == ("a.png",)
+        build_evidence_bundle(inputs)
+
+
 class TestBundle:
     def _inputs(self, params, metrics):
         space = continuous_space({"x": (0.0, 1.0), "y": (-2.0, 2.0)})

@@ -8,7 +8,6 @@ from aerobench.optimizers import (
     ConfigurationError,
     OptimizerConfig,
     method_names,
-    pso_coefficients,
     resolved_options,
     run_with_budget,
 )
@@ -27,6 +26,7 @@ from aerobench.optimizers.bo import (
 )
 from aerobench.optimizers.cmaes import strategy_params
 from aerobench.optimizers.evolve import Archive, mutation_scale
+from aerobench.optimizers.pso import pso_coefficients
 from aerobench.problems import (
     MAXIMIZE,
     MINIMIZE,
@@ -66,6 +66,17 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="Philox key"):
             OptimizerConfig(method="pso", budget=10, seed=seed)
         assert OptimizerConfig(method="pso", budget=10, seed=2**128 - 1).seed == 2**128 - 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("seed", "1"), ("budget", 5.5), ("budget", True), ("budget", "5")],
+    )
+    def test_budget_and_seed_must_be_ints(self, field, value):
+        # Philox truncates its key, so a float or bool seed would run another
+        # seed's stream; a float budget cannot cut a batch.
+        given = {"budget": 10, "seed": 0, field: value}
+        with pytest.raises(ConfigurationError, match=f"{field} must be an int, got {re.escape(repr(value))}"):
+            OptimizerConfig(method="pso", **given)
 
     def test_unknown_options_rejected(self):
         with pytest.raises(ConfigurationError):

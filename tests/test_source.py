@@ -1,8 +1,12 @@
-"""Checks on the source tree itself, read with `ast` only."""
+"""Checks on the source tree itself, read with `ast` (and `tomllib`) only."""
 import ast
 import pathlib
+import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -131,3 +135,20 @@ def test_the_driver_names_no_method():
 def test_the_method_name_check_sees_a_comparison():
     tree = ast.parse('if config.method == "lbfgsb":\n    f()\nif config.method in names:\n    f()\n')
     assert _method_name_comparisons(tree) == [1]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_the_package_version_is_read_from_aerobench():
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        config = tomllib.load(fh)
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "aerobench.__version__"}
+    assigned = [
+        node.targets[0].id
+        for node in _tree(SRC / "aerobench" / "__init__.py").body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    ]
+    assert "__version__" in assigned

@@ -157,11 +157,6 @@ class TestEchoProtocol:
         finally:
             ev.close()
 
-    def test_measures_wall_time_marker(self):
-        ev = SubprocessEvaluator(_command())
-        assert ev.measures_wall_time is True
-        ev.close()
-
 
 class TestFailureModes:
     def test_crash_raises_evaluation_error_then_recovers(self, point, op):
@@ -400,6 +395,42 @@ class TestWireEquivalence:
         assert len(wired.records) == 40
         assert all(r.error is None for r in wired.records)
         assert [r.reward.hex() for r in wired.records] == [r.reward.hex() for r in local.records]
+
+
+class _ReplyLog(SubprocessEvaluator):
+    """Keeps the `reply_ms` of every batch, in order."""
+
+    def __init__(self, command):
+        super().__init__(command)
+        self.replies: list[float] = []
+
+    def batch_metrics(self, points, ops):
+        out = super().batch_metrics(points, ops)
+        self.replies.extend(self.reply_ms)
+        return out
+
+
+class TestWallTime:
+    """What the driver records as `wall_ms`: an evaluator's `reply_ms`, or 0."""
+
+    def test_external_child_records_its_reply_times(self):
+        task = "airfoil-drag-multipoint"
+        src = os.path.dirname(os.path.dirname(aerobench.__file__))
+        evaluator = _ReplyLog(_inline(STAND_IN_CHILD, src, task))
+        env = get_environment(task).with_evaluator(evaluator)
+        try:
+            trajectory = run_with_budget(env, OptimizerConfig(method="pso", budget=25, seed=0))
+        finally:
+            env.close()
+        walls = [r.wall_ms for r in trajectory.records]
+        assert len(walls) == 25 and all(w > 0.0 for w in walls)
+        assert walls == evaluator.replies
+
+    def test_stand_in_records_zero(self):
+        trajectory = run_with_budget(
+            get_environment("airfoil-drag-multipoint"), OptimizerConfig(method="pso", budget=25, seed=0)
+        )
+        assert [r.wall_ms for r in trajectory.records] == [0.0] * 25
 
 
 class TestEnvironmentIntegration:
