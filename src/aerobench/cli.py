@@ -37,12 +37,14 @@ RESULTS_HEADER = ("iter", "design_id", "reward", "best_reward", "feasible", "n_e
 _DIAGNOSE_EXIT = {STATUS_WARNING: 2, STATUS_ISSUE: 3, STATUS_ERROR: 3}
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fmt(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
+def _write_json(path: str, data) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +53,11 @@ def _fmt(value) -> str:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    entries = []
-    for task_id in catalog.task_ids():
-        env = catalog.get_environment(task_id)
-        try:
-            entries.append(env.describe())
-        finally:
-            env.close()
+    try:
+        entries = [catalog.get_environment(task_id).describe() for task_id in catalog.task_ids()]
+    except (OSError, ValueError) as exc:  # a catalog override that is unreadable or refused
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     for clause in args.filter or []:
         if "=" not in clause:
@@ -173,9 +173,7 @@ def _execute_run(
     os.makedirs(out_dir, exist_ok=True)
     resolved = dict(trajectory.resolved_config)
     resolved["sense"] = env.sense
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
     with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
@@ -192,9 +190,7 @@ def _execute_run(
                 ]
             )
     if trajectory.best_design is not None:
-        with open(os.path.join(out_dir, "best_design.json"), "w") as fh:
-            json.dump(trajectory.best_design.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "best_design.json"), trajectory.best_design.to_json())
     if trajectory.warnings:
         with open(os.path.join(out_dir, "warnings.txt"), "w") as fh:
             fh.write("\n".join(trajectory.warnings) + "\n")
@@ -241,9 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     # Manifest goes down before any evaluation happens.
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "manifest.json"), manifest)
 
     cells = [
         (task, method, seed, args.budget,
@@ -323,8 +317,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         print("error: design and metrics files must contain JSON objects", file=sys.stderr)
         return 1
 
-    env = catalog.get_environment(args.task)
-    env.close()  # diagnose reads only the task's space and diagnostics profile
+    try:
+        env = catalog.get_environment(args.task)
+    except (OSError, ValueError) as exc:  # a catalog override that is unreadable or refused
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         inputs = DiagnosticInputs(
             environment=payload.get("environment", args.task),

@@ -229,7 +229,6 @@ class CheckResult:
     value: Any
     threshold: Any
     evidence_refs: tuple[str, ...] = ()
-    metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:
@@ -249,7 +248,7 @@ class CheckResult:
             "value": self.value,
             "threshold": self.threshold,
             "evidence_refs": list(self.evidence_refs),
-            "metadata": dict(self.metadata),
+            "metadata": {},
         }
 
 
@@ -416,20 +415,14 @@ def check_bounds_and_presence(inputs: DiagnosticInputs) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def near_bound_fraction(
-    space: ParamSpace,
-    params: Mapping[str, Any],
-    margin_ratio: float = NEAR_BOUND_MARGIN_RATIO,
-) -> tuple[float, list[str]]:
-    """Fraction of numeric parameters within margin_ratio of a bound.
+def near_bound_fraction(space: ParamSpace, params: Mapping[str, Any]) -> tuple[float, list[str]]:
+    """Fraction of numeric parameters within NEAR_BOUND_MARGIN_RATIO of a bound.
 
     A parameter counts as near-bound iff min(x - l, u - x) is at most
-    margin_ratio times the bound range (inclusive). Entries with no reading
-    by `as_number` (a free-text name, numeric text, a bool) are excluded from
-    the denominator.
+    NEAR_BOUND_MARGIN_RATIO times the bound range (inclusive). Entries with
+    no reading by `as_number` (a free-text name, numeric text, a bool) are
+    excluded from the denominator.
     """
-    if not 0.0 < margin_ratio < 0.5:
-        raise ValueError("margin_ratio must be in (0, 0.5)")
     keys: list[str] = []
     total = 0
     for v in space.variables:
@@ -437,7 +430,7 @@ def near_bound_fraction(
         if x is None:
             continue
         total += 1
-        margin = margin_ratio * (v.upper - v.lower)
+        margin = NEAR_BOUND_MARGIN_RATIO * (v.upper - v.lower)
         if min(x - v.lower, v.upper - x) <= margin:
             keys.append(v.name)
     if total == 0:

@@ -31,10 +31,9 @@ class BumpField:
     bias: float
 
     @classmethod
-    def seeded(cls, seed: int, dim: int, n_bumps: int | None = None) -> "BumpField":
+    def seeded(cls, seed: int, dim: int) -> "BumpField":
         rng = np.random.Generator(np.random.Philox(key=seed))
-        if n_bumps is None:
-            n_bumps = int(rng.integers(5, 21))
+        n_bumps = int(rng.integers(5, 21))
         centers = rng.random((n_bumps, dim))
         widths = 0.08 + 0.35 * rng.random((n_bumps, dim))
         amplitudes = rng.uniform(-1.0, 1.0, n_bumps)
@@ -98,7 +97,8 @@ class MetricModel:
         # hold at(u) fixed over an alpha sweep get identical bits.
         return self.at(u) + self.alpha_slope * alpha
 
-    def gradient(self, u: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        """The gradient in u, which the alpha term does not depend on."""
         s = _sigmoid(self.field.value(u))
         return (self.hi - self.lo) * s * (1.0 - s) * self.field.gradient(u)
 

@@ -76,6 +76,8 @@ class OptimizerConfig:
 def resolved_options(config: OptimizerConfig) -> dict:
     """The method's defaults updated by the given options, each typed by `_typed`:
     exactly what the method reads and `resolved_config.json` records."""
+    if not isinstance(config.options, Mapping):
+        raise ConfigurationError(f"options must be a mapping, got {config.options!r}")
     defaults = _method(config.method).DEFAULTS
     unknown = set(config.options) - set(defaults)
     if unknown:

@@ -1,9 +1,6 @@
 from .base import (
     MAXIMIZE,
     MINIMIZE,
-    ConstraintSpec,
-    EvalContext,
-    EvalResult,
     EvaluationError,
     OperatingPoint,
     ProblemEnvironment,
@@ -11,7 +8,6 @@ from .base import (
 )
 from .catalog import (
     CATALOG_ENV_VAR,
-    CATALOG_VERSION,
     catalog_json,
     get_environment,
     task_ids,
@@ -22,15 +18,11 @@ from .subproc import SubprocessEvaluator
 __all__ = [
     "MAXIMIZE",
     "MINIMIZE",
-    "ConstraintSpec",
-    "EvalContext",
-    "EvalResult",
     "EvaluationError",
     "OperatingPoint",
     "ProblemEnvironment",
     "function_environment",
     "CATALOG_ENV_VAR",
-    "CATALOG_VERSION",
     "catalog_json",
     "get_environment",
     "task_ids",

@@ -50,8 +50,6 @@ class OperatingPoint:
 class EvalContext:
     """Everything a constraint rule may inspect; `row` is the design's unit-cube row."""
 
-    point: DesignPoint
-    space: ParamSpace
     per_point: tuple[Mapping[str, float], ...]
     metrics: Mapping[str, float]
     row: np.ndarray
@@ -97,7 +95,8 @@ class ProblemEnvironment:
     `evaluate_decoded`. `aggregate(per_point, ops)` turns the metric maps
     into the raw objective (in the task's native sense) plus aggregate
     metrics. The scalarized reward is always in maximization sense:
-    minimization tasks are negated after the penalty is applied.
+    `_score` negates a minimization task's raw objective before the penalty
+    is subtracted, which rounds to the same bits as negating after it.
     """
 
     id: str
@@ -143,11 +142,9 @@ class ProblemEnvironment:
             entries = self.evaluator.batch_metrics(points, self.points)
         except EvaluationError as exc:
             entries = [exc] * len(points)
-        return [self._score(p, row, entry) for p, row, entry in zip(points, rows, entries)]
+        return [self._score(row, entry) for row, entry in zip(rows, entries)]
 
-    def _score(
-        self, point: DesignPoint, row: np.ndarray, entry: Sequence | EvaluationError
-    ) -> EvalResult:
+    def _score(self, row: np.ndarray, entry: Sequence | EvaluationError) -> EvalResult:
         """Aggregate, constraints and reward of one design's metric maps."""
         if isinstance(entry, EvaluationError):
             return EvalResult.failure(str(entry))
@@ -159,7 +156,7 @@ class ProblemEnvironment:
             # or with values (a zero drag) the aggregate cannot divide by;
             # that is an evaluation failure, not a harness crash.
             return self._unusable(per_point, repr(exc))
-        ctx = EvalContext(point, self.space, per_point, agg_metrics, row)
+        ctx = EvalContext(per_point, agg_metrics, row)
         violations: dict[str, float] = {}
         for spec in self.constraints:
             try:
@@ -168,13 +165,13 @@ class ProblemEnvironment:
                 # A metric read only by a constraint may be missing or zero too.
                 return self._unusable(per_point, f"constraint {spec.name}: {exc!r}")
         try:
-            reward = penalized_reward(raw, violations, self.penalty_weight, self.sense)
+            reward = penalized_reward(
+                raw if self.sense == MAXIMIZE else -raw, violations, self.penalty_weight
+            )
         except FormulaError as exc:
             # Metrics slightly out of range (a few ulp from an external
             # solver) put a violation outside [0, 1]; that is an error row too.
             return self._unusable(per_point, str(exc))
-        if self.sense == MINIMIZE:
-            reward = -reward
         if not np.isfinite(reward):
             return self._unusable(per_point, f"non-finite reward {reward}")
         metrics = dict(agg_metrics)

@@ -25,7 +25,7 @@ import dataclasses
 import functools
 import json
 import os
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -1034,26 +1034,38 @@ def task_ids() -> list[str]:
 
 
 def _apply_space_override(env: ProblemEnvironment, path: str) -> ProblemEnvironment:
+    """`env` with the space that the override file at `path` gives it, if any.
+
+    A file that cannot be opened raises OSError. One that is not JSON, is
+    malformed or is refused raises SpaceError naming the file.
+    """
     with open(path) as fh:
-        data = json.load(fh)
-    tasks = data.get("tasks", [])
+        try:
+            return _overridden(env, json.load(fh))
+        except KeyError as exc:
+            raise SpaceError(f"catalog override {path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:  # ValueError covers SpaceError, JSONDecodeError
+            raise SpaceError(f"catalog override {path}: {exc}") from None
+
+
+def _overridden(env: ProblemEnvironment, data: Any) -> ProblemEnvironment:
+    tasks = data.get("tasks") if isinstance(data, dict) else None
     # Accept both the catalog export shape (list of entries with "id")
     # and a terser mapping of task id -> entry.
-    if isinstance(tasks, dict):
-        entries = tasks
-    else:
-        entries = {t["id"]: t for t in tasks}
-    if env.id not in entries:
+    if isinstance(tasks, list):
+        tasks = {t["id"]: t for t in tasks}
+    if not isinstance(tasks, dict):
+        raise SpaceError('needs an object with a "tasks" list or mapping')
+    if env.id not in tasks:
         return env
-    space = ParamSpace.from_json(entries[env.id]["space"])
+    space = ParamSpace.from_json(tasks[env.id]["space"])
     if space.names != env.space.names:
-        raise SpaceError(f"catalog override for {env.id} must keep the variable names")
+        raise SpaceError(f"{env.id} must keep the variable names")
     # The stand-in evaluator maps a design by the task's own kinds and levels.
     for new, old in zip(space.variables, env.space.variables):
         if new.kind != old.kind or not set(new.levels or ()) <= set(old.levels or ()):
             raise SpaceError(
-                f"catalog override for {env.id}: {new.name} must keep its kind"
-                " and use only the task's levels"
+                f"{env.id}: {new.name} must keep its kind and use only the task's levels"
             )
     return dataclasses.replace(env, space=space)
 

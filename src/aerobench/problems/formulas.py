@@ -10,8 +10,8 @@ class FormulaError(ValueError):
     pass
 
 
-def penalized_reward(raw: float, violations: Mapping[str, float], lam: float, sense: str = "maximize") -> float:
-    """Penalty scalarization: raw -/+ lam * sum of fractional violations."""
+def penalized_reward(raw: float, violations: Mapping[str, float], lam: float) -> float:
+    """Penalty scalarization of a maximization-sense `raw`: raw - lam * sum of fractional violations."""
     if lam < 0:
         raise FormulaError("penalty weight must be >= 0")
     total = 0.0
@@ -19,11 +19,7 @@ def penalized_reward(raw: float, violations: Mapping[str, float], lam: float, se
         if not (0.0 <= v <= 1.0):
             raise FormulaError(f"constraint {name} produced v={v}, outside [0, 1]")
         total += v
-    if sense == "maximize":
-        return raw - lam * total
-    if sense == "minimize":
-        return raw + lam * total
-    raise FormulaError(f"unknown sense {sense!r}")
+    return raw - lam * total
 
 
 def reynolds_schedule(cl: float) -> float:

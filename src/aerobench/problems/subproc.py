@@ -178,8 +178,10 @@ class SubprocessEvaluator:
             data = b"".join(line for _, _, line in pending.values())
             if self._send_and_read(data, pending, batch):
                 return
-            failure = f"evaluator exited (code {proc.poll()}) before replying"
+            # Its stdout is closed, so it is exiting; `close` reaps it, and
+            # only then is its exit code known.
             self.close()
+            failure = f"evaluator exited (code {proc.returncode}) before replying"
             if len(pending) < sent:
                 continue
             if not retry:

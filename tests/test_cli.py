@@ -4,10 +4,12 @@ import json
 import os
 import shlex
 import sys
+import types
 
 import pytest
 
 import aerobench
+from aerobench import optimizers
 from aerobench.cli import RESULTS_HEADER, main
 from aerobench.problems import catalog
 from aerobench.space import CONTINUOUS, DISCRETE
@@ -74,6 +76,85 @@ class TestList:
 
     def test_malformed_filter(self, capsys):
         assert main(["list", "--filter", "nonsense"]) == 1
+
+    def test_filter_kind_continuous(self, capsys):
+        assert main(["list", "--filter", "kind=continuous", "--json"]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        # Every task but delta-ld-robust (discrete sweep, categorical airfoil)
+        # has a continuous variable.
+        assert {e["id"] for e in entries} == set(catalog.task_ids()) - {"delta-ld-robust"}
+
+
+def _override_space(mutate):
+    space = catalog.get_environment("delta-ld-robust").space.to_json()
+    mutate(space["variables"])
+    return space
+
+
+# Catalog override files that every command refuses, with a part of the
+# message; each names delta-ld-robust, the task `run` and `diagnose` use.
+BAD_OVERRIDES = {
+    "unknown-level": (
+        {"tasks": {"delta-ld-robust": {"space": _override_space(
+            lambda vs: vs[0].update(levels=[55.0, 60.0, 65.0, 70.0, 75.0]))}}},
+        "delta-ld-robust: sweep_angle must keep its kind and use only the task's levels",
+    ),
+    "kind-change": (
+        {"tasks": {"delta-ld-robust": {"space": _override_space(
+            lambda vs: vs[0].update(kind="categorical", levels=["55", "65", "75"]))}}},
+        "delta-ld-robust: sweep_angle must keep its kind",
+    ),
+    "top-level-list": (
+        [{"id": "delta-ld-robust", "space": _override_space(lambda vs: None)}],
+        'needs an object with a "tasks" list or mapping',
+    ),
+    "no-tasks": ({"task": {}}, 'needs an object with a "tasks" list or mapping'),
+    "tasks-int": ({"tasks": 5}, 'needs an object with a "tasks" list or mapping'),
+    "entry-without-id": (
+        {"tasks": [{"space": _override_space(lambda vs: None)}]}, "missing key 'id'",
+    ),
+    "entry-without-space": ({"tasks": [{"id": "delta-ld-robust"}]}, "missing key 'space'"),
+    "variable-without-name": (
+        {"tasks": {"delta-ld-robust": {"space": _override_space(lambda vs: vs[1].pop("name"))}}},
+        "missing key 'name'",
+    ),
+    "not-json": ("{", "Expecting property name"),
+    "missing-file": (None, "No such file or directory"),
+}
+
+
+class TestOverrideRefused:
+    def _command(self, name, tmp_path):
+        """argv of `name`, and the output it must not write."""
+        if name == "run":
+            out = tmp_path / "runs"
+            argv = ["run", "--task", "delta-ld-robust", "--method", "pso", "--seeds", "0",
+                    "--budget", "5", "--out", str(out)]
+        elif name == "diagnose":
+            design, metrics, out = tmp_path / "design.json", tmp_path / "metrics.json", tmp_path / "bundle.json"
+            design.write_text("{}")
+            metrics.write_text("{}")
+            argv = ["diagnose", "--design", str(design), "--metrics", str(metrics),
+                    "--task", "delta-ld-robust", "--out", str(out)]
+        else:
+            out, argv = None, ["list"]
+        return argv, out
+
+    @pytest.mark.parametrize("command", ["run", "list", "diagnose"])
+    @pytest.mark.parametrize("case", list(BAD_OVERRIDES))
+    def test_error_and_nothing_written(self, tmp_path, capsys, monkeypatch, command, case):
+        content, message = BAD_OVERRIDES[case]
+        override = tmp_path / "override.json"
+        if content is not None:
+            override.write_text(content if isinstance(content, str) else json.dumps(content))
+        monkeypatch.setenv(catalog.CATALOG_ENV_VAR, str(override))
+        argv, out = self._command(command, tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(override) in captured.err and message in captured.err
+        assert captured.out == ""
+        assert out is None or not out.exists()
 
 
 class TestRun:
@@ -262,6 +343,26 @@ class TestRun:
              "--seeds", "0,0", "--budget", "10", "--out", str(tmp_path / "z")]
         ) == 1
 
+    def test_method_warnings_go_to_warnings_txt(self, tmp_path, monkeypatch):
+        def stub(warnings):
+            # Warns, then proposes nothing: the budget goes to uniform samples.
+            def run(dim, rng, opts, warm, budget, warn):
+                for message in warnings:
+                    warn(message)
+                return
+                yield
+
+            return types.SimpleNamespace(DEFAULTS={}, check=lambda opts, space: None, run=run)
+
+        cells = {}
+        for case, warnings in (("quiet", []), ("warned", ["first warning", "second warning"])):
+            monkeypatch.setitem(optimizers._METHODS, "pso", stub(warnings))
+            assert self._run(tmp_path / case) == 0
+            cells[case] = tmp_path / case / "delta-ld-single" / "pso" / "seed0"
+        assert not (cells["quiet"] / "warnings.txt").exists()
+        assert (cells["warned"] / "warnings.txt").read_text() == "first warning\nsecond warning\n"
+        assert _read(cells["quiet"] / "results.csv") == _read(cells["warned"] / "results.csv")
+
     def test_warmstart_csv(self, tmp_path):
         env = catalog.get_environment("delta-ld-single")
         try:
@@ -313,17 +414,6 @@ class TestRun:
         assert err.startswith("error: ") and message in err
         assert not (out / "manifest.json").exists()
 
-    def test_catalog_override_with_unknown_level_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        space = catalog.get_environment("delta-ld-robust").space.to_json()
-        space["variables"][0]["levels"] = [55.0, 60.0, 65.0, 70.0, 75.0]
-        override = tmp_path / "override.json"
-        override.write_text(json.dumps({"tasks": {"delta-ld-robust": {"space": space}}}))
-        monkeypatch.setenv(catalog.CATALOG_ENV_VAR, str(override))
-        out = tmp_path / "runs"
-        assert self._run(out, extra=["--task", "delta-ld-robust", "--seeds", "0", "--budget", "5"]) == 1
-        assert "error: catalog override for delta-ld-robust" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
-
 
 class TestCompare:
     @pytest.fixture()
@@ -365,6 +455,18 @@ class TestCompare:
         assert rows[0] == ["task", "delta"]
         # Convergence series stay per (task, method).
         assert len(os.listdir(cmp_dir / "convergence")) == 6
+
+    def test_single_method_warns(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        assert main(["run", "--task", "delta-ld-single", "--method", "pso", "--seeds", "0",
+                     "--budget", "10", "--out", str(runs)]) == 0
+        capsys.readouterr()
+        cmp_dir = tmp_path / "cmp"
+        assert main(["compare", str(runs), "--out", str(cmp_dir)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: single method; nothing to rank, so rank_table.csv reads N/A\n"
+        )
+        assert "N/A" in (cmp_dir / "rank_table.csv").read_text()
 
     def test_empty_root_fails(self, tmp_path, capsys):
         assert main(
@@ -485,6 +587,16 @@ class TestDiagnose:
              "--task", "car-drag-single", "--out", str(out)]
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_design_that_is_a_json_array_exits_one(self, tmp_path, car_env, capsys):
+        d, m = self._write_inputs(tmp_path, list(_midpoint_design(car_env.space).values()), {"Cd": 0.25})
+        out = tmp_path / "bundle.json"
+        assert main(
+            ["diagnose", "--design", d, "--metrics", m,
+             "--task", "car-drag-single", "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err == "error: design and metrics files must contain JSON objects\n"
         assert not out.exists()
 
     def test_wrapped_metrics_payload(self, tmp_path, car_env, golden_artifacts):

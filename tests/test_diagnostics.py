@@ -246,11 +246,6 @@ class TestNearBoundFraction:
         with pytest.raises(ValueError):
             near_bound_fraction(space, {"x": "text"})
 
-    def test_bad_margin_rejected(self):
-        space = continuous_space({"x": (0.0, 1.0)})
-        with pytest.raises(ValueError):
-            near_bound_fraction(space, {"x": 0.5}, margin_ratio=0.5)
-
 
 class TestGeometryInputs:
     @pytest.mark.parametrize(

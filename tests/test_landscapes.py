@@ -75,7 +75,7 @@ class TestMetricModel:
         eps = 1e-6
         for _ in range(20):
             u = 0.05 + 0.9 * rng.random(5)
-            grad = model.gradient(u, alpha=1.0)
+            grad = model.gradient(u)
             for i in range(5):
                 up, um = u.copy(), u.copy()
                 up[i] += eps

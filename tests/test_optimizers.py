@@ -82,6 +82,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             OptimizerConfig(method="pso", budget=10, seed=0, options={"nope": 1})
 
+    @pytest.mark.parametrize("options", [["swarm_size"], None, "swarm_size"], ids=["list", "none", "str"])
+    def test_options_must_be_a_mapping(self, options):
+        # A list or None crashed in `.items()`, and a string was read as its
+        # characters: unknown options ['_', 'a', 'e', ...].
+        with pytest.raises(ConfigurationError, match=f"options must be a mapping, got {re.escape(repr(options))}"):
+            OptimizerConfig(method="pso", budget=10, seed=0, options=options)
+
     def test_method_names(self):
         assert METHODS == ["bo", "cmaes", "evolve", "lbfgsb", "pso"]
 

@@ -25,6 +25,7 @@ from aerobench.problems.catalog import (
     RANGE_MACH,
     _airfoil_geometry_metrics,
     _airfoil_space,
+    _built,
 )
 from aerobench.space import DesignPoint, ParamSpace, SpaceError, continuous_space
 
@@ -92,6 +93,25 @@ def test_minimize_tasks_negate_reward():
         assert result.reward == pytest.approx(-result.metrics["objective"])
     finally:
         env.close()
+
+
+@pytest.mark.parametrize("task_id", ["ceras-fuel-mixed", "airfoil-drag-multipoint", "airfoil-ld-single"])
+def test_reward_sign_and_penalty_bits(task_id):
+    # The reward is the maximization-sense objective minus the penalty,
+    # bit for bit: -(objective + lam * sum v) on a minimize task, objective
+    # - lam * sum v on a maximize one. The sum runs left to right from 0.0.
+    env = get_environment(task_id)
+    results = env.evaluate_batch(env.space.sample_uniform(seed=7, n=40))
+    binding = 0
+    for result in results:
+        total = 0.0
+        for v in result.violations.values():
+            total += v
+        binding += total > 0.0
+        raw, penalty = result.metrics["objective"], env.penalty_weight * total
+        expected = -(raw + penalty) if env.sense == MINIMIZE else raw - penalty
+        assert result.reward.hex() == expected.hex()
+    assert binding > 0
 
 
 def test_ceras_static_margin_window():
@@ -424,6 +444,16 @@ class TestCatalogOverride:
         monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, requantize))
         with pytest.raises(ValueError):
             get_environment("delta-ld-single")
+
+    def test_list_of_entries_and_a_task_the_file_does_not_name(self, tmp_path, monkeypatch):
+        # The catalog export's shape: a list of entries, each with its "id".
+        space = get_environment("delta-ld-single").space.to_json()
+        space["variables"][0]["upper"] = 80.0
+        path = tmp_path / "override.json"
+        path.write_text(json.dumps({"tasks": [{"id": "delta-ld-single", "space": space}]}))
+        monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
+        assert get_environment("delta-ld-single").space.var("sweep_angle").upper == 80.0
+        assert get_environment("car-drag-single") is _built("car-drag-single")
 
     def test_level_the_task_does_not_have_rejected(self, tmp_path, monkeypatch):
         # The stand-in maps a design by the task's own levels, so 60.0 could

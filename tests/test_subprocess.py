@@ -98,6 +98,30 @@ for line in sys.stdin:
 """
 
 
+# Answers requests in order; its second reply is faulty: "stray-id" gives it
+# an id no request has, "no-metrics" leaves out the metrics object.
+FAULTY_SECOND_REPLY_CHILD = """
+import json, sys
+mode = sys.argv[1]
+for n, line in enumerate(sys.stdin):
+    reply = {"id": json.loads(line)["id"], "metrics": {"n": n}}
+    if n == 1 and mode == "stray-id":
+        reply["id"] = "stray"
+    elif n == 1:
+        del reply["metrics"]
+    print(json.dumps(reply), flush=True)
+"""
+
+# Answers argv[1] requests, the last without a trailing newline, then exits.
+UNTERMINATED_LAST_REPLY_CHILD = """
+import json, sys
+n = int(sys.argv[1])
+for k in range(n):
+    reply = json.dumps({"id": json.loads(sys.stdin.readline())["id"], "metrics": {"k": k}})
+    sys.stdout.write(reply + ("\\n" if k < n - 1 else ""))
+    sys.stdout.flush()
+"""
+
 # Answers with the raw request line it read.
 RAW_LINE_CHILD = """
 import json, sys
@@ -373,6 +397,45 @@ class TestBatchInFlight:
         assert len(out) == len(ev.reply_ms) == 8
         # The echo child answers in order, so each design finishes later.
         assert 0.0 < ev.reply_ms[0] and ev.reply_ms == sorted(ev.reply_ms)
+
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("stray-id", "reply id 'stray' matches no pending request"),
+            ("no-metrics", "evaluator reply lacks a metrics object"),
+        ],
+    )
+    def test_faulty_reply_fails_the_designs_still_unanswered(self, mode, message):
+        ev = SubprocessEvaluator(_inline(FAULTY_SECOND_REPLY_CHILD, mode))
+        try:
+            out = ev.batch_metrics(_designs(1.0, 2.0, 3.0), _ops(1.0))
+        finally:
+            ev.close()
+        assert out[0] == [{"n": 0}]
+        assert [str(e) for e in out[1:]] == [message, message]
+
+    def test_unterminated_last_reply_before_exit_counts(self):
+        ev = SubprocessEvaluator(_inline(UNTERMINATED_LAST_REPLY_CHILD, "3"))
+        try:
+            out = ev.batch_metrics(_designs(1.0, 2.0, 3.0), _ops(1.0))
+        finally:
+            ev.close()
+        assert out == [[{"k": 0}], [{"k": 1}], [{"k": 2}]]
+
+    def test_child_that_exits_unread_fails_a_batch_larger_than_the_pipe(self, capfd):
+        designs = [
+            DesignPoint(values={f"p{i:02d}": d + i / 64 for i in range(60)}) for d in range(40)
+        ]
+        ops = _ops(1.0, 2.0)
+        assert sum(len(json.dumps(p.to_json())) for p in designs) * len(ops) > 65536
+        ev = SubprocessEvaluator(_inline("pass"))
+        try:
+            out = ev.batch_metrics(designs, ops)
+        finally:
+            ev.close()
+        # The broken pipe ends the write; the child's exit fails every design.
+        assert [str(e) for e in out] == ["evaluator exited (code 0) before replying"] * len(designs)
+        assert "Traceback" not in capfd.readouterr().err
 
 
 def _alarm(signum, frame):
