@@ -1,3 +1,3 @@
 """Benchmark harness for aerodynamic-style black-box design optimization."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -2,19 +2,25 @@
 acquisition.
 
 An exact GP with an isotropic Matern-5/2 kernel models standardized rewards
-on the unit cube. Hyperparameters (length scale, signal variance, noise)
-are refit each round by gradient ascent on the marginal likelihood,
-accepting only improving steps. Until a fit succeeds, each fit is cold: it
-starts from a default theta and `fit_starts - 1` random ones. After that
-each fit is warm, one start from the theta of the last successful fit,
-since one new point barely moves the optimum. The fit works on the Cholesky factor of the
-covariance: the data's pairwise distances are computed once per model,
-alpha = K^-1 y comes from two triangular solves, and the gradient's K^-1
-from LAPACK potri, with no generic solve and no identity matrix. The
-acquisition, log EI, is computed in the stable form of Ament et
-al. (NeurIPS 2023), so it stays finite and ordered far below the incumbent
-instead of sitting on a floor. It is maximized over a Sobol candidate set
-plus a handful of local refinements.
+on the unit cube. The `n_initial` random designs go out as one batch (an
+error row is replaced in the next). Hyperparameters (length scale, signal
+variance, noise) are fit by gradient ascent on the marginal likelihood,
+accepting only improving steps; a start ends when an accepted step improves
+the likelihood by a relative FIT_FTOL or less. Until a fit succeeds, each
+fit is cold: it starts from a default theta and `fit_starts - 1` random
+ones. After that each fit is warm, one start from the theta of the last
+successful fit. A fit is due only once the data has grown by a tenth (at
+least one row) since the last one; the rounds in between keep theta and
+only factor the covariance of the new data at it, with no likelihood
+evaluation (Rasmussen & Williams 2006, Alg. 2.1). A failed fit or
+factorization proposes a random row and makes the next round refit. The
+model works on the Cholesky factor of the covariance: the data's pairwise
+distances are computed once per model, alpha = K^-1 y comes from two
+triangular solves, and the gradient's K^-1 from LAPACK potri, with no
+generic solve and no identity matrix. The acquisition, log EI, is computed
+in the stable form of Ament et al. (NeurIPS 2023), so it stays finite and
+ordered far below the incumbent instead of sitting on a floor. It is
+maximized over a Sobol candidate set plus a handful of local refinements.
 """
 from __future__ import annotations
 
@@ -50,6 +56,14 @@ THETA_LO = np.log(np.array([1e-3, 1e-4, 1e-8]))
 THETA_HI = np.log(np.array([1e2, 1e3, 1.0]))
 DEFAULT_THETA = np.log(np.array([0.5, 1.0, 1e-3]))  # the cold fit's first start
 DEFAULT_THETA.flags.writeable = False
+
+# A start of the fit ends at an accepted step whose relative reduction of the
+# negative log likelihood is at most FIT_FTOL (L-BFGS-B's `ftol` rule).
+FIT_FTOL = 1e-5
+# A refit is due once the data has grown by n_fit // REFIT_DIVISOR rows, and
+# at least one, since the last successful fit at n_fit rows; in between, the
+# model is refactored at the kept theta.
+REFIT_DIVISOR = 10
 
 
 def _matern52(r5: np.ndarray, length: float, signal_var: float):
@@ -105,7 +119,7 @@ class _GP:
             self.y_std = 1.0
         self.y = (y - self.y_mean) / self.y_std
         self.warn = warn
-        # A given theta (the last round's fit) makes the fit warm: one start there.
+        # A given theta (the last successful fit's) makes a fit warm: one start there.
         self._warm = theta is not None
         self.theta = DEFAULT_THETA if theta is None else theta
         # Every likelihood evaluation reuses the distances between the data.
@@ -171,9 +185,13 @@ class _GP:
                     break
                 cand = np.clip(theta - lr * grad, THETA_LO, THETA_HI)
                 cand_val, cand_grad = self._neg_mll_and_grad(cand)
-                # Accept only improving steps; otherwise shrink the step.
+                # Accept only improving steps; otherwise shrink the step. A
+                # start ends at an accepted step that no longer pays.
                 if cand_val < val:
+                    stalled = val - cand_val <= FIT_FTOL * max(abs(val), abs(cand_val), 1.0)
                     theta, val, grad = cand, cand_val, cand_grad
+                    if stalled:
+                        break
                 else:
                     lr *= 0.5
                     if lr < 1e-4:
@@ -181,6 +199,10 @@ class _GP:
             if val < best_val:
                 best_theta, best_val = theta, val
         self.theta = best_theta
+        self.factor()
+
+    def factor(self) -> None:
+        """Factor the covariance at self.theta and solve for alpha, for prediction."""
         length, sf2, sn2 = np.exp(self.theta)
         chol = _chol(_matern52(self._r5, length, sf2)[0], sn2, self.warn)
         if chol is None:
@@ -259,24 +281,34 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
 
     for u, reward in warm:
         observe(u, reward)
+    # The missing initial rows go out as one batch; an error row is not
+    # observed, so its replacement comes in the next.
     while len(xs) < opts["n_initial"]:
-        u = rng.random(dim)
-        observe(u, float((yield 0, u[None])[0]))
+        rows = rng.random((opts["n_initial"] - len(xs), dim))
+        for u, reward in zip(rows, (yield 0, rows)):
+            observe(u, float(reward))
 
     step = 0
-    # The last successful fit's theta warm-starts the next; None means cold.
-    theta = None
+    # The last successful fit's theta, kept between refits; None means cold.
+    # A fit is due when the data count reaches `next_fit`, and at once after
+    # a failed fit or factorization.
+    theta, next_fit = None, 0
     while True:
         step += 1
+        n = len(xs)
         gp = _GP(np.array(xs), np.array(ys), warn, theta)
         try:
-            gp.fit(rng, opts)
+            if n >= next_fit:
+                gp.fit(rng, opts)
+                theta, next_fit = gp.theta, n + max(1, n // REFIT_DIVISOR)
+            else:
+                gp.factor()
         except FloatingPointError:
             # Fall back to random search once the model is unusable.
+            next_fit = 0
             u = rng.random(dim)
             observe(u, float((yield step, u[None])[0]))
             continue
-        theta = gp.theta
         best = float((max(ys) - gp.y_mean) / gp.y_std)
         sobol = qmc.Sobol(d=dim, scramble=True, seed=int(rng.integers(2**31)))
         cand = sobol.random(opts["n_candidates"])

@@ -9,6 +9,9 @@ interval.
 """
 from __future__ import annotations
 
+import bisect
+from functools import lru_cache
+
 import numpy as np
 
 from ..space import ParamSpace
@@ -27,6 +30,19 @@ DEFAULTS = {
 }
 
 
+def _neg_reward(entry: tuple[float, np.ndarray]) -> float:
+    return -entry[0]
+
+
+@lru_cache(maxsize=256)
+def _rank_probs(n: int, pw_alpha: float) -> np.ndarray:
+    """Power-law probabilities of archive ranks 1..n, normalized; read-only."""
+    probs = np.arange(1, n + 1, dtype=float) ** (-pw_alpha)
+    probs /= probs.sum()
+    probs.flags.writeable = False
+    return probs
+
+
 class Archive:
     """Bounded elite store ordered best-first; worst member is evicted."""
 
@@ -35,16 +51,13 @@ class Archive:
         self.entries: list[tuple[float, np.ndarray]] = []
 
     def add(self, reward: float, u: np.ndarray) -> None:
-        self.entries.append((reward, u.copy()))
-        self.entries.sort(key=lambda e: -e[0])
+        # A right insert: equal rewards stay in arrival order.
+        bisect.insort(self.entries, (reward, u.copy()), key=_neg_reward)
         if len(self.entries) > self.capacity:
             self.entries.pop()
 
     def sample_parent(self, rng: np.random.Generator, pw_alpha: float) -> np.ndarray:
-        ranks = np.arange(1, len(self.entries) + 1, dtype=float)
-        probs = ranks ** (-pw_alpha)
-        probs /= probs.sum()
-        idx = int(rng.choice(len(self.entries), p=probs))
+        idx = int(rng.choice(len(self.entries), p=_rank_probs(len(self.entries), pw_alpha)))
         return self.entries[idx][1]
 
     @property

@@ -49,6 +49,9 @@ def _cases() -> dict:
         if task not in TASKS:
             for method in WIDE_METHODS:
                 cases[f"{task}/{method}/budget{WIDE_BUDGET}"] = (task, method, WIDE_BUDGET, 0, {})
+    # Past budget 34 bo keeps its fitted theta between refits (at n = 30, 33,
+    # 36, 39, 42, 46, 50 and 55); this case covers those rounds.
+    cases[f"{TASKS[0]}/bo/budget60"] = (TASKS[0], "bo", 60, 0, {})
     cases["sphere/evolve/islands3"] = (
         "sphere", "evolve", 41, 0, {"num_islands": 3, "migration_interval": 2}
     )

@@ -1,4 +1,5 @@
 """Budget accounting, method invariants, and per-method behavior."""
+import copy
 import re
 
 import numpy as np
@@ -14,7 +15,7 @@ from aerobench.optimizers import (
 from aerobench.optimizers.base import fd_gradient
 from scipy.stats import norm
 
-from aerobench.optimizers import bo, pso
+from aerobench.optimizers import bo, evolve, pso
 from aerobench.optimizers.bo import (
     DEFAULT_THETA,
     JITTER_MAX,
@@ -418,6 +419,26 @@ def _forrester(u):
     return float((6 * x - 2) ** 2 * np.sin(12 * x - 4))
 
 
+class _SphereBatches:
+    """Sphere evaluator on [0, 1]^d that keeps each batch's size and each
+    design's row, and fails the calls whose index is in `fail`."""
+
+    def __init__(self, fail=()):
+        self.sizes, self.rows, self.fail = [], [], set(fail)
+
+    def batch_metrics(self, points, ops):
+        self.sizes.append(len(points))
+        out = []
+        for point in points:
+            row = np.array(list(point.values.values()))
+            if len(self.rows) in self.fail:
+                out.append(EvaluationError("synthetic failure"))
+            else:
+                out.append([{"value": float(np.sum((row - 0.5) ** 2))} for _ in ops])
+            self.rows.append(row)
+        return out
+
+
 GP_THETAS = [np.log(t) for t in ([0.5, 1.0, 1e-3], [0.05, 0.1, 1e-5], [2.0, 4.0, 1e-5])]
 
 
@@ -564,6 +585,148 @@ class TestBo:
             assert len(thetas) > 9
         assert np.array_equal(evaluated[3][0], fitted[2])
 
+    def test_initial_design_is_one_batch(self):
+        evaluator = _SphereBatches()
+        traj = run_with_budget(
+            sphere_env(2).with_evaluator(evaluator), OptimizerConfig(method="bo", budget=34, seed=0)
+        )
+        assert evaluator.sizes == [30, 1, 1, 1, 1]
+        assert [r.iteration for r in traj.records] == [0] * 30 + [1, 2, 3, 4]
+
+    def test_error_rows_of_the_initial_design_are_replaced_in_later_batches(self, monkeypatch):
+        fits = []
+        original = _GP.fit
+        monkeypatch.setattr(_GP, "fit", lambda gp, *args: fits.append(len(gp.x)) or original(gp, *args))
+        # Calls 3 and 17 fail in the first batch, call 30 in the second.
+        evaluator = _SphereBatches(fail={3, 17, 30})
+        traj = run_with_budget(
+            sphere_env(2).with_evaluator(evaluator), OptimizerConfig(method="bo", budget=36, seed=0)
+        )
+        assert evaluator.sizes == [30, 2, 1, 1, 1, 1]
+        assert [r.iteration for r in traj.records] == [0] * 33 + [1, 2, 3]
+        assert [i for i, r in enumerate(traj.records) if r.error] == [3, 17, 30]
+        assert fits == [30]
+
+    def test_warm_fit_stops_at_the_first_accepted_step_that_stops_paying(self, monkeypatch):
+        # Noisy data: the likelihood has an interior optimum that the fit reaches.
+        rng = np.random.Generator(np.random.Philox(key=1))
+        x = rng.random((30, 2))
+        y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(30)
+        opts = {"fit_starts": 4, "fit_steps": 40, "fit_lr": 0.1}
+
+        def warm_fit_values():
+            values = []
+            original = _GP._neg_mll_and_grad
+
+            def recording(gp, theta):
+                val, grad = original(gp, theta)
+                values.append(val)
+                return val, grad
+
+            with monkeypatch.context() as m:
+                m.setattr(_GP, "_neg_mll_and_grad", recording)
+                _GP(x, y, lambda msg: None, DEFAULT_THETA).fit(None, opts)
+            return values
+
+        with monkeypatch.context() as m:
+            m.setattr(bo, "FIT_FTOL", 0.0)
+            # Without the stop rule this fit takes every step.
+            assert len(warm_fit_values()) == opts["fit_steps"] + 1
+        values = warm_fit_values()
+        assert len(values) < opts["fit_steps"] + 1
+        # The fit ends at the first accepted step whose relative gain is <= FIT_FTOL.
+        current, stop = values[0], None
+        for i, val in enumerate(values[1:], start=1):
+            if val < current:
+                if current - val <= bo.FIT_FTOL * max(abs(current), abs(val), 1.0):
+                    stop = i
+                    break
+                current = val
+        assert stop == len(values) - 1
+
+    @staticmethod
+    def _record_rounds(monkeypatch):
+        """Per model round: the data count, whether it fitted, its likelihood
+        evaluations, its potri calls and the theta it predicted with."""
+        rounds = []
+        original_init, original_fit = _GP.__init__, _GP.fit
+        original_nll, original_potri = _GP._neg_mll_and_grad, bo.dpotri
+
+        def init(gp, x, *args):
+            original_init(gp, x, *args)
+            rounds.append({"n": len(x), "fit": False, "nll": 0, "potri": 0})
+
+        def fit(gp, *args):
+            rounds[-1]["fit"] = True
+            original_fit(gp, *args)
+
+        def nll(gp, theta):
+            rounds[-1]["nll"] += 1
+            return original_nll(gp, theta)
+
+        def potri(*args, **kwargs):
+            rounds[-1]["potri"] += 1
+            return original_potri(*args, **kwargs)
+
+        monkeypatch.setattr(_GP, "__init__", init)
+        monkeypatch.setattr(_GP, "fit", fit)
+        monkeypatch.setattr(_GP, "_neg_mll_and_grad", nll)
+        monkeypatch.setattr(bo, "dpotri", potri)
+        return rounds
+
+    def test_refits_when_the_data_has_grown_by_a_tenth(self, monkeypatch):
+        rounds = self._record_rounds(monkeypatch)
+        run_with_budget(sphere_env(2), OptimizerConfig(method="bo", budget=60, seed=0))
+        assert [r["n"] for r in rounds] == list(range(30, 60))
+        assert [r["n"] for r in rounds if r["fit"]] == [30, 33, 36, 39, 42, 46, 50, 55]
+
+    def test_a_round_that_keeps_theta_evaluates_no_likelihood(self, monkeypatch):
+        rounds = self._record_rounds(monkeypatch)
+        thetas = []
+        original_posterior = _GP.posterior
+        monkeypatch.setattr(
+            _GP, "posterior", lambda gp, x: thetas.append(gp.theta) or original_posterior(gp, x)
+        )
+        run_with_budget(sphere_env(2), OptimizerConfig(method="bo", budget=60, seed=0))
+        kept = [r for r in rounds if not r["fit"]]
+        assert len(kept) == 22
+        assert all(r["nll"] == 0 and r["potri"] == 0 for r in kept)
+        assert all(r["nll"] > 0 for r in rounds if r["fit"])
+        # Both posterior calls of a round predict at the last fitted theta.
+        fitted = None
+        for r, theta in zip(rounds, thetas[::2]):
+            if r["fit"]:
+                fitted = theta
+            assert np.array_equal(theta, fitted)
+
+    def test_failed_factorization_at_kept_theta_draws_a_random_row_then_refits(self, monkeypatch):
+        rounds = self._record_rounds(monkeypatch)
+        expected = []
+        rngs = []
+        original_fit, original_factor = _GP.fit, _GP.factor
+
+        def fit(gp, rng, opts):
+            rngs.append(rng)
+            original_fit(gp, rng, opts)
+
+        def factor(gp):
+            # Round n = 31 keeps theta; its factorization fails, and the
+            # fallback draws the next uniform row of the run's generator.
+            if not rounds[-1]["fit"] and len(gp.x) == 31:
+                expected.append(copy.deepcopy(rngs[-1]).random(2))
+                raise FloatingPointError("GP covariance factorization failed")
+            original_factor(gp)
+
+        monkeypatch.setattr(_GP, "fit", fit)
+        monkeypatch.setattr(_GP, "factor", factor)
+        evaluator = _SphereBatches()
+        run_with_budget(
+            sphere_env(2).with_evaluator(evaluator), OptimizerConfig(method="bo", budget=40, seed=0)
+        )
+        assert len(expected) == 1
+        assert np.array_equal(evaluator.rows[31], expected[0])
+        assert [r["n"] for r in rounds if r["fit"]] == [30, 32, 35, 38]
+
     def test_log_ei_finite_increasing_and_equal_to_log_ei_where_representable(self):
         mu = np.linspace(-40.0, 3.0, 4301)
         lei = log_expected_improvement(mu, np.ones_like(mu), 0.0)
@@ -674,6 +837,24 @@ class TestEvolve:
             archive.add(reward, np.array([reward]))
         rewards = [r for r, _ in archive.entries]
         assert rewards == [5.0, 4.0, 3.0]
+
+    def test_archive_order_is_append_then_stable_sort(self):
+        # Ties are frequent: equal rewards must stay in arrival order.
+        rewards = np.random.Generator(np.random.Philox(key=2)).integers(0, 8, size=200)
+        archive, reference = Archive(capacity=20), []
+        for i, reward in enumerate(rewards.astype(float).tolist()):
+            archive.add(reward, np.array([float(i)]))
+            reference.append((reward, i))
+            reference.sort(key=lambda e: -e[0])
+            del reference[20:]
+            assert [(r, int(u[0])) for r, u in archive.entries] == reference
+
+    def test_rank_probabilities_are_the_per_draw_arithmetic(self):
+        for n in (1, 2, 7, 100):
+            for pw_alpha in (0.5, 3.0):
+                probs = np.arange(1, n + 1, dtype=float) ** (-pw_alpha)
+                probs /= probs.sum()
+                assert np.array_equal(evolve._rank_probs(n, pw_alpha), probs)
 
     def test_mutation_scale_decay(self):
         assert mutation_scale(0.0, 0.3, 0.1, True) == pytest.approx(0.3)
