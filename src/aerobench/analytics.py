@@ -6,6 +6,12 @@ Rankings are per task at a budget fraction; normalized rank maps the best
 method to 0 and the worst to 1, with ties sharing average ranks. Missing
 (did-not-complete) methods are excluded pairwise from correlations, and
 medians across tasks or task groups cover only methods ranked on all of them.
+
+This module owns the run directory, writer and reader both. `aerobench run`
+writes `manifest.json` at the root before any evaluation, so a partly done
+grid stays self-describing, and one directory `<root>/<task>/<method>/seed<k>/`
+per run: `resolved_config.json`, `results.csv` (`RESULTS_HEADER`, one row per
+evaluation), and `best_design.json` and `warnings.txt` when there are any.
 """
 from __future__ import annotations
 
@@ -15,15 +21,20 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # a run-time import would load the optimizers for `compare`
+    from .optimizers import Trajectory
 
 # The budget fractions `rank_table` ranks at.
 BUDGET_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 MAXIMIZE = "maximize"
 MINIMIZE = "minimize"
+
+RESULTS_HEADER = ("iter", "design_id", "reward", "best_reward", "feasible", "n_evals", "wall_ms")
 
 
 class AnalyticsError(ValueError):
@@ -185,7 +196,7 @@ def median_iqr(values: Sequence[float]) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Run-directory ingestion
+# Run directories: one writer, one reader
 # ---------------------------------------------------------------------------
 
 
@@ -237,6 +248,39 @@ class RunSet:
 
     def runs(self, task: str, method: str) -> list[RunRecord]:
         return list(self._index.get((task, method), ()))
+
+
+def _fmt(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
+def _write_json(path: str, data) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_manifest(root: str, manifest: dict) -> None:
+    """Create `root` and write the grid's manifest there."""
+    os.makedirs(root, exist_ok=True)
+    _write_json(os.path.join(root, "manifest.json"), manifest)
+
+
+def write_run_dir(path: str, trajectory: Trajectory, sense: str) -> None:
+    """Write one seed directory: floats as `repr`, an error row's reward empty."""
+    os.makedirs(path, exist_ok=True)
+    _write_json(os.path.join(path, "resolved_config.json"), {**trajectory.resolved_config, "sense": sense})
+    with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULTS_HEADER)
+        for n, rec in enumerate(trajectory.records, start=1):
+            writer.writerow([rec.iteration, rec.design_id, _fmt(rec.reward), _fmt(rec.best_so_far),
+                             rec.feasible, n, _fmt(rec.wall_ms)])
+    if trajectory.best_design is not None:
+        _write_json(os.path.join(path, "best_design.json"), trajectory.best_design.to_json())
+    if trajectory.warnings:
+        with open(os.path.join(path, "warnings.txt"), "w") as fh:
+            fh.write("\n".join(trajectory.warnings) + "\n")
 
 
 def read_run_dir(path: str) -> RunRecord:

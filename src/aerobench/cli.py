@@ -1,10 +1,7 @@
 """Command-line front end: catalog listing, run execution, comparison, and
 design diagnostics.
 
-Run output layout: `<root>/<task>/<method>/seed<k>/` with one results.csv
-row per evaluation, the fully resolved configuration, and the best design.
-A manifest describing the whole grid is written before any evaluation so a
-partially completed grid remains self-describing.
+`run` decides what goes into a run directory; `analytics` writes and reads it.
 """
 from __future__ import annotations
 
@@ -20,6 +17,7 @@ import sys
 from typing import Sequence
 
 from . import __version__, analytics
+from .analytics import RESULTS_HEADER
 from .diagnostics import (
     DiagnosticInputs,
     STATUS_ERROR,
@@ -32,19 +30,10 @@ from .optimizers import ConfigurationError, OptimizerConfig, run_with_budget
 from .problems import catalog
 from .space import DesignPoint, ParamSpace, SpaceError
 
-RESULTS_HEADER = ("iter", "design_id", "reward", "best_reward", "feasible", "n_evals", "wall_ms")
+# RESULTS_HEADER is re-exported for scripts that import it from here.
+__all__ = ["RESULTS_HEADER", "build_parser", "main"]
 
 _DIAGNOSE_EXIT = {STATUS_WARNING: 2, STATUS_ISSUE: 3, STATUS_ERROR: 3}
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
-def _write_json(path: str, data) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,30 +159,7 @@ def _execute_run(
     finally:
         env.close()
 
-    os.makedirs(out_dir, exist_ok=True)
-    resolved = dict(trajectory.resolved_config)
-    resolved["sense"] = env.sense
-    _write_json(os.path.join(out_dir, "resolved_config.json"), resolved)
-    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for n, rec in enumerate(trajectory.records, start=1):
-            writer.writerow(
-                [
-                    rec.iteration,
-                    rec.design_id,
-                    _fmt(rec.reward),
-                    _fmt(rec.best_so_far),
-                    rec.feasible,
-                    n,
-                    _fmt(rec.wall_ms),
-                ]
-            )
-    if trajectory.best_design is not None:
-        _write_json(os.path.join(out_dir, "best_design.json"), trajectory.best_design.to_json())
-    if trajectory.warnings:
-        with open(os.path.join(out_dir, "warnings.txt"), "w") as fh:
-            fh.write("\n".join(trajectory.warnings) + "\n")
+    analytics.write_run_dir(out_dir, trajectory, env.sense)
     return None
 
 
@@ -224,7 +190,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
     manifest = {
         "tasks": tasks,
         "methods": methods,
@@ -237,7 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     # Manifest goes down before any evaluation happens.
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    analytics.write_manifest(args.out, manifest)
 
     cells = [
         (task, method, seed, args.budget,

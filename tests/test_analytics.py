@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from aerobench import analytics
 from aerobench.analytics import (
+    RESULTS_HEADER,
     AnalyticsError,
     RankTable,
     RunRecord,
@@ -30,10 +31,13 @@ from aerobench.analytics import (
     read_run_dir,
     spearman_rho,
     write_convergence_data,
+    write_run_dir,
     write_rank_table_csv,
     write_rho_matrix_csv,
 )
 from aerobench.cli import main
+from aerobench.optimizers import OptimizerConfig, method_names, run_with_budget
+from aerobench.problems import EvaluationError, get_environment
 
 TOL = 1e-12
 
@@ -218,9 +222,7 @@ def _write_run_dir(root, task, method, seed, rewards, budget=None, sense="maximi
     best = None
     with open(os.path.join(d, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["iter", "design_id", "reward", "best_reward", "feasible", "n_evals", "wall_ms"]
-        )
+        writer.writerow(RESULTS_HEADER)
         for i, r in enumerate(rewards):
             if r is not None:
                 best = r if best is None else max(best, r)
@@ -228,6 +230,21 @@ def _write_run_dir(root, task, method, seed, rewards, budget=None, sense="maximi
                 [i, f"d{i}", "" if r is None else repr(r), repr(best or 0.0), True, i + 1, 0]
             )
     return d
+
+
+class _FailsTwo:
+    """A task's evaluator, except that designs 1 and 31 of the run fail."""
+
+    def __init__(self, inner):
+        self.inner, self.designs = inner, 0
+
+    def batch_metrics(self, points, ops):
+        out = self.inner.batch_metrics(points, ops)
+        for i in range(len(out)):
+            if self.designs in (1, 31):
+                out[i] = EvaluationError(f"design {self.designs} fails")
+            self.designs += 1
+        return out
 
 
 class TestRunIngestion:
@@ -251,6 +268,26 @@ class TestRunIngestion:
         assert rs.methods == ["cmaes", "pso"]
         assert len(rs.records) == 8
         assert len(rs.runs("t1", "pso")) == 2
+
+    @pytest.mark.parametrize("method", method_names())
+    def test_what_run_writes_compare_reads_bit_for_bit(self, tmp_path, method):
+        # One warm-start design and two failed designs; pso's one sweep at
+        # budget 34 leaves 13 rows to run_with_budget's uniform samples.
+        env = get_environment("delta-ld-single")
+        env = env.with_evaluator(_FailsTwo(env.evaluator))
+        warm = env.space.sample_uniform(seed=5, n=1)
+        trajectory = run_with_budget(env, OptimizerConfig(method=method, budget=34, seed=2), warm)
+        assert len(trajectory) == 34 and sum(r.error is not None for r in trajectory.records) == 2
+        write_run_dir(str(tmp_path), trajectory, env.sense)
+        run = read_run_dir(str(tmp_path))
+        config = trajectory.resolved_config
+        assert (run.task, run.method, run.seed, run.budget) == tuple(
+            config[key] for key in ("task", "method", "seed", "budget")
+        )
+        written = [None if r.error else r.reward.hex() for r in trajectory.records]
+        assert [None if r is None else r.hex() for r in run.rewards] == written
+        with open(tmp_path / "resolved_config.json") as fh:
+            assert json.load(fh) == {**config, "sense": env.sense}
 
     def test_duplicate_runs_rejected(self):
         rec = RunRecord(task="t", method="m", seed=0, budget=2, rewards=(1.0, 2.0))

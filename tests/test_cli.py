@@ -10,7 +10,8 @@ import pytest
 
 import aerobench
 from aerobench import optimizers
-from aerobench.cli import RESULTS_HEADER, main
+from aerobench.analytics import RESULTS_HEADER
+from aerobench.cli import main
 from aerobench.problems import catalog
 from aerobench.space import CONTINUOUS, DISCRETE
 
@@ -194,6 +195,22 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         assert all(r["reward"] == "" for r in rows)
+
+    def test_evaluator_metric_that_is_not_a_number_gives_error_rows(self, tmp_path):
+        # On car-drag-single a text drag coefficient once ended the run in a traceback.
+        script = tmp_path / "text_metric.py"
+        script.write_text(
+            "import json, sys\nfor line in sys.stdin:\n"
+            '    print(json.dumps({"id": json.loads(line)["id"], "metrics": {"Cd": "abc"}}), flush=True)\n'
+        )
+        out = tmp_path / "runs"
+        command = shlex.join([sys.executable, str(script)])
+        extra = ["--task", "car-drag-single", "--seeds", "0", "--budget", "5", "--evaluator", command]
+        assert self._run(out, extra) == 0
+        with open(out / "car-drag-single" / "pso" / "seed0" / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        assert all(r["reward"] == "" and r["feasible"] == "False" for r in rows)
 
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "runs"

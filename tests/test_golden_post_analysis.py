@@ -27,7 +27,8 @@ import numpy as np
 import pytest
 
 from aerobench import diagnostics
-from aerobench.cli import RESULTS_HEADER, main
+from aerobench.analytics import RESULTS_HEADER
+from aerobench.cli import main
 from aerobench.problems import get_environment
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_post_analysis.json")

@@ -15,7 +15,7 @@ from aerobench.optimizers import (
 from aerobench.optimizers.base import fd_gradient
 from scipy.stats import norm
 
-from aerobench.optimizers import bo, evolve, pso
+from aerobench.optimizers import bo, cmaes, evolve, pso
 from aerobench.optimizers.bo import (
     DEFAULT_THETA,
     JITTER_MAX,
@@ -325,6 +325,16 @@ class TestLbfgsb:
         # Start point plus the 8-row stencil of restart 0, then restart 1.
         assert [r.iteration for r in traj.records[:10]] == [0] * 9 + [1]
 
+    def test_restart_whose_start_point_errors_moves_on(self):
+        evaluator = _SphereBatches(fail={0, 1})
+        traj = run_with_budget(
+            sphere_env().with_evaluator(evaluator), OptimizerConfig(method="lbfgsb", budget=40, seed=0)
+        )
+        assert len(traj) == 40
+        assert [i for i, r in enumerate(traj.records) if r.error] == [0, 1]
+        # Restarts 0 and 1 end at their failed start; restart 2 takes its 8-row stencil.
+        assert [r.iteration for r in traj.records[:11]] == [0, 1] + [2] * 9
+
 
 class TestPso:
     def test_schedule_endpoints_exact(self):
@@ -371,6 +381,13 @@ class TestCmaes:
             sphere_env(dim=6), OptimizerConfig(method="cmaes", budget=600, seed=2)
         )
         assert -traj.best_reward < 1e-6
+
+    def test_eigenvalue_floor_warns_once(self, monkeypatch):
+        # A floor above the unit start covariance floors every generation.
+        monkeypatch.setattr(cmaes, "EIGEN_FLOOR", 2.0)
+        traj = run_with_budget(sphere_env(dim=3), OptimizerConfig(method="cmaes", budget=40, seed=0))
+        assert len(traj) == 40
+        assert traj.warnings == ("covariance eigenvalue floored at 2.0 in generation 0",)
 
 
 def _reference_chol(k_mat):
@@ -584,6 +601,12 @@ class TestBo:
             assert np.array_equal(thetas[0], DEFAULT_THETA)
             assert len(thetas) > 9
         assert np.array_equal(evaluated[3][0], fitted[2])
+
+    def test_constant_rewards_fit_without_warning(self):
+        # Their standard deviation is 0; the GP standardizes them by 1 instead.
+        env = function_environment(continuous_space({"x0": (0.0, 1.0), "x1": (0.0, 1.0)}), lambda u: 2.0)
+        traj = run_with_budget(env, OptimizerConfig(method="bo", budget=36, seed=0))
+        assert len(traj) == 36 and traj.warnings == ()
 
     def test_initial_design_is_one_batch(self):
         evaluator = _SphereBatches()

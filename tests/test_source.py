@@ -137,6 +137,29 @@ def test_the_method_name_check_sees_a_comparison():
     assert _method_name_comparisons(tree) == [1]
 
 
+RUN_DIR_FILES = {"results.csv", "resolved_config.json", "best_design.json", "warnings.txt", "manifest.json"}
+
+
+def _run_dir_file_names(tree: ast.Module) -> list[int]:
+    """Lines of string constants that are exactly a run-directory file name."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in RUN_DIR_FILES
+    ]
+
+
+def test_only_analytics_names_the_run_directory_files():
+    # analytics writes and reads the run directory; a second module naming its files is a second owner.
+    namers = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py")) if _run_dir_file_names(_tree(p))]
+    assert namers == ["aerobench/analytics.py"]
+
+
+def test_the_file_name_check_matches_whole_constants_only():
+    tree = ast.parse('"""Writes results.csv."""\nopen("results.csv")\nx = "manifest.json.bak"\ny = f"{d}/warnings.txt"\n')
+    assert _run_dir_file_names(tree) == [2]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_the_package_version_is_read_from_aerobench():
     import tomllib

@@ -122,11 +122,22 @@ for k in range(n):
     sys.stdout.flush()
 """
 
-# Answers with the raw request line it read.
+# Appends each raw request line it reads to the file argv[1], then answers
+# with an empty metrics map.
 RAW_LINE_CHILD = """
 import json, sys
 for line in sys.stdin:
-    print(json.dumps({"id": json.loads(line)["id"], "metrics": {"line": line}}), flush=True)
+    with open(sys.argv[1], "a") as fh:
+        fh.write(line)
+    print(json.dumps({"id": json.loads(line)["id"], "metrics": {}}), flush=True)
+"""
+
+# Answers every request with the metrics map given as JSON in argv[1].
+FIXED_METRICS_CHILD = """
+import json, sys
+metrics = json.loads(sys.argv[1])
+for line in sys.stdin:
+    print(json.dumps({"id": json.loads(line)["id"], "metrics": metrics}), flush=True)
 """
 
 
@@ -242,13 +253,16 @@ class TestPipelinedDesign:
         finally:
             ev.close()
 
-    def test_request_lines_are_unchanged_json(self, point):
+    def test_request_lines_are_unchanged_json(self, point, tmp_path):
         ops = [OperatingPoint(alpha=1.0, mach=0.7), OperatingPoint(cl_target=0.5, weight=2.0)]
-        ev = SubprocessEvaluator(_inline(RAW_LINE_CHILD))
+        log = tmp_path / "requests.txt"
+        ev = SubprocessEvaluator(_inline(RAW_LINE_CHILD, str(log)))
         try:
-            lines = [m["line"] for m in _one_design(ev, point, ops)]
+            _one_design(ev, point, ops)
         finally:
             ev.close()
+        lines = log.read_text().splitlines(keepends=True)
+        assert len(lines) == len(ops)
         for line, op in zip(lines, ops):
             request_id = json.loads(line)["id"]
             assert isinstance(request_id, str)
@@ -494,6 +508,47 @@ class TestWallTime:
             get_environment("airfoil-drag-multipoint"), OptimizerConfig(method="pso", budget=25, seed=0)
         )
         assert [r.wall_ms for r in trajectory.records] == [0.0] * 25
+
+
+# The metric the objective of each task reads.
+OBJECTIVE_METRIC = {
+    "airfoil-drag-multipoint": "CD",
+    "car-drag-single": "Cd",
+    "ceras-fuel-mixed": "FuelMass",
+    "delta-ld-single": "CD",
+    "transonic-range-multipoint": "range_term",
+}
+
+
+class TestMetricThatIsNotANumber:
+    @pytest.mark.parametrize("value", ["abc", [1, 2], {"a": 1.0}, None, True])
+    @pytest.mark.parametrize("task", sorted(OBJECTIVE_METRIC))
+    def test_fails_its_own_design_for_the_whole_budget(self, task, value):
+        # Text or a list once escaped the aggregate, None or text crashed the
+        # sign flip, and a bool was scored as 0 or 1.
+        env = get_environment(task)
+        point = env.space.sample_uniform(seed=0, n=1)[0]
+        metrics = env.evaluator.point_metrics(point, env.points[0], 0)
+        metric = OBJECTIVE_METRIC[task]
+        metrics[metric] = value
+        env = env.with_evaluator(SubprocessEvaluator(_inline(FIXED_METRICS_CHILD, json.dumps(metrics))))
+        try:
+            trajectory = run_with_budget(env, OptimizerConfig(method="pso", budget=3, seed=0))
+        finally:
+            env.close()
+        message = f"evaluator error: metric {metric!r} is not a number: {value!r}"
+        assert [(r.reward, r.error) for r in trajectory.records] == [(None, message)] * 3
+
+    def test_numbers_pass_unchanged(self):
+        env = get_environment("delta-ld-single")
+        point = env.space.sample_uniform(seed=0, n=1)[0]
+        metrics = {"CL": 1, "CD": 0.25, "note": float("inf")}
+        ev = SubprocessEvaluator(_inline(FIXED_METRICS_CHILD, json.dumps(metrics)))
+        try:
+            [entry] = ev.batch_metrics([point], env.points)
+        finally:
+            ev.close()
+        assert entry == [metrics] and type(entry[0]["CL"]) is int
 
 
 class TestEnvironmentIntegration:
