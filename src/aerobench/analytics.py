@@ -303,6 +303,13 @@ def read_run_dir(path: str) -> RunRecord:
         value = config[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise AnalyticsError(f"{path}: resolved_config.json {key} must be an integer, got {value!r}")
+    for key in ("task", "method"):
+        value = config[key]
+        # compare names its convergence files after them.
+        if not isinstance(value, str) or value in ("", ".", "..") or os.sep in value:
+            raise AnalyticsError(
+                f"{path}: resolved_config.json {key} must be a file name, got {value!r}"
+            )
     rewards: list[float | None] = []
     with open(os.path.join(path, "results.csv"), newline="") as fh:
         reader = csv.reader(fh)

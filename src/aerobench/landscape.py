@@ -3,8 +3,8 @@
 Each metric is a seeded sum of anisotropic Gaussian bumps plus a linear trend,
 squashed through a logistic so the metric stays inside a documented [lo, hi]
 band. Lift-style metrics add a strictly positive linear term in the angle of
-attack, which guarantees monotonicity wherever an alpha sweep or bisection is
-used. Values and gradients are analytic, which gives finite-difference checks
+attack, so a lift target has exactly one trim alpha, solved in closed form.
+Values and gradients are analytic, which gives finite-difference checks
 an exact oracle.
 
 A task reads several metrics of one design. :class:`FieldStack` stacks the
@@ -60,8 +60,8 @@ class BumpField:
 
 
 def _sigmoid(x: float) -> float:
-    # A Python float, so metric values and the arithmetic on them (trim
-    # bisection steps) stay off numpy scalars; np.exp keeps the bits.
+    # A Python float, so metric values and the arithmetic on them stay off
+    # numpy scalars; np.exp keeps the bits.
     if x >= 0:
         return 1.0 / (1.0 + float(np.exp(-x)))
     e = float(np.exp(x))

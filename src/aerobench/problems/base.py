@@ -151,18 +151,19 @@ class ProblemEnvironment:
         per_point = tuple(entry)
         try:
             raw, agg_metrics = self.aggregate(per_point, self.points)
-        except (KeyError, TypeError, ArithmeticError) as exc:
-            # External evaluators may answer with an incomplete metrics map,
-            # or with values (a zero drag) the aggregate cannot divide by;
-            # that is an evaluation failure, not a harness crash.
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+            # Evaluators may answer with an incomplete metrics map, with a
+            # value that is no number, or with one (a zero drag) the
+            # aggregate cannot divide by; that is an evaluation failure, not
+            # a harness crash.
             return self._unusable(per_point, repr(exc))
         ctx = EvalContext(per_point, agg_metrics, row)
         violations: dict[str, float] = {}
         for spec in self.constraints:
             try:
                 violations[spec.name] = float(spec.violation(ctx))
-            except (KeyError, TypeError, ArithmeticError) as exc:
-                # A metric read only by a constraint may be missing or zero too.
+            except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+                # A metric read only by a constraint may be missing, no number or zero too.
                 return self._unusable(per_point, f"constraint {spec.name}: {exc!r}")
         try:
             reward = penalized_reward(

@@ -5,11 +5,11 @@ composition, and normalized constraints. Aerodynamic metrics come from the
 seeded smooth landscapes in :mod:`aerobench.landscape`; geometric quantities
 (airfoil thickness, wedge angles, smoothness) are computed exactly from the
 design variables. Each environment also exposes a (value, gradient) pair over
-the relaxed cube. On ten tasks the value is the evaluated raw objective
-itself, the task's own per-point metrics and aggregate at u; on the two trim
-tasks, whose evaluator bisects alpha, it is the closed-form trim solution.
-The gradients are written by hand, and finite differences of the value
-check them (acceptance criterion 7).
+the relaxed cube. The value is the evaluated raw objective itself, the
+task's own per-point metrics and aggregate at u. The gradients are written
+by hand, and finite differences of the value check them (acceptance
+criterion 7). The stand-in's lift is linear in alpha, so the two trim tasks
+solve their lift targets exactly.
 
 Each task has one per-point `fn(table, point, op, index)` that reads its
 models' alpha-free values from an `AlphaFreeTable`. The design pass (run
@@ -51,7 +51,6 @@ from .base import (
 from .formulas import (
     CAR_A_REF_M2,
     CAR_Q_INF_PA,
-    bisect_alpha_to_cl,
     car_drag_coefficient,
     fractional_violation,
     integrated_drag,
@@ -62,7 +61,7 @@ from .formulas import (
 )
 from .subproc import SubprocessEvaluator
 
-CATALOG_VERSION = "1"
+CATALOG_VERSION = "2"
 CATALOG_ENV_VAR = "AEROBENCH_CATALOG"
 
 AIRFOIL_PENALTY = 500.0
@@ -147,20 +146,18 @@ def _stand_in_env(
     label: str,
     constraints: Sequence[ConstraintSpec] = (),
     penalty: float = AIRFOIL_PENALTY,
-    value: Callable[[np.ndarray], float] | None = None,
 ) -> ProblemEnvironment:
     """A task over `StandInEvaluator(space, fn, models)`.
 
-    `models` are the metric models `fn` reads. Unless a closed form is
-    given, the landscape value is the raw objective the design pass
-    produces at u, so the two cannot drift apart.
+    `models` are the metric models `fn` reads. The landscape value is the
+    raw objective the design pass produces at u, so the two cannot drift
+    apart.
     """
     evaluator = StandInEvaluator(space, fn, models)
-    if value is None:
 
-        def value(u: np.ndarray) -> float:
-            per_point = evaluator.metrics_at(u, space.denormalize(u), points)
-            return aggregate(per_point, points)[0]
+    def value(u: np.ndarray) -> float:
+        per_point = evaluator.metrics_at(u, space.denormalize(u), points)
+        return aggregate(per_point, points)[0]
 
     return ProblemEnvironment(
         id=tid,
@@ -520,25 +517,19 @@ _BWB_CP_SCALE = (1.0, 0.8, 1.2, 0.9)
 _BWB_CFX_SCALE = (1.0, 1.1, 0.9, 1.05)
 _BWB_S_REF = 0.8
 BWB_ALPHA_RANGE = (-5.0, 12.0)
-BISECTION_ITERS = 8
 
 
 def _trim_to_lift(
     t: AlphaFreeTable, cl: MetricModel, target: float, alpha_range: tuple[float, float]
 ) -> tuple[float, bool, float]:
-    """Bisect alpha to a lift target; returns (alpha, bracketed, CL at alpha).
+    """Trim alpha to a lift target; returns (alpha, bracketed, CL at alpha).
 
-    Only the linear alpha term of `cl` changes along the sweep, so its
-    alpha-free part is read once; `cl.value` sums the same way, so the
-    bits match.
+    The stand-in's lift is linear in alpha, so the trim is solved exactly;
+    `bracketed` says whether that alpha lies in the task's window.
     """
-    cl_u = t[cl]
-
-    def lift(a: float) -> float:
-        return cl_u + cl.alpha_slope * a
-
-    alpha, bracketed = bisect_alpha_to_cl(lift, target, *alpha_range, BISECTION_ITERS)
-    return alpha, bracketed, lift(alpha)
+    alpha = (target - t[cl]) / cl.alpha_slope
+    lo, hi = alpha_range
+    return alpha, lo <= alpha <= hi, t.value(cl, alpha)
 
 
 def _trim_constraints(targets: Sequence[float]) -> tuple[ConstraintSpec, ...]:
@@ -603,14 +594,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         raw = float(np.mean([pp["CD_int"] for pp in per_point]))
         return raw, {"CD_int_mean": raw}
 
-    def value(u: np.ndarray) -> float:
-        t = AlphaFreeTable(u)
-        total = 0.0
-        for target in _BWB_CL_TARGETS:
-            a = (target - t.value(cl, 0.0)) / cl.alpha_slope
-            total += a_coef * t.value(cp, a) + b_coef * t.value(cfx, a)
-        return total / len(_BWB_CL_TARGETS)
-
     def grad(u: np.ndarray) -> np.ndarray:
         d_alpha = -cl.gradient(u) / cl.alpha_slope
         total = np.zeros_like(u)
@@ -634,7 +617,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         },
         label="minimize mean integrated drag at five trimmed lift targets",
         constraints=_trim_constraints(_BWB_CL_TARGETS),
-        value=value,
     )
 
 
@@ -751,14 +733,6 @@ def _build_transonic_range() -> ProblemEnvironment:
 
     weights = np.array(_RANGE_CL_TARGETS) / sum(_RANGE_CL_TARGETS)
 
-    def value(u: np.ndarray) -> float:
-        t = AlphaFreeTable(u)
-        total = 0.0
-        for w, target in zip(weights, _RANGE_CL_TARGETS):
-            a = (target - t.value(cl, 0.0)) / cl.alpha_slope
-            total += w * term(t.value(cl, a), t.value(cd, a), target)
-        return float(total)
-
     def grad(u: np.ndarray) -> np.ndarray:
         d_alpha = -cl.gradient(u) / cl.alpha_slope
         total = np.zeros_like(u)
@@ -793,7 +767,6 @@ def _build_transonic_range() -> ProblemEnvironment:
         },
         label="minimize lift-weighted range objective at four trimmed lift targets",
         constraints=_trim_constraints(_RANGE_CL_TARGETS),
-        value=value,
     )
 
 

@@ -499,8 +499,15 @@ class TestCompare:
             ('{"task": "t", "method": "m", "seed": "0", "budget": 5}', "1.0", "seed must be an integer"),
             (None, "abc", "results.csv line 3: reward is not a number"),
             (None, "nan", "results.csv line 3: reward is not a number"),
+            ('{"task": 5, "method": "m", "seed": 0, "budget": 5}', "1.0", "task must be a file name, got 5"),
+            ('{"task": "x/y", "method": "m", "seed": 0, "budget": 5}', "1.0", "task must be a file name, got 'x/y'"),
+            ('{"task": "t", "method": "", "seed": 0, "budget": 5}', "1.0", "method must be a file name, got ''"),
+            ('{"task": "t", "method": "..", "seed": 0, "budget": 5}', "1.0", "method must be a file name, got '..'"),
         ],
-        ids=["no-budget", "truncated", "list", "text-seed", "text-reward", "nan-reward"],
+        ids=[
+            "no-budget", "truncated", "list", "text-seed", "text-reward", "nan-reward",
+            "int-task", "path-task", "empty-method", "parent-method",
+        ],
     )
     def test_malformed_run_directory_fails_before_writing(self, tmp_path, capsys, config, reward, message):
         run_dir = tmp_path / "runs" / "t" / "m" / "seed0"

@@ -73,7 +73,7 @@ def _numpy_scalar_at(model, u):
 
 @pytest.mark.parametrize("task_id", ALL_TASKS)
 def test_metric_values_are_python_floats_with_the_numpy_bits(task_id):
-    # Python floats keep the trim bisection and every metric off numpy
+    # Python floats keep the trim and every metric off numpy
     # scalar arithmetic; the values must not move by a bit.
     env = get_environment(task_id)
     fields = env.evaluator.fields

@@ -31,7 +31,7 @@ WARM_SEED = 2
 # and CMA generations; BO fits its GP a few times past the initial design.
 BUDGET = {"bo": 34, "cmaes": 50, "evolve": 50, "lbfgsb": 50, "pso": 50}
 # Every other catalog task gets a short PSO, CMA-ES and L-BFGS-B run, so each
-# evaluator (Kulfan geometry, trimmed-lift bisection, one-hot blocks, discrete
+# evaluator (Kulfan geometry, exact lift trim, one-hot blocks, discrete
 # levels) is covered by at least one digest.
 WIDE_METHODS = ("cmaes", "lbfgsb", "pso")
 WIDE_BUDGET = 30

@@ -18,11 +18,9 @@ from aerobench.problems import (
 )
 from aerobench.problems import geometry
 from aerobench.problems.catalog import (
-    BISECTION_ITERS,
     BWB_ALPHA_RANGE,
     CATALOG_ENV_VAR,
     RANGE_ALPHA_RANGE,
-    RANGE_MACH,
     _airfoil_geometry_metrics,
     _airfoil_space,
     _built,
@@ -221,18 +219,6 @@ def test_confidence_proxy_runs_only_where_a_constraint_reads_it(monkeypatch):
             assert row.tolist() == env.space.normalize(point).tolist()
 
 
-def test_bwb_bisection_metrics_present():
-    env = get_environment("bwb-drag-multipoint")
-    try:
-        point = env.space.sample_uniform(seed=8, n=1)[0]
-        result = env.evaluate(point)
-        for pp in result.per_point:
-            assert -5.0 <= pp["alpha_star"] <= 12.0
-            assert pp["bracketed"] in (0.0, 1.0)
-    finally:
-        env.close()
-
-
 @pytest.mark.parametrize("task_id", ALL_TASKS)
 def test_analytic_gradient_matches_fd(task_id):
     env = get_environment(task_id)
@@ -255,9 +241,6 @@ def test_analytic_gradient_matches_fd(task_id):
         env.close()
 
 
-TRIM_TASKS = ("bwb-drag-multipoint", "transonic-range-multipoint")
-
-
 def _landscape_and_objective(env, n=50):
     """(landscape at the evaluated u, evaluation) for n seeded designs."""
     rng = np.random.Generator(np.random.Philox(key=31))
@@ -269,7 +252,7 @@ def _landscape_and_objective(env, n=50):
     return cases
 
 
-@pytest.mark.parametrize("task_id", [t for t in ALL_TASKS if t not in TRIM_TASKS])
+@pytest.mark.parametrize("task_id", ALL_TASKS)
 def test_landscape_is_the_evaluated_objective(task_id):
     env = get_environment(task_id)
     try:
@@ -279,57 +262,29 @@ def test_landscape_is_the_evaluated_objective(task_id):
         env.close()
 
 
-def _alpha_slope(per_point, key):
-    # Each per-point metric is its alpha-free part at u plus slope * alpha,
-    # so the first and last operating point of one design give the slope.
-    first, last = per_point[0], per_point[-1]
-    return (last[key] - first[key]) / (last["alpha_star"] - first["alpha_star"])
-
-
-def _bwb_term_slopes(per_point, targets, delta):
-    # The integrated drag is linear in alpha.
-    return [abs(_alpha_slope(per_point, "CD_int"))] * len(per_point)
-
-
-def _range_term_slopes(per_point, targets, delta):
-    # |d/d(alpha)| of -M CL/CD + (M^2 CL - M t)^2, bounded over alpha +- delta.
-    cl_s, cd_s = _alpha_slope(per_point, "CL"), _alpha_slope(per_point, "CD")
-    m = RANGE_MACH
-    slopes = []
-    for pp, t in zip(per_point, targets):
-        cl_hi = pp["CL"] + cl_s * delta
-        cd_lo, cd_hi = pp["CD"] - cd_s * delta, pp["CD"] + cd_s * delta
-        ratio = m * (cl_s * cd_hi + cl_hi * cd_s) / cd_lo**2
-        trim = 2.0 * (abs(m * m * pp["CL"] - m * t) + m * m * cl_s * delta) * m * m * cl_s
-        slopes.append(ratio + trim)
-    return slopes
-
-
 @pytest.mark.parametrize(
-    "task_id, alpha_range, term_slopes",
+    "task_id, alpha_range",
     [
-        ("bwb-drag-multipoint", BWB_ALPHA_RANGE, _bwb_term_slopes),
-        ("transonic-range-multipoint", RANGE_ALPHA_RANGE, _range_term_slopes),
+        ("bwb-drag-multipoint", BWB_ALPHA_RANGE),
+        ("transonic-range-multipoint", RANGE_ALPHA_RANGE),
     ],
 )
-def test_trim_landscape_within_bisection_resolution(task_id, alpha_range, term_slopes):
-    # The landscape solves the trim in closed form; the evaluator bisects,
-    # which leaves each bracketed alpha within delta of the trim alpha.
-    delta = (alpha_range[1] - alpha_range[0]) / 2 ** (BISECTION_ITERS + 1)
+def test_trim_alpha_stays_in_window(task_id, alpha_range):
+    # CL = at(u) + slope * alpha with at(u) inside the model's [lo, hi] band,
+    # so every target's exact trim alpha lies in [(t_min - hi) / slope,
+    # (t_max - lo) / slope] on every design, inside the task's window.
     env = get_environment(task_id)
     try:
+        cl = env.evaluator.fields.models[0]  # each trim task lists its lift model first
         targets = [op.cl_target for op in env.points]
-        weights = np.array([op.weight for op in env.points])
-        weights = weights / weights.sum()
-        checked = 0
-        for value, result in _landscape_and_objective(env):
-            if any(pp["bracketed"] != 1.0 for pp in result.per_point):
-                continue
-            slopes = term_slopes(result.per_point, targets, delta)
-            bound = float(weights @ slopes) * delta
-            assert abs(value - result.metrics["objective"]) <= bound
-            checked += 1
-        assert checked >= 25
+        lo = (min(targets) - cl.hi) / cl.alpha_slope
+        hi = (max(targets) - cl.lo) / cl.alpha_slope
+        assert alpha_range[0] < lo and hi < alpha_range[1]
+        for _, result in _landscape_and_objective(env):
+            for pp, target in zip(result.per_point, targets):
+                assert lo <= pp["alpha_star"] <= hi
+                assert pp["bracketed"] == 1.0
+                assert pp["CL"] == pytest.approx(target, abs=1e-12)
     finally:
         env.close()
 
@@ -498,7 +453,7 @@ def test_evaluator_failure_becomes_error_result():
 
 
 class _NudgedBracketEvaluator:
-    """Reports `bracketed` 2 ulp above 1.0, as an external solver may."""
+    """Reports `bracketed` 2 ulp above 1.0 and CL off its target, as an external solver may."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -508,6 +463,7 @@ class _NudgedBracketEvaluator:
         for per_point in out:
             for metrics in per_point:
                 metrics["bracketed"] = np.nextafter(np.nextafter(metrics["bracketed"], 2.0), 2.0)
+                metrics["CL"] += 0.05
         return out
 
 
@@ -549,6 +505,39 @@ def test_metric_missing_for_constraint_becomes_error_row():
     traj = run_with_budget(env, OptimizerConfig(method="pso", budget=5, seed=0))
     assert len(traj) == 5
     assert all(r.error == result.error and r.reward is None for r in traj.records)
+
+
+class _SetMetricEvaluator:
+    """Answers `key` with `value` at every operating point."""
+
+    def __init__(self, inner, key, value):
+        self.inner, self.key, self.value = inner, key, value
+
+    def batch_metrics(self, points, ops):
+        out = self.inner.batch_metrics(points, ops)
+        for per_point in out:
+            for metrics in per_point:
+                metrics[self.key] = self.value
+        return out
+
+
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        # The aggregate converts the drags to floats.
+        ("CD", "abc", "ValueError(\"could not convert string to float: 'abc'\")"),
+        # Only the nose-angle constraint reads theta_le; an array has no truth value.
+        ("theta_le", np.array([180.0, 181.0]), "constraint nose_angle: ValueError("),
+    ],
+    ids=["aggregate", "constraint"],
+)
+def test_non_numeric_metric_becomes_error_row(key, value, reason):
+    base = get_environment("airfoil-drag-multipoint")
+    env = base.with_evaluator(_SetMetricEvaluator(base.evaluator, key, value))
+    traj = run_with_budget(env, OptimizerConfig(method="pso", budget=3, seed=0))
+    assert len(traj) == 3
+    prefix = "evaluator metrics unusable for airfoil-drag-multipoint: "
+    assert all(r.reward is None and r.error.startswith(prefix + reason) for r in traj.records)
 
 
 def test_non_finite_reward_becomes_error_result():
