@@ -140,14 +140,12 @@ def run_with_budget(
     proposals = module.run(space.relaxed_dim, rng, options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:
-        while True:
+        while obj.remaining:
             try:
                 iteration, batch = proposals.send(rewards)
             except StopIteration:
                 break
             rewards = obj.evaluate_rows(batch[: obj.remaining], iteration)
-            if obj.remaining == 0:
-                break
     finally:
         proposals.close()
     # A method that stops early leaves budget over; spend it on uniform

@@ -63,9 +63,10 @@ class BudgetedObjective:
 
     Each batch goes to the environment as one unit and is recorded in row
     order, so design ids, the running best and the budget are what
-    one-at-a-time evaluation gives. `evaluate_rows` decodes unit-cube rows
-    once; `evaluate_decoded` takes valid designs with their rows (the
-    driver's clipped warm-start designs), so neither is validated.
+    one-at-a-time evaluation gives. Each record copies its reward, error
+    and `wall_ms` from the environment's result. `evaluate_rows` decodes
+    unit-cube rows once; `evaluate_decoded` takes valid designs with their
+    rows (the driver's clipped warm-start designs), so neither is validated.
     """
 
     def __init__(self, env: ProblemEnvironment, budget: int):
@@ -75,11 +76,6 @@ class BudgetedObjective:
         self.warnings: list[str] = []
         self.best_reward: float | None = None
         self.best_design: DesignPoint | None = None
-        # An external solver's evaluator reports in `reply_ms`, per design of
-        # its last batch, the milliseconds from sending the batch to that
-        # design's last reply. Stand-ins have no `reply_ms` and record zero,
-        # so their runs stay byte-identical across machines.
-        self._measure_wall = hasattr(env.evaluator, "reply_ms")
 
     @property
     def remaining(self) -> int:
@@ -94,9 +90,8 @@ class BudgetedObjective:
     ) -> np.ndarray:
         """Evaluate valid designs, whose unit-cube rows are `rows`; one reward each, -inf on error."""
         results = self.env.evaluate_decoded(points, rows)
-        wall = self.env.evaluator.reply_ms if self._measure_wall else [0.0] * len(points)
         rewards = np.empty(len(points))
-        for i, (point, result, wall_ms) in enumerate(zip(points, results, wall)):
+        for i, (point, result) in enumerate(zip(points, results)):
             design_id = f"eval{len(self.records):06d}"
             if result.error is None:
                 if self.best_reward is None or result.reward > self.best_reward:
@@ -109,7 +104,7 @@ class BudgetedObjective:
                     reward=result.reward,
                     best_so_far=self.best_reward,
                     feasible=result.feasible,
-                    wall_ms=wall_ms,
+                    wall_ms=result.wall_ms,
                     error=result.error,
                 )
             )

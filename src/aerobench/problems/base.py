@@ -1,12 +1,13 @@
 """Problem environments: operating points, constraints, and evaluation."""
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..space import DesignPoint, ParamSpace
+from ..space import DesignPoint, ParamSpace, as_number
 from .formulas import FormulaError, penalized_reward
 
 MAXIMIZE = "maximize"
@@ -74,11 +75,12 @@ class EvalResult:
     reward: float | None
     feasible: bool
     error: str | None = None
+    wall_ms: float = 0.0
 
     @classmethod
-    def failure(cls, error: str, per_point: tuple = ()) -> "EvalResult":
+    def failure(cls, error: str, per_point: tuple = (), wall_ms: float = 0.0) -> "EvalResult":
         """An evaluation that produced no reward, for the reason `error`."""
-        return cls({}, per_point, {}, reward=None, feasible=False, error=error)
+        return cls({}, per_point, {}, reward=None, feasible=False, error=error, wall_ms=wall_ms)
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,20 @@ class ProblemEnvironment:
     """One benchmark task: space + operating points + objective + constraints.
 
     The evaluator has one hook, called once per batch: `batch_metrics(points,
-    ops)` returns per design, in order, its metric maps at all of `ops` or
-    the `EvaluationError` it failed with; an `EvaluationError` raised fails
-    every design of the batch. `evaluate_batch(points)` validates and
-    normalizes designs from outside (`evaluate`, external callers); the
-    driver's designs are valid already, decoded by `ParamSpace.decode` or
-    projected by `ParamSpace.clip`, and go with their rows to
-    `evaluate_decoded`. `aggregate(per_point, ops)` turns the metric maps
-    into the raw objective (in the task's native sense) plus aggregate
-    metrics. The scalarized reward is always in maximization sense:
-    `_score` negates a minimization task's raw objective before the penalty
-    is subtracted, which rounds to the same bits as negating after it.
+    ops)`. `evaluate_decoded` alone reads its answer, by one rule for any
+    evaluator: per design, in order, the `EvaluationError` it failed with or a
+    list of one mapping of numbers (`as_number`) per operating point, and one
+    wall time in `reply_ms` if the evaluator has it (`EvalResult.wall_ms`,
+    else 0.0). A design that breaks the rule is an error row naming the
+    problem; a wrong count, or an `EvaluationError` raised, fails the whole
+    batch. `evaluate_batch(points)` validates and normalizes designs from
+    outside (`evaluate`, external callers); the driver's designs are valid
+    already, decoded by `ParamSpace.decode` or projected by `ParamSpace.clip`,
+    and go with their rows to `evaluate_decoded`. `aggregate(per_point, ops)`
+    turns the metric maps into the raw objective (in the task's native sense)
+    plus aggregate metrics. The scalarized reward is always in maximization
+    sense: `_score` negates a minimization task's raw objective before the
+    penalty is subtracted, which rounds to the same bits as negating after it.
     """
 
     id: str
@@ -138,43 +143,46 @@ class ProblemEnvironment:
 
     def evaluate_decoded(self, points: Sequence[DesignPoint], rows: np.ndarray) -> list[EvalResult]:
         """Evaluate valid designs, whose unit-cube rows are `rows`, with one evaluator call."""
+        n = len(points)
         try:
             entries = self.evaluator.batch_metrics(points, self.points)
         except EvaluationError as exc:
-            entries = [exc] * len(points)
-        return [self._score(row, entry) for row, entry in zip(rows, entries)]
+            return [EvalResult.failure(str(exc)) for _ in points]
+        wall = self.evaluator.reply_ms if hasattr(self.evaluator, "reply_ms") else [0.0] * n
+        if len(entries) != n or len(wall) != n:  # no answer can be matched to its design
+            reason = f"{len(entries)} answers and {len(wall)} wall times for {n} designs"
+            return [self._unusable((), reason, 0.0) for _ in points]
+        return [self._score(row, entry, ms) for row, entry, ms in zip(rows, entries, wall)]
 
-    def _score(self, row: np.ndarray, entry: Sequence | EvaluationError) -> EvalResult:
-        """Aggregate, constraints and reward of one design's metric maps."""
+    def _score(self, row: np.ndarray, entry, wall_ms: float) -> EvalResult:
+        """Aggregate, constraints and reward of one design's answer, if it keeps the rule."""
         if isinstance(entry, EvaluationError):
-            return EvalResult.failure(str(entry))
+            return EvalResult.failure(str(entry), wall_ms=wall_ms)
+        if misfit := self._misfit(entry):
+            return self._unusable((), misfit, wall_ms)
         per_point = tuple(entry)
         try:
             raw, agg_metrics = self.aggregate(per_point, self.points)
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            # Evaluators may answer with an incomplete metrics map, with a
-            # value that is no number, or with one (a zero drag) the
-            # aggregate cannot divide by; that is an evaluation failure, not
-            # a harness crash.
-            return self._unusable(per_point, repr(exc))
+        except (KeyError, ArithmeticError) as exc:
+            # A missing metric, or a zero (a drag) the aggregate divides by, is an error row.
+            return self._unusable(per_point, repr(exc), wall_ms)
         ctx = EvalContext(per_point, agg_metrics, row)
         violations: dict[str, float] = {}
         for spec in self.constraints:
             try:
                 violations[spec.name] = float(spec.violation(ctx))
-            except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-                # A metric read only by a constraint may be missing, no number or zero too.
-                return self._unusable(per_point, f"constraint {spec.name}: {exc!r}")
+            except (KeyError, ArithmeticError) as exc:
+                # A metric read only by a constraint may be missing or zero too.
+                return self._unusable(per_point, f"constraint {spec.name}: {exc!r}", wall_ms)
         try:
             reward = penalized_reward(
                 raw if self.sense == MAXIMIZE else -raw, violations, self.penalty_weight
             )
         except FormulaError as exc:
-            # Metrics slightly out of range (a few ulp from an external
-            # solver) put a violation outside [0, 1]; that is an error row too.
-            return self._unusable(per_point, str(exc))
+            # Metrics a few ulp out of range (an external solver) put a violation outside [0, 1].
+            return self._unusable(per_point, str(exc), wall_ms)
         if not np.isfinite(reward):
-            return self._unusable(per_point, f"non-finite reward {reward}")
+            return self._unusable(per_point, f"non-finite reward {reward}", wall_ms)
         metrics = dict(agg_metrics)
         metrics.setdefault("objective", raw)
         return EvalResult(
@@ -183,10 +191,25 @@ class ProblemEnvironment:
             violations=violations,
             reward=float(reward),
             feasible=not any(violations.values()),
+            wall_ms=wall_ms,
         )
 
-    def _unusable(self, per_point: tuple, reason: str) -> EvalResult:
-        return EvalResult.failure(f"evaluator metrics unusable for {self.id}: {reason}", per_point)
+    def _misfit(self, entry) -> str | None:
+        """What in one design's answer breaks the rule, or None."""
+        if not isinstance(entry, (list, tuple)):
+            return f"a {type(entry).__name__}, not a list of metric maps"
+        if len(entry) != len(self.points):
+            return f"{len(entry)} metric maps for {len(self.points)} operating points"
+        # A dict and a float skip the ABC and `as_number` checks, which cost several times as much.
+        for k, metrics in enumerate(entry):
+            if type(metrics) is not dict and not isinstance(metrics, Mapping):
+                return f"a {type(metrics).__name__}, not a metric map, at operating point {k}"
+            for name, value in metrics.items():
+                if type(value) is not float and as_number(value) is None:
+                    return f"metric {name!r} is not a number: {value!r}"
+
+    def _unusable(self, per_point: tuple, reason: str, wall_ms: float) -> EvalResult:
+        return EvalResult.failure(f"evaluator metrics unusable for {self.id}: {reason}", per_point, wall_ms)
 
     def close(self) -> None:
         closer = getattr(self.evaluator, "close", None)

@@ -206,9 +206,9 @@ def _airfoil_geometry_metrics(point: DesignPoint) -> dict:
     shape = np.stack([upper, lower]) @ _THICKNESS_BASIS
     t = _THICKNESS_CLASS * (shape[0] - shape[1]) + _THICKNESS_X * t_te
     return {
-        "t_033": t[-2],
-        "t_090": t[-1],
-        "t_min": t[:-2].min(),
+        "t_033": float(t[-2]),
+        "t_090": float(t[-1]),
+        "t_min": float(t[:-2].min()),
         "theta_te": geometry.trailing_wedge_angle_deg(upper, lower, t_te),
         "theta_le": geometry.leading_edge_angle_deg(upper, lower),
         "wiggliness": wiggliness([upper, lower]),

@@ -11,9 +11,9 @@ with its stdout, so replies are read while a batch larger than the pipe
 buffer is still being written; the wire needs POSIX pipes. The timeout
 applies to each wait for a reply. Timeouts, crashes, malformed replies, and
 a command that cannot be started become an :class:`EvaluationError` for
-each design of the batch still without its replies; an error reply, or a
-metric that is not a number (`as_number`), fails its own design. The
-environment turns these into evaluation-error results.
+each design of the batch still without its replies; an error reply fails
+its own design. The wire checks only its protocol (valid JSON, an object,
+a `metrics` object, a known id); the environment judges the metrics.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import subprocess
 import time
 from typing import Sequence
 
-from ..space import DesignPoint, as_number
+from ..space import DesignPoint
 from .base import EvaluationError, OperatingPoint
 
 DEFAULT_TIMEOUT_S = 300.0
@@ -68,7 +68,7 @@ class SubprocessEvaluator:
         self._ids = itertools.count()
         # Per design of the last batch, the milliseconds from sending the
         # batch to that design's last reply (to the end of the batch for a
-        # design left without its replies): the driver's `wall_ms`.
+        # design left without its replies): each result's `wall_ms`.
         self.reply_ms: list[float] = []
 
     # -- child lifecycle ---------------------------------------------------
@@ -258,11 +258,5 @@ class SubprocessEvaluator:
             metrics = reply.get("metrics")
             if not isinstance(metrics, dict):
                 self._fail("evaluator reply lacks a metrics object")
-            # A metric that is not a number is filed as an error reply would be;
-            # numbers are kept as they came, so their rewards keep every bit.
-            bad = [name for name, value in metrics.items() if as_number(value) is None]
-            if bad:
-                batch.errors.setdefault(design, {})[k] = f"metric {bad[0]!r} is not a number: {metrics[bad[0]]!r}"
-            else:
-                batch.metrics[design][k] = metrics
+            batch.metrics[design][k] = metrics
         batch.answered(design)

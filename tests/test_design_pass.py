@@ -73,8 +73,9 @@ def _numpy_scalar_at(model, u):
 
 @pytest.mark.parametrize("task_id", ALL_TASKS)
 def test_metric_values_are_python_floats_with_the_numpy_bits(task_id):
-    # Python floats keep the trim and every metric off numpy
-    # scalar arithmetic; the values must not move by a bit.
+    # Python floats keep the trim and every metric off numpy scalar
+    # arithmetic, and every answered metric on `as_number`'s fast path;
+    # the values must not move by a bit.
     env = get_environment(task_id)
     fields = env.evaluator.fields
     for u in _unit_points(env.space.relaxed_dim, key=31):
@@ -83,6 +84,8 @@ def test_metric_values_are_python_floats_with_the_numpy_bits(task_id):
         assert all(type(v) is float for v in fused + single)
         expected = [float(_numpy_scalar_at(m, u)).hex() for m in fields.models]
         assert [v.hex() for v in fused] == [v.hex() for v in single] == expected
+        [design] = env.evaluator.batch_metrics([env.space.denormalize(u)], env.points)
+        assert {key: type(v) for m in design for key, v in m.items() if type(v) is not float} == {}
 
 
 @pytest.mark.parametrize("task_id", ALL_TASKS)

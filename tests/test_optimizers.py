@@ -248,6 +248,23 @@ class TestBudgetProtocol:
         for rec in traj.records:
             assert rec.best_so_far == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_warm_start_that_spends_the_budget_starts_no_method_batch(self, method):
+        # Warm-start designs that spend the budget leave the method nothing to propose.
+        env = sphere_env()
+        sizes = []
+        inner = env.evaluator
+
+        class Sizes:
+            def batch_metrics(self, points, ops):
+                sizes.append(len(points))
+                return inner.batch_metrics(points, ops)
+
+        warm = env.space.sample_uniform(seed=3, n=3)
+        config = OptimizerConfig(method=method, budget=3, seed=0)
+        traj = run_with_budget(env.with_evaluator(Sizes()), config, warmstart=warm)
+        assert sizes == [3] and len(traj) == 3
+
     def test_resolved_config_snapshot(self):
         traj = run_with_budget(
             sphere_env(), OptimizerConfig(method="pso", budget=40, seed=5)

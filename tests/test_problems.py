@@ -1,11 +1,12 @@
 """Catalog environments: evaluation, penalties, constraints, overrides."""
+import importlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from aerobench.optimizers import BudgetedObjective, OptimizerConfig, run_with_budget
+from aerobench.optimizers import BudgetedObjective, OptimizerConfig, method_names, run_with_budget
 from aerobench.problems import (
     EvaluationError,
     MAXIMIZE,
@@ -524,10 +525,10 @@ class _SetMetricEvaluator:
 @pytest.mark.parametrize(
     "key, value, reason",
     [
-        # The aggregate converts the drags to floats.
-        ("CD", "abc", "ValueError(\"could not convert string to float: 'abc'\")"),
-        # Only the nose-angle constraint reads theta_le; an array has no truth value.
-        ("theta_le", np.array([180.0, 181.0]), "constraint nose_angle: ValueError("),
+        # Read by the aggregate.
+        ("CD", "abc", "metric 'CD' is not a number: 'abc'"),
+        # Read only by the nose-angle constraint.
+        ("theta_le", np.array([180.0, 181.0]), "metric 'theta_le' is not a number: array([180., 181.])"),
     ],
     ids=["aggregate", "constraint"],
 )
@@ -537,7 +538,77 @@ def test_non_numeric_metric_becomes_error_row(key, value, reason):
     traj = run_with_budget(env, OptimizerConfig(method="pso", budget=3, seed=0))
     assert len(traj) == 3
     prefix = "evaluator metrics unusable for airfoil-drag-multipoint: "
-    assert all(r.reward is None and r.error.startswith(prefix + reason) for r in traj.records)
+    assert [(r.reward, r.error) for r in traj.records] == [(None, prefix + reason)] * 3
+
+
+class _Malformed:
+    """The stand-in's answer, broken by `fault`; `expected` collects each design's error text."""
+
+    def __init__(self, env, fault):
+        self.inner, self.fault, self.expected = env.evaluator, fault, []
+        self.prefix = f"evaluator metrics unusable for {env.id}: "
+        if fault == "reply-ms-short":
+            self.reply_ms = []
+
+    def batch_metrics(self, points, ops):
+        out, n = self.inner.batch_metrics(points, ops), len(points)
+        errors = [None] * n
+        if self.fault == "design-short":
+            out.pop()
+            errors = [f"{n - 1} answers and {n} wall times for {n} designs"] * n
+        elif self.fault == "reply-ms-short":
+            self.reply_ms = [1.0] * (n - 1)
+            errors = [f"{n} answers and {n - 1} wall times for {n} designs"] * n
+        elif self.fault == "point-short":
+            out[0].pop()
+            errors[0] = f"{len(ops) - 1} metric maps for {len(ops)} operating points"
+        elif self.fault == "list-for-map":
+            out[0][0] = list(out[0][0].values())
+            errors[0] = "a list, not a metric map, at operating point 0"
+        elif self.fault == "exception-entry":
+            out[0] = RuntimeError("solver diverged")
+            errors[0] = "a RuntimeError, not a list of metric maps"
+        self.expected += [e and self.prefix + e for e in errors]
+        return out
+
+
+def _recording(run, sent):
+    """The method's `run`, noting every reward the driver sends it."""
+
+    def wrapped(*args):
+        proposals = run(*args)
+        try:
+            batch = next(proposals)
+            while True:
+                rewards = yield batch
+                sent.extend(rewards.tolist())
+                batch = proposals.send(rewards)
+        except StopIteration:
+            return
+        finally:
+            proposals.close()
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "fault", ["design-short", "point-short", "list-for-map", "exception-entry", "reply-ms-short"]
+)
+@pytest.mark.parametrize("method", method_names())
+@pytest.mark.parametrize("task_id", ["delta-ld-single", "bwb-drag-multipoint"])
+def test_malformed_answer_becomes_error_rows(task_id, method, fault, monkeypatch):
+    # Every fault is an error row naming it: no crash, no lost record, no unset reward.
+    sent = []
+    module = importlib.import_module(f"aerobench.optimizers.{method}")
+    monkeypatch.setattr(module, "run", _recording(module.run, sent))
+    base = get_environment(task_id)
+    evaluator = _Malformed(base, fault)
+    traj = run_with_budget(base.with_evaluator(evaluator), OptimizerConfig(method=method, budget=25, seed=0))
+    assert [r.error for r in traj.records] == evaluator.expected and len(traj) == 25
+    assert any(evaluator.expected)
+    # The method is sent -inf for each error row and the finite reward of each other row.
+    assert sent == [-np.inf if r.error else r.reward for r in traj.records[: len(sent)]]
+    assert all(np.isfinite(r) for r in sent if r != -np.inf)
 
 
 def test_non_finite_reward_becomes_error_result():

@@ -160,6 +160,44 @@ def test_the_file_name_check_matches_whole_constants_only():
     assert _run_dir_file_names(tree) == [2]
 
 
+EVALUATOR_HOOKS = {"batch_metrics", "reply_ms"}
+
+
+def _evaluator_hook_names(tree: ast.Module) -> list[int]:
+    """Lines that name an evaluator hook as an attribute, a name, a definition, an argument or a whole string."""
+    found = set()
+    for node in ast.walk(tree):
+        names = {getattr(node, field, None) for field in ("attr", "id", "name", "arg")}
+        if isinstance(node, ast.Constant):
+            names.add(node.value)
+        if names & EVALUATOR_HOOKS:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_problems_reads_an_evaluator():
+    # The environment reads every evaluator's answer; a second reader outside problems/ is a second owner.
+    readers = [
+        str(p.relative_to(SRC))
+        for p in sorted(SRC.rglob("*.py"))
+        if "problems" not in p.relative_to(SRC).parts and _evaluator_hook_names(_tree(p))
+    ]
+    assert readers == []
+
+
+def test_the_hook_check_sees_every_way_of_naming_a_hook_but_prose():
+    tree = ast.parse(
+        '"""Calls batch_metrics."""\n'
+        "ev.batch_metrics(p, o)\n"
+        'getattr(ev, "reply_ms")\n'
+        "def batch_metrics(): pass\n"
+        "reply_ms = []\n"
+        "f(reply_ms=1)\n"
+        "x = ev.reply_ms_total\n"
+    )
+    assert _evaluator_hook_names(tree) == [2, 3, 4, 5, 6]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_the_package_version_is_read_from_aerobench():
     import tomllib

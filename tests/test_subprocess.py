@@ -520,24 +520,40 @@ OBJECTIVE_METRIC = {
 }
 
 
+class _FixedMetrics:
+    """In process, answers `metrics` at every operating point of every design."""
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+
+    def batch_metrics(self, points, ops):
+        return [[dict(self.metrics) for _ in ops] for _ in points]
+
+
+def _outcomes(env, config):
+    return [(None if r.reward is None else r.reward.hex(), r.error) for r in run_with_budget(env, config).records]
+
+
 class TestMetricThatIsNotANumber:
     @pytest.mark.parametrize("value", ["abc", [1, 2], {"a": 1.0}, None, True])
     @pytest.mark.parametrize("task", sorted(OBJECTIVE_METRIC))
     def test_fails_its_own_design_for_the_whole_budget(self, task, value):
-        # Text or a list once escaped the aggregate, None or text crashed the
-        # sign flip, and a bool was scored as 0 or 1.
+        # The verdict is the environment's, so the wire and an in-process
+        # evaluator that answer the same map give the same records.
         env = get_environment(task)
         point = env.space.sample_uniform(seed=0, n=1)[0]
         metrics = env.evaluator.point_metrics(point, env.points[0], 0)
         metric = OBJECTIVE_METRIC[task]
         metrics[metric] = value
-        env = env.with_evaluator(SubprocessEvaluator(_inline(FIXED_METRICS_CHILD, json.dumps(metrics))))
+        config = OptimizerConfig(method="pso", budget=3, seed=0)
+        wired = env.with_evaluator(SubprocessEvaluator(_inline(FIXED_METRICS_CHILD, json.dumps(metrics))))
         try:
-            trajectory = run_with_budget(env, OptimizerConfig(method="pso", budget=3, seed=0))
+            over_wire = _outcomes(wired, config)
         finally:
-            env.close()
-        message = f"evaluator error: metric {metric!r} is not a number: {value!r}"
-        assert [(r.reward, r.error) for r in trajectory.records] == [(None, message)] * 3
+            wired.close()
+        message = f"evaluator metrics unusable for {task}: metric {metric!r} is not a number: {value!r}"
+        assert over_wire == [(None, message)] * 3
+        assert _outcomes(env.with_evaluator(_FixedMetrics(metrics)), config) == over_wire
 
     def test_numbers_pass_unchanged(self):
         env = get_environment("delta-ld-single")
