@@ -286,14 +286,16 @@ def write_run_dir(path: str, trajectory: Trajectory, sense: str) -> None:
 def read_run_dir(path: str) -> RunRecord:
     """Read one seed directory (results.csv + resolved_config.json).
 
-    A reward of "" or "None" is an error row. A malformed directory raises
-    AnalyticsError naming it and the problem.
+    A reward of "" or "None" is an error row. A malformed or unreadable
+    directory raises AnalyticsError naming it and the problem.
     """
     try:
         with open(os.path.join(path, "resolved_config.json")) as fh:
             config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise AnalyticsError(f"{path}: resolved_config.json is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AnalyticsError(f"{path}: resolved_config.json cannot be read: {exc}") from None
     if not isinstance(config, dict):
         raise AnalyticsError(f"{path}: resolved_config.json must hold a JSON object")
     missing = [key for key in ("task", "method", "seed", "budget") if key not in config]
@@ -311,26 +313,23 @@ def read_run_dir(path: str) -> RunRecord:
                 f"{path}: resolved_config.json {key} must be a file name, got {value!r}"
             )
     rewards: list[float | None] = []
-    with open(os.path.join(path, "results.csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None:
+    try:
+        with open(os.path.join(path, "results.csv"), newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, ["reward"])  # an empty file holds no rows
             if "reward" not in header:
                 raise AnalyticsError(f"{path}: results.csv has no reward column")
             col = header.index("reward")
-            for row in reader:
-                if not row:
-                    continue  # blank line, skipped as csv.DictReader does
+            for row in filter(None, reader):  # a blank line is skipped, as csv.DictReader does
                 try:
-                    raw = row[col]
-                    reward = float(raw) if raw not in ("", "None") else None
+                    reward = float(row[col]) if row[col] not in ("", "None") else None
                 except (IndexError, ValueError):
                     reward = math.nan
                 if reward != reward:
-                    raise AnalyticsError(
-                        f"{path}: results.csv line {reader.line_num}: reward is not a number"
-                    )
+                    raise AnalyticsError(f"{path}: results.csv line {reader.line_num}: reward is not a number")
                 rewards.append(reward)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise AnalyticsError(f"{path}: results.csv cannot be read: {exc}") from None
     return RunRecord(
         task=config["task"],
         method=config["method"],

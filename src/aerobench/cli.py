@@ -2,6 +2,9 @@
 design diagnostics.
 
 `run` decides what goes into a run directory; `analytics` writes and reads it.
+A command raises on an input or output it cannot use before its first write;
+`main` alone reports `OSError`, `ValueError` and `csv.Error` as one `error:`
+line and exit 1.
 """
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import collections
 import concurrent.futures
 import csv
 import datetime
+import hashlib
 import json
 import os
 import shlex
@@ -42,16 +46,10 @@ _DIAGNOSE_EXIT = {STATUS_WARNING: 2, STATUS_ISSUE: 3, STATUS_ERROR: 3}
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    try:
-        entries = [catalog.get_environment(task_id).describe() for task_id in catalog.task_ids()]
-    except (OSError, ValueError) as exc:  # a catalog override that is unreadable or refused
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    entries = [catalog.get_environment(task_id).describe() for task_id in catalog.task_ids()]
     for clause in args.filter or []:
         if "=" not in clause:
-            print(f"error: filter must be key=value, got {clause!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"filter must be key=value, got {clause!r}")
         key, value = clause.split("=", 1)
         if key == "task":
             entries = [e for e in entries if e["id"] == value]
@@ -65,8 +63,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         elif key == "sense":
             entries = [e for e in entries if e["sense"] == value]
         else:
-            print(f"error: unknown filter key {key!r}", file=sys.stderr)
-            return 1
+            raise ValueError(f"unknown filter key {key!r}")
 
     if args.json:
         json.dump(entries, sys.stdout, indent=2)
@@ -127,7 +124,10 @@ def _evaluator_argv(command: str | None) -> list[str] | None:
 def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[DesignPoint]]:
     """Every row of the warm-start CSV read into each task's space by `clip`."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        try:
+            rows = list(csv.DictReader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     warm = {}
     for task, space in spaces.items():
         warm[task] = []
@@ -138,6 +138,14 @@ def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[
             except SpaceError as exc:
                 raise SpaceError(f"warm-start row {n} for {task}: {exc}") from None
     return warm
+
+
+def _input_file(path: str | None) -> dict | None:
+    """The absolute path and SHA-256 of an input that changes a run's rewards; None if not given."""
+    if not path:
+        return None
+    with open(path, "rb") as fh:
+        return {"path": os.path.abspath(path), "sha256": hashlib.sha256(fh.read()).hexdigest()}
 
 
 def _execute_run(
@@ -166,29 +174,21 @@ def _execute_run(
 def cmd_run(args: argparse.Namespace) -> int:
     tasks = args.task.split(",")
     methods = args.method.split(",")
-    known = catalog.task_ids()
+    # Every input is read and checked before the manifest, the first write.
     for task in tasks:
-        if task not in known:
-            print(f"error: unknown task {task!r}", file=sys.stderr)
-            return 1
-    # A repeated task, method or seed, a bad method, seed, budget, job count,
-    # evaluator command, catalog override or warm-start row stops the run
-    # before anything is written.
-    try:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        evaluator_command = _evaluator_argv(args.evaluator)
-        _distinct(tasks, "tasks")
-        _distinct(methods, "methods")
-        seeds = _parse_seeds(args.seeds)
-        for method in methods:
-            for seed in seeds:
-                OptimizerConfig(method=method, budget=args.budget, seed=seed)
-        spaces = {task: catalog.get_environment(task).space for task in tasks}
-        warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else {}
-    except (OSError, ValueError, csv.Error) as exc:  # ValueError covers SpaceError, ConfigurationError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if task not in catalog.task_ids():
+            raise ValueError(f"unknown task {task!r}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    evaluator_command = _evaluator_argv(args.evaluator)
+    _distinct(tasks, "tasks")
+    _distinct(methods, "methods")
+    seeds = _parse_seeds(args.seeds)
+    for method in methods:
+        for seed in seeds:
+            OptimizerConfig(method=method, budget=args.budget, seed=seed)
+    spaces = {task: catalog.get_environment(task).space for task in tasks}
+    warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else {}
 
     manifest = {
         "tasks": tasks,
@@ -196,6 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         "seeds": seeds,
         "budget": args.budget,
         "evaluator": evaluator_command,
+        "catalog_override": _input_file(os.environ.get(catalog.CATALOG_ENV_VAR)),
+        "warmstart": _input_file(args.warmstart),
         "output_root": os.path.abspath(args.out),
         "catalog_version": catalog.CATALOG_VERSION,
         "harness_version": __version__,
@@ -230,11 +232,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    try:
-        run_set = analytics.load_run_set(args.roots)
-    except analytics.AnalyticsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    run_set = analytics.load_run_set(args.roots)
     if len(run_set.methods) < 2:
         print("warning: single method; nothing to rank, so rank_table.csv reads N/A", file=sys.stderr)
 
@@ -266,52 +264,43 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _read_json(path: str):
+    """The JSON value in the file at `path`; bad JSON or undecodable text raises ValueError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # covers JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.task not in catalog.task_ids():
-        print(f"error: unknown task {args.task!r}", file=sys.stderr)
-        return 1
-    try:
-        with open(args.design) as fh:
-            design = json.load(fh)
-        with open(args.metrics) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read inputs: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown task {args.task!r}")
+    design = _read_json(args.design)
+    payload = _read_json(args.metrics)
     if not isinstance(design, dict) or not isinstance(payload, dict):
-        print("error: design and metrics files must contain JSON objects", file=sys.stderr)
-        return 1
-
-    try:
-        env = catalog.get_environment(args.task)
-    except (OSError, ValueError) as exc:  # a catalog override that is unreadable or refused
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        inputs = DiagnosticInputs(
-            environment=payload.get("environment", args.task),
-            design_id=design.get("name") or payload.get("design_id", "design"),
-            space=env.space,
-            design_params=design,
-            metrics=payload.get("metrics", payload),
-            artifacts=payload.get("model_artifacts", {}),
-            images=payload.get("images"),
-            profile=env.diagnostics_profile,
-            design_refs=(os.path.abspath(args.design),),
-        )
-    except ValueError as exc:  # malformed payload
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("design and metrics files must contain JSON objects")
+    env = catalog.get_environment(args.task)
+    inputs = DiagnosticInputs(
+        environment=payload.get("environment", args.task),
+        design_id=design.get("name") or payload.get("design_id", "design"),
+        space=env.space,
+        design_params=design,
+        metrics=payload.get("metrics", payload),
+        artifacts=payload.get("model_artifacts", {}),
+        images=payload.get("images"),
+        profile=env.diagnostics_profile,
+        design_refs=(os.path.abspath(args.design),),
+    )
     bundle = build_evidence_bundle(
         inputs, timestamp_utc=datetime.datetime.now(datetime.timezone.utc).isoformat()
     )
 
-    out = args.out or "evidence_bundle.json"
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(bundle, fh, indent=2)
         fh.write("\n")
     worst = worst_status(bundle)
-    print(f"wrote {out} (worst status: {worst})")
+    print(f"wrote {args.out} (worst status: {worst})")
     return _DIAGNOSE_EXIT.get(worst, 0)
 
 
@@ -355,14 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--design", required=True)
     p_diag.add_argument("--metrics", required=True)
     p_diag.add_argument("--task", required=True)
-    p_diag.add_argument("--out")
+    p_diag.add_argument("--out", default="evidence_bundle.json")
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # ValueError covers SpaceError, ConfigurationError, AnalyticsError, bad JSON and undecodable text.
+    try:
+        return args.func(args)
+    except (OSError, ValueError, csv.Error) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,6 +18,14 @@ class EvaluationError(RuntimeError):
     """An evaluator failed to produce metrics (crash, timeout, bad reply)."""
 
 
+def non_number(metrics: Mapping) -> str | None:
+    """The first metric in `metrics` that is not a number (`as_number`), worded as an error; None if none."""
+    # A float skips `as_number`, which costs several times as much.
+    for name, value in metrics.items():
+        if type(value) is not float and as_number(value) is None:
+            return f"metric {name!r} is not a number: {value!r}"
+
+
 @dataclass(frozen=True)
 class OperatingPoint:
     """One flight/flow condition a design is evaluated at."""
@@ -200,13 +208,12 @@ class ProblemEnvironment:
             return f"a {type(entry).__name__}, not a list of metric maps"
         if len(entry) != len(self.points):
             return f"{len(entry)} metric maps for {len(self.points)} operating points"
-        # A dict and a float skip the ABC and `as_number` checks, which cost several times as much.
+        # A dict skips the ABC check, which costs several times as much.
         for k, metrics in enumerate(entry):
             if type(metrics) is not dict and not isinstance(metrics, Mapping):
                 return f"a {type(metrics).__name__}, not a metric map, at operating point {k}"
-            for name, value in metrics.items():
-                if type(value) is not float and as_number(value) is None:
-                    return f"metric {name!r} is not a number: {value!r}"
+            if misfit := non_number(metrics):
+                return misfit
 
     def _unusable(self, per_point: tuple, reason: str, wall_ms: float) -> EvalResult:
         return EvalResult.failure(f"evaluator metrics unusable for {self.id}: {reason}", per_point, wall_ms)

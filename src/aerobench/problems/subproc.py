@@ -13,7 +13,8 @@ applies to each wait for a reply. Timeouts, crashes, malformed replies, and
 a command that cannot be started become an :class:`EvaluationError` for
 each design of the batch still without its replies; an error reply fails
 its own design. The wire checks only its protocol (valid JSON, an object,
-a `metrics` object, a known id); the environment judges the metrics.
+a `metrics` object, a known id); the environment judges the metrics, and
+`point_metrics` holds them to the environment's number rule (`non_number`).
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import time
 from typing import Sequence
 
 from ..space import DesignPoint
-from .base import EvaluationError, OperatingPoint
+from .base import EvaluationError, OperatingPoint, non_number
 
 DEFAULT_TIMEOUT_S = 300.0
 _READ_SIZE = 65536
@@ -124,6 +125,8 @@ class SubprocessEvaluator:
         [entry] = self.batch_metrics([point], (op,))
         if isinstance(entry, EvaluationError):
             raise entry
+        if misfit := non_number(entry[0]):
+            raise EvaluationError(misfit)
         return entry[0]
 
     def batch_metrics(

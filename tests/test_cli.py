@@ -1,5 +1,6 @@
 """Command-line behavior: listing, run layout, reproducibility, exits."""
 import csv
+import hashlib
 import json
 import os
 import shlex
@@ -222,6 +223,31 @@ class TestRun:
         assert manifest["seeds"] == [0, 1]
         assert manifest["budget"] == 40
         assert "catalog_version" in manifest and "harness_version" in manifest
+
+    @pytest.mark.parametrize("override", [False, True], ids=["own-space", "override"])
+    @pytest.mark.parametrize("warmstart", [False, True], ids=["cold", "warm"])
+    def test_manifest_records_the_inputs_that_change_rewards(self, tmp_path, monkeypatch, override, warmstart):
+        # Both inputs change a run's rewards, so the manifest names each by path and content.
+        monkeypatch.chdir(tmp_path)
+        extra = ["--seeds", "0", "--budget", "5"]
+        expected = {"catalog_override": None, "warmstart": None}
+        if override:
+            space = catalog.get_environment("delta-ld-single").space.to_json()
+            space["variables"][0]["lower"] = 50.0  # sweep_angle
+            (tmp_path / "override.json").write_text(json.dumps({"tasks": {"delta-ld-single": {"space": space}}}))
+            monkeypatch.setenv(catalog.CATALOG_ENV_VAR, "override.json")
+            expected["catalog_override"] = "override.json"
+        if warmstart:
+            (tmp_path / "warm.csv").write_text("sweep_angle,root_airfoil\n60,NACA2416\n")
+            extra += ["--warmstart", "warm.csv"]
+            expected["warmstart"] = "warm.csv"
+        for key, name in expected.items():
+            if name is not None:
+                digest = hashlib.sha256(_read(tmp_path / name)).hexdigest()
+                expected[key] = {"path": os.path.join(os.getcwd(), name), "sha256": digest}
+        assert self._run("runs", extra) == 0
+        manifest = json.loads(_read(tmp_path / "runs" / "manifest.json"))
+        assert {key: manifest[key] for key in expected} == expected
 
     def test_quoted_evaluator_command_runs_and_is_recorded(self, tmp_path):
         # A script path with a space, quoted as a shell would take it, that
@@ -647,3 +673,84 @@ class TestDiagnose:
         summary = bundle["evidence_bundle"]["summary"]
         assert summary["feasibility"]["issue"] == 0
         assert summary["aero"]["missing"] == 0
+
+
+def _files(root):
+    """Every file and directory under `root`, with a file's bytes."""
+    found = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            found[os.path.join(dirpath, name)] = None
+        for name in filenames:
+            found[os.path.join(dirpath, name)] = _read(os.path.join(dirpath, name))
+    return found
+
+
+def _run_dir(root, method, config=None, results=None):
+    """A seed directory of task t under `root`; default files are valid."""
+    path = root / "t" / method / "seed0"
+    path.mkdir(parents=True)
+    config = config or json.dumps({"task": "t", "method": method, "seed": 0, "budget": 2}).encode()
+    (path / "resolved_config.json").write_bytes(config)
+    (path / "results.csv").write_bytes(results or b"iter,reward\n0,1.5\n1,2.5\n")
+    return path
+
+
+class TestRefused:
+    """An input or output location a command cannot use: one `error:` line naming it, exit 1."""
+
+    def _case(self, name, tmp_path, env):
+        """argv of case `name`, and the path its error must name."""
+        design, metrics = tmp_path / "design.json", tmp_path / "metrics.json"
+        design.write_text(json.dumps(_midpoint_design(env.space)))
+        metrics.write_text("{}")
+        diagnose = ["diagnose", "--task", env.id, "--design", str(design), "--metrics", str(metrics)]
+        run = ["run", "--task", "delta-ld-single", "--method", "pso", "--seeds", "0", "--budget", "5"]
+        tree = tmp_path / "tree"
+        if name == "run-out-is-a-file":
+            (tmp_path / "runs").write_text("")
+            return [*run, "--out", str(tmp_path / "runs")], tmp_path / "runs"
+        if name == "run-warmstart-not-utf8":
+            warm = tmp_path / "warm.csv"
+            warm.write_bytes(b"sweep_angle,root_airfoil\n\xff60,NACA2416\n")
+            return [*run, "--out", str(tmp_path / "runs"), "--warmstart", str(warm)], warm
+        if name == "compare-out-is-a-file":
+            _run_dir(tree, "m")
+            _run_dir(tree, "n")
+            (tmp_path / "cmp").write_text("")
+            return ["compare", str(tree), "--out", str(tmp_path / "cmp")], tmp_path / "cmp"
+        if name == "compare-config-not-utf8":
+            _run_dir(tree, "m")
+            bad = _run_dir(tree, "n", config=b'{"task": "\xff"}')
+            return ["compare", str(tree), "--out", str(tmp_path / "cmp")], bad
+        if name == "compare-results-not-utf8":
+            _run_dir(tree, "m")
+            bad = _run_dir(tree, "n", results=b"iter,reward\n0,\xff\n")
+            return ["compare", str(tree), "--out", str(tmp_path / "cmp")], bad
+        if name == "diagnose-out-is-a-directory":
+            (tmp_path / "bundle").mkdir()
+            return [*diagnose, "--out", str(tmp_path / "bundle")], tmp_path / "bundle"
+        if name == "diagnose-design-not-utf8":
+            design.write_bytes(b'{"name": "\xff"}')
+            return [*diagnose, "--out", str(tmp_path / "bundle.json")], design
+        assert name == "diagnose-metrics-bad-json"
+        metrics.write_text('{"Cd": ')
+        return [*diagnose, "--out", str(tmp_path / "bundle.json")], metrics
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "run-out-is-a-file", "run-warmstart-not-utf8", "compare-out-is-a-file", "compare-config-not-utf8",
+            "compare-results-not-utf8", "diagnose-out-is-a-directory", "diagnose-design-not-utf8",
+            "diagnose-metrics-bad-json",
+        ],
+    )
+    def test_one_error_line_naming_the_path_and_nothing_written(self, tmp_path, capsys, car_env, name):
+        argv, path = self._case(name, tmp_path, car_env)
+        before = _files(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
+        assert captured.out == ""
+        assert _files(tmp_path) == before

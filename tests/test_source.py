@@ -198,6 +198,41 @@ def test_the_hook_check_sees_every_way_of_naming_a_hook_but_prose():
     assert _evaluator_hook_names(tree) == [2, 3, 4, 5, 6]
 
 
+def _exit_one_handlers(tree: ast.Module) -> list[str]:
+    """Per `except` handler that returns 1, the name of the innermost function holding it."""
+    owner = {}
+    for func in ast.walk(tree):  # outer functions come first, so an inner one overwrites them
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func) if isinstance(node, ast.ExceptHandler))
+    return [
+        owner.get(handler, "<module>")
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and any(
+            isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 1
+            for node in ast.walk(handler)
+        )
+    ]
+
+
+def test_only_main_turns_a_refusal_into_exit_one():
+    # A command raises on what it cannot use; a second handler that exits 1 is a second owner.
+    assert _exit_one_handlers(_tree(SRC / "aerobench" / "cli.py")) == ["main"]
+
+
+def test_the_exit_check_sees_every_handler_that_returns_one():
+    tree = ast.parse(
+        "def main():\n"
+        "    try:\n        run()\n    except ValueError:\n        return 1\n"
+        "def cmd():\n"
+        "    try:\n        f()\n    except KeyError:\n        return 2\n"
+        "    except OSError as exc:\n        print(exc)\n        return 1\n"
+        "    def inner():\n"
+        "        try:\n            g()\n        except csv.Error:\n            return 1\n"
+    )
+    assert _exit_one_handlers(tree) == ["main", "cmd", "inner"]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_the_package_version_is_read_from_aerobench():
     import tomllib

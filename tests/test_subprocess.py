@@ -566,6 +566,18 @@ class TestMetricThatIsNotANumber:
             ev.close()
         assert entry == [metrics] and type(entry[0]["CL"]) is int
 
+    def test_point_metrics_holds_a_reply_to_the_environments_rule(self):
+        # A one-request caller outside the environment once got "abc" and None back.
+        env = get_environment("delta-ld-single")
+        point = env.space.sample_uniform(seed=0, n=1)[0]
+        ev = SubprocessEvaluator(_inline(FIXED_METRICS_CHILD, json.dumps({"CL": "abc", "CD": None})))
+        try:
+            with pytest.raises(EvaluationError) as info:
+                ev.point_metrics(point, env.points[0], 0)
+        finally:
+            ev.close()
+        assert str(info.value) == "metric 'CL' is not a number: 'abc'"
+
 
 class TestEnvironmentIntegration:
     def test_environment_with_external_evaluator(self):
