@@ -179,13 +179,6 @@ def mean_rho(mat: np.ndarray) -> tuple[float, int]:
     return float(np.mean(usable)), int(usable.size)
 
 
-def mean_pairwise_spearman(rankings: Sequence[Mapping[str, float]]) -> float:
-    """Mean Spearman rho over all unordered pairs of task rankings."""
-    if len(rankings) < 2:
-        raise AnalyticsError("need at least 2 rankings")
-    return mean_rho(rho_matrix(rankings))[0]
-
-
 def median_iqr(values: Sequence[float]) -> tuple[float, float, float]:
     """(median, q25, q75) using linear interpolation between order stats."""
     if not len(values):
@@ -261,7 +254,10 @@ def _write_json(path: str, data) -> None:
 
 
 def write_manifest(root: str, manifest: dict) -> None:
-    """Create `root` and write the grid's manifest there."""
+    """Create `root` and write the grid's manifest there; refuses a `root` that holds anything."""
+    # `compare` reads every results.csv below a root, an old grid's beside the new.
+    if os.path.isdir(root) and (held := sorted(os.listdir(root))):
+        raise AnalyticsError(f"{root} already holds {held[0]}; give each grid an empty directory")
     os.makedirs(root, exist_ok=True)
     _write_json(os.path.join(root, "manifest.json"), manifest)
 

@@ -2,6 +2,7 @@
 design diagnostics.
 
 `run` decides what goes into a run directory; `analytics` writes and reads it.
+`run` alone starts an evaluator child, one per worker, and closes it when that worker ends.
 A command raises on an input or output it cannot use before its first write;
 `main` alone reports `OSError`, `ValueError` and `csv.Error` as one `error:`
 line and exit 1.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import collections
 import concurrent.futures
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -32,6 +34,7 @@ from .diagnostics import (
 )
 from .optimizers import ConfigurationError, OptimizerConfig, run_with_budget
 from .problems import catalog
+from .problems.subproc import SubprocessEvaluator
 from .space import DesignPoint, ParamSpace, SpaceError
 
 # RESULTS_HEADER is re-exported for scripts that import it from here.
@@ -155,20 +158,36 @@ def _execute_run(
     budget: int,
     out_dir: str,
     warmstart: list[DesignPoint],
-    evaluator_command: list[str] | None,
+    evaluator: SubprocessEvaluator | None,
 ) -> str | None:
-    """Run one (task, method, seed) cell; returns an error string or None."""
-    env = catalog.get_environment(task, evaluator_command=evaluator_command)
+    """Run one (task, method, seed) cell on `evaluator` (None: the stand-in); returns an error string or None."""
+    env = catalog.get_environment(task)
+    if evaluator is not None:
+        env = env.with_evaluator(evaluator)
     try:
         config = OptimizerConfig(method=method, budget=budget, seed=seed)
         trajectory = run_with_budget(env, config, warmstart=warmstart)
     except ConfigurationError as exc:
         return f"{task}/{method}/seed{seed}: {exc}"
-    finally:
-        env.close()
 
     analytics.write_run_dir(out_dir, trajectory, env.sense)
     return None
+
+
+_worker_evaluator: SubprocessEvaluator | None = None  # a pool worker's child (None: the stand-in)
+
+
+def _start_worker(evaluator_command: list[str] | None) -> None:
+    """Pool initializer: one child for all of this worker's cells, closed when the worker exits."""
+    global _worker_evaluator
+    if evaluator_command:
+        import multiprocessing.util  # loaded in a worker anyway; at the top it would slow every `import aerobench.cli`
+        _worker_evaluator = SubprocessEvaluator(evaluator_command)
+        multiprocessing.util.Finalize(None, _worker_evaluator.close, exitpriority=0)
+
+
+def _run_cell(cell: tuple) -> str | None:
+    return _execute_run(*cell, _worker_evaluator)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -209,16 +228,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     cells = [
         (task, method, seed, args.budget,
          os.path.join(args.out, task, method, f"seed{seed}"),
-         warm.get(task, []), evaluator_command)
+         warm.get(task, []))
         for task in tasks
         for method in methods
         for seed in seeds
     ]
+    # A worker takes the next cell when it is free; leaving the pool ends every worker and its child.
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_execute_run, *zip(*cells)))
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_start_worker, initargs=(evaluator_command,)
+        ) as pool:
+            outcomes = list(pool.map(_run_cell, cells))
     else:
-        outcomes = [_execute_run(*cell) for cell in cells]
+        evaluator = SubprocessEvaluator(evaluator_command) if evaluator_command else None
+        with contextlib.closing(evaluator) if evaluator else contextlib.nullcontext():
+            outcomes = [_execute_run(*cell, evaluator) for cell in cells]
     errors = [err for err in outcomes if err]
     for err in errors:
         print(f"error: {err}", file=sys.stderr)

@@ -224,7 +224,8 @@ class ProblemEnvironment:
             closer()
 
     def with_evaluator(self, evaluator: Any) -> "ProblemEnvironment":
-        return replace(self, evaluator=evaluator)
+        """This task on `evaluator`, without the landscape, which is the old evaluator's objective."""
+        return replace(self, evaluator=evaluator, landscape_value=None, landscape_gradient=None)
 
     def describe(self) -> dict:
         """Catalog entry: structured metadata without the evaluator."""

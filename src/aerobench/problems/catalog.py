@@ -59,7 +59,6 @@ from .formulas import (
     weighted_multipoint,
     wiggliness,
 )
-from .subproc import SubprocessEvaluator
 
 CATALOG_VERSION = "2"
 CATALOG_ENV_VAR = "AEROBENCH_CATALOG"
@@ -1049,15 +1048,12 @@ def _built(task_id: str) -> ProblemEnvironment:
     return _BUILDERS[task_id]()
 
 
-def get_environment(
-    task_id: str,
-    evaluator_command: Sequence[str] | None = None,
-) -> ProblemEnvironment:
+def get_environment(task_id: str) -> ProblemEnvironment:
     """The catalog task `task_id`.
 
-    Each task is built once per process. The catalog override and an
-    external evaluator give `dataclasses.replace` copies, so the built task
-    is never changed; its stand-in evaluator holds no state between calls.
+    Each task is built once per process. The catalog override gives a
+    `dataclasses.replace` copy, so the built task is never changed; its
+    stand-in evaluator holds no state between calls.
     """
     if task_id not in _BUILDERS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(_BUILDERS)}")
@@ -1065,8 +1061,6 @@ def get_environment(
     override = os.environ.get(CATALOG_ENV_VAR)
     if override:
         env = _apply_space_override(env, override)
-    if evaluator_command:
-        env = env.with_evaluator(SubprocessEvaluator(evaluator_command))
     return env
 
 

@@ -33,6 +33,7 @@ from .base import EvaluationError, OperatingPoint, non_number
 
 DEFAULT_TIMEOUT_S = 300.0
 _READ_SIZE = 65536
+_EXIT_GRACE_S = 1.0  # a child's time to exit at the end of its input before it is terminated
 
 
 class _Batch:
@@ -95,7 +96,7 @@ class SubprocessEvaluator:
         return self._proc
 
     def close(self) -> None:
-        """Terminate the child and drop anything it left unread."""
+        """End the child's input, stop it if it outlives `_EXIT_GRACE_S`, and drop anything it left unread."""
         proc, self._proc = self._proc, None
         self._buffer.clear()
         if self._selector is not None:
@@ -103,16 +104,16 @@ class SubprocessEvaluator:
             self._selector = None
         if proc is None:
             return
-        if proc.poll() is None:
-            proc.terminate()
-            try:
-                proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        for stream in (proc.stdin, proc.stdout):
-            with contextlib.suppress(OSError):
-                stream.close()
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
+        for stop, wait_s in ((None, _EXIT_GRACE_S), (proc.terminate, 5.0), (proc.kill, None)):
+            if stop is not None:
+                stop()
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=wait_s)
+                break
+        with contextlib.suppress(OSError):
+            proc.stdout.close()
 
     def _fail(self, message: str) -> None:
         self.close()

@@ -335,7 +335,7 @@ def test_criterion_9_subprocess_protocol(capfd):
             ev.close()
 
         garbage = [sys.executable, "-m", "aerobench.problems.echo_evaluator", "garbage"]
-        env = get_environment("delta-ld-single", evaluator_command=garbage)
+        env = get_environment("delta-ld-single").with_evaluator(SubprocessEvaluator(garbage))
         try:
             traj = run_with_budget(
                 env, OptimizerConfig(method="evolve", budget=5, seed=0)

@@ -22,13 +22,13 @@ from aerobench.analytics import (
     best_so_far_at,
     group_rank_table,
     load_run_set,
-    mean_pairwise_spearman,
     mean_rho,
     median_iqr,
     normalized_rank,
     pairwise_rho_matrix,
     rank_table,
     read_run_dir,
+    rho_matrix,
     spearman_rho,
     write_convergence_data,
     write_run_dir,
@@ -130,17 +130,17 @@ class TestNormalizedRank:
 class TestMeanPairwiseSpearman:
     def test_identical_rankings_give_one(self):
         r = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
-        assert mean_pairwise_spearman([r, dict(r), dict(r)]) == pytest.approx(1.0)
+        assert mean_rho(rho_matrix([r, dict(r), dict(r)]))[0] == pytest.approx(1.0)
 
     def test_pair_with_few_shared_methods_excluded(self):
         r1 = {"a": 1.0, "b": 2.0, "c": 3.0}
         r2 = {"a": 1.0, "b": 2.0, "c": 3.0}
         r3 = {"a": 1.0, "x": 2.0, "y": 3.0}  # only 1 shared with r1/r2
-        assert mean_pairwise_spearman([r1, r2, r3]) == pytest.approx(1.0)
+        assert mean_rho(rho_matrix([r1, r2, r3]))[0] == pytest.approx(1.0)
 
     def test_no_usable_pairs_raises(self):
         with pytest.raises(AnalyticsError):
-            mean_pairwise_spearman([{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 1.0}])
+            mean_rho(rho_matrix([{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 1.0}]))
 
     def test_near_zero_for_independent_rankings(self):
         rng = np.random.Generator(np.random.Philox(key=9))
@@ -149,7 +149,7 @@ class TestMeanPairwiseSpearman:
             {m: float(v) for m, v in zip(methods, rng.permutation(10))}
             for _ in range(40)
         ]
-        assert abs(mean_pairwise_spearman(rankings)) < 0.15
+        assert abs(mean_rho(rho_matrix(rankings))[0]) < 0.15
 
 
 class TestMedianIqr:
@@ -695,7 +695,7 @@ class TestCompareGrouping:
             {m: float(np.median([r.best_so_far_at(1.0) for r in run_set.runs(task, m)])) for m in methods}
             for task in run_set.tasks
         ]
-        expected = mean_pairwise_spearman(raw_scores)
+        expected = mean_rho(rho_matrix(raw_scores))[0]
         _, mat = pairwise_rho_matrix(rank_table(run_set))
         rho, pairs = mean_rho(mat)
         assert rho.hex() == expected.hex()

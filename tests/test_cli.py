@@ -4,13 +4,14 @@ import hashlib
 import json
 import os
 import shlex
+import signal
 import sys
 import types
 
 import pytest
 
 import aerobench
-from aerobench import optimizers
+from aerobench import cli, optimizers
 from aerobench.analytics import RESULTS_HEADER
 from aerobench.cli import main
 from aerobench.problems import catalog
@@ -47,6 +48,40 @@ for line in sys.stdin:
         point = DesignPoint.from_json(request["params"])
         metrics = env.evaluator.point_metrics(point, env.points[0], 0)
         print(json.dumps({{"id": request["id"], "metrics": metrics}}), flush=True)
+"""
+
+# Serves the stand-in metrics of the tasks named after its first three
+# arguments (the aerobench source, a pid log and a mode), routing a request
+# by its parameter names, and appends its pid to the log when it starts.
+# Mode "errors" answers an error for the designs its parameters pick; mode
+# "linger" stays alive after the end of its input.
+_GRID_SOLVER = """\
+import json, os, sys, time
+src, log, mode, *tasks = sys.argv[1:]
+sys.path.insert(0, src)
+from aerobench.problems import catalog
+from aerobench.space import DesignPoint
+with open(log, "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+routes = {}
+for task in tasks:
+    env = catalog.get_environment(task)
+    index = {}
+    for k, op in enumerate(env.points):
+        index.setdefault(json.dumps(op.to_json(), sort_keys=True), k)
+    routes[frozenset(env.space.names)] = (env, index)
+for line in sys.stdin:
+    request = json.loads(line)
+    env, index = routes[frozenset(request["params"])]
+    if mode == "errors" and len(json.dumps(request["params"])) % 3 == 0:
+        print(json.dumps({"id": request["id"], "error": "no convergence"}), flush=True)
+        continue
+    point = DesignPoint.from_json(request["params"])
+    k = index[json.dumps(request["operating_point"], sort_keys=True)]
+    metrics = env.evaluator.batch_metrics([point], env.points)[0][k]
+    print(json.dumps({"id": request["id"], "metrics": metrics}), flush=True)
+if mode == "linger":
+    time.sleep(60)
 """
 
 
@@ -325,6 +360,20 @@ class TestRun:
                 serial2 / rel / "results.csv"
             )
 
+    @pytest.mark.parametrize("first", ["runs", "runs/a"])
+    def test_an_out_that_holds_a_grid_is_refused_and_left_as_it_was(self, tmp_path, capsys, first):
+        # A second grid's cells would sit beside the first's, and compare would rank them all.
+        out = tmp_path / "runs"
+        assert self._run(tmp_path / first, ["--method", "pso,cmaes", "--seeds", "0", "--budget", "5"]) == 0
+        capsys.readouterr()
+        before = _files(out)
+        assert self._run(out, ["--method", "pso,evolve", "--seeds", "0", "--budget", "5"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {out} already holds ")
+        assert captured.out == ""
+        assert _files(out) == before
+
     def test_unknown_task_and_method(self, tmp_path, capsys):
         assert main(
             ["run", "--task", "nope", "--method", "pso", "--seeds", "0",
@@ -456,6 +505,99 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert not (out / "manifest.json").exists()
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestOneChildPerWorker:
+    """`run --evaluator` starts at most one child per worker and stops it when the worker ends."""
+
+    TASKS = ("delta-ld-single", "car-drag-single")
+
+    @pytest.fixture()
+    def grid(self, tmp_path):
+        """Runs a grid on the grid solver; returns its exit status and the pids it started."""
+        script, log = tmp_path / "solver.py", tmp_path / "pids.txt"
+        script.write_text(_GRID_SOLVER)
+        src = os.path.dirname(os.path.dirname(aerobench.__file__))
+        started = []
+
+        def run(out, mode="serve", jobs=1, methods="pso,cmaes", seeds="0-1", tasks=self.TASKS):
+            log.write_text("")
+            command = shlex.join([sys.executable, str(script), src, str(log), mode, *tasks])
+            argv = ["run", "--task", ",".join(tasks), "--method", methods, "--seeds", seeds,
+                    "--budget", "8", "--out", str(out), "--jobs", str(jobs), "--evaluator", command]
+            code = main(argv)
+            pids = [int(line) for line in log.read_text().split()]
+            started.extend(pids)
+            return code, pids
+
+        yield run
+        for pid in started:  # a failed check leaves no child behind
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+    @staticmethod
+    def _rows(out):
+        """Per results.csv under `out`, by its path there: every row but its wall_ms."""
+        found = {}
+        for dirpath, _, filenames in os.walk(out):
+            if "results.csv" in filenames:
+                with open(os.path.join(dirpath, "results.csv"), newline="") as fh:
+                    found[os.path.relpath(dirpath, out)] = [row[:-1] for row in csv.reader(fh)]
+        return found
+
+    @pytest.mark.parametrize("jobs, seeds, cells, workers", [(1, "0-1", 4, 1), (2, "0-1", 4, 2), (3, "0", 2, 2)])
+    def test_one_child_per_worker_and_none_left_running(self, tmp_path, grid, jobs, seeds, cells, workers):
+        # The child ignores the end of its input, so only terminating it ends it.
+        code, pids = grid(tmp_path / "runs", mode="linger", jobs=jobs, seeds=seeds, methods="pso")
+        assert code == 0
+        # A worker that takes no cell starts no child.
+        assert 1 <= len(pids) <= workers
+        assert [pid for pid in pids if _alive(pid)] == []
+        rows = self._rows(tmp_path / "runs")
+        assert len(rows) == cells
+        assert all(row[2] for cell in rows.values() for row in cell[1:])
+
+    @pytest.mark.parametrize("mode", ["serve", "errors"])
+    def test_results_match_a_child_per_cell(self, tmp_path, grid, mode):
+        code, pids = grid(tmp_path / "grid", mode=mode, jobs=2, seeds="0")
+        assert code == 0 and 1 <= len(pids) <= 2
+        per_cell = {}
+        for task in self.TASKS:
+            for method in ("pso", "cmaes"):
+                out = tmp_path / f"{task}-{method}"
+                assert grid(out, mode=mode, methods=method, seeds="0", tasks=(task,))[0] == 0
+                per_cell.update(self._rows(out))
+        rows = self._rows(tmp_path / "grid")
+        assert rows == per_cell and len(rows) == 4
+        rewards = [row[2] for cell in rows.values() for row in cell[1:]]
+        assert all(rewards) if mode == "serve" else "" in rewards and any(rewards)
+
+    def test_a_child_killed_between_cells_costs_one_restart(self, tmp_path, grid, monkeypatch):
+        code, _ = grid(tmp_path / "calm", methods="pso", seeds="0")
+        assert code == 0
+        execute = cli._execute_run
+        log = tmp_path / "pids.txt"
+
+        def kill_after(*cell):
+            outcome = execute(*cell)
+            os.kill(int(log.read_text().split()[-1]), signal.SIGKILL)
+            return outcome
+
+        monkeypatch.setattr(cli, "_execute_run", kill_after)
+        code, pids = grid(tmp_path / "killed", methods="pso", seeds="0")
+        assert code == 0
+        assert len(pids) == 2  # the first child, then one restart for the second cell
+        rows = self._rows(tmp_path / "killed")
+        assert rows == self._rows(tmp_path / "calm")
+        assert all(row[2] for cell in rows.values() for row in cell[1:])  # no error row
 
 
 class TestCompare:
@@ -710,6 +852,14 @@ class TestRefused:
         if name == "run-out-is-a-file":
             (tmp_path / "runs").write_text("")
             return [*run, "--out", str(tmp_path / "runs")], tmp_path / "runs"
+        if name == "run-out-holds-a-manifest":
+            (tmp_path / "runs").mkdir()
+            (tmp_path / "runs" / "manifest.json").write_text("{}")
+            return [*run, "--out", str(tmp_path / "runs")], tmp_path / "runs"
+        if name == "run-out-holds-a-grid-below":
+            (tmp_path / "runs" / "a").mkdir(parents=True)
+            (tmp_path / "runs" / "a" / "manifest.json").write_text("{}")
+            return [*run, "--out", str(tmp_path / "runs")], tmp_path / "runs"
         if name == "run-warmstart-not-utf8":
             warm = tmp_path / "warm.csv"
             warm.write_bytes(b"sweep_angle,root_airfoil\n\xff60,NACA2416\n")
@@ -740,7 +890,8 @@ class TestRefused:
     @pytest.mark.parametrize(
         "name",
         [
-            "run-out-is-a-file", "run-warmstart-not-utf8", "compare-out-is-a-file", "compare-config-not-utf8",
+            "run-out-is-a-file", "run-out-holds-a-manifest", "run-out-holds-a-grid-below",
+            "run-warmstart-not-utf8", "compare-out-is-a-file", "compare-config-not-utf8",
             "compare-results-not-utf8", "diagnose-out-is-a-directory", "diagnose-design-not-utf8",
             "diagnose-metrics-bad-json",
         ],

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aerobench.landscape import BumpField, FieldStack
-from aerobench.problems import EvaluationError, get_environment, task_ids
+from aerobench.problems import EvaluationError, SubprocessEvaluator, get_environment, task_ids
 from aerobench.problems.catalog import CATALOG_ENV_VAR, StandInEvaluator, confidence_proxy
 
 ALL_TASKS = task_ids()
@@ -171,8 +171,8 @@ class TestBuiltOncePerProcess:
         assert broken.evaluate(points[0]).error == "synthetic failure"
         broken.close()
         base.close()
-        external = get_environment(
-            self.TASK, evaluator_command=[str(tmp_path / "no-such-solver")]
+        external = get_environment(self.TASK).with_evaluator(
+            SubprocessEvaluator([str(tmp_path / "no-such-solver")])
         )
         assert isinstance(external.evaluate(points[0]).error, str)
         external.close()

@@ -453,6 +453,14 @@ def test_evaluator_failure_becomes_error_result():
     assert not result.feasible
 
 
+def test_an_attached_evaluator_drops_the_stand_ins_landscape():
+    # The landscape is the stand-in's objective; another evaluator's answers need not follow it.
+    base = get_environment("delta-ld-single")
+    env = base.with_evaluator(_BrokenEvaluator())
+    assert base.landscape_value is not None and base.landscape_gradient is not None
+    assert env.landscape_value is None and env.landscape_gradient is None
+
+
 class _NudgedBracketEvaluator:
     """Reports `bracketed` 2 ulp above 1.0 and CL off its target, as an external solver may."""
 

@@ -233,6 +233,51 @@ def test_the_exit_check_sees_every_handler_that_returns_one():
     assert _exit_one_handlers(tree) == ["main", "cmd", "inner"]
 
 
+def _child_starts(tree: ast.Module) -> list[int]:
+    """Lines that call `SubprocessEvaluator`, by its name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "SubprocessEvaluator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def _subproc_imports(tree: ast.Module) -> list[int]:
+    """Lines that import the `subproc` module or a name from it, relatively or not."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and ((node.module or "").split(".")[-1] == "subproc" or any(a.name == "subproc" for a in node.names))
+        )
+        or (isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "subproc" for a in node.names))
+    ]
+
+
+def test_only_run_starts_an_evaluator_child():
+    # `run` keeps one child per worker and closes it; a second module starting one is a second owner.
+    starters = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py")) if _child_starts(_tree(p))]
+    assert starters == ["aerobench/cli.py"]
+    assert _subproc_imports(_tree(SRC / "aerobench" / "problems" / "catalog.py")) == []
+
+
+def test_the_child_checks_see_calls_and_imports_but_not_names_or_prose():
+    tree = ast.parse(
+        '"""Starts SubprocessEvaluator(cmd)."""\n'
+        "ev = SubprocessEvaluator(cmd)\n"
+        "ev = subproc.SubprocessEvaluator(cmd)\n"
+        "kind = SubprocessEvaluator\n"
+        "from .subproc import A\n"
+        "from . import subproc\n"
+        "import aerobench.problems.subproc\n"
+        "from .subprocess_tools import B\n"
+    )
+    assert _child_starts(tree) == [2, 3]
+    assert _subproc_imports(tree) == [5, 6, 7]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_the_package_version_is_read_from_aerobench():
     import tomllib

@@ -35,6 +35,20 @@ for line in sys.stdin:
     print(json.dumps(reply), flush=True)
 """
 
+# Answers each request with its alpha; at the end of its input it writes
+# "done" to argv[1], then exits, or ("linger" in argv[2]) sleeps on.
+FINISHING_CHILD = """
+import json, sys, time
+for line in sys.stdin:
+    request = json.loads(line)
+    alpha = request["operating_point"]["alpha"]
+    print(json.dumps({"id": request["id"], "metrics": {"alpha": alpha}}), flush=True)
+with open(sys.argv[1], "w") as fh:
+    fh.write("done")
+if sys.argv[2] == "linger":
+    time.sleep(60)
+"""
+
 # Collects four requests, then answers them last first.
 REVERSE_CHILD = """
 import json, sys
@@ -241,6 +255,18 @@ class TestFailureModes:
             SubprocessEvaluator([])
         with pytest.raises(ValueError):
             SubprocessEvaluator(["cmd"], timeout=0.0)
+
+
+class TestClose:
+    @pytest.mark.parametrize("mode, returncode", [("exit", 0), ("linger", -signal.SIGTERM)])
+    def test_the_child_sees_the_end_of_its_input_and_is_gone(self, point, op, tmp_path, mode, returncode):
+        marker = tmp_path / "finished"
+        ev = SubprocessEvaluator([sys.executable, "-c", FINISHING_CHILD, str(marker), mode])
+        assert ev.point_metrics(point, op, 0) == {"alpha": op.alpha}
+        proc = ev._proc
+        ev.close()
+        assert marker.read_text() == "done"
+        assert proc.returncode == returncode
 
 
 class TestPipelinedDesign:
@@ -462,7 +488,8 @@ class TestWireEquivalence:
         src = os.path.dirname(os.path.dirname(aerobench.__file__))
         local_env = get_environment(task)
         assert len(local_env.points) == 6
-        wired_env = get_environment(task, evaluator_command=_inline(STAND_IN_CHILD, src, task))
+        child = SubprocessEvaluator(_inline(STAND_IN_CHILD, src, task))
+        wired_env = get_environment(task).with_evaluator(child)
         config = OptimizerConfig(method="pso", budget=40, seed=3)
         try:
             wired = run_with_budget(wired_env, config)
@@ -581,7 +608,7 @@ class TestMetricThatIsNotANumber:
 
 class TestEnvironmentIntegration:
     def test_environment_with_external_evaluator(self):
-        env = get_environment("delta-ld-single", evaluator_command=_command())
+        env = get_environment("delta-ld-single").with_evaluator(SubprocessEvaluator(_command()))
         try:
             p = env.space.sample_uniform(seed=0, n=1)[0]
             result = env.evaluate(p)
@@ -593,7 +620,7 @@ class TestEnvironmentIntegration:
             env.close()
 
     def test_crashing_evaluator_yields_error_result(self):
-        env = get_environment("delta-ld-single", evaluator_command=_command("garbage"))
+        env = get_environment("delta-ld-single").with_evaluator(SubprocessEvaluator(_command("garbage")))
         try:
             p = env.space.sample_uniform(seed=0, n=1)[0]
             result = env.evaluate(p)
@@ -605,7 +632,7 @@ class TestEnvironmentIntegration:
 
     def test_non_object_reply_yields_error_result(self):
         child = _inline("import sys\nfor line in sys.stdin:\n    print(42, flush=True)")
-        env = get_environment("delta-ld-single", evaluator_command=child)
+        env = get_environment("delta-ld-single").with_evaluator(SubprocessEvaluator(child))
         try:
             p = env.space.sample_uniform(seed=0, n=1)[0]
             result = env.evaluate(p)
