@@ -2,24 +2,20 @@
 
 Three tiers of checks run over a (space, design, metrics, artifacts)
 snapshot: feasibility (F001-F006), geometry risk (G001-G003), and
-aerodynamic plausibility (A001-A004). The assembled bundle is validated
-against a JSON schema before being returned: a predicate compiled once from
-the schema accepts a valid bundle, and any bundle it rejects goes through
-`jsonschema`, which raises the same `ValidationError` as
-`jsonschema.validate` (or finds none). An integrative-judge slot is
-reserved in the bundle but populated with a skip marker unless an external
-report is injected.
+aerodynamic plausibility (A001-A004). The bundle matches the JSON schema
+of `bundle_schema()` by construction: every field it constrains is built
+here from inputs refused with `ValueError` when malformed, before any check
+runs, so the bundle is returned without a run-time schema check. An
+integrative-judge slot is reserved in the bundle but populated with a skip
+marker unless an external report is injected.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
-
-import jsonschema
+from typing import Any, Mapping, Sequence
 
 from .space import CONTINUOUS, ParamSpace, as_number
 
@@ -64,157 +60,6 @@ def bundle_schema() -> dict:
         return json.load(fh)
 
 
-@functools.lru_cache(maxsize=None)
-def _bundle_validator():
-    """The bundle schema's validator, built on the first bundle of a process.
-
-    `jsonschema.validate` checks the schema against its metaschema and builds
-    a new validator on every call; doing that once leaves each bundle's
-    validation the same.
-    """
-    schema = bundle_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-@functools.lru_cache(maxsize=None)
-def _bundle_accepts() -> Callable[[Any], bool]:
-    """The bundle schema compiled into a predicate, built on first use.
-
-    It is built from the schema `_bundle_validator` has already checked.
-    """
-    return _compile_accepts(_bundle_validator().schema)
-
-
-# Exact Python types per JSON type. Draft 7 is looser (any non-bool
-# `numbers.Number` is a number, an integral float is an integer); a value
-# these sets miss only costs a fallback to `jsonschema`.
-_JSON_TYPES = {
-    "object": (dict,),
-    "array": (list,),
-    "string": (str,),
-    "number": (int, float),
-    "integer": (int,),
-    "boolean": (bool,),
-    "null": (type(None),),
-}
-_NUMBER_TYPES = frozenset(_JSON_TYPES["number"])
-# Keywords that never make draft-7 validation fail.
-_ANNOTATIONS = frozenset(
-    {"$schema", "$comment", "title", "description", "default", "examples", "definitions"}
-)
-
-
-def _always(_x: Any) -> bool:
-    return True
-
-
-def _never(_x: Any) -> bool:
-    return False
-
-
-def _compile_accepts(schema: Mapping[str, Any]) -> Callable[[Any], bool]:
-    """Compile a draft-7 schema into `accepts(instance) -> bool`.
-
-    `accepts` answers only "certainly valid": it never accepts an instance
-    that `jsonschema` rejects, and may reject one it accepts (a bool, a
-    numpy scalar, a tuple, an integral float). It supports `type`,
-    `required`, `properties`, `additionalProperties`, `items` (one schema),
-    `enum` and `const` (strings only), `minimum`, `maximum` and local `$ref`.
-    Any other keyword, a non-local `$ref` or another draft raises
-    ValueError here, so a schema edit is never left silently unchecked.
-    """
-    cls = jsonschema.validators.validator_for(schema)
-    if cls is not jsonschema.Draft7Validator:
-        raise ValueError(f"bundle predicate compiles draft 7 only, not {cls.__name__}")
-    refs: dict[str, Callable[[Any], bool] | None] = {}
-
-    def resolve(ref: str) -> Callable[[Any], bool]:
-        if not ref.startswith("#/"):
-            raise ValueError(f"bundle predicate resolves local '#/...' refs only, not {ref!r}")
-        if ref in refs:
-            if refs[ref] is None:
-                raise ValueError(f"bundle predicate does not compile recursive ref {ref!r}")
-            return refs[ref]
-        refs[ref] = None
-        node: Any = schema
-        try:
-            for token in ref[2:].split("/"):
-                node = node[token.replace("~1", "/").replace("~0", "~")]
-        except (KeyError, TypeError):
-            raise ValueError(f"bundle predicate cannot resolve ref {ref!r}") from None
-        refs[ref] = compiled = compile_node(node, ref)
-        return compiled
-
-    def compile_node(node: Any, where: str) -> Callable[[Any], bool]:
-        if node is True:
-            return _always
-        if node is False:
-            return _never
-        if "$ref" in node:
-            # Draft 7 ignores the siblings of `$ref`.
-            return resolve(node["$ref"])
-        checks: list[Callable[[Any], bool]] = []
-        for key, value in node.items():
-            if key == "type":
-                names = [value] if isinstance(value, str) else value
-                allowed = frozenset(t for name in names for t in _JSON_TYPES[name])
-                checks.append(lambda x, allowed=allowed: type(x) in allowed)
-            elif key in ("enum", "const"):
-                options = value if key == "enum" else [value]
-                strings = frozenset(v for v in options if type(v) is str)
-                checks.append(lambda x, strings=strings: type(x) is str and x in strings)
-            elif key == "minimum":
-                checks.append(lambda x, lo=value: type(x) in _NUMBER_TYPES and not x < lo)
-            elif key == "maximum":
-                checks.append(lambda x, hi=value: type(x) in _NUMBER_TYPES and not x > hi)
-            elif key == "items":
-                if not isinstance(value, (dict, bool)):
-                    raise ValueError(f"bundle predicate compiles one-schema 'items' only, at {where}")
-                item = compile_node(value, f"{where}/items")
-                checks.append(lambda x, item=item: type(x) is list and all(map(item, x)))
-            elif key == "required":
-                keys = frozenset(value)
-                checks.append(lambda x, keys=keys: type(x) is dict and x.keys() >= keys)
-            elif key in ("properties", "additionalProperties"):
-                pass
-            elif key not in _ANNOTATIONS:
-                raise ValueError(f"bundle predicate does not compile keyword {key!r}, at {where}")
-        if "properties" in node or "additionalProperties" in node:
-            props = {
-                name: compile_node(sub, f"{where}/properties/{name}")
-                for name, sub in node.get("properties", {}).items()
-            }
-            extra = node.get("additionalProperties", True)
-            other = None if extra is True else compile_node(extra, f"{where}/additionalProperties")
-
-            def members(x: Any) -> bool:
-                if type(x) is not dict:
-                    return False
-                for k, v in x.items():
-                    check = props.get(k, other)
-                    if check is not None and not check(v):
-                        return False
-                return True
-
-            checks.append(members)
-        if not checks:
-            return _always
-        if len(checks) == 1:
-            return checks[0]
-
-        def every(x: Any) -> bool:
-            for check in checks:
-                if not check(x):
-                    return False
-            return True
-
-        return every
-
-    return compile_node(schema, "#")
-
-
 def _clamp01(x: float) -> float:
     return min(max(float(x), 0.0), 1.0)
 
@@ -255,8 +100,8 @@ class CheckResult:
 @dataclass(frozen=True)
 class DiagnosticInputs:
     """Everything the deterministic tier inspects for one design. Malformed
-    inputs raise ValueError here, before any check runs; a list of images is
-    stored as a tuple."""
+    inputs raise ValueError here, before any check runs; a list of images or
+    of design refs is stored as a tuple."""
 
     environment: str
     design_id: str
@@ -276,19 +121,25 @@ class DiagnosticInputs:
         if not isinstance(self.metrics, Mapping):
             raise ValueError("metrics must be a JSON object")
         if self.images is not None:
-            if not isinstance(self.images, (list, tuple)) or not _all_str(self.images):
-                raise ValueError("images must be a list of strings")
-            object.__setattr__(self, "images", tuple(self.images))
+            object.__setattr__(self, "images", _str_tuple(self.images, "images"))
         if not isinstance(self.artifacts, Mapping) or not _all_str(
             p for p in self.artifacts.values() if p is not None
         ):
             raise ValueError("model_artifacts must be an object of string paths")
         if not _all_str((self.environment, self.design_id)):
             raise ValueError("environment and design_id must be strings")
+        object.__setattr__(self, "design_refs", _str_tuple(self.design_refs, "design_refs"))
 
 
 def _all_str(values) -> bool:
     return all(isinstance(v, str) for v in values)
+
+
+def _str_tuple(values: Any, name: str) -> tuple[str, ...]:
+    """`values` as a tuple if it is a list or tuple of strings, else ValueError."""
+    if not isinstance(values, (list, tuple)) or not _all_str(values):
+        raise ValueError(f"{name} must be a list of strings")
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +490,20 @@ def build_evidence_bundle(
     llm_report: Mapping[str, Any] | None = None,
     timestamp_utc: str | None = None,
 ) -> dict:
-    """Run all tiers, assemble, and schema-validate the evidence bundle."""
+    """Run all tiers and assemble the evidence bundle.
+
+    A `timestamp_utc` other than a string or None, or an `llm_report` other
+    than a mapping with a string `diagnostic_status`, raises ValueError
+    before any check runs.
+    """
+    if timestamp_utc is not None and not isinstance(timestamp_utc, str):
+        raise ValueError("timestamp_utc must be a string or null")
+    if llm_report is None:
+        llm_report = LLM_REPORT_SKIPPED
+    elif not isinstance(llm_report, Mapping) or not isinstance(
+        llm_report.get("diagnostic_status"), str
+    ):
+        raise ValueError("llm_report must be an object with a string diagnostic_status")
     feasibility = check_bounds_and_presence(inputs)
     geometry = check_geometry(inputs)
     aero = check_aero(inputs)
@@ -651,7 +515,7 @@ def build_evidence_bundle(
         notes.append("No flow images supplied.")
     images = list(inputs.images or [])
 
-    bundle = {
+    return {
         "version": BUNDLE_VERSION,
         "environment": inputs.environment,
         "design_id": inputs.design_id,
@@ -677,27 +541,10 @@ def build_evidence_bundle(
             },
             "data_quality_notes": notes,
         },
-        "llm_report": dict(llm_report) if llm_report is not None else dict(LLM_REPORT_SKIPPED),
+        "llm_report": dict(llm_report),
         "trace": {"pipeline_version": BUNDLE_VERSION},
         "provenance": {},
     }
-    return _validated(bundle)
-
-
-def _validated(bundle: dict) -> dict:
-    """The bundle if it matches the schema, else what `jsonschema.validate` raises.
-
-    The compiled predicate only ever says "certainly valid"; a bundle it
-    rejects goes through the full validator, which raises the same error
-    `jsonschema.validate` would (or finds none), without re-checking the
-    schema.
-    """
-    if _bundle_accepts()(bundle):
-        return bundle
-    error = jsonschema.exceptions.best_match(_bundle_validator().iter_errors(bundle))
-    if error is not None:
-        raise error
-    return bundle
 
 
 def worst_status(bundle: Mapping[str, Any]) -> str:

@@ -1,4 +1,4 @@
-"""What a command imports: only a `bo` run loads scipy.
+"""What a command imports: only a `bo` run loads scipy, and none loads jsonschema.
 
 Each case runs in a fresh interpreter, because this test process has long
 since imported scipy itself.
@@ -30,9 +30,10 @@ CASES = {
 }
 
 
-def _scipy_after(code: str, cwd: pathlib.Path) -> list[str]:
-    """The `scipy*` modules in `sys.modules` after `code` runs in a fresh interpreter in `cwd`."""
-    report = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+def _loaded_after(prefix: str | tuple[str, ...], code: str, cwd: pathlib.Path) -> list[str]:
+    """The modules in `sys.modules` whose names start with `prefix` (one or a
+    tuple) after `code` runs in a fresh interpreter in `cwd`."""
+    report = f"import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith({prefix!r}))))\n"
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", code + report],
@@ -53,12 +54,13 @@ def golden_inputs(tmp_path):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_command_loads_no_scipy(case, golden_inputs):
-    assert _scipy_after(CASES[case], golden_inputs) == []
+    # Nor jsonschema: bundles are valid by construction and never checked at run time.
+    assert _loaded_after(("scipy", "jsonschema"), CASES[case], golden_inputs) == []
 
 
 def test_bo_run_loads_scipy_and_completes(tmp_path):
     # Budget 33 fits the GP on three rounds past the 30-point initial design.
     code = _RUN.format(argv=[*_GRID, "--method", "bo", "--budget", "33"], code=0)
-    assert "scipy.stats" in _scipy_after(code, tmp_path)
+    assert "scipy.stats" in _loaded_after("scipy", code, tmp_path)
     with open(tmp_path / "runs" / "delta-ld-single" / "bo" / "seed0" / "results.csv") as fh:
         assert len(fh.read().splitlines()) == 1 + 33

@@ -52,14 +52,23 @@ def _imported_packages(tree: ast.Module) -> set[str]:
     return found
 
 
-def test_only_bo_imports_scipy():
-    # scipy costs about 1 s and 60 MB to import; no command but a `bo` run needs it.
-    importers = [
+def _importers(package: str) -> list[str]:
+    """The modules under `src/` that import `package`, relative to `src/`."""
+    return [
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))
-        if "scipy" in _imported_packages(ast.parse(path.read_text(), filename=str(path)))
+        if package in _imported_packages(_tree(path))
     ]
-    assert importers == ["aerobench/optimizers/bo.py"]
+
+
+def test_only_bo_imports_scipy():
+    # scipy costs about 1 s and 60 MB to import; no command but a `bo` run needs it.
+    assert _importers("scipy") == ["aerobench/optimizers/bo.py"]
+
+
+def test_no_module_under_src_imports_jsonschema():
+    # Bundles are valid by construction; only tests and perfbench check them against the schema.
+    assert _importers("jsonschema") == []
 
 
 def test_the_scipy_check_sees_imports_in_functions_and_skips_relative_ones():
