@@ -66,6 +66,9 @@ def _clamp01(x: float) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome. A field the schema's `check` definition would
+    refuse raises ValueError; a list of evidence refs is stored as a tuple."""
+
     check_id: str
     tier: str
     status: str
@@ -76,12 +79,19 @@ class CheckResult:
     evidence_refs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.check_id, str) and isinstance(self.message, str)):
+            raise ValueError("check_id and message must be strings")
+        if self.tier not in _TIERS.values():
+            raise ValueError(f"unknown tier {self.tier!r}")
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
+        if isinstance(self.severity, bool) or not isinstance(self.severity, (int, float)):
+            raise ValueError(f"severity {self.severity!r} is not a number")
         if not 0.0 <= self.severity <= 1.0:
             raise ValueError(f"severity {self.severity} outside [0,1]")
         if self.status == STATUS_OK and self.severity != 0.0:
             raise ValueError("ok checks must have severity 0")
+        object.__setattr__(self, "evidence_refs", _str_tuple(self.evidence_refs, "evidence_refs"))
 
     def to_json(self) -> dict:
         return {

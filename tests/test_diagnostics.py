@@ -3,6 +3,7 @@ import dataclasses
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -334,7 +335,7 @@ class TestSeverityInvariants:
         with pytest.raises(ValueError):
             CheckResult(
                 check_id="X",
-                tier="t",
+                tier="feasibility",
                 status="ok",
                 severity=0.5,
                 message="m",
@@ -346,13 +347,53 @@ class TestSeverityInvariants:
         with pytest.raises(ValueError):
             CheckResult(
                 check_id="X",
-                tier="t",
+                tier="feasibility",
                 status="warning",
                 severity=1.5,
                 message="m",
                 value=None,
                 threshold=None,
             )
+
+    _CHECK = dict(
+        check_id="F001_bounds", tier="feasibility", status="warning", severity=0.5,
+        message="m", value=None, threshold=None, evidence_refs=("d0.json",),
+    )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("check_id", 5),
+            ("tier", "aerodynamics"),
+            ("status", "fine"),
+            ("severity", True),
+            ("severity", "0.5"),
+            ("severity", np.float64(2.0)),
+            ("severity", -0.5),
+            ("message", None),
+            ("evidence_refs", "abc"),
+            ("evidence_refs", ["d0.json", 1]),
+        ],
+        ids=[
+            "check_id-int", "tier-unknown", "status-unknown", "severity-bool",
+            "severity-text", "severity-numpy-above-one", "severity-negative",
+            "message-none", "evidence_refs-string", "evidence_refs-non-string-item",
+        ],
+    )
+    def test_a_check_the_schema_refuses_is_refused(self, field, bad):
+        """With no run-time schema check, `CheckResult` is what keeps every
+        check of a bundle inside the schema's `check` definition."""
+        validator = jsonschema.Draft7Validator(bundle_schema()["definitions"]["check"])
+        good = CheckResult(**self._CHECK).to_json()
+        assert validator.is_valid(good)
+        assert not validator.is_valid({**good, field: bad})
+        with pytest.raises(ValueError):
+            CheckResult(**{**self._CHECK, field: bad})
+
+    def test_evidence_ref_list_is_stored_as_a_tuple(self):
+        check = CheckResult(**{**self._CHECK, "evidence_refs": ["d0.json"]})
+        assert check.evidence_refs == ("d0.json",)
+        assert check.to_json()["evidence_refs"] == ["d0.json"]
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=60, deadline=None)
