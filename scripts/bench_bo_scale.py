@@ -88,7 +88,8 @@ def child_fit(n: int) -> dict:
     bo, counts = _counting_gp()
     env = get_environment(FIT_TASK)
     U = np.random.Generator(np.random.Philox(key=0)).random((n, env.space.relaxed_dim))
-    results = env.evaluate_decoded(*env.space.decode(U))
+    # Only what both trees have: one `denormalize` per row, evaluated as one batch.
+    results = env.evaluate_batch([env.space.denormalize(u) for u in U])
     x = np.array([u for u, r in zip(U, results) if r.reward is not None])
     y = np.array([r.reward for r in results if r.reward is not None])
     opts = dict(bo.DEFAULTS)

@@ -89,17 +89,19 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     seeds = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part and not part.startswith("-"):
-            lo, hi = part.split("-", 1)
-            if int(lo) > int(hi):
-                raise ValueError(f"seed range {part!r} is empty")
-            seeds.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            seeds.append(int(part))
+    for part in filter(None, (part.strip() for part in text.split(","))):
+        # A leading "-" is a negative seed, which `OptimizerConfig` refuses by name.
+        head, dash, tail = part.partition("-") if part[0] != "-" else (part, "", "")
+        try:
+            lo = int(head)
+            hi = int(tail) if dash else lo
+        except ValueError:
+            raise ValueError(f"--seeds: {part!r} is not a seed or a lo-hi range") from None
+        if lo > hi:
+            raise ValueError(f"--seeds: seed range {part!r} is empty")
+        seeds.extend(range(lo, hi + 1))
     if not seeds:
-        raise ValueError("no seeds given")
+        raise ValueError("--seeds: no seeds given")
     return _distinct(seeds, "seeds")
 
 

@@ -148,18 +148,19 @@ class AlphaFreeTable:
     `AlphaFreeTable(u)` computes each model the first time it is read, so
     a reader that needs two models pays for two. `value(m, alpha)` adds the
     alpha term as `MetricModel.value` does, so the bits match either way.
+    `u` is the design's unit-cube vector.
     """
 
-    __slots__ = ("_u", "_values")
+    __slots__ = ("u", "_values")
 
     def __init__(self, u: np.ndarray, values: dict[int, float] | None = None):
-        self._u = u
+        self.u = u
         self._values = {} if values is None else values
 
     def __getitem__(self, model: MetricModel) -> float:
         v = self._values.get(id(model))
         if v is None:
-            v = self._values[id(model)] = model.at(self._u)
+            v = self._values[id(model)] = model.at(self.u)
         return v
 
     def value(self, model: MetricModel, alpha: float = 0.0) -> float:

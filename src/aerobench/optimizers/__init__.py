@@ -14,10 +14,10 @@ RNG, charges warm-start designs at iteration 0, evaluates batches until the
 budget is spent, spends budget a method leaves on uniform samples, and
 returns the trajectory plus the resolved configuration that reproduces it.
 Warm-start designs, each yielded batch and the leftover samples each go to
-the environment as one batch. Warm-start designs are projected by `clip` and
-normalized once: the same rows, inside [0, 1], are evaluated and handed to
-the method. A method's module is imported the first time the method is
-looked up, so importing this package loads none, and only `bo` loads scipy.
+the environment as one batch. Warm-start designs are projected by `clip`,
+evaluated, and normalized once for the method, so their rows lie in [0, 1].
+A method's module is imported the first time the method is looked up, so
+importing this package loads none, and only `bo` loads scipy.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
@@ -133,10 +131,8 @@ def run_with_budget(
     }
     rng = space.rng(config.seed)
     clipped = [space.clip(point) for point in warmstart[: config.budget]]
-    warm = []
-    if clipped:
-        rows = np.array([space.normalize(p) for p in clipped])
-        warm = list(zip(rows, obj.evaluate_decoded(clipped, rows, 0).tolist()))
+    warm_rewards = obj.evaluate_decoded(clipped, 0).tolist() if clipped else []
+    warm = [(space.normalize(p), reward) for p, reward in zip(clipped, warm_rewards)]
     proposals = module.run(space.relaxed_dim, rng, options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:

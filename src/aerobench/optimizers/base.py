@@ -65,8 +65,8 @@ class BudgetedObjective:
     order, so design ids, the running best and the budget are what
     one-at-a-time evaluation gives. Each record copies its reward, error
     and `wall_ms` from the environment's result. `evaluate_rows` decodes
-    unit-cube rows once; `evaluate_decoded` takes valid designs with their
-    rows (the driver's clipped warm-start designs), so neither is validated.
+    unit-cube rows once; `evaluate_decoded` takes valid designs (the
+    driver's clipped warm-start designs), so neither is validated.
     """
 
     def __init__(self, env: ProblemEnvironment, budget: int):
@@ -83,13 +83,11 @@ class BudgetedObjective:
 
     def evaluate_rows(self, U: np.ndarray, iteration: int) -> np.ndarray:
         """Evaluate unit-cube rows (clipped to the cube) as one batch."""
-        return self.evaluate_decoded(*self.env.space.decode(U), iteration)
+        return self.evaluate_decoded(self.env.space.decode(U), iteration)
 
-    def evaluate_decoded(
-        self, points: Sequence[DesignPoint], rows: np.ndarray, iteration: int
-    ) -> np.ndarray:
-        """Evaluate valid designs, whose unit-cube rows are `rows`; one reward each, -inf on error."""
-        results = self.env.evaluate_decoded(points, rows)
+    def evaluate_decoded(self, points: Sequence[DesignPoint], iteration: int) -> np.ndarray:
+        """Evaluate valid designs; one reward each, -inf on error."""
+        results = self.env.evaluate_decoded(points)
         rewards = np.empty(len(points))
         for i, (point, result) in enumerate(zip(points, results)):
             design_id = f"eval{len(self.records):06d}"

@@ -57,11 +57,10 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Everything a constraint rule may inspect; `row` is the design's unit-cube row."""
+    """Everything a constraint rule may inspect: what the evaluator reported, and its aggregate."""
 
     per_point: tuple[Mapping[str, float], ...]
     metrics: Mapping[str, float]
-    row: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,10 @@ class ProblemEnvironment:
     wall time in `reply_ms` if the evaluator has it (`EvalResult.wall_ms`,
     else 0.0). A design that breaks the rule is an error row naming the
     problem; a wrong count, or an `EvaluationError` raised, fails the whole
-    batch. `evaluate_batch(points)` validates and normalizes designs from
-    outside (`evaluate`, external callers); the driver's designs are valid
-    already, decoded by `ParamSpace.decode` or projected by `ParamSpace.clip`,
-    and go with their rows to `evaluate_decoded`. `aggregate(per_point, ops)`
+    batch. `evaluate_batch(points)` validates designs from outside
+    (`evaluate`, external callers); the driver's designs are valid already,
+    decoded by `ParamSpace.decode` or projected by `ParamSpace.clip`, and go
+    straight to `evaluate_decoded`. `aggregate(per_point, ops)`
     turns the metric maps into the raw objective (in the task's native sense)
     plus aggregate metrics. The scalarized reward is always in maximization
     sense: `_score` negates a minimization task's raw objective before the
@@ -143,14 +142,14 @@ class ProblemEnvironment:
         """Validate designs from outside the driver, then evaluate them in order.
 
         This is the one validation of such a design; the evaluator maps it
-        without re-checking it, and constraints read its normalized row.
+        without re-checking it.
         """
         for point in points:
             self.space.validate(point)
-        return self.evaluate_decoded(points, np.array([self.space.normalize(p) for p in points]))
+        return self.evaluate_decoded(points)
 
-    def evaluate_decoded(self, points: Sequence[DesignPoint], rows: np.ndarray) -> list[EvalResult]:
-        """Evaluate valid designs, whose unit-cube rows are `rows`, with one evaluator call."""
+    def evaluate_decoded(self, points: Sequence[DesignPoint]) -> list[EvalResult]:
+        """Evaluate valid designs with one evaluator call."""
         n = len(points)
         try:
             entries = self.evaluator.batch_metrics(points, self.points)
@@ -160,9 +159,9 @@ class ProblemEnvironment:
         if len(entries) != n or len(wall) != n:  # no answer can be matched to its design
             reason = f"{len(entries)} answers and {len(wall)} wall times for {n} designs"
             return [self._unusable((), reason, 0.0) for _ in points]
-        return [self._score(row, entry, ms) for row, entry, ms in zip(rows, entries, wall)]
+        return [self._score(entry, ms) for entry, ms in zip(entries, wall)]
 
-    def _score(self, row: np.ndarray, entry, wall_ms: float) -> EvalResult:
+    def _score(self, entry, wall_ms: float) -> EvalResult:
         """Aggregate, constraints and reward of one design's answer, if it keeps the rule."""
         if isinstance(entry, EvaluationError):
             return EvalResult.failure(str(entry), wall_ms=wall_ms)
@@ -174,7 +173,7 @@ class ProblemEnvironment:
         except (KeyError, ArithmeticError) as exc:
             # A missing metric, or a zero (a drag) the aggregate divides by, is an error row.
             return self._unusable(per_point, repr(exc), wall_ms)
-        ctx = EvalContext(per_point, agg_metrics, row)
+        ctx = EvalContext(per_point, agg_metrics)
         violations: dict[str, float] = {}
         for spec in self.constraints:
             try:

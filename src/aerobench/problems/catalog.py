@@ -60,7 +60,7 @@ from .formulas import (
     wiggliness,
 )
 
-CATALOG_VERSION = "2"
+CATALOG_VERSION = "3"
 CATALOG_ENV_VAR = "AEROBENCH_CATALOG"
 
 AIRFOIL_PENALTY = 500.0
@@ -102,7 +102,7 @@ class StandInEvaluator:
         self, points: Sequence[DesignPoint], ops: Sequence[OperatingPoint]
     ) -> list[list[dict]]:
         """Metrics of each of `points` at each of `ops`, one design pass each."""
-        # The builder's space, not the environment's rows: an override keeps a design's metrics.
+        # The builder's space, not an override's: an override keeps a design's metrics.
         return [self.metrics_at(self._space.normalize(p), p, ops) for p in points]
 
     def metrics_at(
@@ -252,7 +252,7 @@ def _airfoil_constraints(*task_constraints: ConstraintSpec) -> list[ConstraintSp
         ConstraintSpec(
             "analysis_confidence",
             "inequality",
-            lambda c: fractional_violation(0.90 - confidence_proxy(c.row), 0.05),
+            lambda c: fractional_violation(0.90 - c.metrics["confidence"], 0.05),
         ),
     ]
 
@@ -267,7 +267,7 @@ def _build_airfoil_single() -> ProblemEnvironment:
 
     def fn(t, point, op, k):
         out = {"CL": t.value(cl), "CD": t.value(cd), "CM": t.value(cm)}
-        out.update(_airfoil_geometry_metrics(point))
+        out.update(_airfoil_geometry_metrics(point), confidence=confidence_proxy(t.u))
         return out
 
     pitching_moment = ConstraintSpec(
@@ -309,7 +309,7 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
             "CL_max": t.value(cl_max),
         }
         if k == 0:
-            out.update(_airfoil_geometry_metrics(point))
+            out.update(_airfoil_geometry_metrics(point), confidence=confidence_proxy(t.u))
         return out
 
     def aggregate(per_point, ops):
@@ -1039,7 +1039,8 @@ def _overridden(env: ProblemEnvironment, data: Any) -> ProblemEnvironment:
             raise SpaceError(
                 f"{env.id}: {new.name} must keep its kind and use only the task's levels"
             )
-    return dataclasses.replace(env, space=space)
+    # The landscape is a function of the builder's cube, which the new space no longer is.
+    return dataclasses.replace(env, space=space, landscape_value=None, landscape_gradient=None)
 
 
 @functools.cache

@@ -198,15 +198,14 @@ class ParamSpace:
                 out.extend(block)
         return np.array(out)
 
-    def decode(self, U: np.ndarray) -> tuple[list[DesignPoint], np.ndarray]:
-        """Map unit-cube rows to points and their rows, one pass per variable kind.
+    def decode(self, U: np.ndarray) -> list[DesignPoint]:
+        """Map unit-cube rows to points, one pass per variable kind.
 
         Rows are clipped to the cube first. A discrete coordinate takes the
         nearest level index, ties toward the lower index; a categorical block
         takes its argmax, the lowest index winning ties. A continuous value
         is clamped to its upper bound, which `lower + 1.0 * (upper - lower)`
-        can round past. Every point is valid, and `rows[i]` is
-        `normalize(points[i])` bit for bit.
+        can round past. Every point is valid.
         """
         U = np.asarray(U, dtype=float)
         if U.ndim != 2 or U.shape[1] != self._relaxed_dim:
@@ -214,28 +213,23 @@ class ParamSpace:
         if not np.isfinite(U).all():
             raise SpaceError("unit-cube vector must be finite")
         T = np.minimum(np.maximum(U, 0.0), 1.0)
-        rows = np.zeros(U.shape)
-        cols, (lo, width, hi) = self._cont_cols, self._bounds
-        x = np.minimum(lo + T[:, cols] * width, hi)
-        rows[:, cols] = (x - lo) / width
+        lo, width, hi = self._bounds
+        x = np.minimum(lo + T[:, self._cont_cols] * width, hi)
         columns = dict(zip(self._cont_names, x.T.tolist()))
         # Level variables are few; a loop over rows is cheaper than numpy calls.
         for c, v in self._level_vars:
             k = len(v.levels)  # type: ignore[arg-type]
             if v.kind == DISCRETE:
                 picks = [math.ceil(t * (k - 1) - 0.5) for t in T[:, c].tolist()]
-                rows[:, c] = [i / (k - 1) for i in picks]
             else:
                 picks = [block.index(max(block)) for block in T[:, c : c + k].tolist()]
-                for i, j in enumerate(picks):
-                    rows[i, c + j] = 1.0
             columns[v.name] = [v.levels[i] for i in picks]  # type: ignore[index]
         values = zip(*(columns[name] for name in self._names))
-        return [DesignPoint(dict(zip(self._names, vals))) for vals in values], rows
+        return [DesignPoint(dict(zip(self._names, vals))) for vals in values]
 
     def denormalize(self, u: Sequence[float]) -> DesignPoint:
         """The point of one unit-cube vector (clipped to the cube): the one-row case of `decode`."""
-        return self.decode(np.asarray(u, dtype=float)[None])[0][0]
+        return self.decode(np.asarray(u, dtype=float)[None])[0]
 
     # -- sampling and projection ------------------------------------------
 

@@ -905,3 +905,22 @@ class TestRefused:
         assert len(lines) == 1 and lines[0].startswith("error: ") and str(path) in lines[0]
         assert captured.out == ""
         assert _files(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ("0-", "--seeds: '0-' is not a seed or a lo-hi range"),
+            ("1.5", "--seeds: '1.5' is not a seed or a lo-hi range"),
+            ("0,a-3", "--seeds: 'a-3' is not a seed or a lo-hi range"),
+            ("-", "--seeds: '-' is not a seed or a lo-hi range"),
+            (",", "--seeds: no seeds given"),
+        ],
+        ids=["open-range", "fraction", "text-in-list", "bare-dash", "no-seeds"],
+    )
+    def test_a_seed_that_is_not_an_int_names_the_flag_and_the_part(self, tmp_path, capsys, seeds, message):
+        argv = ["run", "--task", "delta-ld-single", "--method", "pso", "--seeds", seeds,
+                "--budget", "5", "--out", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert _files(tmp_path) == {}

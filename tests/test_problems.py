@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aerobench.optimizers import BudgetedObjective, OptimizerConfig, method_names, run_with_budget
 from aerobench.problems import (
@@ -158,8 +160,8 @@ def _count_calls(monkeypatch, name):
 def test_one_validation_per_evaluation(monkeypatch):
     # A decoded row is valid by construction and is never validated (the
     # decode property test in test_decode.py proves it); a design from
-    # outside the cube is validated once. The evaluator and the confidence
-    # proxy map it without re-checking.
+    # outside the cube is validated once. The evaluator maps it without
+    # re-checking.
     calls = _count_calls(monkeypatch, "validate")
     env = get_environment("airfoil-drag-multipoint")
     try:
@@ -178,7 +180,7 @@ def test_one_validation_per_evaluation(monkeypatch):
 
 def test_decoded_evaluation_normalizes_once(monkeypatch):
     # Only the stand-in evaluator maps the design; the confidence proxy
-    # reads the decoded row.
+    # reads the evaluator's own unit-cube vector.
     calls = _count_calls(monkeypatch, "normalize")
     env = get_environment("airfoil-drag-multipoint")
     obj = BudgetedObjective(env, budget=1)
@@ -421,6 +423,64 @@ class TestCatalogOverride:
         monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
         with pytest.raises(SpaceError, match="sweep_angle must keep its kind and use only"):
             get_environment("delta-ld-robust")
+
+
+@pytest.mark.parametrize(
+    "task_id, name, change",
+    [
+        ("car-drag-single", "car_size", {"lower": 0.5, "upper": 1.5}),
+        ("delta-ld-single", "root_airfoil", {"levels": ["NACA0010", "NACA0016", "NACA0024"]}),
+    ],
+    ids=["widened-bound", "fewer-levels"],
+)
+def test_an_overridden_task_drops_the_landscape(tmp_path, monkeypatch, task_id, name, change):
+    # The landscape is a function of the builder's cube; under a new space it
+    # would read another design's objective, or refuse a row of the new length.
+    space = get_environment(task_id).space.to_json()
+    for var in space["variables"]:
+        if var["name"] == name:
+            var.update(change)
+    path = tmp_path / "override.json"
+    path.write_text(json.dumps({"tasks": {task_id: {"space": space}}}))
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
+    env = get_environment(task_id)
+    assert env.landscape_value is None and env.landscape_gradient is None
+    assert env.evaluate(env.space.denormalize(np.full(env.space.relaxed_dim, 0.9))).error is None
+
+
+@pytest.fixture(scope="module")
+def widened_tasks(tmp_path_factory):
+    """Every task under an override that widens each continuous bound, unevenly."""
+    tasks = {}
+    for task_id in ALL_TASKS:
+        space = get_environment(task_id).space.to_json()
+        for var in space["variables"]:
+            if var["kind"] == "continuous":
+                width = var["upper"] - var["lower"]
+                var["lower"], var["upper"] = var["lower"] - 0.5 * width, var["upper"] + 0.25 * width
+        tasks[task_id] = {"space": space}
+    path = tmp_path_factory.mktemp("override") / "widened.json"
+    path.write_text(json.dumps({"tasks": tasks}))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CATALOG_ENV_VAR, str(path))
+        return {task_id: get_environment(task_id) for task_id in ALL_TASKS}
+
+
+@given(task_id=st.sampled_from(ALL_TASKS), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_an_override_never_changes_a_designs_reward(widened_tasks, task_id, data):
+    # Designs inside the task's own bounds, its two corners among them, score
+    # the same bits whatever space is searched.
+    env, wide = get_environment(task_id), widened_tasks[task_id]
+    dim = env.space.relaxed_dim
+    coordinate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    drawn = data.draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), max_size=4))
+    U = np.vstack([np.zeros((1, dim)), np.ones((1, dim)), *(np.array([row]) for row in drawn)])
+    points = [env.space.denormalize(u) for u in U]
+    for plain, widened in zip(env.evaluate_batch(points), wide.evaluate_batch(points)):
+        assert plain.error is None and widened.error is None
+        assert widened.reward.hex() == plain.reward.hex()
+        assert widened.metrics == plain.metrics and widened.violations == plain.violations
 
 
 class TestFunctionEnvironment:
