@@ -171,12 +171,10 @@ def rho_matrix(rankings: Sequence[Mapping[str, float]]) -> np.ndarray:
 
 
 def mean_rho(mat: np.ndarray) -> tuple[float, int]:
-    """Mean of a rho matrix's usable (non-NaN) upper-triangle entries, and their count."""
+    """Mean of a rho matrix's usable (non-NaN) upper-triangle entries and their count; NaN, 0 for none."""
     upper = mat[np.triu_indices(len(mat), 1)]
     usable = upper[~np.isnan(upper)]
-    if not usable.size:
-        raise AnalyticsError("no usable ranking pairs")
-    return float(np.mean(usable)), int(usable.size)
+    return (float(np.mean(usable)) if usable.size else math.nan), int(usable.size)
 
 
 def median_iqr(values: Sequence[float]) -> tuple[float, float, float]:
@@ -262,10 +260,12 @@ def write_manifest(root: str, manifest: dict) -> None:
     _write_json(os.path.join(root, "manifest.json"), manifest)
 
 
-def write_run_dir(path: str, trajectory: Trajectory, sense: str) -> None:
-    """Write one seed directory: floats as `repr`, an error row's reward empty."""
+def write_run_dir(root: str, trajectory: Trajectory, sense: str) -> None:
+    """Write a run's `<root>/<task>/<method>/seed<k>/`: floats as `repr`, an error row's reward empty."""
+    config = trajectory.resolved_config
+    path = os.path.join(root, config["task"], config["method"], f"seed{config['seed']}")
     os.makedirs(path, exist_ok=True)
-    _write_json(os.path.join(path, "resolved_config.json"), {**trajectory.resolved_config, "sense": sense})
+    _write_json(os.path.join(path, "resolved_config.json"), {**config, "sense": sense})
     with open(os.path.join(path, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)

@@ -32,7 +32,7 @@ from .diagnostics import (
     build_evidence_bundle,
     worst_status,
 )
-from .optimizers import ConfigurationError, OptimizerConfig, run_with_budget
+from .optimizers import OptimizerConfig, run_with_budget
 from .problems import catalog
 from .problems.subproc import SubprocessEvaluator
 from .space import DesignPoint, ParamSpace, SpaceError
@@ -92,11 +92,12 @@ def _parse_seeds(text: str) -> list[int]:
     for part in filter(None, (part.strip() for part in text.split(","))):
         # A leading "-" is a negative seed, which `OptimizerConfig` refuses by name.
         head, dash, tail = part.partition("-") if part[0] != "-" else (part, "", "")
-        try:
-            lo = int(head)
-            hi = int(tail) if dash else lo
-        except ValueError:
-            raise ValueError(f"--seeds: {part!r} is not a seed or a lo-hi range") from None
+        bounds = [head.removeprefix("-"), tail] if dash else [head.removeprefix("-")]
+        # int() alone would also take "1_0", "+3" and non-ASCII digits such as "٣".
+        if not all(bound.isascii() and bound.isdigit() for bound in bounds):
+            raise ValueError(f"--seeds: {part!r} is not a seed or a lo-hi range")
+        lo = int(head)
+        hi = int(tail) if dash else lo
         if lo > hi:
             raise ValueError(f"--seeds: seed range {part!r} is empty")
         seeds.extend(range(lo, hi + 1))
@@ -158,22 +159,16 @@ def _execute_run(
     method: str,
     seed: int,
     budget: int,
-    out_dir: str,
+    out: str,
     warmstart: list[DesignPoint],
     evaluator: SubprocessEvaluator | None,
-) -> str | None:
-    """Run one (task, method, seed) cell on `evaluator` (None: the stand-in); returns an error string or None."""
+) -> None:
+    """Run one (task, method, seed) cell on `evaluator` (None: the stand-in) and write it under `out`."""
     env = catalog.get_environment(task)
     if evaluator is not None:
         env = env.with_evaluator(evaluator)
-    try:
-        config = OptimizerConfig(method=method, budget=budget, seed=seed)
-        trajectory = run_with_budget(env, config, warmstart=warmstart)
-    except ConfigurationError as exc:
-        return f"{task}/{method}/seed{seed}: {exc}"
-
-    analytics.write_run_dir(out_dir, trajectory, env.sense)
-    return None
+    config = OptimizerConfig(method=method, budget=budget, seed=seed)
+    analytics.write_run_dir(out, run_with_budget(env, config, warmstart=warmstart), env.sense)
 
 
 _worker_evaluator: SubprocessEvaluator | None = None  # a pool worker's child (None: the stand-in)
@@ -188,8 +183,8 @@ def _start_worker(evaluator_command: list[str] | None) -> None:
         multiprocessing.util.Finalize(None, _worker_evaluator.close, exitpriority=0)
 
 
-def _run_cell(cell: tuple) -> str | None:
-    return _execute_run(*cell, _worker_evaluator)
+def _run_cell(cell: tuple) -> None:
+    _execute_run(*cell, _worker_evaluator)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -205,10 +200,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     _distinct(tasks, "tasks")
     _distinct(methods, "methods")
     seeds = _parse_seeds(args.seeds)
-    for method in methods:
-        for seed in seeds:
-            OptimizerConfig(method=method, budget=args.budget, seed=seed)
     spaces = {task: catalog.get_environment(task).space for task in tasks}
+    for method in methods:
+        configs = [OptimizerConfig(method=method, budget=args.budget, seed=seed) for seed in seeds]
+        # Options do not depend on the seed, so one config asks the method about each task.
+        for task, space in spaces.items():
+            configs[0].check(space, task)
     warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else {}
 
     manifest = {
@@ -228,9 +225,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     analytics.write_manifest(args.out, manifest)
 
     cells = [
-        (task, method, seed, args.budget,
-         os.path.join(args.out, task, method, f"seed{seed}"),
-         warm.get(task, []))
+        (task, method, seed, args.budget, args.out, warm.get(task, []))
         for task in tasks
         for method in methods
         for seed in seeds
@@ -240,16 +235,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=args.jobs, initializer=_start_worker, initargs=(evaluator_command,)
         ) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
+            list(pool.map(_run_cell, cells))
     else:
         evaluator = SubprocessEvaluator(evaluator_command) if evaluator_command else None
         with contextlib.closing(evaluator) if evaluator else contextlib.nullcontext():
-            outcomes = [_execute_run(*cell, evaluator) for cell in cells]
-    errors = [err for err in outcomes if err]
-    for err in errors:
-        print(f"error: {err}", file=sys.stderr)
-    print(f"completed {len(cells) - len(errors)}/{len(cells)} runs under {args.out}")
-    return 1 if errors else 0
+            for cell in cells:
+                _execute_run(*cell, evaluator)
+    print(f"completed {len(cells)}/{len(cells)} runs under {args.out}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +265,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     written = analytics.write_convergence_data(run_set, os.path.join(args.out, "convergence"))
     for task, absent in table.missing.items():
         print(f"note: {task}: no usable runs for {', '.join(absent)} (flagged N/A)")
-    try:
-        rho, pairs = analytics.mean_rho(mat)
+    rho, pairs = analytics.mean_rho(mat)
+    if pairs:
         print(f"mean pairwise Spearman rho at 100% budget: {rho:.6f} over {pairs} usable pairs")
-    except analytics.AnalyticsError:
+    else:
         print("mean pairwise Spearman rho at 100% budget: N/A "
               "(no two rankings share 3 methods that do not all tie)")
     print(

@@ -8,11 +8,13 @@ it does not apply to, and its proposal logic, `run(dim, rng, opts, warm,
 budget, warn)`: a generator that yields `(iteration, U)`, a `(k, dim)` batch
 of unit-cube rows (`dim` is the space's `relaxed_dim`), and is sent back one
 reward per row (maximization sense, -inf for an evaluator error).
-`run_with_budget` is the only evaluation loop, and it names no method. It
-types the options and runs `check` before anything is evaluated, seeds the
-RNG, charges warm-start designs at iteration 0, evaluates batches until the
-budget is spent, spends budget a method leaves on uniform samples, and
-returns the trajectory plus the resolved configuration that reproduces it.
+`OptimizerConfig` types the options once, and its `check(space, task)` asks
+the method about a task without running it. `run_with_budget` is the only
+evaluation loop, and it names no method. It runs `check` before anything is
+evaluated, seeds the RNG, charges warm-start designs at iteration 0,
+evaluates batches until the budget is spent, spends budget a method leaves
+on uniform samples, and returns the trajectory plus the resolved
+configuration that reproduces it.
 Warm-start designs, each yielded batch and the leftover samples each go to
 the environment as one batch. Warm-start designs are projected by `clip`,
 evaluated, and normalized once for the method, so their rows lie in [0, 1].
@@ -25,12 +27,13 @@ import importlib
 import math
 import sys
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
 from ..problems.catalog import CATALOG_VERSION
-from ..space import DesignPoint
+from ..space import DesignPoint, ParamSpace
 from .base import BudgetedObjective, ConfigurationError, Trajectory
 
 # Method name -> its module, None until the first lookup imports it.
@@ -51,6 +54,10 @@ def _method(name: str):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """One method's run settings. `options` becomes the method's defaults
+    updated by the given options, each typed by `_typed`, read-only: exactly
+    what the method reads and `resolved_config.json` records."""
+
     method: str
     budget: int
     seed: int
@@ -68,22 +75,22 @@ class OptimizerConfig:
             raise ConfigurationError("budget must be >= 1")
         if not 0 <= self.seed < 2**128:
             raise ConfigurationError(f"seed {self.seed} is not a Philox key: need 0 <= seed < 2**128")
-        resolved_options(self)
+        if not isinstance(self.options, Mapping):
+            raise ConfigurationError(f"options must be a mapping, got {self.options!r}")
+        defaults = _method(self.method).DEFAULTS
+        unknown = set(self.options) - set(defaults)
+        if unknown:
+            raise ConfigurationError(f"{self.method}: unknown options {sorted(unknown)}")
+        typed = {name: _typed(self.method, name, v, defaults[name]) for name, v in self.options.items()}
+        object.__setattr__(self, "options", MappingProxyType({**defaults, **typed}))
 
-
-def resolved_options(config: OptimizerConfig) -> dict:
-    """The method's defaults updated by the given options, each typed by `_typed`:
-    exactly what the method reads and `resolved_config.json` records."""
-    if not isinstance(config.options, Mapping):
-        raise ConfigurationError(f"options must be a mapping, got {config.options!r}")
-    defaults = _method(config.method).DEFAULTS
-    unknown = set(config.options) - set(defaults)
-    if unknown:
-        raise ConfigurationError(f"{config.method}: unknown options {sorted(unknown)}")
-    return {
-        **defaults,
-        **{name: _typed(config.method, name, v, defaults[name]) for name, v in config.options.items()},
-    }
+    def check(self, space: ParamSpace, task: str) -> None:
+        """Raise ConfigurationError naming `task` and the method if the
+        method's `check` refuses these options on `space`."""
+        try:
+            _method(self.method).check(self.options, space)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{task}/{self.method}: {exc}") from None
 
 
 def _is_int(value) -> bool:
@@ -114,17 +121,15 @@ def run_with_budget(
     warmstart: Sequence[DesignPoint] = (),
 ) -> Trajectory:
     """Run one method on one task under a hard evaluation budget."""
-    module = _method(config.method)
     space = env.space
-    options = resolved_options(config)
-    module.check(options, space)
+    config.check(space, env.id)
     obj = BudgetedObjective(env, config.budget)
     resolved = {
         "method": config.method,
         "budget": config.budget,
         "seed": config.seed,
         "task": env.id,
-        "options": options,
+        "options": dict(config.options),
         "n_warmstart": len(warmstart),
         "catalog_version": CATALOG_VERSION,
         "harness_version": _harness_version,
@@ -133,7 +138,8 @@ def run_with_budget(
     clipped = [space.clip(point) for point in warmstart[: config.budget]]
     warm_rewards = obj.evaluate_decoded(clipped, 0).tolist() if clipped else []
     warm = [(space.normalize(p), reward) for p, reward in zip(clipped, warm_rewards)]
-    proposals = module.run(space.relaxed_dim, rng, options, warm, obj.remaining, obj.warnings.append)
+    module = _method(config.method)
+    proposals = module.run(space.relaxed_dim, rng, config.options, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:
         while obj.remaining:
@@ -163,6 +169,5 @@ __all__ = [
     "OptimizerConfig",
     "Trajectory",
     "method_names",
-    "resolved_options",
     "run_with_budget",
 ]

@@ -138,9 +138,9 @@ class TestMeanPairwiseSpearman:
         r3 = {"a": 1.0, "x": 2.0, "y": 3.0}  # only 1 shared with r1/r2
         assert mean_rho(rho_matrix([r1, r2, r3]))[0] == pytest.approx(1.0)
 
-    def test_no_usable_pairs_raises(self):
-        with pytest.raises(AnalyticsError):
-            mean_rho(rho_matrix([{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 1.0}]))
+    def test_no_usable_pairs_give_nan_and_zero(self):
+        rho, pairs = mean_rho(rho_matrix([{"a": 1.0, "b": 2.0}, {"a": 2.0, "b": 1.0}]))
+        assert math.isnan(rho) and pairs == 0
 
     def test_near_zero_for_independent_rankings(self):
         rng = np.random.Generator(np.random.Philox(key=9))
@@ -279,14 +279,15 @@ class TestRunIngestion:
         trajectory = run_with_budget(env, OptimizerConfig(method=method, budget=34, seed=2), warm)
         assert len(trajectory) == 34 and sum(r.error is not None for r in trajectory.records) == 2
         write_run_dir(str(tmp_path), trajectory, env.sense)
-        run = read_run_dir(str(tmp_path))
+        cell = tmp_path / "delta-ld-single" / method / "seed2"
+        run = read_run_dir(str(cell))
         config = trajectory.resolved_config
         assert (run.task, run.method, run.seed, run.budget) == tuple(
             config[key] for key in ("task", "method", "seed", "budget")
         )
         written = [None if r.error else r.reward.hex() for r in trajectory.records]
         assert [None if r is None else r.hex() for r in run.rewards] == written
-        with open(tmp_path / "resolved_config.json") as fh:
+        with open(cell / "resolved_config.json") as fh:
             assert json.load(fh) == {**config, "sense": env.sense}
 
     def test_duplicate_runs_rejected(self):

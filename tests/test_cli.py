@@ -455,6 +455,24 @@ class TestRun:
         assert (cells["warned"] / "warnings.txt").read_text() == "first warning\nsecond warning\n"
         assert _read(cells["quiet"] / "results.csv") == _read(cells["warned"] / "results.csv")
 
+    def test_a_method_that_refuses_one_task_refuses_the_grid_before_writing(self, tmp_path, capsys, monkeypatch):
+        pso = optimizers._method("pso")
+        refused = catalog.get_environment("car-drag-single").space.names
+
+        def check(opts, space):
+            if space.names == refused:
+                raise optimizers.ConfigurationError("does not apply to this space")
+
+        stub = types.SimpleNamespace(DEFAULTS=pso.DEFAULTS, check=check, run=pso.run)
+        monkeypatch.setitem(optimizers._METHODS, "pso", stub)
+        argv = ["run", "--task", "delta-ld-single,car-drag-single", "--method", "pso", "--seeds", "0",
+                "--budget", "5", "--out", str(tmp_path / "runs")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: car-drag-single/pso: does not apply to this space\n"
+        assert captured.out == ""
+        assert _files(tmp_path) == {}
+
     def test_warmstart_csv(self, tmp_path):
         env = catalog.get_environment("delta-ld-single")
         try:
@@ -914,8 +932,13 @@ class TestRefused:
             ("0,a-3", "--seeds: 'a-3' is not a seed or a lo-hi range"),
             ("-", "--seeds: '-' is not a seed or a lo-hi range"),
             (",", "--seeds: no seeds given"),
+            ("1_0", "--seeds: '1_0' is not a seed or a lo-hi range"),
+            ("+3", "--seeds: '+3' is not a seed or a lo-hi range"),
+            ("\u0663", "--seeds: '\u0663' is not a seed or a lo-hi range"),
+            ("3-+5", "--seeds: '3-+5' is not a seed or a lo-hi range"),
         ],
-        ids=["open-range", "fraction", "text-in-list", "bare-dash", "no-seeds"],
+        ids=["open-range", "fraction", "text-in-list", "bare-dash", "no-seeds", "digit-separator", "plus-sign",
+             "arabic-indic-digit", "plus-sign-in-range"],
     )
     def test_a_seed_that_is_not_an_int_names_the_flag_and_the_part(self, tmp_path, capsys, seeds, message):
         argv = ["run", "--task", "delta-ld-single", "--method", "pso", "--seeds", seeds,

@@ -9,7 +9,6 @@ from aerobench.optimizers import (
     ConfigurationError,
     OptimizerConfig,
     method_names,
-    resolved_options,
     run_with_budget,
 )
 from aerobench.optimizers.base import fd_gradient
@@ -34,6 +33,7 @@ from aerobench.problems import (
     EvaluationError,
     function_environment,
     get_environment,
+    task_ids,
 )
 from aerobench.space import (
     CATEGORICAL,
@@ -120,10 +120,10 @@ class TestConfig:
         config = OptimizerConfig(
             method="cmaes", budget=10, seed=0, options={"sigma0": 1, "popsize": 6, "mu": None}
         )
-        resolved = resolved_options(config)
+        resolved = config.options
         assert resolved == {"sigma0": 1.0, "popsize": 6, "mu": None}
         assert type(resolved["sigma0"]) is float
-        assert resolved_options(OptimizerConfig(method="pso", budget=10, seed=0)) == pso.DEFAULTS
+        assert OptimizerConfig(method="pso", budget=10, seed=0).options == pso.DEFAULTS
 
     @pytest.mark.parametrize(
         "method, options, message",
@@ -300,6 +300,12 @@ class TestLbfgsb:
         # The same warm start runs under a method that applies to the space.
         run_with_budget(env, OptimizerConfig(method="pso", budget=10, seed=0), warm)
         assert len(evaluated) == 10
+
+    def test_a_refusal_names_the_task_and_the_method(self):
+        space = ParamSpace(variables=(VariableSpec(name="k", kind=CATEGORICAL, levels=("a", "b")),))
+        config = OptimizerConfig(method="lbfgsb", budget=10, seed=0)
+        with pytest.raises(ConfigurationError, match="^words/lbfgsb: gradient-based search is undefined"):
+            config.check(space, "words")
 
     def test_convex_quadratic_convergence(self):
         # Rotated convex quadratic with optimum off-center.
@@ -926,6 +932,13 @@ class TestEvolve:
 
 
 class TestOnCatalogTasks:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_applies_to_every_task_with_its_defaults(self, method):
+        # `aerobench run` sets no options, so no cell of a catalog grid is refused.
+        config = OptimizerConfig(method=method, budget=1, seed=0)
+        for task_id in task_ids():
+            config.check(get_environment(task_id).space, task_id)
+
     @pytest.mark.parametrize("task_id", ["delta-ld-single", "ceras-fuel-mixed"])
     @pytest.mark.parametrize("method", ["pso", "evolve", "cmaes"])
     def test_mixed_spaces_supported(self, task_id, method):

@@ -207,12 +207,18 @@ def test_the_hook_check_sees_every_way_of_naming_a_hook_but_prose():
     assert _evaluator_hook_names(tree) == [2, 3, 4, 5, 6]
 
 
-def _exit_one_handlers(tree: ast.Module) -> list[str]:
-    """Per `except` handler that returns 1, the name of the innermost function holding it."""
+def _handler_owners(tree: ast.Module) -> dict[ast.ExceptHandler, str]:
+    """Each `except` handler inside a function, and the name of the innermost function holding it."""
     owner = {}
     for func in ast.walk(tree):  # outer functions come first, so an inner one overwrites them
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((node, func.name) for node in ast.walk(func) if isinstance(node, ast.ExceptHandler))
+    return owner
+
+
+def _exit_one_handlers(tree: ast.Module) -> list[str]:
+    """Per `except` handler that returns 1, the name of the innermost function holding it."""
+    owner = _handler_owners(tree)
     return [
         owner.get(handler, "<module>")
         for handler in ast.walk(tree)
@@ -240,6 +246,35 @@ def test_the_exit_check_sees_every_handler_that_returns_one():
         "        try:\n            g()\n        except csv.Error:\n            return 1\n"
     )
     assert _exit_one_handlers(tree) == ["main", "cmd", "inner"]
+
+
+def _handlers_not_ending_in_raise(tree: ast.Module) -> list[str]:
+    """Per `except` handler whose last statement is not a `raise`, the name of the innermost function holding it."""
+    owner = _handler_owners(tree)
+    return [
+        owner.get(handler, "<module>")
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and not isinstance(handler.body[-1], ast.Raise)
+    ]
+
+
+def test_every_handler_in_cli_outside_main_ends_by_raising():
+    # A handler that ends otherwise turns a refusal into a value, a print or a skipped step; only main reports one.
+    assert _handlers_not_ending_in_raise(_tree(SRC / "aerobench" / "cli.py")) == ["main"]
+
+
+def test_the_raise_check_sees_every_handler_that_does_not_end_by_raising():
+    tree = ast.parse(
+        "def main():\n"
+        "    try:\n        run()\n    except ValueError:\n        return 1\n"
+        "def cmd():\n"
+        "    try:\n        f()\n    except KeyError as exc:\n        raise ValueError(exc) from None\n"
+        "    except OSError:\n        raise\n"
+        "    except TypeError:\n        if strict:\n            raise\n"
+        "    def inner():\n"
+        "        try:\n            g()\n        except csv.Error as exc:\n            return str(exc)\n"
+    )
+    assert _handlers_not_ending_in_raise(tree) == ["main", "cmd", "inner"]
 
 
 def _child_starts(tree: ast.Module) -> list[int]:
