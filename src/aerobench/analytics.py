@@ -301,6 +301,9 @@ def read_run_dir(path: str) -> RunRecord:
         value = config[key]
         if not isinstance(value, int) or isinstance(value, bool):
             raise AnalyticsError(f"{path}: resolved_config.json {key} must be an integer, got {value!r}")
+    if config["budget"] < 1:
+        # Below 1, every fraction would rank the run by its first evaluation alone.
+        raise AnalyticsError(f"{path}: resolved_config.json budget must be at least 1, got {config['budget']}")
     for key in ("task", "method"):
         value = config[key]
         # compare names its convergence files after them.

@@ -2,6 +2,7 @@
 design diagnostics.
 
 `run` decides what goes into a run directory; `analytics` writes and reads it.
+A command reads each input file once; this module alone reads the environment.
 `run` alone starts an evaluator child, one per worker, and closes it when that worker ends.
 A command raises on an input or output it cannot use before its first write;
 `main` alone reports `OSError`, `ValueError` and `csv.Error` as one `error:`
@@ -16,6 +17,7 @@ import contextlib
 import csv
 import datetime
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -43,13 +45,38 @@ __all__ = ["RESULTS_HEADER", "build_parser", "main"]
 _DIAGNOSE_EXIT = {STATUS_WARNING: 2, STATUS_ISSUE: 3, STATUS_ERROR: 3}
 
 
+def _input_file(path: str) -> tuple[dict, bytes]:
+    """The manifest record (absolute path, SHA-256) of an input file, and the bytes it hashes."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return {"path": os.path.abspath(path), "sha256": hashlib.sha256(data).hexdigest()}, data
+
+
+def _catalog_override() -> tuple[dict | None, dict[str, ParamSpace]]:
+    """The `AEROBENCH_CATALOG` file's manifest record (None if unset) and each named task's space.
+
+    A file that cannot be read raises OSError; a bad or refused one raises SpaceError naming it.
+    """
+    path = os.environ.get(catalog.CATALOG_ENV_VAR)
+    if not path:
+        return None, {}
+    record, data = _input_file(path)
+    try:
+        return record, catalog.overridden_spaces(json.loads(data.decode()))
+    except KeyError as exc:
+        raise SpaceError(f"catalog override {path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:  # ValueError covers SpaceError, bad JSON and undecodable text
+        raise SpaceError(f"catalog override {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # list
 # ---------------------------------------------------------------------------
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    entries = [catalog.get_environment(task_id).describe() for task_id in catalog.task_ids()]
+    _, overrides = _catalog_override()
+    entries = [catalog.get_environment(t).with_space(overrides.get(t)).describe() for t in catalog.task_ids()]
     for clause in args.filter or []:
         if "=" not in clause:
             raise ValueError(f"filter must be key=value, got {clause!r}")
@@ -127,13 +154,13 @@ def _evaluator_argv(command: str | None) -> list[str] | None:
     return argv
 
 
-def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[DesignPoint]]:
-    """Every row of the warm-start CSV read into each task's space by `clip`."""
-    with open(path, newline="") as fh:
-        try:
-            rows = list(csv.DictReader(fh))
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> tuple[dict, dict[str, list[DesignPoint]]]:
+    """The warm-start CSV's manifest record, and every row of it read into each task's space by `clip`."""
+    record, data = _input_file(path)
+    try:
+        rows = list(csv.DictReader(io.StringIO(data.decode(), newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     warm = {}
     for task, space in spaces.items():
         warm[task] = []
@@ -143,15 +170,7 @@ def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> dict[str, list[
                 warm[task].append(space.clip(point))
             except SpaceError as exc:
                 raise SpaceError(f"warm-start row {n} for {task}: {exc}") from None
-    return warm
-
-
-def _input_file(path: str | None) -> dict | None:
-    """The absolute path and SHA-256 of an input that changes a run's rewards; None if not given."""
-    if not path:
-        return None
-    with open(path, "rb") as fh:
-        return {"path": os.path.abspath(path), "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    return record, warm
 
 
 def _execute_run(
@@ -160,11 +179,13 @@ def _execute_run(
     seed: int,
     budget: int,
     out: str,
+    space: ParamSpace | None,
     warmstart: list[DesignPoint],
     evaluator: SubprocessEvaluator | None,
 ) -> None:
-    """Run one (task, method, seed) cell on `evaluator` (None: the stand-in) and write it under `out`."""
-    env = catalog.get_environment(task)
+    """Run one (task, method, seed) cell over `space` (None: the task's own) on `evaluator` (None:
+    the stand-in), and write it under `out`."""
+    env = catalog.get_environment(task).with_space(space)
     if evaluator is not None:
         env = env.with_evaluator(evaluator)
     config = OptimizerConfig(method=method, budget=budget, seed=seed)
@@ -200,13 +221,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     _distinct(tasks, "tasks")
     _distinct(methods, "methods")
     seeds = _parse_seeds(args.seeds)
-    spaces = {task: catalog.get_environment(task).space for task in tasks}
+    override_file, overrides = _catalog_override()
+    spaces = {task: catalog.get_environment(task).with_space(overrides.get(task)).space for task in tasks}
     for method in methods:
         configs = [OptimizerConfig(method=method, budget=args.budget, seed=seed) for seed in seeds]
         # Options do not depend on the seed, so one config asks the method about each task.
         for task, space in spaces.items():
             configs[0].check(space, task)
-    warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else {}
+    warm_file, warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else (None, {})
 
     manifest = {
         "tasks": tasks,
@@ -214,18 +236,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         "seeds": seeds,
         "budget": args.budget,
         "evaluator": evaluator_command,
-        "catalog_override": _input_file(os.environ.get(catalog.CATALOG_ENV_VAR)),
-        "warmstart": _input_file(args.warmstart),
+        "catalog_override": override_file,
+        "warmstart": warm_file,
         "output_root": os.path.abspath(args.out),
         "catalog_version": catalog.CATALOG_VERSION,
         "harness_version": __version__,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    # Manifest goes down before any evaluation happens.
+    # Manifest goes down before any evaluation happens; every cell searches the spaces it records.
     analytics.write_manifest(args.out, manifest)
 
     cells = [
-        (task, method, seed, args.budget, args.out, warm.get(task, []))
+        (task, method, seed, args.budget, args.out, overrides.get(task), warm.get(task, []))
         for task in tasks
         for method in methods
         for seed in seeds
@@ -299,7 +321,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     payload = _read_json(args.metrics)
     if not isinstance(design, dict) or not isinstance(payload, dict):
         raise ValueError("design and metrics files must contain JSON objects")
-    env = catalog.get_environment(args.task)
+    _, overrides = _catalog_override()
+    env = catalog.get_environment(args.task).with_space(overrides.get(args.task))
     inputs = DiagnosticInputs(
         environment=payload.get("environment", args.task),
         design_id=design.get("name") or payload.get("design_id", "design"),

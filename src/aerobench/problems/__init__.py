@@ -7,7 +7,6 @@ from .base import (
     function_environment,
 )
 from .catalog import (
-    CATALOG_ENV_VAR,
     catalog_json,
     get_environment,
     task_ids,
@@ -22,7 +21,6 @@ __all__ = [
     "OperatingPoint",
     "ProblemEnvironment",
     "function_environment",
-    "CATALOG_ENV_VAR",
     "catalog_json",
     "get_environment",
     "task_ids",

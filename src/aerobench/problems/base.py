@@ -226,6 +226,12 @@ class ProblemEnvironment:
         """This task on `evaluator`, without the landscape, which is the old evaluator's objective."""
         return replace(self, evaluator=evaluator, landscape_value=None, landscape_gradient=None)
 
+    def with_space(self, space: ParamSpace | None) -> "ProblemEnvironment":
+        """This task searching `space` (None: its own); another space drops the built cube's landscape."""
+        if space is None:
+            return self
+        return replace(self, space=space, landscape_value=None, landscape_gradient=None)
+
     def describe(self) -> dict:
         """Catalog entry: structured metadata without the evaluator."""
         kinds = sorted({v.kind for v in self.space.variables})

@@ -21,10 +21,8 @@ the per-model path. `get_environment` builds each task once per process.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
-import os
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -150,8 +148,9 @@ def _stand_in_env(
 
     `models` are the metric models `fn` reads. The landscape value is the
     raw objective the design pass produces at u, so the two cannot drift
-    apart.
+    apart. The profile's `angle_params` are the space's variables in degrees.
     """
+    angles = [v.name for v in space.variables if v.unit == "deg"]
     evaluator = StandInEvaluator(space, fn, models)
 
     def value(u: np.ndarray) -> float:
@@ -169,7 +168,7 @@ def _stand_in_env(
         aggregate=aggregate,
         landscape_value=value,
         landscape_gradient=gradient,
-        diagnostics_profile=profile,
+        diagnostics_profile={"angle_params": angles, **profile} if angles else profile,
         objective_label=label,
     )
 
@@ -418,7 +417,6 @@ def _build_delta_single() -> ProblemEnvironment:
         (0.3, 1.2),
         (0.01, 0.08),
         {
-            "angle_params": ["sweep_angle"],
             "required_metrics": ["CL", "CD"],
             "compat_token": "delta-wing",
         },
@@ -457,7 +455,6 @@ def _build_delta_robust() -> ProblemEnvironment:
         sense=MAXIMIZE,
         gradient=grad,
         profile={
-            "angle_params": ["sweep_angle"],
             "required_metrics": ["LD_worst"],
             "compat_token": "delta-wing",
         },
@@ -496,7 +493,6 @@ def _build_delta_multiobjective() -> ProblemEnvironment:
         sense=MAXIMIZE,
         gradient=grad,
         profile={
-            "angle_params": ["sweep_angle"],
             "required_metrics": ["LD", "abs_CM"],
             "compat_token": "delta-wing",
             "pareto_axes": [["LD", "maximize"], ["abs_CM", "minimize"]],
@@ -610,7 +606,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         sense=MINIMIZE,
         gradient=grad,
         profile={
-            "angle_params": ["sweep_inner", "sweep_mid", "sweep_outer"],
             "required_metrics": ["CD_int_mean"],
             "compat_token": "bwb-9p",
         },
@@ -690,7 +685,6 @@ def _build_transonic_single() -> ProblemEnvironment:
         sense=MINIMIZE,
         gradient=grad,
         profile={
-            "angle_params": list(_TRANSONIC_ANGLES),
             "required_metrics": ["CL", "CD"],
             "compat_token": "swept-wing-38p",
         },
@@ -760,7 +754,6 @@ def _build_transonic_range() -> ProblemEnvironment:
         sense=MINIMIZE,
         gradient=grad,
         profile={
-            "angle_params": list(_TRANSONIC_ANGLES),
             "required_metrics": ["range_objective"],
             "compat_token": "swept-wing-38p",
         },
@@ -799,10 +792,6 @@ def _build_cca() -> ProblemEnvironment:
         (0.2, 1.2),
         (0.02, 0.12),
         {
-            "angle_params": [
-                "dihedral_angle", "inlet_angle_1", "inlet_angle_2",
-                "fore_top_angle", "aft_top_angle",
-            ],
             "required_metrics": ["CL", "CD"],
             "compat_token": "cca-16p",
         },
@@ -880,7 +869,6 @@ def _build_car() -> ProblemEnvironment:
         sense=MINIMIZE,
         gradient=grad,
         profile={
-            "angle_params": list(CAR_ANGLE_PARAMS),
             "scale_param": "car_size",
             "width_param": "car_width",
             "length_param": "car_len",
@@ -942,7 +930,6 @@ def _build_ceras() -> ProblemEnvironment:
         sense=MINIMIZE,
         gradient=fuel.gradient,
         profile={
-            "angle_params": ["sweep_wing"],
             "required_metrics": ["FuelMass", "StaticMargin"],
             "compat_token": "ceras-a320",
             "tags": ["mixed"],
@@ -972,7 +959,6 @@ def _build_sta() -> ProblemEnvironment:
         (0.08, 0.4),
         (0.008, 0.05),
         {
-            "angle_params": ["sweep_inboard", "sweep_outboard"],
             "required_metrics": ["CL", "CD"],
             "compat_token": "sta-cruise",
             "tags": ["mixed"],
@@ -1005,22 +991,23 @@ def task_ids() -> list[str]:
     return list(_BUILDERS)
 
 
-def _apply_space_override(env: ProblemEnvironment, path: str) -> ProblemEnvironment:
-    """`env` with the space that the override file at `path` gives it, if any.
+@functools.cache
+def get_environment(task_id: str) -> ProblemEnvironment:
+    """The catalog task `task_id` as its builder makes it, built once per process.
 
-    A file that cannot be opened raises OSError. One that is not JSON, is
-    malformed or is refused raises SpaceError naming the file.
+    Its stand-in evaluator holds no state between calls; an overridden space is a copy (`with_space`).
     """
-    with open(path) as fh:
-        try:
-            return _overridden(env, json.load(fh))
-        except KeyError as exc:
-            raise SpaceError(f"catalog override {path}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:  # ValueError covers SpaceError, JSONDecodeError
-            raise SpaceError(f"catalog override {path}: {exc}") from None
+    if task_id not in _BUILDERS:
+        raise KeyError(f"unknown task {task_id!r}; known: {', '.join(_BUILDERS)}")
+    return _BUILDERS[task_id]()
 
 
-def _overridden(env: ProblemEnvironment, data: Any) -> ProblemEnvironment:
+def overridden_spaces(data: Any) -> dict[str, ParamSpace]:
+    """The space that a parsed catalog override gives each task it names.
+
+    An unknown task id, a changed variable name or kind, or a level the task
+    does not have raises SpaceError; a missing key raises KeyError.
+    """
     tasks = data.get("tasks") if isinstance(data, dict) else None
     # Accept both the catalog export shape (list of entries with "id")
     # and a terser mapping of task id -> entry.
@@ -1028,41 +1015,21 @@ def _overridden(env: ProblemEnvironment, data: Any) -> ProblemEnvironment:
         tasks = {t["id"]: t for t in tasks}
     if not isinstance(tasks, dict):
         raise SpaceError('needs an object with a "tasks" list or mapping')
-    if env.id not in tasks:
-        return env
-    space = ParamSpace.from_json(tasks[env.id]["space"])
-    if space.names != env.space.names:
-        raise SpaceError(f"{env.id} must keep the variable names")
-    # The stand-in evaluator maps a design by the task's own kinds and levels.
-    for new, old in zip(space.variables, env.space.variables):
-        if new.kind != old.kind or not set(new.levels or ()) <= set(old.levels or ()):
-            raise SpaceError(
-                f"{env.id}: {new.name} must keep its kind and use only the task's levels"
-            )
-    # The landscape is a function of the builder's cube, which the new space no longer is.
-    return dataclasses.replace(env, space=space, landscape_value=None, landscape_gradient=None)
-
-
-@functools.cache
-def _built(task_id: str) -> ProblemEnvironment:
-    """The task as its builder makes it, built once per process."""
-    return _BUILDERS[task_id]()
-
-
-def get_environment(task_id: str) -> ProblemEnvironment:
-    """The catalog task `task_id`.
-
-    Each task is built once per process. The catalog override gives a
-    `dataclasses.replace` copy, so the built task is never changed; its
-    stand-in evaluator holds no state between calls.
-    """
-    if task_id not in _BUILDERS:
-        raise KeyError(f"unknown task {task_id!r}; known: {', '.join(_BUILDERS)}")
-    env = _built(task_id)
-    override = os.environ.get(CATALOG_ENV_VAR)
-    if override:
-        env = _apply_space_override(env, override)
-    return env
+    spaces = {}
+    for task_id, entry in tasks.items():
+        if task_id not in _BUILDERS:
+            raise SpaceError(f"unknown task {task_id!r}")
+        built, space = get_environment(task_id).space, ParamSpace.from_json(entry["space"])
+        if space.names != built.names:
+            raise SpaceError(f"{task_id} must keep the variable names")
+        # The stand-in evaluator maps a design by the task's own kinds and levels.
+        for new, old in zip(space.variables, built.variables):
+            if new.kind != old.kind or not set(new.levels or ()) <= set(old.levels or ()):
+                raise SpaceError(
+                    f"{task_id}: {new.name} must keep its kind and use only the task's levels"
+                )
+        spaces[task_id] = space
+    return spaces
 
 
 def catalog_json() -> dict:

@@ -11,7 +11,7 @@ import types
 import pytest
 
 import aerobench
-from aerobench import cli, optimizers
+from aerobench import analytics, cli, optimizers
 from aerobench.analytics import RESULTS_HEADER
 from aerobench.cli import main
 from aerobench.problems import catalog
@@ -129,7 +129,8 @@ def _override_space(mutate):
 
 
 # Catalog override files that every command refuses, with a part of the
-# message; each names delta-ld-robust, the task `run` and `diagnose` use.
+# message; each names delta-ld-robust, the task `run` and `diagnose` use, or
+# misspells it.
 BAD_OVERRIDES = {
     "unknown-level": (
         {"tasks": {"delta-ld-robust": {"space": _override_space(
@@ -154,6 +155,10 @@ BAD_OVERRIDES = {
     "variable-without-name": (
         {"tasks": {"delta-ld-robust": {"space": _override_space(lambda vs: vs[1].pop("name"))}}},
         "missing key 'name'",
+    ),
+    "unknown-task": (
+        {"tasks": {"delta-ld-robsut": {"space": _override_space(lambda vs: None)}}},
+        "unknown task 'delta-ld-robsut'",
     ),
     "not-json": ("{", "Expecting property name"),
     "missing-file": (None, "No such file or directory"),
@@ -283,6 +288,36 @@ class TestRun:
         assert self._run("runs", extra) == 0
         manifest = json.loads(_read(tmp_path / "runs" / "manifest.json"))
         assert {key: manifest[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("rewrite", ["narrowed", "malformed"])
+    def test_every_cell_searches_the_override_the_manifest_records(self, tmp_path, monkeypatch, rewrite):
+        # The override is read once, before the manifest, so a file rewritten
+        # after the first cell changes no cell and refuses none.
+        space = catalog.get_environment("car-drag-single").space.to_json()
+        car_size = next(var for var in space["variables"] if var["name"] == "car_size")
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps({"tasks": {"car-drag-single": {"space": space}}}))
+        car_size.update(lower=1.1, upper=1.2)
+        rewritten = "{" if rewrite == "malformed" else json.dumps({"tasks": {"car-drag-single": {"space": space}}})
+        monkeypatch.setenv(catalog.CATALOG_ENV_VAR, str(override))
+        grid = ["--task", "car-drag-single", "--seeds", "0,1", "--budget", "8"]
+        assert self._run(tmp_path / "steady", grid) == 0
+        read = _read(override)
+
+        write_run_dir = analytics.write_run_dir
+
+        def write_then_rewrite(*args):
+            write_run_dir(*args)
+            override.write_text(rewritten)
+
+        monkeypatch.setattr(analytics, "write_run_dir", write_then_rewrite)
+        assert self._run(tmp_path / "changed", grid) == 0
+        manifest = json.loads(_read(tmp_path / "changed" / "manifest.json"))
+        assert manifest["catalog_override"]["sha256"] == hashlib.sha256(read).hexdigest()
+        for seed in (0, 1):
+            for name in ("results.csv", "best_design.json"):
+                cell = os.path.join("car-drag-single", "pso", f"seed{seed}", name)
+                assert _read(tmp_path / "changed" / cell) == _read(tmp_path / "steady" / cell)
 
     def test_quoted_evaluator_command_runs_and_is_recorded(self, tmp_path):
         # A script path with a space, quoted as a shell would take it, that
@@ -689,10 +724,12 @@ class TestCompare:
             ('{"task": "x/y", "method": "m", "seed": 0, "budget": 5}', "1.0", "task must be a file name, got 'x/y'"),
             ('{"task": "t", "method": "", "seed": 0, "budget": 5}', "1.0", "method must be a file name, got ''"),
             ('{"task": "t", "method": "..", "seed": 0, "budget": 5}', "1.0", "method must be a file name, got '..'"),
+            ('{"task": "t", "method": "m", "seed": 0, "budget": -3}', "1.0", "budget must be at least 1, got -3"),
+            ('{"task": "t", "method": "m", "seed": 0, "budget": 0}', "1.0", "budget must be at least 1, got 0"),
         ],
         ids=[
             "no-budget", "truncated", "list", "text-seed", "text-reward", "nan-reward",
-            "int-task", "path-task", "empty-method", "parent-method",
+            "int-task", "path-task", "empty-method", "parent-method", "negative-budget", "zero-budget",
         ],
     )
     def test_malformed_run_directory_fails_before_writing(self, tmp_path, capsys, config, reward, message):

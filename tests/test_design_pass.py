@@ -6,7 +6,6 @@ operating point reads. Both must give exactly the metrics the per-model
 `MetricModel.at` path gives, and catalog tasks are built once per process
 without the cached build ever changing.
 """
-import json
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from aerobench.landscape import BumpField, FieldStack
 from aerobench.problems import EvaluationError, SubprocessEvaluator, get_environment, task_ids
-from aerobench.problems.catalog import CATALOG_ENV_VAR, StandInEvaluator, confidence_proxy
+from aerobench.problems.catalog import StandInEvaluator, confidence_proxy, overridden_spaces
 
 ALL_TASKS = task_ids()
 
@@ -161,7 +160,7 @@ class TestBuiltOncePerProcess:
         for task_id in ALL_TASKS:
             assert get_environment(task_id).evaluator is get_environment(task_id).evaluator
 
-    def test_copies_never_change_the_next_call(self, tmp_path, monkeypatch):
+    def test_copies_never_change_the_next_call(self, tmp_path):
         base = get_environment(self.TASK)
         points = base.space.sample_uniform(seed=9, n=5)
         rewards = self._rewards(base, points)
@@ -180,11 +179,8 @@ class TestBuiltOncePerProcess:
         override = dict(space_json)
         override["variables"] = [dict(v) for v in space_json["variables"]]
         override["variables"][0]["upper"] = 0.95
-        path = tmp_path / "override.json"
-        path.write_text(json.dumps({"tasks": {self.TASK: {"space": override}}}))
-        monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
-        assert get_environment(self.TASK).space.variables[0].upper == 0.95
-        monkeypatch.delenv(CATALOG_ENV_VAR)
+        spaces = overridden_spaces({"tasks": {self.TASK: {"space": override}}})
+        assert get_environment(self.TASK).with_space(spaces[self.TASK]).space.variables[0].upper == 0.95
 
         again = get_environment(self.TASK)
         assert isinstance(again.evaluator, StandInEvaluator)

@@ -22,11 +22,10 @@ from aerobench.problems import (
 from aerobench.problems import geometry
 from aerobench.problems.catalog import (
     BWB_ALPHA_RANGE,
-    CATALOG_ENV_VAR,
     RANGE_ALPHA_RANGE,
     _airfoil_geometry_metrics,
     _airfoil_space,
-    _built,
+    overridden_spaces,
 )
 from aerobench.space import DesignPoint, ParamSpace, SpaceError, continuous_space
 
@@ -335,23 +334,26 @@ def test_catalog_json_round_trip(tmp_path):
 
 
 class TestCatalogOverride:
-    def _override_file(self, tmp_path, mutate):
+    def _override(self, mutate):
+        """A parsed override of delta-ld-single's space, changed by `mutate`."""
         env = get_environment("delta-ld-single")
         space = json.loads(json.dumps(env.space.to_json()))
         env.close()
         mutate(space)
-        path = tmp_path / "override.json"
-        path.write_text(json.dumps({"tasks": {"delta-ld-single": {"space": space}}}))
-        return str(path)
+        return {"tasks": {"delta-ld-single": {"space": space}}}
 
-    def test_bounds_override_applied(self, tmp_path, monkeypatch):
+    def _overridden(self, mutate):
+        return get_environment("delta-ld-single").with_space(
+            overridden_spaces(self._override(mutate))["delta-ld-single"]
+        )
+
+    def test_bounds_override_applied(self):
         def widen(space):
             for var in space["variables"]:
                 if var["name"] == "sweep_angle":
                     var["lower"], var["upper"] = 50.0, 80.0
 
-        monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, widen))
-        env = get_environment("delta-ld-single")
+        env = self._overridden(widen)
         try:
             var = env.space.var("sweep_angle")
             assert (var.lower, var.upper) == (50.0, 80.0)
@@ -362,7 +364,7 @@ class TestCatalogOverride:
         finally:
             env.close()
 
-    def test_widened_bounds_evaluate_beyond_builder_bounds(self, tmp_path, monkeypatch):
+    def test_widened_bounds_evaluate_beyond_builder_bounds(self):
         # The stand-in keeps mapping with the builder's space, so a design
         # has the same metrics with or without the override, and one outside
         # the builder's bounds is evaluated instead of raising SpaceError.
@@ -375,21 +377,19 @@ class TestCatalogOverride:
                 if var["name"] == "sweep_angle":
                     var["lower"], var["upper"] = 50.0, 80.0
 
-        monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, widen))
-        env = get_environment("delta-ld-single")
+        env = self._overridden(widen)
         assert env.evaluate(inside).reward == plain.reward
         beyond = env.evaluate(DesignPoint(values={"sweep_angle": 78.0, "root_airfoil": "NACA2416"}))
         assert beyond.error is None and np.isfinite(beyond.reward)
 
-    def test_name_mismatch_rejected(self, tmp_path, monkeypatch):
+    def test_name_mismatch_rejected(self):
         def rename(space):
             space["variables"][0]["name"] = "renamed"
 
-        monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, rename))
         with pytest.raises(ValueError):
-            get_environment("delta-ld-single")
+            overridden_spaces(self._override(rename))
 
-    def test_kind_mismatch_rejected(self, tmp_path, monkeypatch):
+    def test_kind_mismatch_rejected(self):
         def requantize(space):
             for var in space["variables"]:
                 if var["kind"] == "continuous":
@@ -399,30 +399,27 @@ class TestCatalogOverride:
                     var["levels"] = [1, 2]
                     break
 
-        monkeypatch.setenv(CATALOG_ENV_VAR, self._override_file(tmp_path, requantize))
         with pytest.raises(ValueError):
-            get_environment("delta-ld-single")
+            overridden_spaces(self._override(requantize))
 
-    def test_list_of_entries_and_a_task_the_file_does_not_name(self, tmp_path, monkeypatch):
+    def test_list_of_entries_and_a_task_the_file_does_not_name(self):
         # The catalog export's shape: a list of entries, each with its "id".
         space = get_environment("delta-ld-single").space.to_json()
         space["variables"][0]["upper"] = 80.0
-        path = tmp_path / "override.json"
-        path.write_text(json.dumps({"tasks": [{"id": "delta-ld-single", "space": space}]}))
-        monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
-        assert get_environment("delta-ld-single").space.var("sweep_angle").upper == 80.0
-        assert get_environment("car-drag-single") is _built("car-drag-single")
+        spaces = overridden_spaces({"tasks": [{"id": "delta-ld-single", "space": space}]})
+        assert list(spaces) == ["delta-ld-single"]
+        env = get_environment("delta-ld-single").with_space(spaces["delta-ld-single"])
+        assert env.space.var("sweep_angle").upper == 80.0
+        built = get_environment("car-drag-single")
+        assert built.with_space(spaces.get("car-drag-single")) is built
 
-    def test_level_the_task_does_not_have_rejected(self, tmp_path, monkeypatch):
+    def test_level_the_task_does_not_have_rejected(self):
         # The stand-in maps a design by the task's own levels, so 60.0 could
         # not be evaluated; the override is refused before any run.
         space = json.loads(json.dumps(get_environment("delta-ld-robust").space.to_json()))
         space["variables"][0]["levels"] = [55.0, 60.0, 65.0, 70.0, 75.0]
-        path = tmp_path / "override.json"
-        path.write_text(json.dumps({"tasks": {"delta-ld-robust": {"space": space}}}))
-        monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
         with pytest.raises(SpaceError, match="sweep_angle must keep its kind and use only"):
-            get_environment("delta-ld-robust")
+            overridden_spaces({"tasks": {"delta-ld-robust": {"space": space}}})
 
 
 @pytest.mark.parametrize(
@@ -433,23 +430,20 @@ class TestCatalogOverride:
     ],
     ids=["widened-bound", "fewer-levels"],
 )
-def test_an_overridden_task_drops_the_landscape(tmp_path, monkeypatch, task_id, name, change):
+def test_an_overridden_task_drops_the_landscape(task_id, name, change):
     # The landscape is a function of the builder's cube; under a new space it
     # would read another design's objective, or refuse a row of the new length.
     space = get_environment(task_id).space.to_json()
     for var in space["variables"]:
         if var["name"] == name:
             var.update(change)
-    path = tmp_path / "override.json"
-    path.write_text(json.dumps({"tasks": {task_id: {"space": space}}}))
-    monkeypatch.setenv(CATALOG_ENV_VAR, str(path))
-    env = get_environment(task_id)
+    env = get_environment(task_id).with_space(overridden_spaces({"tasks": {task_id: {"space": space}}})[task_id])
     assert env.landscape_value is None and env.landscape_gradient is None
     assert env.evaluate(env.space.denormalize(np.full(env.space.relaxed_dim, 0.9))).error is None
 
 
 @pytest.fixture(scope="module")
-def widened_tasks(tmp_path_factory):
+def widened_tasks():
     """Every task under an override that widens each continuous bound, unevenly."""
     tasks = {}
     for task_id in ALL_TASKS:
@@ -459,11 +453,8 @@ def widened_tasks(tmp_path_factory):
                 width = var["upper"] - var["lower"]
                 var["lower"], var["upper"] = var["lower"] - 0.5 * width, var["upper"] + 0.25 * width
         tasks[task_id] = {"space": space}
-    path = tmp_path_factory.mktemp("override") / "widened.json"
-    path.write_text(json.dumps({"tasks": tasks}))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv(CATALOG_ENV_VAR, str(path))
-        return {task_id: get_environment(task_id) for task_id in ALL_TASKS}
+    spaces = overridden_spaces({"tasks": tasks})
+    return {task_id: get_environment(task_id).with_space(spaces[task_id]) for task_id in ALL_TASKS}
 
 
 @given(task_id=st.sampled_from(ALL_TASKS), data=st.data())

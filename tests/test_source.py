@@ -322,6 +322,37 @@ def test_the_child_checks_see_calls_and_imports_but_not_names_or_prose():
     assert _subproc_imports(tree) == [5, 6, 7]
 
 
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.Module) -> list[int]:
+    """Lines that read the process environment through `os` or import a reader from it."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS and getattr(node.value, "id", None) == "os")
+        or (isinstance(node, ast.ImportFrom) and node.module == "os" and {a.name for a in node.names} & ENVIRONMENT_READS)
+    )
+
+
+def test_only_cli_reads_the_environment():
+    # cli reads a command's inputs once; a module reading the environment at call time is a second reader.
+    readers = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py")) if _environment_reads(_tree(p))]
+    assert readers == ["aerobench/cli.py"]
+
+
+def test_the_environment_check_sees_reads_and_imports_but_not_prose():
+    tree = ast.parse(
+        '"""Reads os.environ."""\n'
+        'path = os.environ.get("X")\n'
+        'flag = os.getenv("Y")\n'
+        "from os import environ\n"
+        "from os import path\n"
+        "name = environment.environ\n"
+    )
+    assert _environment_reads(tree) == [2, 3, 4]
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
 def test_the_package_version_is_read_from_aerobench():
     import tomllib
