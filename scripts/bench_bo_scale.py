@@ -2,7 +2,7 @@
 
 Usage:
     python scripts/bench_bo_scale.py --parent DIR [--change DIR]
-        [--sections fit cells quality counts perfbench] [--pairs 10] [--seed 211]
+        [--sections fit cells quality counts round perfbench] [--pairs 10] [--seed 211]
         [--workloads bo-gp ...] [--out BENCH_bo_scale.json]
 
 DIR is a checkout holding `src/` and `perfbench/`; `--change` defaults to the
@@ -25,6 +25,11 @@ run one at a time. The sections:
   records are the budget-60 and budget-120 runs; one such prefix is checked.
 - counts: fits and likelihood evaluations of one pass of the `bo-gp`
   workload (`bo` at budget 45 on its two tasks, `--seed`).
+- round: in each of 5 fresh children per tree, the sides alternating, the
+  wall time of `import aerobench.optimizers.bo` and the process's peak RSS
+  (`ru_maxrss`) right after it; then the cost of one round's 256 scrambled
+  Sobol candidates at d = 6, 12, 20 and 38 (the tree's own builder) and of
+  one posterior over them on 60 rows. Each figure is the median of the 5.
 - perfbench: `perfbench/run.py --workload W --seed S --seconds 20` for each
   workload, `--pairs` pairs, the side that runs first alternating by pair.
 """
@@ -56,6 +61,9 @@ QUALITY_SEEDS = range(5)
 BO_GP_TASKS = ("delta-ld-single", "ceras-fuel-mixed")
 BO_GP_BUDGET = 45
 PERFBENCH_SECONDS = 20
+ROUND_CHILDREN = 5
+ROUND_DIMS = (6, 12, 20, 38)
+ROUND_ROWS = 60
 
 
 # ---- child side: runs inside one tree's `src` ------------------------------
@@ -130,6 +138,38 @@ def child_cell(task: str, budget: int, seed: int) -> dict:
         "nll_evals": counts["nll_evals"],
         "best_so_far": [r.best_so_far for r in traj.records],
     }
+
+
+def child_round() -> dict:
+    import resource
+
+    start = time.perf_counter()
+    from aerobench.optimizers import bo
+
+    import_s = time.perf_counter() - start
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    import timeit
+
+    import numpy as np
+
+    n = bo.DEFAULTS["n_candidates"]
+    if hasattr(bo, "_sobol"):
+        candidates = bo._sobol
+    else:  # the builder before `_sobol`: scipy's engine
+        def candidates(dim, n, seed):
+            return bo.qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+
+    out = {"import_s": import_s, "rss_after_import_mb": rss_mb}
+    for dim in ROUND_DIMS:
+        rng = np.random.Generator(np.random.Philox(key=dim))
+        x = rng.random((ROUND_ROWS, dim))
+        gp = bo._GP(x, np.sin(4 * x[:, 0]) + x[:, 1], lambda msg: None, bo.DEFAULT_THETA)
+        gp.factor()
+        cand = candidates(dim, n, 5)
+        timed = {"candidates_us": lambda: candidates(dim, n, 5), "posterior_us": lambda: gp.posterior(cand)}
+        for key, call in timed.items():
+            out[f"{key}_d{dim}"] = min(timeit.repeat(call, number=20, repeat=5)) / 20 * 1e6
+    return out
 
 
 # ---- parent side ---------------------------------------------------------
@@ -212,6 +252,18 @@ def section_counts(trees: dict, seed: int) -> dict:
     return {"seed": seed, "tasks": list(BO_GP_TASKS), "budget": BO_GP_BUDGET, **rows}
 
 
+def section_round(trees: dict) -> dict:
+    runs = {side: [] for side in trees}
+    for child in range(ROUND_CHILDREN):
+        for side in list(trees) if child % 2 == 0 else list(trees)[::-1]:
+            runs[side].append(in_tree(trees[side], "round"))
+    out = {}
+    for side, rows in runs.items():
+        out[side] = {key: round(_spread([row[key] for row in rows])["median"], 4) for key in rows[0]}
+    print(f"round: {json.dumps(out)}", flush=True)
+    return {"children_per_tree": ROUND_CHILDREN, "posterior_rows": ROUND_ROWS, **out}
+
+
 def _quartiles(values: list[float]) -> dict:
     import numpy as np
 
@@ -255,7 +307,7 @@ def main(argv=None) -> int:
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     parser.add_argument("--parent")
     parser.add_argument("--change", default=ROOT)
-    parser.add_argument("--sections", nargs="+", default=["fit", "cells", "quality", "counts", "perfbench"])
+    parser.add_argument("--sections", nargs="+", default=["fit", "cells", "quality", "counts", "round", "perfbench"])
     parser.add_argument("--workloads", nargs="+", default=["bo-gp"])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=211)
@@ -265,6 +317,8 @@ def main(argv=None) -> int:
         kind, *rest = args.child
         if kind == "fit":
             print(json.dumps(child_fit(int(rest[0]))))
+        elif kind == "round":
+            print(json.dumps(child_round()))
         else:
             print(json.dumps(child_cell(rest[0], int(rest[1]), int(rest[2]))))
         return 0
@@ -292,6 +346,8 @@ def main(argv=None) -> int:
             report["quality"] = section_quality(trees)
         elif section == "counts":
             report["counts"] = section_counts(trees, args.seed)
+        elif section == "round":
+            report["round"] = section_round(trees)
         elif section == "perfbench":
             report.setdefault("perfbench", {}).update(
                 section_perfbench(trees, args.workloads, args.pairs, args.seed)

@@ -158,7 +158,8 @@ def _read_warmstart(path: str, spaces: dict[str, ParamSpace]) -> tuple[dict, dic
     """The warm-start CSV's manifest record, and every row of it read into each task's space by `clip`."""
     record, data = _input_file(path)
     try:
-        rows = list(csv.DictReader(io.StringIO(data.decode(), newline="")))
+        # utf-8-sig drops the byte-order mark a spreadsheet's "CSV UTF-8" export writes first.
+        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8-sig"), newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: {exc}") from None
     warm = {}

@@ -21,14 +21,25 @@ generic solve and no identity matrix. The acquisition, log EI, is computed
 in the stable form of Ament et al. (NeurIPS 2023), so it stays finite and
 ordered far below the incumbent instead of sitting on a floor. It is
 maximized over a Sobol candidate set plus a handful of local refinements.
+
+Each round's candidate set is a fresh scrambled Sobol sequence, the points
+scipy's `Sobol(d, scramble=True, seed=s).random(n)` gives, bit for bit,
+built here without importing `scipy.stats`: Joe & Kuo direction numbers
+(from the table scipy ships, derived once per dimension per process),
+Matousek's linear matrix scramble plus a digital shift drawn from
+`default_rng(s)` in scipy's order, and the points in Gray-code order. The
+posterior's triangular solve calls LAPACK trtrs directly, as the fit calls
+potrs, potri and potrf.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.special import erfcx, ndtr
-from scipy.stats import qmc
 
 from ..space import ParamSpace
 from .base import Proposals, Warm, check_at_least
@@ -214,7 +225,10 @@ class _GP:
         length, sf2, _ = np.exp(self.theta)
         k_star = _matern52(_scaled_dists(x_new, self.x), length, sf2)[0]
         mu = k_star @ self._alpha
-        v = solve_triangular(self._chol_cache, k_star.T, lower=True, check_finite=False)
+        # LAPACK trtrs directly, the call scipy's triangular solver makes on
+        # this F-ordered factor. Its diagonal is positive, as _chol checked, so it
+        # cannot report a singular factor.
+        v = dtrtrs(self._chol_cache, k_star.T, lower=1)[0]
         var = np.maximum(sf2 - np.sum(v**2, axis=0), 1e-12)
         return mu, np.sqrt(var)
 
@@ -266,6 +280,66 @@ def log_expected_improvement(
     return _log_h((mu - best) / sigma) + np.log(sigma)
 
 
+SOBOL_BITS = 30
+# The bit position of each MSB-first bit index: 29, 28, ..., 0.
+_MSB_SHIFT = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+_MSB_WEIGHT = np.uint32(1) << _MSB_SHIFT
+# Reads row r of a drawn scramble matrix as a mask over a direction number's
+# MSB-first bits, taking only its strictly lower part (c < r). scipy keeps the
+# lower triangle and sets the diagonal to 1, so the drawn bits on and above the
+# diagonal are ignored and bit r is ORed in.
+_STRICT_LOWER_WEIGHT = np.tril(np.broadcast_to(_MSB_WEIGHT, (SOBOL_BITS, SOBOL_BITS)), -1)
+
+
+@functools.lru_cache(maxsize=None)  # one entry per dimension a process searches
+def _direction_numbers(dim: int) -> np.ndarray:
+    """The (dim, 30) unscrambled Sobol direction numbers, scaled to 30 bits:
+    Joe & Kuo's primitive polynomials and initial numbers, from the table
+    scipy ships, extended by the Bratley & Fox recurrence."""
+    # find_spec locates the package without importing scipy.stats.
+    package = importlib.util.find_spec("scipy.stats").submodule_search_locations[0]
+    with np.load(os.path.join(package, "_sobol_direction_numbers.npz")) as table:
+        poly, vinit = table["poly"][:dim], table["vinit"][:dim]
+    v = np.zeros((dim, SOBOL_BITS), dtype=np.uint32)
+    v[0] = 1
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        v[d, :m] = vinit[d, :m]
+        for j in range(m, SOBOL_BITS):
+            new = int(v[d, j - m])
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= int(v[d, j - k - 1]) << (k + 1)
+            v[d, j] = new
+    v <<= _MSB_SHIFT
+    v.flags.writeable = False
+    return v
+
+
+def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n points of a scrambled Sobol sequence in [0, 1)^dim, equal
+    bit for bit to scipy's `Sobol(d=dim, scramble=True, seed=seed).random(n)`."""
+    rng = np.random.default_rng(seed)
+    # scipy's draws, in its order and dtype: the shift bits, then the scramble matrices.
+    shift = rng.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ _MSB_WEIGHT[::-1]
+    ltm = rng.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)
+    rows = np.einsum("drc,rc->dr", ltm, _STRICT_LOWER_WEIGHT) | _MSB_WEIGHT
+    # Bit r of a scrambled direction number is the parity of its bits under row r.
+    bits = _direction_numbers(dim)[:, :, None] & rows[:, None, :]
+    for s in (16, 8, 4, 2, 1):
+        bits ^= bits >> s
+    bits &= 1
+    scrambled = np.einsum("djr,r->dj", bits, _MSB_WEIGHT)
+    # Point k is the shift XOR the scrambled numbers at the set bits of gray(k),
+    # so point k differs from point k - 1 by the number at the lowest set bit of k.
+    k = np.arange(1, n)
+    steps = np.empty((n, dim), dtype=np.uint32)
+    steps[0] = shift
+    steps[1:] = scrambled.T[np.frexp(k & -k)[1] - 1]
+    return np.bitwise_xor.accumulate(steps, axis=0) * 2.0**-SOBOL_BITS
+
+
 def check(opts: dict, space: ParamSpace) -> None:
     check_at_least(opts, n_initial=2, n_candidates=1, n_refine=1)
 
@@ -310,8 +384,7 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
             observe(u, float((yield step, u[None])[0]))
             continue
         best = float((max(ys) - gp.y_mean) / gp.y_std)
-        sobol = qmc.Sobol(d=dim, scramble=True, seed=int(rng.integers(2**31)))
-        cand = sobol.random(opts["n_candidates"])
+        cand = _sobol(dim, opts["n_candidates"], int(rng.integers(2**31)))
         mu, sigma = gp.posterior(cand)
         lei = log_expected_improvement(mu, sigma, best)
         order = np.argsort(-lei)

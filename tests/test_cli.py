@@ -528,6 +528,20 @@ class TestRun:
         cfg = json.loads(_read(d / "resolved_config.json"))
         assert cfg["n_warmstart"] == 1
 
+    def test_warmstart_csv_with_a_byte_order_mark(self, tmp_path):
+        # The mark is not part of the first column's name; the manifest hashes the file's raw bytes.
+        rows = b"sweep_angle,root_airfoil\n60,NACA2416\n"
+        (tmp_path / "plain.csv").write_bytes(rows)
+        (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + rows)
+        for name in ("plain", "marked"):
+            extra = ["--seeds", "0", "--budget", "5", "--warmstart", str(tmp_path / f"{name}.csv")]
+            assert self._run(tmp_path / name, extra) == 0
+        manifest = json.loads(_read(tmp_path / "marked" / "manifest.json"))
+        assert manifest["warmstart"]["sha256"] == hashlib.sha256(b"\xef\xbb\xbf" + rows).hexdigest()
+        cells = [tmp_path / name / "delta-ld-single" / "pso" / "seed0" for name in ("plain", "marked")]
+        assert json.loads(_read(cells[1] / "resolved_config.json"))["n_warmstart"] == 1
+        assert _read(cells[0] / "results.csv") == _read(cells[1] / "results.csv")
+
     @pytest.mark.parametrize(
         "tasks, rows, message",
         [

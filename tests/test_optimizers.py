@@ -806,6 +806,49 @@ class TestBo:
                   if a.hex() != b.hex()]
         assert differ == []
 
+    # d = 1, every catalog dimension, and one above 40.
+    SOBOL_DIMS = sorted({1, 45} | {get_environment(task).space.relaxed_dim for task in task_ids()})
+
+    @pytest.mark.filterwarnings("ignore:The balance properties:UserWarning")
+    @pytest.mark.parametrize("dim", SOBOL_DIMS)
+    def test_sobol_candidates_are_scipys_bit_for_bit(self, dim):
+        # A scipy release that changes its scrambling or its draw order fails here.
+        from scipy.stats import qmc
+
+        for seed in (0, 7, 2**31 - 1):
+            for n in (1, 2, 3, 256):
+                want = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+                got = bo._sobol(dim, n, seed)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, n)
+
+    @pytest.mark.parametrize("dim", SOBOL_DIMS)
+    def test_sobol_direction_numbers_give_scipys_unscrambled_points(self, dim):
+        from scipy.stats import qmc
+
+        v = bo._direction_numbers(dim)
+        n = 256
+        k = np.arange(1, n)
+        steps = np.zeros((n, dim), dtype=np.uint32)
+        steps[1:] = v.T[np.frexp(k & -k)[1] - 1]
+        got = np.bitwise_xor.accumulate(steps, axis=0) * 2.0**-bo.SOBOL_BITS
+        want = qmc.Sobol(d=dim, scramble=False).random(n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_posterior_solve_is_scipys_bit_for_bit(self):
+        from scipy.linalg import solve_triangular
+
+        x, y = _gp_data(duplicates=False)
+        gp = _GP(x, y, lambda msg: None)
+        gp.fit(np.random.Generator(np.random.Philox(key=5)), bo.DEFAULTS)
+        x_new = np.random.Generator(np.random.Philox(key=6)).random((64, x.shape[1]))
+        length, sf2, _ = np.exp(gp.theta)
+        k_star = bo._matern52(bo._scaled_dists(x_new, gp.x), length, sf2)[0]
+        v = solve_triangular(gp._chol_cache, k_star.T, lower=True, check_finite=False)
+        want = np.sqrt(np.maximum(sf2 - np.sum(v**2, axis=0), 1e-12))
+        _, got = gp.posterior(x_new)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_refinement_batch_draws_the_per_trial_values(self):
         # bo draws its 3 * n_refine perturbations as one batch; on the Philox
         # stream that is the same values, in the same order, leaving the same

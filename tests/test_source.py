@@ -76,6 +76,40 @@ def test_the_scipy_check_sees_imports_in_functions_and_skips_relative_ones():
     assert _imported_packages(tree) == {"a", "c", "h"}
 
 
+def _imports_module(tree: ast.Module, module: str) -> bool:
+    """Whether an absolute import anywhere in a module loads `module` or one of its submodules;
+    `from a import b` may load the submodule `a.b`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return any(name == module or name.startswith(module + ".") for name in names)
+
+
+def test_no_module_under_src_imports_scipy_stats():
+    # `bo` builds its Sobol candidates itself; scipy.stats alone costs about 0.5 s to import.
+    importers = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py")) if _imports_module(_tree(p), "scipy.stats")]
+    assert importers == []
+
+
+@pytest.mark.parametrize(
+    "source, imports",
+    [
+        ("import scipy.stats\n", True),
+        ("from scipy.stats import qmc\n", True),
+        ("from scipy import stats\n", True),
+        ("def f():\n    from scipy.stats.qmc import Sobol\n", True),
+        ("import scipy.special\nfrom scipy.linalg import lapack\n", False),
+        ("import scipy.statsmodels\nfrom . import stats\n", False),
+    ],
+)
+def test_the_scipy_stats_check_sees_every_form_of_import(source, imports):
+    assert _imports_module(ast.parse(source), "scipy.stats") is imports
+
+
 OPTIMIZERS = SRC / "aerobench" / "optimizers"
 METHOD_MODULES = sorted(p for p in OPTIMIZERS.glob("*.py") if p.stem not in ("__init__", "base"))
 
