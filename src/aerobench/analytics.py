@@ -198,6 +198,9 @@ class RunRecord:
     seed: int
     budget: int
     rewards: tuple[float | None, ...]
+    # As the cell records them; a hand-built cell may record neither.
+    catalog_version: object = None
+    harness_version: object = None
 
     @cached_property
     def _curve(self) -> list[float | None]:
@@ -329,22 +332,34 @@ def read_run_dir(path: str) -> RunRecord:
                 rewards.append(reward)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise AnalyticsError(f"{path}: results.csv cannot be read: {exc}") from None
+    if len(rewards) > config["budget"]:
+        # Ranking reads only the first `budget` rows and would drop the rest unseen.
+        raise AnalyticsError(f"{path}: results.csv holds {len(rewards)} rows, more than its budget {config['budget']}")
     return RunRecord(
         task=config["task"],
         method=config["method"],
         seed=config["seed"],
         budget=config["budget"],
         rewards=tuple(rewards),
+        catalog_version=config.get("catalog_version"),
+        harness_version=config.get("harness_version"),
     )
 
 
 def load_run_set(roots: Iterable[str]) -> RunSet:
-    """Scan `<root>/<task>/<method>/seed<k>/` layouts into a RunSet."""
+    """Scan `<root>/<task>/<method>/seed<k>/` layouts into a RunSet, refusing
+    cells that record different catalog or harness versions."""
     records = []
+    first: dict[str, tuple[object, str]] = {}  # version key -> (value, first cell to record it)
     for root in roots:
         for dirpath, dirnames, filenames in os.walk(root):
             if "results.csv" in filenames and "resolved_config.json" in filenames:
-                records.append(read_run_dir(dirpath))
+                records.append(record := read_run_dir(dirpath))
+                for key in ("catalog_version", "harness_version"):
+                    if (value := getattr(record, key)) is not None:
+                        seen, cell = first.setdefault(key, (value, dirpath))
+                        if value != seen:
+                            raise AnalyticsError(f"{cell} and {dirpath} disagree on {key}: {seen!r} and {value!r}")
                 dirnames.clear()
     if not records:
         raise AnalyticsError(f"no runs found under {list(roots)}")

@@ -226,8 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     spaces = {task: catalog.get_environment(task).with_space(overrides.get(task)).space for task in tasks}
     for method in methods:
         configs = [OptimizerConfig(method=method, budget=args.budget, seed=seed) for seed in seeds]
-        # Options do not depend on the seed, so one config asks the method about each task.
-        for task, space in spaces.items():
+        for task, space in spaces.items():  # a method's `check` reads only the space
             configs[0].check(space, task)
     warm_file, warm = _read_warmstart(args.warmstart, spaces) if args.warmstart else (None, {})
 

@@ -2,33 +2,31 @@
 
 Every method consumes the same currency: one environment evaluation equals
 one budget unit, including finite-difference stencils and warm-start
-designs. A method module is its options' `DEFAULTS`, a `check(opts, space)`
-that raises `ConfigurationError` for options it cannot run with or a space
-it does not apply to, and its proposal logic, `run(dim, rng, opts, warm,
-budget, warn)`: a generator that yields `(iteration, U)`, a `(k, dim)` batch
-of unit-cube rows (`dim` is the space's `relaxed_dim`), and is sent back one
-reward per row (maximization sense, -inf for an evaluator error).
-`OptimizerConfig` types the options once, and its `check(space, task)` asks
-the method about a task without running it. `run_with_budget` is the only
-evaluation loop, and it names no method. It runs `check` before anything is
-evaluated, seeds the RNG, charges warm-start designs at iteration 0,
-evaluates batches until the budget is spent, spends budget a method leaves
-on uniform samples, and returns the trajectory plus the resolved
-configuration that reproduces it.
+designs. Each method runs at one fixed configuration on every task. A
+method module is its settings, `DEFAULTS` (exactly what its code reads), a
+`check(space)` that raises `ConfigurationError` for a space it does not
+apply to, and its proposal logic, `run(dim, rng, warm, budget, warn)`: a
+generator that yields `(iteration, U)`, a `(k, dim)` batch of unit-cube
+rows (`dim` is the space's `relaxed_dim`), and is sent back one reward per
+row (maximization sense, -inf for an evaluator error). `OptimizerConfig` is
+a method, a budget and a seed; its `check(space, task)` asks the method
+about a task without running it. `run_with_budget` is the only evaluation
+loop, and it names no method. It runs `check` before anything is evaluated,
+seeds the RNG, charges warm-start designs at iteration 0, evaluates batches
+until the budget is spent, spends budget a method leaves on uniform
+samples, and returns the trajectory plus the resolved configuration that
+reproduces it, with `DEFAULTS` as its `options`.
 Warm-start designs, each yielded batch and the leftover samples each go to
 the environment as one batch. Warm-start designs are projected by `clip`,
 evaluated, and normalized once for the method, so their rows lie in [0, 1].
-A method's module is imported the first time the method is looked up, so
-importing this package loads none, and only `bo` loads scipy.
+A method's module is imported the first time the method is checked or run,
+so importing this package loads none, and only `bo` loads scipy.
 """
 from __future__ import annotations
 
 import importlib
-import math
-import sys
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .. import __version__ as _harness_version
 from ..problems.base import ProblemEnvironment
@@ -54,14 +52,11 @@ def _method(name: str):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """One method's run settings. `options` becomes the method's defaults
-    updated by the given options, each typed by `_typed`, read-only: exactly
-    what the method reads and `resolved_config.json` records."""
+    """One method's run; the method runs at its fixed `DEFAULTS`."""
 
     method: str
     budget: int
     seed: int
-    options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -75,44 +70,17 @@ class OptimizerConfig:
             raise ConfigurationError("budget must be >= 1")
         if not 0 <= self.seed < 2**128:
             raise ConfigurationError(f"seed {self.seed} is not a Philox key: need 0 <= seed < 2**128")
-        if not isinstance(self.options, Mapping):
-            raise ConfigurationError(f"options must be a mapping, got {self.options!r}")
-        defaults = _method(self.method).DEFAULTS
-        unknown = set(self.options) - set(defaults)
-        if unknown:
-            raise ConfigurationError(f"{self.method}: unknown options {sorted(unknown)}")
-        typed = {name: _typed(self.method, name, v, defaults[name]) for name, v in self.options.items()}
-        object.__setattr__(self, "options", MappingProxyType({**defaults, **typed}))
 
     def check(self, space: ParamSpace, task: str) -> None:
-        """Raise ConfigurationError naming `task` and the method if the
-        method's `check` refuses these options on `space`."""
+        """Raise ConfigurationError, naming `task` and the method, if the method refuses `space`."""
         try:
-            _method(self.method).check(self.options, space)
+            _method(self.method).check(space)
         except ConfigurationError as exc:
             raise ConfigurationError(f"{task}/{self.method}: {exc}") from None
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _typed(method: str, name: str, value, default):
-    """`value` given its default's type, or ConfigurationError: a bool default
-    takes a bool, an int default an int (not a bool), a float default a finite
-    int or float (stored as float), and a None default None or an int."""
-    is_int = _is_int(value)
-    if isinstance(default, float) and is_int and abs(value) <= sys.float_info.max:
-        value = float(value)  # a larger int would overflow float()
-    ok, kind = {
-        bool: (isinstance(value, bool), "a bool"),
-        int: (is_int, "an int"),
-        float: (isinstance(value, float) and math.isfinite(value), "a finite number"),
-        type(None): (value is None or is_int, "None or an int"),
-    }[type(default)]
-    if not ok:
-        raise ConfigurationError(f"{method}: option {name} must be {kind}, got {value!r}")
-    return float(value) if isinstance(default, float) else value
 
 
 def run_with_budget(
@@ -124,12 +92,13 @@ def run_with_budget(
     space = env.space
     config.check(space, env.id)
     obj = BudgetedObjective(env, config.budget)
+    module = _method(config.method)
     resolved = {
         "method": config.method,
         "budget": config.budget,
         "seed": config.seed,
         "task": env.id,
-        "options": dict(config.options),
+        "options": dict(module.DEFAULTS),
         "n_warmstart": len(warmstart),
         "catalog_version": CATALOG_VERSION,
         "harness_version": _harness_version,
@@ -138,8 +107,7 @@ def run_with_budget(
     clipped = [space.clip(point) for point in warmstart[: config.budget]]
     warm_rewards = obj.evaluate_decoded(clipped, 0).tolist() if clipped else []
     warm = [(space.normalize(p), reward) for p, reward in zip(clipped, warm_rewards)]
-    module = _method(config.method)
-    proposals = module.run(space.relaxed_dim, rng, config.options, warm, obj.remaining, obj.warnings.append)
+    proposals = module.run(space.relaxed_dim, rng, warm, obj.remaining, obj.warnings.append)
     iteration, rewards = 0, None
     try:
         while obj.remaining:

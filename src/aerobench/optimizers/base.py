@@ -23,13 +23,6 @@ class ConfigurationError(ValueError):
     """Invalid optimizer configuration or method/space incompatibility."""
 
 
-def check_at_least(opts: dict, **minimums) -> None:
-    """Raise ConfigurationError for the first named option below its minimum."""
-    for name, minimum in minimums.items():
-        if opts[name] < minimum:
-            raise ConfigurationError(f"{name} must be >= {minimum}")
-
-
 @dataclass(frozen=True)
 class EvalRecord:
     iteration: int

@@ -42,7 +42,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.special import erfcx, ndtr
 
 from ..space import ParamSpace
-from .base import Proposals, Warm, check_at_least
+from .base import Proposals, Warm
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
@@ -340,11 +340,11 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
     return np.bitwise_xor.accumulate(steps, axis=0) * 2.0**-SOBOL_BITS
 
 
-def check(opts: dict, space: ParamSpace) -> None:
-    check_at_least(opts, n_initial=2, n_candidates=1, n_refine=1)
+def check(space: ParamSpace) -> None:
+    """BO applies to every space."""
 
 
-def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
+def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Proposals:
     xs: list[np.ndarray] = []
     ys: list[float] = []
 
@@ -357,8 +357,8 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
         observe(u, reward)
     # The missing initial rows go out as one batch; an error row is not
     # observed, so its replacement comes in the next.
-    while len(xs) < opts["n_initial"]:
-        rows = rng.random((opts["n_initial"] - len(xs), dim))
+    while len(xs) < DEFAULTS["n_initial"]:
+        rows = rng.random((DEFAULTS["n_initial"] - len(xs), dim))
         for u, reward in zip(rows, (yield 0, rows)):
             observe(u, float(reward))
 
@@ -373,7 +373,7 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
         gp = _GP(np.array(xs), np.array(ys), warn, theta)
         try:
             if n >= next_fit:
-                gp.fit(rng, opts)
+                gp.fit(rng, DEFAULTS)
                 theta, next_fit = gp.theta, n + max(1, n // REFIT_DIVISOR)
             else:
                 gp.factor()
@@ -384,13 +384,13 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
             observe(u, float((yield step, u[None])[0]))
             continue
         best = float((max(ys) - gp.y_mean) / gp.y_std)
-        cand = _sobol(dim, opts["n_candidates"], int(rng.integers(2**31)))
+        cand = _sobol(dim, DEFAULTS["n_candidates"], int(rng.integers(2**31)))
         mu, sigma = gp.posterior(cand)
         lei = log_expected_improvement(mu, sigma, best)
         order = np.argsort(-lei)
         # Local refinement: three perturbations of each top Sobol candidate,
         # drawn as one batch (the same values as one draw per trial).
-        pool = cand[order[: opts["n_refine"]]]
+        pool = cand[order[: DEFAULTS["n_refine"]]]
         noise = rng.normal(0.0, 0.05, size=(3 * len(pool), dim))
         refined = np.clip(np.repeat(pool, 3, axis=0) + noise, 0.0, 1.0)
         all_cand = np.concatenate([pool, refined])

@@ -1,7 +1,9 @@
 """Covariance-matrix-adaptation evolution strategy on the unit cube.
 
-Standard (mu/mu_w, lambda) scheme: log-decreasing recombination weights,
-cumulative step-size adaptation, rank-one and rank-mu covariance updates.
+Standard (mu/mu_w, lambda) scheme with the default population,
+lambda = 4 + floor(3 ln d) and mu = lambda // 2: log-decreasing
+recombination weights, cumulative step-size adaptation, rank-one and
+rank-mu covariance updates.
 Offspring are clipped to the box before evaluation. A small eigenvalue
 floor keeps the covariance factorizable; hitting it is recorded as a run
 warning rather than an error.
@@ -11,15 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import ConfigurationError, Proposals, Warm
+from .base import Proposals, Warm
 
 EIGEN_FLOOR = 1e-12
 
-DEFAULTS = {
-    "popsize": None,  # default 4 + floor(3 ln d)
-    "mu": None,  # default popsize // 2
-    "sigma0": 0.3,
-}
+DEFAULTS = {"sigma0": 0.3}
 
 
 def strategy_params(dim: int, popsize: int, mu: int) -> dict:
@@ -48,26 +46,14 @@ def strategy_params(dim: int, popsize: int, mu: int) -> dict:
     }
 
 
-def _sizes(opts: dict, dim: int) -> tuple[int, int]:
-    popsize = opts["popsize"]
-    if popsize is None:
-        popsize = 4 + int(np.floor(3.0 * np.log(dim)))
-    return popsize, popsize // 2 if opts["mu"] is None else opts["mu"]
+def check(space: ParamSpace) -> None:
+    """CMA-ES applies to every space."""
 
 
-def check(opts: dict, space: ParamSpace) -> None:
-    popsize, mu = _sizes(opts, space.relaxed_dim)
-    if popsize < 2:
-        raise ConfigurationError("popsize must be >= 2")
-    if not 1 <= mu <= popsize:
-        raise ConfigurationError("mu must be in [1, popsize]")
-    if opts["sigma0"] <= 0:
-        raise ConfigurationError("sigma0 must be positive")
-
-
-def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
-    popsize, mu = _sizes(opts, dim)
-    sigma = opts["sigma0"]
+def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Proposals:
+    popsize = 4 + int(np.floor(3.0 * np.log(dim)))
+    mu = popsize // 2
+    sigma = DEFAULTS["sigma0"]
     sp = strategy_params(dim, popsize, mu)
     weights = sp["weights"]
 

@@ -1,11 +1,9 @@
-"""Archive-based evolutionary search with island migration.
+"""Archive-based evolutionary search.
 
-Each island keeps a bounded archive of the best designs seen so far.
-Parents are drawn by a power-law over archive rank (rank 1 = best), new
-candidates are Gaussian mutations whose scale decays linearly over the
-run, and full archives evict their worst member. With several islands, a
-ring migration copies the local best to the next island at a fixed
-interval.
+One bounded archive keeps the best designs seen so far. Parents are drawn
+by a power-law over archive rank (rank 1 = best), new candidates are
+Gaussian mutations whose scale decays linearly over the run, and a full
+archive evicts its worst member.
 """
 from __future__ import annotations
 
@@ -15,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..space import ParamSpace
-from .base import Proposals, Warm, check_at_least
+from .base import Proposals, Warm
 
 DEFAULTS = {
     "archive_capacity": 100,
@@ -23,10 +21,6 @@ DEFAULTS = {
     "batch_size": 5,
     "gaussian_scale": 0.3,
     "gaussian_final_scale": 0.1,
-    "decay_scale": True,
-    "num_islands": 1,
-    "migration_interval": 10,
-    "migration_rate": 0.1,
 }
 
 
@@ -65,63 +59,41 @@ class Archive:
         return self.entries[0]
 
 
-def mutation_scale(
-    progress: float, start: float, final_fraction: float, decay: bool
-) -> float:
+def mutation_scale(progress: float, start: float, final_fraction: float) -> float:
     """Mutation sigma as a fraction of the box width at run progress in [0, 1]."""
-    if not decay:
-        return start
     frac = 1.0 + min(max(progress, 0.0), 1.0) * (final_fraction - 1.0)
     return start * frac
 
 
-def check(opts: dict, space: ParamSpace) -> None:
-    check_at_least(opts, archive_capacity=1, batch_size=1, num_islands=1, migration_interval=1)
-    check_at_least(opts, gaussian_scale=0, gaussian_final_scale=0)
+def check(space: ParamSpace) -> None:
+    """Evolution applies to every space."""
 
 
-def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
-    num_islands = opts["num_islands"]
-    g_scale, g_final = opts["gaussian_scale"], opts["gaussian_final_scale"]
-    islands = [Archive(opts["archive_capacity"]) for _ in range(num_islands)]
-    # Warm-start designs seed island 0; the rest start from uniform samples.
+def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Proposals:
+    archive = Archive(DEFAULTS["archive_capacity"])
     for u, reward in warm:
         if reward > -np.inf:
-            islands[0].add(reward, u)
+            archive.add(reward, u)
 
     # Children are proposed one at a time: each parent is drawn from an
     # archive that already holds the previous child.
     spent = 0
-    for island in islands:
-        while not island.entries:
-            u = rng.random(dim)
-            reward = float((yield 0, u[None])[0])
-            spent += 1
-            if reward > -np.inf:
-                island.add(reward, u)
+    while not archive.entries:
+        u = rng.random(dim)
+        reward = float((yield 0, u[None])[0])
+        spent += 1
+        if reward > -np.inf:
+            archive.add(reward, u)
 
     gen = 0
     while True:
         gen += 1
         progress = 1.0 - (budget - spent) / budget if budget else 1.0
-        sigma = mutation_scale(progress, g_scale, g_final, opts["decay_scale"])
-        for island in islands:
-            for _ in range(opts["batch_size"]):
-                parent = island.sample_parent(rng, opts["pw_alpha"])
-                child = np.clip(
-                    parent + rng.normal(0.0, sigma, size=dim), 0.0, 1.0
-                )
-                reward = float((yield gen, child[None])[0])
-                spent += 1
-                if reward > -np.inf:
-                    island.add(reward, child)
-        if num_islands > 1 and gen % opts["migration_interval"] == 0:
-            # Copy the top fraction of each archive to the next island.
-            batches = []
-            for island in islands:
-                n_mig = max(1, int(opts["migration_rate"] * len(island.entries)))
-                batches.append(list(island.entries[:n_mig]))
-            for i, batch in enumerate(batches):
-                target = islands[(i + 1) % num_islands]
-                for reward, u in batch:
-                    target.add(reward, u)
+        sigma = mutation_scale(progress, DEFAULTS["gaussian_scale"], DEFAULTS["gaussian_final_scale"])
+        for _ in range(DEFAULTS["batch_size"]):
+            parent = archive.sample_parent(rng, DEFAULTS["pw_alpha"])
+            child = np.clip(parent + rng.normal(0.0, sigma, size=dim), 0.0, 1.0)
+            reward = float((yield gen, child[None])[0])
+            spent += 1
+            if reward > -np.inf:
+                archive.add(reward, child)

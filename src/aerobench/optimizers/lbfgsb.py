@@ -26,13 +26,11 @@ DEFAULTS = {
 }
 
 
-def check(opts: dict, space: ParamSpace) -> None:
+def check(space: ParamSpace) -> None:
     if all(v.kind == CATEGORICAL for v in space.variables):
         raise ConfigurationError(
             "gradient-based search is undefined on a purely categorical space"
         )
-    if opts["fd_eps"] <= 0:
-        raise ConfigurationError("fd_eps must be positive")
 
 
 def _two_loop(grad: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
@@ -54,10 +52,10 @@ def _two_loop(grad: np.ndarray, s_hist: list, y_hist: list) -> np.ndarray:
     return q
 
 
-def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
+def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Proposals:
     # Warm starts double as extra restart points (already evaluated/charged).
     starts: list[np.ndarray] = [u for u, _ in warm]
-    while len(starts) < opts["restarts"]:
+    while len(starts) < DEFAULTS["restarts"]:
         starts.append(rng.random(dim))
 
     # The search minimizes f = -reward; an error row reads f = inf, so the
@@ -67,16 +65,16 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
         fx = -float((yield it, x[None])[0])
         if not np.isfinite(fx):
             continue
-        grad = yield from fd_gradient(x, it, opts["fd_eps"])
+        grad = yield from fd_gradient(x, it, DEFAULTS["fd_eps"])
         if grad is None:
             continue
         grad = -grad
         s_hist: list[np.ndarray] = []
         y_hist: list[np.ndarray] = []
-        for _ in range(opts["maxiter"]):
+        for _ in range(DEFAULTS["maxiter"]):
             # Projected-gradient stationarity test on the box.
             proj = x - np.clip(x - grad, 0.0, 1.0)
-            if np.max(np.abs(proj)) < opts["gtol"]:
+            if np.max(np.abs(proj)) < DEFAULTS["gtol"]:
                 break
             direction = -_two_loop(grad, s_hist, y_hist)
             if float(direction @ grad) >= 0.0:
@@ -86,17 +84,17 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
             # Backtracking Armijo line search on the projected step.
             step = 1.0
             x_new, f_new = None, None
-            for _ in range(opts["max_halvings"]):
+            for _ in range(DEFAULTS["max_halvings"]):
                 cand = np.clip(x + step * direction, 0.0, 1.0)
                 f_cand = -float((yield it, cand[None])[0])
-                decrease = opts["armijo_c"] * float(grad @ (cand - x))
+                decrease = DEFAULTS["armijo_c"] * float(grad @ (cand - x))
                 if np.isfinite(f_cand) and f_cand <= fx + decrease:
                     x_new, f_new = cand, f_cand
                     break
                 step *= 0.5
             if x_new is None:
                 break
-            grad_new = yield from fd_gradient(x_new, it, opts["fd_eps"])
+            grad_new = yield from fd_gradient(x_new, it, DEFAULTS["fd_eps"])
             if grad_new is None:
                 break
             grad_new = -grad_new
@@ -105,10 +103,10 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
             if float(s @ y) > 1e-12:
                 s_hist.append(s)
                 y_hist.append(y)
-                if len(s_hist) > opts["memory"]:
+                if len(s_hist) > DEFAULTS["memory"]:
                     s_hist.pop(0)
                     y_hist.pop(0)
             rel_drop = (fx - f_new) / max(abs(fx), abs(f_new), 1.0)
             x, fx, grad = x_new, f_new, grad_new
-            if rel_drop < opts["ftol"]:
+            if rel_drop < DEFAULTS["ftol"]:
                 break

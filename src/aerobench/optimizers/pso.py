@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..space import ParamSpace
-from .base import Proposals, Warm, check_at_least
+from .base import Proposals, Warm
 
 DEFAULTS = {
     "swarm_size": 20,
@@ -24,23 +24,22 @@ DEFAULTS = {
 }
 
 
-def pso_coefficients(t: int, total: int, options: dict | None = None) -> tuple[float, float, float]:
+def pso_coefficients(t: int, total: int) -> tuple[float, float, float]:
     """(inertia, cognitive, social) at iteration t of a run with `total` steps."""
-    opts = {**DEFAULTS, **(options or {})}
     frac = t / total if total > 0 else 0.0
     # Convex-combination form keeps the endpoints and midpoint exact.
-    w = (1.0 - frac) * opts["inertia_start"] + frac * opts["inertia_end"]
-    c1 = (1.0 - frac) * opts["cognitive_start"] + frac * opts["cognitive_end"]
-    c2 = (1.0 - frac) * opts["social_start"] + frac * opts["social_end"]
+    w = (1.0 - frac) * DEFAULTS["inertia_start"] + frac * DEFAULTS["inertia_end"]
+    c1 = (1.0 - frac) * DEFAULTS["cognitive_start"] + frac * DEFAULTS["cognitive_end"]
+    c2 = (1.0 - frac) * DEFAULTS["social_start"] + frac * DEFAULTS["social_end"]
     return float(w), float(c1), float(c2)
 
 
-def check(opts: dict, space: ParamSpace) -> None:
-    check_at_least(opts, swarm_size=2, velocity_init_scale=0)
+def check(space: ParamSpace) -> None:
+    """PSO applies to every space."""
 
 
-def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int, warn) -> Proposals:
-    n, v_scale = opts["swarm_size"], opts["velocity_init_scale"]
+def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Proposals:
+    n, v_scale = DEFAULTS["swarm_size"], DEFAULTS["velocity_init_scale"]
     pos = rng.random((n, dim))
     # Warm-start designs replace the first initial particles.
     for i, (u, _) in enumerate(warm[:n]):
@@ -57,7 +56,7 @@ def run(dim: int, rng: np.random.Generator, opts: dict, warm: Warm, budget: int,
 
     for t in range(1, total_iters + 1):
         # Sweep 1 uses the start coefficients, the final sweep the end ones.
-        w, c1, c2 = pso_coefficients(t - 1, total_iters - 1, opts)
+        w, c1, c2 = pso_coefficients(t - 1, total_iters - 1)
         r1 = rng.random((n, dim))
         r2 = rng.random((n, dim))
         vel = w * vel + c1 * r1 * (pbest - pos) + c2 * r2 * (gbest - pos)

@@ -61,10 +61,8 @@ def _sphere_env(dim=10):
     )
 
 
-def _best(env, method, budget, seed, options=None):
-    traj = run_with_budget(
-        env, OptimizerConfig(method=method, budget=budget, seed=seed, options=options or {})
-    )
+def _best(env, method, budget, seed):
+    traj = run_with_budget(env, OptimizerConfig(method=method, budget=budget, seed=seed))
     return traj.best_reward, traj
 
 

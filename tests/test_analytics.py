@@ -207,7 +207,7 @@ class TestBestSoFar:
             best_so_far_at((1.0,), budget=1, fraction=0.0)
 
 
-def _write_run_dir(root, task, method, seed, rewards, budget=None, sense="maximize"):
+def _write_run_dir(root, task, method, seed, rewards, budget=None, sense="maximize", **recorded):
     d = os.path.join(root, task, method, f"seed{seed}")
     os.makedirs(d)
     config = {
@@ -216,6 +216,7 @@ def _write_run_dir(root, task, method, seed, rewards, budget=None, sense="maximi
         "seed": seed,
         "budget": budget or len(rewards),
         "sense": sense,
+        **recorded,
     }
     with open(os.path.join(d, "resolved_config.json"), "w") as fh:
         json.dump(config, fh)
@@ -298,6 +299,36 @@ class TestRunIngestion:
     def test_empty_root_raises(self, tmp_path):
         with pytest.raises(AnalyticsError):
             load_run_set([str(tmp_path)])
+
+    @pytest.mark.parametrize("key, old, new", [("harness_version", "0.1.0", "0.3.0"), ("catalog_version", "2", "3")])
+    def test_cells_of_different_versions_are_refused(self, tmp_path, capsys, key, old, new):
+        root = str(tmp_path / "runs")
+        cells = [_write_run_dir(root, "t", "pso", 0, (1.0, 2.0), **{key: old})]
+        cells += [_write_run_dir(root, "t", method, 0, (1.0, 2.0), **{key: new}) for method in ("bo", "cmaes")]
+        # A cell that records no version is compared with none.
+        _write_run_dir(root, "t", "evolve", 0, (1.0, 2.0))
+        with pytest.raises(AnalyticsError, match=f"disagree on {key}") as refused:
+            load_run_set([root])
+        assert sum(cell in str(refused.value) for cell in cells) == 2 and cells[0] in str(refused.value)
+        assert main(["compare", root, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_cells_of_one_version_load_beside_cells_that_record_none(self, tmp_path):
+        for method in ("pso", "cmaes"):
+            _write_run_dir(str(tmp_path), "t", method, 0, (1.0,), catalog_version="3", harness_version="0.3.0")
+        _write_run_dir(str(tmp_path), "t", "bo", 0, (1.0,))
+        assert load_run_set([str(tmp_path)]).methods == ["bo", "cmaes", "pso"]
+
+    def test_more_rows_than_the_budget_is_refused(self, tmp_path):
+        # Ranked on its first two rows, this cell's best would read 1.0, not 9.0.
+        d = _write_run_dir(str(tmp_path), "t", "pso", 0, (1.0, 1.0, 9.0, 9.0), budget=2)
+        with pytest.raises(AnalyticsError) as refused:
+            read_run_dir(d)
+        assert str(refused.value) == f"{d}: results.csv holds 4 rows, more than its budget 2"
+        # As many rows as the budget, or fewer, still read.
+        assert read_run_dir(_write_run_dir(str(tmp_path), "t", "bo", 0, (1.0, 9.0), budget=2)).rewards == (1.0, 9.0)
+        assert read_run_dir(_write_run_dir(str(tmp_path), "t", "cmaes", 0, (1.0,), budget=2)).rewards == (1.0,)
 
 
 class TestRankTable:

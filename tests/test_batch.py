@@ -98,11 +98,11 @@ def test_warm_start_designs_are_normalized_once_and_not_validated(monkeypatch):
 def test_leftover_budget_is_one_batch_of_the_sequential_draws(monkeypatch):
     # A method that proposes nothing leaves its whole budget to uniform
     # samples; one (n, dim) draw gives exactly the n single-row draws.
-    def run(dim, rng, opts, warm, budget, warn):
+    def run(dim, rng, warm, budget, warn):
         return
         yield
 
-    fake = types.SimpleNamespace(DEFAULTS={}, check=lambda opts, space: None, run=run)
+    fake = types.SimpleNamespace(DEFAULTS={}, check=lambda space: None, run=run)
     monkeypatch.setitem(optimizers._METHODS, "pso", fake)
     base, batches, traj = _recorded_run("bwb-drag-multipoint", "pso", budget=7, seed=11)
     assert len(batches) == 1 and len(traj.records) == 7

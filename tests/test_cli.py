@@ -473,13 +473,13 @@ class TestRun:
     def test_method_warnings_go_to_warnings_txt(self, tmp_path, monkeypatch):
         def stub(warnings):
             # Warns, then proposes nothing: the budget goes to uniform samples.
-            def run(dim, rng, opts, warm, budget, warn):
+            def run(dim, rng, warm, budget, warn):
                 for message in warnings:
                     warn(message)
                 return
                 yield
 
-            return types.SimpleNamespace(DEFAULTS={}, check=lambda opts, space: None, run=run)
+            return types.SimpleNamespace(DEFAULTS={}, check=lambda space: None, run=run)
 
         cells = {}
         for case, warnings in (("quiet", []), ("warned", ["first warning", "second warning"])):
@@ -494,7 +494,7 @@ class TestRun:
         pso = optimizers._method("pso")
         refused = catalog.get_environment("car-drag-single").space.names
 
-        def check(opts, space):
+        def check(space):
             if space.names == refused:
                 raise optimizers.ConfigurationError("does not apply to this space")
 

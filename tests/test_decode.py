@@ -140,12 +140,12 @@ def test_every_warm_start_row_a_method_is_handed_lies_in_the_cube(space, data):
     )
     handed = []
 
-    def run(dim, rng, opts, warm, budget, warn):
+    def run(dim, rng, warm, budget, warn):
         handed.extend(u for u, _ in warm)
         return
         yield
 
-    fake = types.SimpleNamespace(DEFAULTS={}, check=lambda opts, space: None, run=run)
+    fake = types.SimpleNamespace(DEFAULTS={}, check=lambda space: None, run=run)
     env = function_environment(space, lambda u: 0.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(optimizers._METHODS, "pso", fake)

@@ -11,6 +11,7 @@ build as well as on the code; a deliberate change of reward bits bumps
     PYTHONPATH=src python tests/test_golden_trajectories.py
 """
 import hashlib
+import importlib
 import json
 import os
 
@@ -42,19 +43,16 @@ def _cases() -> dict:
     for method in method_names():
         for task in TASKS:
             for seed in SEEDS:
-                cases[f"{task}/{method}/seed{seed}"] = (task, method, BUDGET[method], seed, {})
-        cases[f"{TASKS[0]}/{method}/budget1"] = (TASKS[0], method, 1, 0, {})
-        cases[f"sphere/{method}/budget7"] = ("sphere", method, 7, 0, {})
+                cases[f"{task}/{method}/seed{seed}"] = (task, method, BUDGET[method], seed)
+        cases[f"{TASKS[0]}/{method}/budget1"] = (TASKS[0], method, 1, 0)
+        cases[f"sphere/{method}/budget7"] = ("sphere", method, 7, 0)
     for task in task_ids():
         if task not in TASKS:
             for method in WIDE_METHODS:
-                cases[f"{task}/{method}/budget{WIDE_BUDGET}"] = (task, method, WIDE_BUDGET, 0, {})
+                cases[f"{task}/{method}/budget{WIDE_BUDGET}"] = (task, method, WIDE_BUDGET, 0)
     # Past budget 34 bo keeps its fitted theta between refits (at n = 30, 33,
     # 36, 39, 42, 46, 50 and 55); this case covers those rounds.
-    cases[f"{TASKS[0]}/bo/budget60"] = (TASKS[0], "bo", 60, 0, {})
-    cases["sphere/evolve/islands3"] = (
-        "sphere", "evolve", 41, 0, {"num_islands": 3, "migration_interval": 2}
-    )
+    cases[f"{TASKS[0]}/bo/budget60"] = (TASKS[0], "bo", 60, 0)
     return cases
 
 
@@ -67,7 +65,7 @@ def _environment(task: str):
     return get_environment(task)
 
 
-def trajectory_digest(task: str, method: str, budget: int, seed: int, options: dict) -> str:
+def trajectory_digest(task: str, method: str, budget: int, seed: int) -> str:
     env = _environment(task)
     try:
         warm = []
@@ -75,7 +73,7 @@ def trajectory_digest(task: str, method: str, budget: int, seed: int, options: d
             warm = [env.space.clip(p) for p in env.space.sample_uniform(seed=1, n=2)]
         traj = run_with_budget(
             env,
-            OptimizerConfig(method=method, budget=budget, seed=seed, options=options),
+            OptimizerConfig(method=method, budget=budget, seed=seed),
             warmstart=warm,
         )
     finally:
@@ -115,31 +113,18 @@ def test_trajectory_matches_golden(case, goldens):
 
 @pytest.mark.parametrize("method", method_names())
 def test_a_written_resolved_config_reruns_its_trajectory(method, goldens, tmp_path):
-    # `aerobench run` records the typed options; they rebuild the same run.
+    # `aerobench run` records the method's fixed settings; its method, budget
+    # and seed rebuild the same run.
     task = TASKS[0]
     argv = ["run", "--task", task, "--method", method, "--seeds", "0",
             "--budget", str(BUDGET[method]), "--out", str(tmp_path)]
     assert main(argv) == 0
     with open(tmp_path / task / method / "seed0" / "resolved_config.json") as fh:
         cfg = json.load(fh)
-    config = OptimizerConfig(
-        **{k: cfg[k] for k in ("method", "budget", "seed")}, options=cfg["options"]
-    )
-    digest = trajectory_digest(task, config.method, config.budget, config.seed, config.options)
+    assert cfg["options"] == importlib.import_module(f"aerobench.optimizers.{method}").DEFAULTS
+    config = OptimizerConfig(**{k: cfg[k] for k in ("method", "budget", "seed")})
+    digest = trajectory_digest(task, config.method, config.budget, config.seed)
     assert digest == goldens[f"{task}/{method}/seed0"]
-
-
-def test_written_options_given_as_ints_rerun_their_trajectory():
-    # sigma0=1 runs and is recorded as 1.0; the recorded options give the same digest.
-    options = {"sigma0": 1, "popsize": 6}
-    config = OptimizerConfig(method="cmaes", budget=30, seed=0, options=options)
-    traj = run_with_budget(_environment("sphere"), config)
-    written = json.loads(json.dumps(traj.resolved_config))["options"]
-    assert written == {"sigma0": 1.0, "popsize": 6, "mu": None}
-    assert type(written["sigma0"]) is float
-    assert trajectory_digest("sphere", "cmaes", 30, 0, written) == trajectory_digest(
-        "sphere", "cmaes", 30, 0, options
-    )
 
 
 if __name__ == "__main__":

@@ -129,29 +129,76 @@ def test_every_method_module_defines_defaults_check_and_run():
         assert {"check", "run"} <= functions and "DEFAULTS" in assigned, path.stem
 
 
-def _coerced_options(tree: ast.Module) -> list[str]:
-    """`int`, `float` or `bool` calls on a subscript of `opts`, e.g. `int(opts["n"])`."""
-    return [
-        f"{node.func.id} (line {node.lineno})"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("int", "float", "bool")
-        and any(
-            isinstance(arg, ast.Subscript) and getattr(arg.value, "id", None) == "opts" for arg in node.args
-        )
+def _config_fields(tree: ast.Module) -> list[str]:
+    """The annotated fields `OptimizerConfig` declares, in order."""
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "OptimizerConfig"]
+    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+
+
+def test_a_config_is_a_method_a_budget_and_a_seed():
+    # A method runs at one fixed configuration; no run sets an option.
+    assert _config_fields(_tree(OPTIMIZERS / "__init__.py")) == ["method", "budget", "seed"]
+
+
+def _settings_faults(tree: ast.Module) -> list[str]:
+    """Where a method module's settings and its reads of them disagree.
+
+    The settings are the keys of its top-level `DEFAULTS` dict. A read is a
+    subscript of `DEFAULTS`, or of `opts` (the settings `bo` hands its GP
+    fit). Every key must be read as `DEFAULTS["key"]` or `opts["key"]`, and
+    every read must name a key as a string constant.
+    """
+    (defaults,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["DEFAULTS"]
     ]
+    keys = {key.value for key in defaults.keys}
+    faults, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in ("DEFAULTS", "opts"):
+            key = node.slice.value if isinstance(node.slice, ast.Constant) else None
+            if key in keys:
+                read.add(key)
+            else:
+                faults.append(f"{node.value.id}[{ast.unparse(node.slice)}] (line {node.lineno})")
+    return sorted(faults) + [f"unread {key}" for key in sorted(keys - read)]
 
 
-def test_no_method_coerces_its_options():
-    # resolved_options types every option once; a method reads them as they are.
-    found = {p.stem: _coerced_options(_tree(p)) for p in METHOD_MODULES}
-    assert {stem: casts for stem, casts in found.items() if casts} == {}
+def test_every_setting_of_a_method_is_read_and_every_read_is_a_setting():
+    found = {p.stem: _settings_faults(_tree(p)) for p in METHOD_MODULES}
+    assert {stem: faults for stem, faults in found.items() if faults} == {}
 
 
-def test_the_coercion_check_sees_a_cast_of_an_option():
-    tree = ast.parse('a = int(opts["n"])\nb = float(x["y"])\nc = bool(opts)\n')
-    assert _coerced_options(tree) == ["int (line 1)"]
+def test_the_settings_check_sees_unread_keys_and_unknown_reads():
+    tree = ast.parse(
+        'DEFAULTS = {"a": 1, "b": 2, "c": 3}\n'
+        'x = DEFAULTS["a"] + opts["c"] + DEFAULTS["d"] + DEFAULTS[name] + other["b"]\n'
+    )
+    assert _settings_faults(tree) == ["DEFAULTS['d'] (line 2)", "DEFAULTS[name] (line 2)", "unread b"]
+
+
+def _parameters(tree: ast.Module) -> dict[str, list[str]]:
+    """Every parameter name of a module's top-level `check` and `run`, keyword-only and starred ones too."""
+    return {
+        node.name: [
+            arg.arg for arg in (*node.args.posonlyargs, *node.args.args, node.args.vararg,
+                                *node.args.kwonlyargs, node.args.kwarg) if arg
+        ]
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("check", "run")
+    }
+
+
+def test_no_method_takes_options():
+    for path in METHOD_MODULES:
+        assert _parameters(_tree(path)) == {
+            "check": ["space"], "run": ["dim", "rng", "warm", "budget", "warn"]
+        }, path.stem
+
+
+def test_the_parameter_check_reads_check_and_run_only():
+    tree = ast.parse("def check(space, **opts): pass\ndef run(dim, *, opts=None): pass\ndef fit(self, rng, opts): pass\n")
+    assert _parameters(tree) == {"check": ["space", "opts"], "run": ["dim", "opts"]}
 
 
 def _method_name_comparisons(tree: ast.Module) -> list[int]:
