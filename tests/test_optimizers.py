@@ -1,5 +1,7 @@
 """Budget accounting, method invariants, and per-method behavior."""
 import copy
+import json
+import math
 import re
 
 import numpy as np
@@ -14,7 +16,7 @@ from aerobench.optimizers import (
 from aerobench.optimizers.base import fd_gradient
 from scipy.stats import norm
 
-from aerobench.optimizers import bo, cmaes, evolve, pso
+from aerobench.optimizers import bo, cmaes, evolve, lbfgsb, pso
 from aerobench.optimizers.bo import (
     DEFAULT_THETA,
     JITTER_MAX,
@@ -44,6 +46,56 @@ from aerobench.space import (
 )
 
 METHODS = method_names()
+MODULES = {"bo": bo, "cmaes": cmaes, "evolve": evolve, "lbfgsb": lbfgsb, "pso": pso}
+
+# The range each fixed setting must lie in. A count is an int; any other
+# setting is a finite float.
+RULES = {
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+COUNT_RULES = {">= 1", ">= 2"}
+SETTING_RULES = {
+    "bo": {
+        "n_initial": ">= 2",
+        "n_candidates": ">= 1",
+        "n_refine": ">= 1",
+        "fit_starts": ">= 1",
+        "fit_steps": ">= 1",
+        "fit_lr": "> 0",
+    },
+    "cmaes": {"sigma0": "> 0"},
+    "evolve": {
+        "archive_capacity": ">= 1",
+        "pw_alpha": "> 0",
+        "batch_size": ">= 1",
+        "gaussian_scale": ">= 0",
+        "gaussian_final_scale": ">= 0",
+    },
+    "lbfgsb": {
+        "memory": ">= 1",
+        "maxiter": ">= 1",
+        "restarts": ">= 1",
+        "gtol": "> 0",
+        "ftol": "> 0",
+        "armijo_c": "in (0, 1)",
+        "max_halvings": ">= 1",
+        "fd_eps": "in (0, 1)",
+    },
+    "pso": {
+        "swarm_size": ">= 2",
+        "inertia_start": ">= 0",
+        "inertia_end": ">= 0",
+        "cognitive_start": ">= 0",
+        "cognitive_end": ">= 0",
+        "social_start": ">= 0",
+        "social_end": ">= 0",
+        "velocity_init_scale": ">= 0",
+    },
+}
 
 
 def sphere_env(dim=4):
@@ -86,6 +138,21 @@ class TestConfig:
 
     def test_method_names(self):
         assert METHODS == ["bo", "cmaes", "evolve", "lbfgsb", "pso"]
+
+    def test_every_fixed_setting_has_a_rule(self):
+        assert {m: list(SETTING_RULES[m]) for m in METHODS} == {
+            m: list(MODULES[m].DEFAULTS) for m in METHODS
+        }
+
+    @pytest.mark.parametrize(
+        "method, name", [(m, n) for m in sorted(SETTING_RULES) for n in SETTING_RULES[m]]
+    )
+    def test_fixed_setting_has_its_type_and_range(self, method, name):
+        # No run can override a setting, so an edit of DEFAULTS is the only way
+        # to give one a value its code cannot use.
+        rule, value = SETTING_RULES[method][name], MODULES[method].DEFAULTS[name]
+        assert type(value) is (int if rule in COUNT_RULES else float)
+        assert math.isfinite(value) and RULES[rule](value)
 
 
 def fd_grad(f, x):
@@ -208,6 +275,18 @@ class TestBudgetProtocol:
         assert cfg["options"]["swarm_size"] == 20
         assert "catalog_version" in cfg and "harness_version" in cfg
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_recorded_options_are_a_json_faithful_copy_of_the_defaults(self, method):
+        defaults = MODULES[method].DEFAULTS
+        before = dict(defaults)
+        traj = run_with_budget(sphere_env(), OptimizerConfig(method=method, budget=5, seed=0))
+        written = json.loads(json.dumps(traj.resolved_config))["options"]
+        # Same keys in the same order, and a float stays a float.
+        assert list(written.items()) == list(defaults.items())
+        assert [type(v) for v in written.values()] == [type(v) for v in defaults.values()]
+        traj.resolved_config["options"].clear()
+        assert defaults == before
+
 
 class TestLbfgsb:
     def test_categorical_only_space_rejected_before_eval(self):
@@ -329,6 +408,21 @@ class TestCmaes:
         assert traj.resolved_config["options"] == {"sigma0": 0.3}
         gens = {r.iteration for r in traj.records}
         assert max(gens) == 4  # 50 evals / 10 per generation
+
+    @pytest.mark.parametrize("dim, popsize", [(1, 4), (2, 6), (3, 7), (20, 12), (64, 16)])
+    def test_population_is_four_plus_three_log_d_and_mu_half_of_it(self, monkeypatch, dim, popsize):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return strategy_params(*args)
+
+        monkeypatch.setattr(cmaes, "strategy_params", recording)
+        traj = run_with_budget(
+            sphere_env(dim=dim), OptimizerConfig(method="cmaes", budget=2 * popsize, seed=0)
+        )
+        assert calls == [(dim, popsize, popsize // 2)]
+        assert [r.iteration for r in traj.records] == [0] * popsize + [1] * popsize
 
     def test_improves_sphere(self):
         traj = run_with_budget(
@@ -877,6 +971,15 @@ class TestEvolve:
     def test_mutation_scale_decay(self):
         assert mutation_scale(0.0, 0.3, 0.1) == pytest.approx(0.3)
         assert mutation_scale(1.0, 0.3, 0.1) == pytest.approx(0.03)
+
+    def test_one_archive_proposes_generations_of_batch_size_children(self):
+        # One random design fills the empty archive; then every generation is
+        # batch_size children of that one archive until the budget is spent.
+        traj = run_with_budget(sphere_env(), OptimizerConfig(method="evolve", budget=100, seed=0))
+        iterations = [r.iteration for r in traj.records]
+        batch = evolve.DEFAULTS["batch_size"]
+        expected = [0] + [gen for gen in range(1, 100) for _ in range(batch)]
+        assert iterations == expected[:100]
 
 
 class TestOnCatalogTasks:
