@@ -80,7 +80,7 @@ def _best_at(curve: Sequence[float | None], budget: int, fraction: float) -> flo
     """Look up `best_so_far_at` on a curve from `_running_best`."""
     if not 0.0 < fraction <= 1.0:
         raise AnalyticsError("fraction must be in (0, 1]")
-    if not curve:
+    if not len(curve):
         raise AnalyticsError("empty trajectory")
     n = math.ceil(fraction * budget)
     # A prefix of pure error rows (or an empty one) still extends: the curve
@@ -203,18 +203,28 @@ class RunRecord:
     harness_version: object = None
 
     @cached_property
-    def _curve(self) -> list[float | None]:
-        return _running_best(self.rewards)
+    def curve(self) -> np.ndarray:
+        """The run's `_running_best` curve as float64, computed once; empty
+        when the run has no successful evaluation."""
+        curve = _running_best(self.rewards)
+        return np.array(curve if curve and curve[-1] is not None else (), dtype=float)
 
     @property
     def usable(self) -> bool:
         """Whether the run has a successful evaluation: only then does
         `best_so_far_at` answer, and at every fraction."""
-        return bool(self._curve) and self._curve[-1] is not None
+        return len(self.curve) > 0
 
     def best_so_far_at(self, fraction: float) -> float:
-        """`best_so_far_at` of this run; its curve is computed once."""
-        return _best_at(self._curve, self.budget, fraction)
+        """`best_so_far_at` of this run, read off its curve."""
+        if not self.usable:  # raises as the function does: a bad fraction, or no successful row
+            return best_so_far_at(self.rewards, self.budget, fraction)
+        return float(_best_at(self.curve, self.budget, fraction))
+
+    def best_at(self, fractions: np.ndarray) -> np.ndarray:
+        """`best_so_far_at` of a usable run at each of `fractions` in (0, 1], in one lookup."""
+        n = np.ceil(fractions * self.budget)
+        return self.curve[np.maximum(np.minimum(n, len(self.curve)), 1).astype(np.intp) - 1]
 
 
 @dataclass(frozen=True)
@@ -282,11 +292,44 @@ def write_run_dir(root: str, trajectory: Trajectory, sense: str) -> None:
             fh.write("\n".join(trajectory.warnings) + "\n")
 
 
+def _read_rewards(path: str, text: str) -> list[float | None]:
+    """The reward column of a `results.csv` text as `write_run_dir` writes it: never quoted.
+
+    Each line is split only as far as the reward column. An empty text holds
+    no rows, a blank line is skipped and a reward of "" or "None" is an
+    error row; a quote, a missing reward column, or a reward that is NaN,
+    text or absent from its row is refused with its line number.
+    """
+    if '"' in text:
+        # Splitting a quoted field on its commas would shift every column after it.
+        line = text.count("\n", 0, text.index('"')) + 1
+        raise AnalyticsError(f"{path}: results.csv line {line}: holds a quote; write_run_dir writes no quotes")
+    header, *lines = text.split("\n") if text else ("reward",)
+    names = header.split(",")
+    if "reward" not in names:
+        raise AnalyticsError(f"{path}: results.csv has no reward column")
+    col = names.index("reward")
+    rewards: list[float | None] = []
+    for n, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        try:
+            field = line.split(",", col + 1)[col]
+            reward = float(field) if field not in ("", "None") else None
+        except (IndexError, ValueError):
+            reward = math.nan
+        if reward != reward:
+            raise AnalyticsError(f"{path}: results.csv line {n}: reward is not a number")
+        rewards.append(reward)
+    return rewards
+
+
 def read_run_dir(path: str) -> RunRecord:
     """Read one seed directory (results.csv + resolved_config.json).
 
     A reward of "" or "None" is an error row. A malformed or unreadable
-    directory raises AnalyticsError naming it and the problem.
+    directory, or a quoted `results.csv`, raises AnalyticsError naming it
+    and the problem.
     """
     try:
         with open(os.path.join(path, "resolved_config.json")) as fh:
@@ -314,24 +357,13 @@ def read_run_dir(path: str) -> RunRecord:
             raise AnalyticsError(
                 f"{path}: resolved_config.json {key} must be a file name, got {value!r}"
             )
-    rewards: list[float | None] = []
     try:
-        with open(os.path.join(path, "results.csv"), newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, ["reward"])  # an empty file holds no rows
-            if "reward" not in header:
-                raise AnalyticsError(f"{path}: results.csv has no reward column")
-            col = header.index("reward")
-            for row in filter(None, reader):  # a blank line is skipped, as csv.DictReader does
-                try:
-                    reward = float(row[col]) if row[col] not in ("", "None") else None
-                except (IndexError, ValueError):
-                    reward = math.nan
-                if reward != reward:
-                    raise AnalyticsError(f"{path}: results.csv line {reader.line_num}: reward is not a number")
-                rewards.append(reward)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        # Universal newlines: CRLF, LF and a lone CR all end a line.
+        with open(os.path.join(path, "results.csv")) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise AnalyticsError(f"{path}: results.csv cannot be read: {exc}") from None
+    rewards = _read_rewards(path, text)
     if len(rewards) > config["budget"]:
         # Ranking reads only the first `budget` rows and would drop the rest unseen.
         raise AnalyticsError(f"{path}: results.csv holds {len(rewards)} rows, more than its budget {config['budget']}")
@@ -346,15 +378,41 @@ def read_run_dir(path: str) -> RunRecord:
     )
 
 
+def _manifest_grid(root: str) -> tuple[str, list, list, list] | None:
+    """The path of `root`'s manifest and the tasks, methods and seeds it lists; None if it has none."""
+    path = os.path.join(root, "manifest.json")
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise AnalyticsError(f"{path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AnalyticsError(f"{path} cannot be read: {exc}") from None
+    keys = ("tasks", "methods", "seeds")
+    if not isinstance(manifest, dict) or not all(isinstance(manifest.get(key), list) for key in keys):
+        raise AnalyticsError(f"{path} must list the grid's tasks, methods and seeds")
+    return path, *(manifest[key] for key in keys)
+
+
 def load_run_set(roots: Iterable[str]) -> RunSet:
     """Scan `<root>/<task>/<method>/seed<k>/` layouts into a RunSet, refusing
-    cells that record different catalog or harness versions."""
+    cells that record different catalog or harness versions, and cells that
+    the root's manifest, when it has one, does not list."""
     records = []
     first: dict[str, tuple[object, str]] = {}  # version key -> (value, first cell to record it)
     for root in roots:
+        listed = _manifest_grid(root)
         for dirpath, dirnames, filenames in os.walk(root):
             if "results.csv" in filenames and "resolved_config.json" in filenames:
                 records.append(record := read_run_dir(dirpath))
+                run = (record.task, record.method, record.seed)
+                if listed and not all(value in values for value, values in zip(run, listed[1:])):
+                    # A cell copied in beside a grid would be ranked as part of it.
+                    raise AnalyticsError(
+                        f"{dirpath}: {listed[0]} lists no run of task {run[0]!r}, method {run[1]!r}, seed {run[2]!r}"
+                    )
                 for key in ("catalog_version", "harness_version"):
                     if (value := getattr(record, key)) is not None:
                         seen, cell = first.setdefault(key, (value, dirpath))
@@ -415,32 +473,24 @@ def group_rank_table(table: RankTable, group_of: Callable[[str], str]) -> RankTa
     return RankTable(fractions=table.fractions, per_task=per_group, missing=missing)
 
 
-def _method_score(run_set: RunSet, task: str, method: str, fraction: float) -> float | None:
-    vals = [r.best_so_far_at(fraction) for r in run_set.runs(task, method) if r.usable]
-    if not vals:
-        return None
-    return float(np.median(vals))
-
-
 def rank_table(run_set: RunSet) -> RankTable:
     """Median-seed normalized rank of each method per task and fraction."""
+    grid = np.array(BUDGET_GRID)
     per_task: dict[str, dict[float, dict[str, float]]] = {}
     missing: dict[str, tuple[str, ...]] = {}
     for task in run_set.tasks:
-        per_task[task] = {}
-        absent: dict[str, None] = {}
-        for frac in BUDGET_GRID:
-            scores = {
-                m: s
-                for m in run_set.methods
-                if (s := _method_score(run_set, task, m, frac)) is not None
-            }
-            absent.update(dict.fromkeys(m for m in run_set.methods if m not in scores))
-            per_task[task][frac] = (
-                normalized_rank(scores) if len(scores) >= 2 else dict.fromkeys(scores, 0.5)
-            )
-        if absent:
-            missing[task] = tuple(absent)
+        scores = {}  # method -> median over its usable seeds of best-so-far at each fraction
+        for m in run_set.methods:
+            if curves := [r.best_at(grid) for r in run_set.runs(task, m) if r.usable]:
+                scores[m] = np.median(curves, axis=0).tolist()
+        per_task[task] = {
+            frac: normalized_rank({m: s[i] for m, s in scores.items()})
+            if len(scores) >= 2
+            else dict.fromkeys(scores, 0.5)
+            for i, frac in enumerate(BUDGET_GRID)
+        }
+        if absent := tuple(m for m in run_set.methods if m not in scores):
+            missing[task] = absent
     return RankTable(fractions=BUDGET_GRID, per_task=per_task, missing=missing)
 
 
@@ -505,20 +555,19 @@ def write_convergence_data(
     """Per (task, method) median/IQR best-so-far series as plot-data CSVs."""
     os.makedirs(out_dir, exist_ok=True)
     fractions = [(i + 1) / points for i in range(points)]
+    at = np.array(fractions)
     written = []
     for task in run_set.tasks:
         for method in run_set.methods:
             runs = run_set.runs(task, method)
             if not runs:
                 continue
-            curves = [[r.best_so_far_at(frac) for frac in fractions] for r in runs if r.usable]
+            curves = [r.best_at(at) for r in runs if r.usable]
             rows = []
             if curves:
                 # One (points x runs) quantile call; each row is the same
                 # linear interpolation `median_iqr` computes per point.
-                q25, med, q75 = np.quantile(
-                    np.array(curves, dtype=float).T, [0.25, 0.5, 0.75], axis=1, method="linear"
-                )
+                q25, med, q75 = np.quantile(np.array(curves).T, [0.25, 0.5, 0.75], axis=1, method="linear")
                 rows = zip(fractions, med.tolist(), q25.tolist(), q75.tolist())
             path = os.path.join(out_dir, f"convergence_{task}_{method}.csv")
             with open(path, "w", newline="") as fh:

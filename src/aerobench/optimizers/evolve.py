@@ -28,13 +28,20 @@ def _neg_reward(entry: tuple[float, np.ndarray]) -> float:
     return -entry[0]
 
 
-@lru_cache(maxsize=256)
 def _rank_probs(n: int, pw_alpha: float) -> np.ndarray:
-    """Power-law probabilities of archive ranks 1..n, normalized; read-only."""
+    """Power-law probabilities of archive ranks 1..n, normalized."""
     probs = np.arange(1, n + 1, dtype=float) ** (-pw_alpha)
     probs /= probs.sum()
-    probs.flags.writeable = False
     return probs
+
+
+@lru_cache(maxsize=256)
+def _rank_cdf(n: int, pw_alpha: float) -> np.ndarray:
+    """The CDF `Generator.choice(n, p=_rank_probs(n, pw_alpha))` draws from; read-only."""
+    cdf = _rank_probs(n, pw_alpha).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 class Archive:
@@ -51,7 +58,9 @@ class Archive:
             self.entries.pop()
 
     def sample_parent(self, rng: np.random.Generator, pw_alpha: float) -> np.ndarray:
-        idx = int(rng.choice(len(self.entries), p=_rank_probs(len(self.entries), pw_alpha)))
+        # One uniform, searched as `rng.choice(n, p=_rank_probs(n, pw_alpha))` does, so the
+        # pick and the generator's next state are the same.
+        idx = int(_rank_cdf(len(self.entries), pw_alpha).searchsorted(rng.random(), side="right"))
         return self.entries[idx][1]
 
     @property

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -329,6 +330,142 @@ class TestRunIngestion:
         # As many rows as the budget, or fewer, still read.
         assert read_run_dir(_write_run_dir(str(tmp_path), "t", "bo", 0, (1.0, 9.0), budget=2)).rewards == (1.0, 9.0)
         assert read_run_dir(_write_run_dir(str(tmp_path), "t", "cmaes", 0, (1.0,), budget=2)).rewards == (1.0,)
+
+    def test_cell_copied_in_beside_a_grid_is_refused(self, tmp_path, capsys):
+        grid = ["run", "--task", "delta-ld-single", "--seeds", "0", "--budget", "5"]
+        runs, other = tmp_path / "runs", tmp_path / "other"
+        assert main([*grid, "--method", "pso,evolve", "--out", str(runs)]) == 0
+        assert main([*grid, "--method", "cmaes", "--out", str(other)]) == 0
+        assert load_run_set([str(runs)]).methods == ["evolve", "pso"]
+        copied = runs / "delta-ld-single" / "cmaes"
+        shutil.copytree(other / "delta-ld-single" / "cmaes", copied)
+        with pytest.raises(AnalyticsError) as refused:
+            load_run_set([str(runs)])
+        assert str(refused.value) == (
+            f"{copied / 'seed0'}: {runs / 'manifest.json'} lists no run of task 'delta-ld-single', "
+            "method 'cmaes', seed 0"
+        )
+        capsys.readouterr()
+        assert main(["compare", str(runs), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        # Below the root, no manifest is read: a task's directory compares as a hand-built tree.
+        assert load_run_set([str(runs / "delta-ld-single")]).methods == ["cmaes", "evolve", "pso"]
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            (b"{", "is not valid JSON"),
+            (b"\xff{}", "cannot be read"),
+            (b"[]", "must list the grid's tasks, methods and seeds"),
+            (b'{"tasks": ["t"], "methods": ["pso"]}', "must list the grid's tasks, methods and seeds"),
+            (b'{"tasks": ["t"], "methods": "pso", "seeds": [0]}', "must list the grid's tasks, methods and seeds"),
+        ],
+    )
+    def test_manifest_without_a_grid_is_refused(self, tmp_path, text, problem):
+        _write_run_dir(str(tmp_path), "t", "pso", 0, (1.0,))
+        (tmp_path / "manifest.json").write_bytes(text)
+        with pytest.raises(AnalyticsError) as refused:
+            load_run_set([str(tmp_path)])
+        assert str(refused.value).startswith(f"{tmp_path / 'manifest.json'} {problem}")
+
+    def test_cells_a_manifest_lists_load(self, tmp_path):
+        for method in ("pso", "bo"):
+            _write_run_dir(str(tmp_path), "t", method, 0, (1.0,))
+        (tmp_path / "manifest.json").write_text('{"tasks": ["t", "u"], "methods": ["bo", "pso"], "seeds": [0, 1]}')
+        assert load_run_set([str(tmp_path)]).methods == ["bo", "pso"]
+
+
+def _csv_reader_rewards(path):
+    """The `csv.reader` loop `read_run_dir` read rewards with before it split lines itself."""
+    rewards = []
+    with open(os.path.join(path, "results.csv"), newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, ["reward"])  # an empty file holds no rows
+        if "reward" not in header:
+            raise AnalyticsError(f"{path}: results.csv has no reward column")
+        col = header.index("reward")
+        for row in filter(None, reader):  # a blank line is skipped, as csv.DictReader does
+            try:
+                reward = float(row[col]) if row[col] not in ("", "None") else None
+            except (IndexError, ValueError):
+                reward = math.nan
+            if reward != reward:
+                raise AnalyticsError(f"{path}: results.csv line {reader.line_num}: reward is not a number")
+            rewards.append(reward)
+    return rewards
+
+
+def _rewards_outcome(fn, path):
+    """The rewards' exact bits, or the error message."""
+    try:
+        rewards = fn(path)
+    except AnalyticsError as exc:
+        return ("raises", str(exc))
+    return ("rewards", [None if r is None else r.hex() for r in rewards])
+
+
+# Any character but a quote, a comma or a line end; NUL, form feed and NEL stay inside a line.
+_field = st.text(st.characters(blacklist_characters='",\r\n', max_codepoint=0x2030), max_size=6)
+_reward_field = st.one_of(
+    st.sampled_from(["", "None", "nan", "NaN", "-nan", "abc", "none", "1_0", " 2.5 ", "inf", "-0.0", "1e999"]),
+    st.floats(allow_nan=False).map(repr),
+    _field,
+)
+
+
+@st.composite
+def _results_texts(draw):
+    """An unquoted results.csv: its header, then rows and blank lines, each ended by LF, CRLF or a lone CR."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    names = draw(st.lists(_field, min_size=1, max_size=5))
+    if draw(st.integers(0, 9)):  # one in ten has no reward column
+        names.insert(draw(st.integers(0, len(names))), "reward")
+    col = names.index("reward") if "reward" in names else 0
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        width = draw(st.integers(max(0, col - 1), len(names) + 2))  # short rows and extra columns
+        fields = draw(st.lists(_field, min_size=width, max_size=width))
+        if col < width:
+            fields[col] = draw(_reward_field)
+        lines.append(",".join(fields))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+class TestResultsReader:
+    @given(_results_texts())
+    @example("")
+    @example("iter,reward\r\n")
+    @example("iter,reward")
+    @example("\r\n0,1.5\r\n")
+    @example("reward,x\r1.5\r\r\n\rnan\n")
+    @example("a,reward\n0\n")
+    @example("a,reward,b\n0,None,\n\n0,,1\n0,-0.0\r\n")
+    @example("reward\n\x0c1.5\x85\n1\x002\n")
+    @example("reward\n \n1\n")
+    @example("a,reward\n\t\n")
+    @settings(max_examples=400, deadline=None)
+    def test_same_rewards_or_error_as_the_csv_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = _write_run_dir(tmp, "t", "pso", 0, (), budget=100)
+            with open(os.path.join(d, "results.csv"), "w", newline="") as fh:
+                fh.write(text)
+            reference = _rewards_outcome(_csv_reader_rewards, d)
+            assert _rewards_outcome(lambda path: read_run_dir(path).rewards, d) == reference
+
+    def test_quoted_file_is_refused_with_its_line(self, tmp_path):
+        # csv would read 2.5 on line 3; split on commas, the quoted design id would shift it.
+        d = _write_run_dir(str(tmp_path), "t", "pso", 0, (1.0, 2.5))
+        with open(os.path.join(d, "results.csv"), "w", newline="") as fh:
+            fh.write('iter,design_id,reward\r\n0,d0,1.0\r\n1,"d,1",2.5\r\n')
+        with pytest.raises(AnalyticsError) as refused:
+            read_run_dir(d)
+        assert str(refused.value) == f"{d}: results.csv line 3: holds a quote; write_run_dir writes no quotes"
 
 
 class TestRankTable:

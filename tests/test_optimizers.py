@@ -968,6 +968,20 @@ class TestEvolve:
                 probs /= probs.sum()
                 assert np.array_equal(evolve._rank_probs(n, pw_alpha), probs)
 
+    def test_parent_draw_is_generator_choice(self):
+        # A draw from the cached CDF picks the rank `Generator.choice` picks
+        # with the same probabilities, and leaves the generator in the same state.
+        for seed in (0, 1, 7, 2024):
+            for pw_alpha in (0.5, 3.0):
+                archive = Archive(capacity=100)
+                drawn, chosen = np.random.default_rng(seed), np.random.default_rng(seed)
+                for n in range(1, 101):
+                    archive.add(float(-n), np.array([float(n - 1)]))  # rank k holds k
+                    for _ in range(5):
+                        parent = int(archive.sample_parent(drawn, pw_alpha)[0])
+                        assert parent == int(chosen.choice(n, p=evolve._rank_probs(n, pw_alpha)))
+                    assert drawn.bit_generator.state == chosen.bit_generator.state
+
     def test_mutation_scale_decay(self):
         assert mutation_scale(0.0, 0.3, 0.1) == pytest.approx(0.3)
         assert mutation_scale(1.0, 0.3, 0.1) == pytest.approx(0.03)
