@@ -100,17 +100,16 @@ def child_fit(n: int) -> dict:
     results = env.evaluate_batch([env.space.denormalize(u) for u in U])
     x = np.array([u for u, r in zip(U, results) if r.reward is not None])
     y = np.array([r.reward for r in results if r.reward is not None])
-    opts = dict(bo.DEFAULTS)
     m = len(x) - max(1, len(x) // 10)
     cold = bo._GP(x[:m], y[:m], lambda msg: None)
-    cold.fit(np.random.Generator(np.random.Philox(key=1)), opts)
+    cold.fit(np.random.Generator(np.random.Philox(key=1)))
     theta = cold.theta
     fit_s, factor_s = [], []
     for _ in range(FIT_REPEATS):
         counts["nll_evals"] = 0
         gp = bo._GP(x, y, lambda msg: None, theta)
         start = time.perf_counter()
-        gp.fit(None, opts)
+        gp.fit(None)
         fit_s.append(time.perf_counter() - start)
         if hasattr(bo._GP, "factor"):
             gp = bo._GP(x, y, lambda msg: None, theta)

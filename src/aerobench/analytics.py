@@ -28,11 +28,8 @@ import numpy as np
 if TYPE_CHECKING:  # a run-time import would load the optimizers for `compare`
     from .optimizers import Trajectory
 
-# The budget fractions `rank_table` ranks at.
-BUDGET_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
-
-MAXIMIZE = "maximize"
-MINIMIZE = "minimize"
+# The budget fractions `rank_table` ranks at: k/5 for k = 1..5, as `RunRecord.best_at(5)` reads them.
+BUDGET_GRID = tuple(k / 5 for k in range(1, 6))
 
 RESULTS_HEADER = ("iter", "design_id", "reward", "best_reward", "feasible", "n_evals", "wall_ms")
 
@@ -42,72 +39,21 @@ class AnalyticsError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Trajectory-level statistics
+# Rank statistics
 # ---------------------------------------------------------------------------
 
 
-def best_so_far_at(
-    rewards: Sequence[float | None], budget: int, fraction: float
-) -> float:
-    """Best reward among the first ceil(fraction * budget) evaluations.
-
-    Trajectories shorter than the prefix (early termination) extend their
-    last best. Error evaluations (None) are skipped.
-    """
-    return _best_at(_running_best(rewards), budget, fraction)
-
-
-def _running_best(rewards: Sequence[float | None]) -> list[float | None]:
-    """Entry i is the best reward among rewards[:i + 1], skipping errors.
-
-    `r > best` is the comparison `max()` makes, so ties and NaN resolve as a
-    prefix max would. Leading error rows fall forward to the first finite
-    reward; a run with no successful evaluation stays all None.
-    """
-    curve: list[float | None] = []
-    best = None
-    for r in rewards:
-        if r is not None and (best is None or r > best):
-            best = r
-        curve.append(best)
-    if best is not None:
-        lead = curve.count(None)
-        curve[:lead] = [curve[lead]] * lead
-    return curve
-
-
-def _best_at(curve: Sequence[float | None], budget: int, fraction: float) -> float:
-    """Look up `best_so_far_at` on a curve from `_running_best`."""
-    if not 0.0 < fraction <= 1.0:
-        raise AnalyticsError("fraction must be in (0, 1]")
-    if not len(curve):
-        raise AnalyticsError("empty trajectory")
-    n = math.ceil(fraction * budget)
-    # A prefix of pure error rows (or an empty one) still extends: the curve
-    # holds the first finite reward there, or None if the whole run errored.
-    best = curve[max(min(n, len(curve)), 1) - 1]
-    if best is None:
-        raise AnalyticsError("trajectory contains no successful evaluations")
-    return best
-
-
-def normalized_rank(
-    values: Mapping[str, float], sense: str = MAXIMIZE
-) -> dict[str, float]:
-    """Map method scores to [0, 1] ranks: best method 0, worst 1.
+def normalized_rank(values: Mapping[str, float]) -> dict[str, float]:
+    """Map method scores, higher better, to [0, 1] ranks: best method 0, worst 1.
 
     Ties share the average rank before the affine map. If all values are
     equal, every method gets 0.5 by convention.
     """
     if len(values) < 2:
         raise AnalyticsError("need at least 2 methods to rank")
-    if sense not in (MAXIMIZE, MINIMIZE):
-        raise AnalyticsError(f"unknown sense {sense!r}")
     methods = list(values)
-    scores = np.array([float(values[m]) for m in methods])
-    # Rank 1 = best: ascending for minimization, descending for maximization.
-    keyed = scores if sense == MINIMIZE else -scores
-    ranks = _average_ranks(keyed)
+    # Rank 1 = best: descending scores.
+    ranks = _average_ranks(-np.array([float(values[m]) for m in methods]))
     lo, hi = ranks.min(), ranks.max()
     if hi == lo:
         return {m: 0.5 for m in methods}
@@ -204,27 +150,39 @@ class RunRecord:
 
     @cached_property
     def curve(self) -> np.ndarray:
-        """The run's `_running_best` curve as float64, computed once; empty
-        when the run has no successful evaluation."""
-        curve = _running_best(self.rewards)
-        return np.array(curve if curve and curve[-1] is not None else (), dtype=float)
+        """The run's best-so-far curve as float64, computed once; empty when
+        the run has no successful evaluation.
+
+        Entry i is the best reward among rewards[:i + 1], skipping errors.
+        `r > best` is the comparison `max()` makes, so ties and NaN resolve
+        as a prefix max would. Leading error rows take the first successful
+        reward.
+        """
+        curve, best = [], None
+        for r in self.rewards:
+            if r is not None and (best is None or r > best):
+                best = r
+            curve.append(best)
+        if best is None:
+            return np.empty(0)
+        lead = curve.count(None)
+        return np.array([curve[lead]] * lead + curve[lead:], dtype=float)
 
     @property
     def usable(self) -> bool:
-        """Whether the run has a successful evaluation: only then does
-        `best_so_far_at` answer, and at every fraction."""
+        """Whether the run has a successful evaluation: only then does `best_at` answer."""
         return len(self.curve) > 0
 
-    def best_so_far_at(self, fraction: float) -> float:
-        """`best_so_far_at` of this run, read off its curve."""
-        if not self.usable:  # raises as the function does: a bad fraction, or no successful row
-            return best_so_far_at(self.rewards, self.budget, fraction)
-        return float(_best_at(self.curve, self.budget, fraction))
+    def best_at(self, points: int) -> np.ndarray:
+        """Best reward of a usable run among its first ceil(k/points · budget)
+        evaluations, for k = 1..points.
 
-    def best_at(self, fractions: np.ndarray) -> np.ndarray:
-        """`best_so_far_at` of a usable run at each of `fractions` in (0, 1], in one lookup."""
-        n = np.ceil(fractions * self.budget)
-        return self.curve[np.maximum(np.minimum(n, len(self.curve)), 1).astype(np.intp) - 1]
+        A run shorter than that (early termination) extends its last best,
+        and a prefix of error rows reads the first successful reward.
+        """
+        # ceil(k · budget / points) in integers: in floats, 7/50 · 100 is 14.000000000000002.
+        n = -(-np.arange(1, points + 1) * self.budget // points)
+        return self.curve[np.maximum(np.minimum(n, len(self.curve)), 1) - 1]
 
 
 @dataclass(frozen=True)
@@ -298,7 +256,7 @@ def _read_rewards(path: str, text: str) -> list[float | None]:
     Each line is split only as far as the reward column. An empty text holds
     no rows, a blank line is skipped and a reward of "" or "None" is an
     error row; a quote, a missing reward column, or a reward that is NaN,
-    text or absent from its row is refused with its line number.
+    infinite, text or absent from its row is refused with its line number.
     """
     if '"' in text:
         # Splitting a quoted field on its commas would shift every column after it.
@@ -318,8 +276,8 @@ def _read_rewards(path: str, text: str) -> list[float | None]:
             reward = float(field) if field not in ("", "None") else None
         except (IndexError, ValueError):
             reward = math.nan
-        if reward != reward:
-            raise AnalyticsError(f"{path}: results.csv line {n}: reward is not a number")
+        if reward is not None and not math.isfinite(reward):
+            raise AnalyticsError(f"{path}: results.csv line {n}: reward is not a finite number")
         rewards.append(reward)
     return rewards
 
@@ -475,13 +433,12 @@ def group_rank_table(table: RankTable, group_of: Callable[[str], str]) -> RankTa
 
 def rank_table(run_set: RunSet) -> RankTable:
     """Median-seed normalized rank of each method per task and fraction."""
-    grid = np.array(BUDGET_GRID)
     per_task: dict[str, dict[float, dict[str, float]]] = {}
     missing: dict[str, tuple[str, ...]] = {}
     for task in run_set.tasks:
         scores = {}  # method -> median over its usable seeds of best-so-far at each fraction
         for m in run_set.methods:
-            if curves := [r.best_at(grid) for r in run_set.runs(task, m) if r.usable]:
+            if curves := [r.best_at(len(BUDGET_GRID)) for r in run_set.runs(task, m) if r.usable]:
                 scores[m] = np.median(curves, axis=0).tolist()
         per_task[task] = {
             frac: normalized_rank({m: s[i] for m, s in scores.items()})
@@ -555,14 +512,13 @@ def write_convergence_data(
     """Per (task, method) median/IQR best-so-far series as plot-data CSVs."""
     os.makedirs(out_dir, exist_ok=True)
     fractions = [(i + 1) / points for i in range(points)]
-    at = np.array(fractions)
     written = []
     for task in run_set.tasks:
         for method in run_set.methods:
             runs = run_set.runs(task, method)
             if not runs:
                 continue
-            curves = [r.best_at(at) for r in runs if r.usable]
+            curves = [r.best_at(points) for r in runs if r.usable]
             rows = []
             if curves:
                 # One (points x runs) quantile call; each row is the same

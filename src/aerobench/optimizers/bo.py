@@ -168,7 +168,7 @@ class _GP:
         )
         return nll, grad
 
-    def fit(self, rng: np.random.Generator, opts: dict) -> None:
+    def fit(self, rng: np.random.Generator) -> None:
         # self.theta is the first start, so its likelihood is evaluated there;
         # np.clip leaves it unchanged because it lies inside the bounds. A warm
         # fit draws no random starts.
@@ -183,15 +183,15 @@ class _GP:
                         rng.uniform(np.log(1e-6), np.log(1e-2)),
                     ]
                 )
-                for _ in range(opts["fit_starts"] - 1)
+                for _ in range(DEFAULTS["fit_starts"] - 1)
             ]
         for theta in starts:
             theta = np.clip(theta.copy(), THETA_LO, THETA_HI)
             val, grad = self._neg_mll_and_grad(theta)
             if not np.isfinite(val):
                 continue
-            lr = opts["fit_lr"]
-            for _ in range(opts["fit_steps"]):
+            lr = DEFAULTS["fit_lr"]
+            for _ in range(DEFAULTS["fit_steps"]):
                 if grad is None or not np.all(np.isfinite(grad)):
                     break
                 cand = np.clip(theta - lr * grad, THETA_LO, THETA_HI)
@@ -373,7 +373,7 @@ def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Pr
         gp = _GP(np.array(xs), np.array(ys), warn, theta)
         try:
             if n >= next_fit:
-                gp.fit(rng, DEFAULTS)
+                gp.fit(rng)
                 theta, next_fit = gp.theta, n + max(1, n // REFIT_DIVISOR)
             else:
                 gp.factor()

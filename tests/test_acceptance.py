@@ -248,11 +248,9 @@ def test_criterion_6_analytics_oracles(capfd):
             n = int(rng.integers(3, 9))
             scores = rng.permutation(100)[:n].astype(float)
             values = {f"m{i}": float(v) for i, v in enumerate(scores)}
-            base = normalized_rank(values, sense="maximize")
+            base = normalized_rank(values)
             a, b = float(rng.random() * 5 + 0.1), float(rng.normal())
-            mapped = normalized_rank(
-                {k: a * v**3 + b for k, v in values.items()}, sense="maximize"
-            )
+            mapped = normalized_rank({k: a * v**3 + b for k, v in values.items()})
             for k in values:
                 assert abs(mapped[k] - base[k]) <= 1e-12
 

@@ -13,14 +13,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aerobench import analytics
 from aerobench.analytics import (
     RESULTS_HEADER,
     AnalyticsError,
     RankTable,
     RunRecord,
     RunSet,
-    best_so_far_at,
     group_rank_table,
     load_run_set,
     mean_rho,
@@ -85,17 +83,11 @@ class TestSpearman:
 
 class TestNormalizedRank:
     def test_three_distinct_scores(self):
-        ranks = normalized_rank({"a": 3.0, "b": 1.0, "c": 2.0}, sense="maximize")
+        ranks = normalized_rank({"a": 3.0, "b": 1.0, "c": 2.0})
         assert ranks == {"a": 0.0, "b": 1.0, "c": 0.5}
 
-    def test_sense_flips_order(self):
-        ranks = normalized_rank({"a": 3.0, "b": 1.0, "c": 2.0}, sense="minimize")
-        assert ranks == {"a": 1.0, "b": 0.0, "c": 0.5}
-
     def test_tie_at_best_shares_average_rank(self):
-        ranks = normalized_rank(
-            {"a": 5.0, "b": 5.0, "c": 1.0}, sense="maximize"
-        )
+        ranks = normalized_rank({"a": 5.0, "b": 5.0, "c": 1.0})
         # Tied best pair takes average rank 1.5 of ranks {1, 2}; worst is 3.
         assert ranks["a"] == ranks["b"] == pytest.approx(0.0, abs=TOL)
         assert ranks["c"] == pytest.approx(1.0, abs=TOL)
@@ -119,11 +111,9 @@ class TestNormalizedRank:
     @settings(max_examples=200, deadline=None)
     def test_monotone_transform_invariance(self, scores):
         values = {f"m{i}": v for i, v in enumerate(scores)}
-        base = normalized_rank(values, sense="maximize")
+        base = normalized_rank(values)
         # exp is strictly increasing, so ranks cannot move.
-        mapped = normalized_rank(
-            {k: float(np.exp(v / 50)) for k, v in values.items()}, sense="maximize"
-        )
+        mapped = normalized_rank({k: float(np.exp(v / 50)) for k, v in values.items()})
         for k in values:
             assert mapped[k] == pytest.approx(base[k], abs=TOL)
 
@@ -169,43 +159,37 @@ class TestMedianIqr:
             median_iqr([])
 
 
+def _lookup(rewards, budget, points):
+    """`RunRecord.best_at(points)` of a run with these rewards, as a list."""
+    return RunRecord(task="t", method="m", seed=0, budget=budget, rewards=tuple(rewards)).best_at(points).tolist()
+
+
 class TestBestSoFar:
     def test_prefix_max(self):
-        assert best_so_far_at((1.0, 3.0, 2.0), budget=3, fraction=2 / 3) == 3.0
+        # At 2/3 of budget 3, two evaluations.
+        assert _lookup((1.0, 3.0, 2.0), budget=3, points=3)[1] == 3.0
 
     def test_full_fraction(self):
-        assert best_so_far_at((1.0, 3.0, 2.0), budget=3, fraction=1.0) == 3.0
+        assert _lookup((1.0, 3.0, 2.0), budget=3, points=1) == [3.0]
 
     def test_ceil_of_fractional_prefix(self):
-        # ceil(0.4 * 3) = 2 evaluations considered.
-        assert best_so_far_at((1.0, 5.0, 9.0), budget=3, fraction=0.4) == 5.0
+        # ceil(2/5 * 3) = 2 evaluations considered.
+        assert _lookup((1.0, 5.0, 9.0), budget=3, points=5)[1] == 5.0
 
     def test_early_stop_extends_last_best(self):
         # Trajectory used 2 of 10 evaluations; later fractions still answer.
-        assert best_so_far_at((4.0, 2.0), budget=10, fraction=1.0) == 4.0
+        assert _lookup((4.0, 2.0), budget=10, points=1) == [4.0]
 
     def test_error_rows_skipped(self):
-        assert best_so_far_at((None, 2.0, None, 5.0), budget=4, fraction=1.0) == 5.0
+        assert _lookup((None, 2.0, None, 5.0), budget=4, points=1) == [5.0]
 
     def test_all_error_prefix_falls_forward(self):
-        assert best_so_far_at((None, None, 7.0), budget=3, fraction=1 / 3) == 7.0
-
-    def test_all_error_trajectory_raises(self):
-        with pytest.raises(AnalyticsError):
-            best_so_far_at((None, None), budget=2, fraction=1.0)
+        assert _lookup((None, None, 7.0), budget=3, points=3)[0] == 7.0
 
     def test_nondecreasing_in_fraction(self):
         rng = np.random.Generator(np.random.Philox(key=2))
-        rewards = tuple(rng.normal(size=40))
-        vals = [
-            best_so_far_at(rewards, budget=40, fraction=f)
-            for f in np.linspace(0.05, 1.0, 20)
-        ]
+        vals = _lookup(rng.normal(size=40), budget=40, points=20)
         assert all(a <= b for a, b in zip(vals, vals[1:]))
-
-    def test_bad_fraction(self):
-        with pytest.raises(AnalyticsError):
-            best_so_far_at((1.0,), budget=1, fraction=0.0)
 
 
 def _write_run_dir(root, task, method, seed, rewards, budget=None, sense="maximize", **recorded):
@@ -389,8 +373,8 @@ def _csv_reader_rewards(path):
                 reward = float(row[col]) if row[col] not in ("", "None") else None
             except (IndexError, ValueError):
                 reward = math.nan
-            if reward != reward:
-                raise AnalyticsError(f"{path}: results.csv line {reader.line_num}: reward is not a number")
+            if reward is not None and not math.isfinite(reward):
+                raise AnalyticsError(f"{path}: results.csv line {reader.line_num}: reward is not a finite number")
             rewards.append(reward)
     return rewards
 
@@ -466,6 +450,16 @@ class TestResultsReader:
         with pytest.raises(AnalyticsError) as refused:
             read_run_dir(d)
         assert str(refused.value) == f"{d}: results.csv line 3: holds a quote; write_run_dir writes no quotes"
+
+    @pytest.mark.parametrize("reward", ["inf", "-inf", "1e999", "-Infinity"])
+    def test_non_finite_reward_is_refused_with_its_line(self, tmp_path, reward):
+        # Read, an infinite seed would make its method's median NaN, which ranks last everywhere.
+        d = _write_run_dir(str(tmp_path), "t", "pso", 0, (1.0, 2.5))
+        with open(os.path.join(d, "results.csv"), "w", newline="") as fh:
+            fh.write(f"iter,design_id,reward\r\n0,d0,1.0\r\n1,d1,{reward}\r\n")
+        with pytest.raises(AnalyticsError) as refused:
+            read_run_dir(d)
+        assert str(refused.value) == f"{d}: results.csv line 3: reward is not a finite number"
 
 
 class TestRankTable:
@@ -568,29 +562,17 @@ class TestRankTable:
 # ---------------------------------------------------------------------------
 
 
-def _prefix_max_reference(rewards, budget, fraction):
-    """The prefix-max definition `best_so_far_at` had before it used a curve."""
-    if not 0.0 < fraction <= 1.0:
-        raise AnalyticsError("fraction must be in (0, 1]")
-    if not rewards:
-        raise AnalyticsError("empty trajectory")
-    n = math.ceil(fraction * budget)
-    prefix = [r for r in rewards[:n] if r is not None]
-    if not prefix:
-        finite = [r for r in rewards if r is not None]
-        if not finite:
-            raise AnalyticsError("trajectory contains no successful evaluations")
-        return finite[0]
-    return max(prefix)
+def _prefix_max_reference(rewards, budget, k, m):
+    """The prefix-max definition of best-so-far at budget fraction k/m: the best
+    of the first ceil(k·budget/m) rewards, skipping errors, or the first
+    successful reward if that prefix holds none; None if none succeeded."""
+    prefix = [r for r in rewards[: -(-k * budget // m)] if r is not None]
+    return max(prefix) if prefix else next((r for r in rewards if r is not None), None)
 
 
-def _outcome(fn, *args):
-    """A comparable outcome: the exact bits of the value, or the error."""
-    try:
-        value = fn(*args)
-    except AnalyticsError as exc:
-        return ("raises", str(exc))
-    return ("value", type(value), value.hex(), math.copysign(1.0, value))
+def _bits(value):
+    """A comparable value: its exact bits and sign."""
+    return float(value).hex(), math.copysign(1.0, value)
 
 
 _reward = st.one_of(
@@ -598,66 +580,39 @@ _reward = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 1.0, math.nan]),
 )
-_fraction = st.one_of(
-    st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
-    st.sampled_from([1e-300, 5e-324, 1.0 / 3.0, 1.0]),
-)
 
 
 class TestBestSoFarCurve:
     @given(
         st.lists(_reward, max_size=60),
         st.integers(min_value=0, max_value=90),
-        st.one_of(_fraction, st.sampled_from([0.0, -0.5, 1.0000000000000002, 2.0, math.nan])),
+        st.integers(min_value=1, max_value=120),
     )
-    @example([None, None, -0.0, 0.0], 4, 1.0)
-    @example([0.0, -0.0], 2, 1.0)
-    @example([-0.0, 0.0], 2, 1.0)
-    @example([math.nan, 1.0, None], 3, 1.0)
-    @example([1.0, math.nan, 2.0], 3, 0.5)
-    @example([None, None], 2, 1.0)
-    @example([], 5, 1.0)
-    @example([], 5, 0.0)
+    @example([None, None, -0.0, 0.0], 4, 1)
+    @example([0.0, -0.0], 2, 1)
+    @example([-0.0, 0.0], 2, 1)
+    @example([math.nan, 1.0, None], 3, 1)
+    @example([1.0, math.nan, 2.0], 3, 2)
+    @example([None, None], 2, 1)
+    @example([], 5, 1)
+    @example(list(range(100)), 100, 50)
     @settings(max_examples=600, deadline=None)
-    def test_identical_to_prefix_max(self, rewards, budget, fraction):
-        rewards = tuple(rewards)
-        assert _outcome(best_so_far_at, rewards, budget, fraction) == _outcome(
-            _prefix_max_reference, rewards, budget, fraction
-        )
-
-    @given(st.lists(_reward, min_size=1, max_size=40), st.integers(min_value=0, max_value=60))
-    @settings(max_examples=200, deadline=None)
-    def test_record_lookup_matches_function(self, rewards, budget):
+    def test_identical_to_prefix_max(self, rewards, budget, points):
         rec = RunRecord(task="t", method="m", seed=0, budget=budget, rewards=tuple(rewards))
-        for fraction in (1e-9, 0.2, 0.5, 0.999, 1.0):
-            assert _outcome(rec.best_so_far_at, fraction) == _outcome(
-                _prefix_max_reference, rec.rewards, budget, fraction
-            )
-
-    def test_curve_computed_once_per_record(self, monkeypatch):
-        calls = []
-        original = analytics._running_best
-
-        def counting(rewards):
-            calls.append(1)
-            return original(rewards)
-
-        monkeypatch.setattr(analytics, "_running_best", counting)
-        rec = RunRecord(task="t", method="m", seed=0, budget=4, rewards=(None, 2.0, 1.0, 3.0))
-        assert [rec.best_so_far_at(f) for f in (0.25, 0.5, 0.75, 1.0)] == [2.0, 2.0, 2.0, 3.0]
-        assert len(calls) == 1
+        # Usable exactly when the definition answers, and then at every fraction k/points.
+        assert rec.usable == any(r is not None for r in rewards)
+        if rec.usable:
+            assert [_bits(v) for v in rec.best_at(points)] == [
+                _bits(_prefix_max_reference(rec.rewards, budget, k, points)) for k in range(1, points + 1)
+            ]
 
 
 def _reference_convergence_csv(runs, points):
     lines = ["fraction,median,q25,q75"]
     for i in range(points):
         frac = (i + 1) / points
-        vals = []
-        for r in runs:
-            try:
-                vals.append(_prefix_max_reference(r.rewards, r.budget, frac))
-            except AnalyticsError:
-                continue
+        vals = [_prefix_max_reference(r.rewards, r.budget, i + 1, points) for r in runs]
+        vals = [v for v in vals if v is not None]
         if not vals:
             continue
         med, q25, q75 = median_iqr(vals)
@@ -686,6 +641,15 @@ class TestConvergenceExport:
             with open(path, newline="") as fh:
                 text = fh.read()
         assert text == _reference_convergence_csv(records, points)
+
+    def test_rows_count_evaluations_exactly(self, tmp_path):
+        # Reward i at evaluation i + 1, so the best of n evaluations is n - 1. At budget 100 the
+        # 14%, 28% and 56% rows read 14, 28 and 56 evaluations; ceil(0.14 * 100) in floats is 15.
+        records = (RunRecord(task="t", method="m", seed=0, budget=100, rewards=tuple(np.arange(100.0).tolist())),)
+        (path,) = write_convergence_data(RunSet(records=records), str(tmp_path), points=50)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(row[1]) for row in rows] == [2.0 * k - 1 for k in range(1, 51)]
 
 
 class TestRunSetIndex:
@@ -861,7 +825,7 @@ class TestCompareGrouping:
                     _write_run_dir(str(tmp_path / "runs"), f"task{t}", method, seed, rewards)
         run_set = load_run_set([str(tmp_path / "runs")])
         raw_scores = [
-            {m: float(np.median([r.best_so_far_at(1.0) for r in run_set.runs(task, m)])) for m in methods}
+            {m: float(np.median([r.best_at(1)[0] for r in run_set.runs(task, m)])) for m in methods}
             for task in run_set.tasks
         ]
         expected = mean_rho(rho_matrix(raw_scores))[0]

@@ -732,8 +732,9 @@ class TestCompare:
             ('{"task": "t", "method": "m", "se', "1.0", "resolved_config.json is not valid JSON"),
             ('["t", "m", 0, 5]', "1.0", "resolved_config.json must hold a JSON object"),
             ('{"task": "t", "method": "m", "seed": "0", "budget": 5}', "1.0", "seed must be an integer"),
-            (None, "abc", "results.csv line 3: reward is not a number"),
-            (None, "nan", "results.csv line 3: reward is not a number"),
+            (None, "abc", "results.csv line 3: reward is not a finite number"),
+            (None, "nan", "results.csv line 3: reward is not a finite number"),
+            (None, "-inf", "results.csv line 3: reward is not a finite number"),
             ('{"task": 5, "method": "m", "seed": 0, "budget": 5}', "1.0", "task must be a file name, got 5"),
             ('{"task": "x/y", "method": "m", "seed": 0, "budget": 5}', "1.0", "task must be a file name, got 'x/y'"),
             ('{"task": "t", "method": "", "seed": 0, "budget": 5}', "1.0", "method must be a file name, got ''"),
@@ -742,7 +743,7 @@ class TestCompare:
             ('{"task": "t", "method": "m", "seed": 0, "budget": 0}', "1.0", "budget must be at least 1, got 0"),
         ],
         ids=[
-            "no-budget", "truncated", "list", "text-seed", "text-reward", "nan-reward",
+            "no-budget", "truncated", "list", "text-seed", "text-reward", "nan-reward", "inf-reward",
             "int-task", "path-task", "empty-method", "parent-method", "negative-budget", "zero-budget",
         ],
     )

@@ -576,6 +576,8 @@ class TestBo:
         assert fits == list(range(5, 5 + k))
 
     def test_fit_evaluates_default_theta_once(self, monkeypatch):
+        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 3)
+        monkeypatch.setitem(bo.DEFAULTS, "fit_steps", 5)
         thetas = []
         original = _GP._neg_mll_and_grad
 
@@ -587,7 +589,7 @@ class TestBo:
         x, y = _gp_data(duplicates=False)
         gp = _GP(x, y, lambda msg: None)
         default = gp.theta.copy()
-        gp.fit(np.random.Generator(np.random.Philox(key=1)), {"fit_starts": 3, "fit_steps": 5, "fit_lr": 0.1})
+        gp.fit(np.random.Generator(np.random.Philox(key=1)))
         assert np.array_equal(thetas[0], default)
         assert sum(np.array_equal(t, default) for t in thetas) == 1
 
@@ -681,7 +683,7 @@ class TestBo:
         rng = np.random.Generator(np.random.Philox(key=1))
         x = rng.random((30, 2))
         y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(30)
-        opts = {"fit_starts": 4, "fit_steps": 40, "fit_lr": 0.1}
+        monkeypatch.setitem(bo.DEFAULTS, "fit_steps", 40)
 
         def warm_fit_values():
             values = []
@@ -694,15 +696,15 @@ class TestBo:
 
             with monkeypatch.context() as m:
                 m.setattr(_GP, "_neg_mll_and_grad", recording)
-                _GP(x, y, lambda msg: None, DEFAULT_THETA).fit(None, opts)
+                _GP(x, y, lambda msg: None, DEFAULT_THETA).fit(None)
             return values
 
         with monkeypatch.context() as m:
             m.setattr(bo, "FIT_FTOL", 0.0)
             # Without the stop rule this fit takes every step.
-            assert len(warm_fit_values()) == opts["fit_steps"] + 1
+            assert len(warm_fit_values()) == bo.DEFAULTS["fit_steps"] + 1
         values = warm_fit_values()
-        assert len(values) < opts["fit_steps"] + 1
+        assert len(values) < bo.DEFAULTS["fit_steps"] + 1
         # The fit ends at the first accepted step whose relative gain is <= FIT_FTOL.
         current, stop = values[0], None
         for i, val in enumerate(values[1:], start=1):
@@ -774,9 +776,9 @@ class TestBo:
         rngs = []
         original_fit, original_factor = _GP.fit, _GP.factor
 
-        def fit(gp, rng, opts):
+        def fit(gp, rng):
             rngs.append(rng)
-            original_fit(gp, rng, opts)
+            original_fit(gp, rng)
 
         def factor(gp):
             # Round n = 31 keeps theta; its factorization fails, and the
@@ -863,7 +865,7 @@ class TestBo:
 
         x, y = _gp_data(duplicates=False)
         gp = _GP(x, y, lambda msg: None)
-        gp.fit(np.random.Generator(np.random.Philox(key=5)), bo.DEFAULTS)
+        gp.fit(np.random.Generator(np.random.Philox(key=5)))
         x_new = np.random.Generator(np.random.Philox(key=6)).random((64, x.shape[1]))
         length, sf2, _ = np.exp(gp.theta)
         k_star = bo._matern52(bo._scaled_dists(x_new, gp.x), length, sf2)[0]
@@ -903,22 +905,25 @@ class TestBo:
             assert np.all(np.isfinite(lei))
             assert len(np.unique(lei)) == len(lei)
 
-    def test_mll_nondecreasing_over_accepted_steps(self):
+    def test_mll_nondecreasing_over_accepted_steps(self, monkeypatch):
+        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 3)
+        monkeypatch.setitem(bo.DEFAULTS, "fit_steps", 25)
         rng = np.random.Generator(np.random.Philox(key=3))
         x = rng.random((20, 2))
         y = np.sin(3 * x[:, 0]) + x[:, 1]
         gp = _GP(x, y, lambda msg: None)
         before, _ = gp._neg_mll_and_grad(gp.theta)
-        gp.fit(rng, {"fit_starts": 3, "fit_steps": 25, "fit_lr": 0.1})
+        gp.fit(rng)
         after, _ = gp._neg_mll_and_grad(gp.theta)
         assert after <= before + 1e-12
 
-    def test_posterior_interpolates_noise_free_data(self):
+    def test_posterior_interpolates_noise_free_data(self, monkeypatch):
+        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 3)
         rng = np.random.Generator(np.random.Philox(key=4))
         x = rng.random((15, 1))
         y = np.sin(6 * x[:, 0])
         gp = _GP(x, y, lambda msg: None)
-        gp.fit(rng, {"fit_starts": 3, "fit_steps": 40, "fit_lr": 0.1})
+        gp.fit(rng)
         mu, sigma = gp.posterior(x)
         denorm = mu * gp.y_std + gp.y_mean
         assert np.max(np.abs(denorm - y)) < 0.1

@@ -144,8 +144,7 @@ def _settings_faults(tree: ast.Module) -> list[str]:
     """Where a method module's settings and its reads of them disagree.
 
     The settings are the keys of its top-level `DEFAULTS` dict. A read is a
-    subscript of `DEFAULTS`, or of `opts` (the settings `bo` hands its GP
-    fit). Every key must be read as `DEFAULTS["key"]` or `opts["key"]`, and
+    subscript of `DEFAULTS`. Every key must be read as `DEFAULTS["key"]`, and
     every read must name a key as a string constant.
     """
     (defaults,) = [
@@ -155,7 +154,7 @@ def _settings_faults(tree: ast.Module) -> list[str]:
     keys = {key.value for key in defaults.keys}
     faults, read = [], set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) in ("DEFAULTS", "opts"):
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "DEFAULTS":
             key = node.slice.value if isinstance(node.slice, ast.Constant) else None
             if key in keys:
                 read.add(key)
@@ -174,7 +173,8 @@ def test_the_settings_check_sees_unread_keys_and_unknown_reads():
         'DEFAULTS = {"a": 1, "b": 2, "c": 3}\n'
         'x = DEFAULTS["a"] + opts["c"] + DEFAULTS["d"] + DEFAULTS[name] + other["b"]\n'
     )
-    assert _settings_faults(tree) == ["DEFAULTS['d'] (line 2)", "DEFAULTS[name] (line 2)", "unread b"]
+    # opts["c"] is not a read: a method reads its settings from DEFAULTS alone.
+    assert _settings_faults(tree) == ["DEFAULTS['d'] (line 2)", "DEFAULTS[name] (line 2)", "unread b", "unread c"]
 
 
 def _parameters(tree: ast.Module) -> dict[str, list[str]]:
