@@ -356,8 +356,9 @@ def _manifest_grid(root: str) -> tuple[str, list, list, list] | None:
 
 def load_run_set(roots: Iterable[str]) -> RunSet:
     """Scan `<root>/<task>/<method>/seed<k>/` layouts into a RunSet, refusing
-    cells that record different catalog or harness versions, and cells that
-    the root's manifest, when it has one, does not list."""
+    cells that record different catalog or harness versions, cells that the
+    root's manifest, when it has one, does not list, and two (task, method)
+    pairs whose convergence series would have one file name."""
     records = []
     first: dict[str, tuple[object, str]] = {}  # version key -> (value, first cell to record it)
     for root in roots:
@@ -379,6 +380,14 @@ def load_run_set(roots: Iterable[str]) -> RunSet:
                 dirnames.clear()
     if not records:
         raise AnalyticsError(f"no runs found under {list(roots)}")
+    pairs: dict[str, tuple[str, str]] = {}  # convergence file -> the first (task, method) it names
+    for record in records:
+        pair = (record.task, record.method)
+        if (seen := pairs.setdefault(convergence_file(*pair), pair)) != pair:
+            raise AnalyticsError(
+                f"task {seen[0]!r} with method {seen[1]!r} and task {pair[0]!r} with method {pair[1]!r} "
+                f"would share the convergence series {convergence_file(*pair)}"
+            )
     return RunSet(records=tuple(records))
 
 
@@ -506,6 +515,11 @@ def write_rho_matrix_csv(tasks: list[str], mat: np.ndarray, path: str) -> None:
             )
 
 
+def convergence_file(task: str, method: str) -> str:
+    """The name of the convergence series of (task, method)."""
+    return f"convergence_{task}_{method}.csv"
+
+
 def write_convergence_data(
     run_set: RunSet, out_dir: str, points: int = 50
 ) -> list[str]:
@@ -525,7 +539,7 @@ def write_convergence_data(
                 # linear interpolation `median_iqr` computes per point.
                 q25, med, q75 = np.quantile(np.array(curves).T, [0.25, 0.5, 0.75], axis=1, method="linear")
                 rows = zip(fractions, med.tolist(), q25.tolist(), q75.tolist())
-            path = os.path.join(out_dir, f"convergence_{task}_{method}.csv")
+            path = os.path.join(out_dir, convergence_file(task, method))
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["fraction", "median", "q25", "q75"])

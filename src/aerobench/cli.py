@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import sys
@@ -314,6 +315,17 @@ def _read_json(path: str):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _strict_json(value):
+    """`value` with each non-finite float as the string "NaN", "Infinity" or "-Infinity"; JSON has no number for them."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
     if args.task not in catalog.task_ids():
         raise ValueError(f"unknown task {args.task!r}")
@@ -339,7 +351,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     )
 
     with open(args.out, "w") as fh:
-        json.dump(bundle, fh, indent=2)
+        json.dump(_strict_json(bundle), fh, indent=2, allow_nan=False)
         fh.write("\n")
     worst = worst_status(bundle)
     print(f"wrote {args.out} (worst status: {worst})")

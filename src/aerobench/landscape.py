@@ -166,6 +166,10 @@ class AlphaFreeTable:
     def value(self, model: MetricModel, alpha: float = 0.0) -> float:
         return self[model] + model.alpha_slope * alpha
 
+    def shifted(self, model: MetricModel, step: float) -> "AlphaFreeTable":
+        """A copy in which `model`'s alpha-free value is moved by `step`."""
+        return AlphaFreeTable(self.u, {**self._values, id(model): self[model] + step})
+
 
 def metric_seed(task_id: str, metric: str) -> int:
     """Stable per-(task, metric) seed derived from the names only."""

@@ -42,9 +42,6 @@ class Trajectory:
     best_design: DesignPoint | None
     warnings: tuple[str, ...] = ()
 
-    def __len__(self) -> int:
-        return len(self.records)
-
 
 class BudgetedObjective:
     """Records every environment evaluation and keeps the running best.

@@ -63,10 +63,6 @@ class Archive:
         idx = int(_rank_cdf(len(self.entries), pw_alpha).searchsorted(rng.random(), side="right"))
         return self.entries[idx][1]
 
-    @property
-    def best(self) -> tuple[float, np.ndarray]:
-        return self.entries[0]
-
 
 def mutation_scale(progress: float, start: float, final_fraction: float) -> float:
     """Mutation sigma as a fraction of the box width at run progress in [0, 1]."""

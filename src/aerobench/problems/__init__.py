@@ -10,7 +10,6 @@ from .catalog import (
     catalog_json,
     get_environment,
     task_ids,
-    write_catalog,
 )
 from .subproc import SubprocessEvaluator
 
@@ -24,6 +23,5 @@ __all__ = [
     "catalog_json",
     "get_environment",
     "task_ids",
-    "write_catalog",
     "SubprocessEvaluator",
 ]

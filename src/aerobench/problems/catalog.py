@@ -6,8 +6,9 @@ seeded smooth landscapes in :mod:`aerobench.landscape`; geometric quantities
 (airfoil thickness, wedge angles, smoothness) are computed exactly from the
 design variables. Each environment also exposes a (value, gradient) pair over
 the relaxed cube. The value is the evaluated raw objective itself, the
-task's own per-point metrics and aggregate at u. The gradients are written
-by hand, and finite differences of the value check them (acceptance
+task's own per-point metrics and aggregate at u. The gradient is derived
+from the same `fn` and `aggregate` through the chain rule over the task's
+models, and finite differences of the value check it (acceptance
 criterion 7). The stand-in's lift is linear in alpha, so the two trim tasks
 solve their lift targets exactly.
 
@@ -22,7 +23,6 @@ the per-model path. `get_environment` builds each task once per process.
 from __future__ import annotations
 
 import functools
-import json
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -47,8 +47,6 @@ from .base import (
     ProblemEnvironment,
 )
 from .formulas import (
-    CAR_A_REF_M2,
-    CAR_Q_INF_PA,
     car_drag_coefficient,
     fractional_violation,
     integrated_drag,
@@ -62,6 +60,10 @@ CATALOG_VERSION = "3"
 CATALOG_ENV_VAR = "AEROBENCH_CATALOG"
 
 AIRFOIL_PENALTY = 500.0
+
+# A table value's central-difference step, as a share of its model's range: about
+# the cube root of machine epsilon, which balances truncation against rounding.
+_VALUE_STEP = 6e-6
 
 
 def confidence_proxy(u: np.ndarray) -> float:
@@ -101,26 +103,17 @@ class StandInEvaluator:
     ) -> list[list[dict]]:
         """Metrics of each of `points` at each of `ops`, one design pass each."""
         # The builder's space, not an override's: an override keeps a design's metrics.
-        return [self.metrics_at(self._space.normalize(p), p, ops) for p in points]
+        return [self.metrics_at(self.fields.table(self._space.normalize(p)), p, ops) for p in points]
 
     def metrics_at(
-        self, u: np.ndarray, point: DesignPoint, ops: Sequence[OperatingPoint]
+        self, table: AlphaFreeTable, point: DesignPoint, ops: Sequence[OperatingPoint]
     ) -> list[dict]:
-        """The design pass for `point`, whose unit-cube vector is `u`."""
-        table = self.fields.table(u)
+        """The design pass for `point`, on its models' alpha-free values in `table`."""
         return [self._fn(table, point, op, k) for k, op in enumerate(ops)]
 
 
 def _model(task_id: str, name: str, dim: int, lo: float, hi: float, alpha_slope: float = 0.0) -> MetricModel:
     return MetricModel.seeded(metric_seed(task_id, name), dim, lo, hi, alpha_slope)
-
-
-def _ratio_gradient(cl: MetricModel, cd: MetricModel):
-    def gradient(u: np.ndarray) -> np.ndarray:
-        cdv = cd.value(u)
-        return (cl.gradient(u) * cdv - cl.value(u) * cd.gradient(u)) / cdv**2
-
-    return gradient
 
 
 def _ld_aggregate(per_point, ops):
@@ -138,7 +131,6 @@ def _stand_in_env(
     *,
     models: Sequence[MetricModel],
     sense: str,
-    gradient: Callable[[np.ndarray], np.ndarray],
     profile: dict,
     label: str,
     constraints: Sequence[ConstraintSpec] = (),
@@ -148,14 +140,30 @@ def _stand_in_env(
 
     `models` are the metric models `fn` reads. The landscape value is the
     raw objective the design pass produces at u, so the two cannot drift
-    apart. The profile's `angle_params` are the space's variables in degrees.
+    apart. The objective depends on u only through the models' alpha-free
+    values, so its gradient is the sum over models of dF/dm * m.gradient(u),
+    each dF/dm a central difference of `fn` and `aggregate` in that one table
+    value; a model the objective does not read has dF/dm = 0 exactly. The
+    profile's `angle_params` are the space's variables in degrees.
     """
     angles = [v.name for v in space.variables if v.unit == "deg"]
     evaluator = StandInEvaluator(space, fn, models)
 
+    def raw(table: AlphaFreeTable, point: DesignPoint) -> float:
+        return aggregate(evaluator.metrics_at(table, point, points), points)[0]
+
     def value(u: np.ndarray) -> float:
-        per_point = evaluator.metrics_at(u, space.denormalize(u), points)
-        return aggregate(per_point, points)[0]
+        return raw(evaluator.fields.table(u), space.denormalize(u))
+
+    def gradient(u: np.ndarray) -> np.ndarray:
+        table, point = evaluator.fields.table(u), space.denormalize(u)
+        total = np.zeros_like(u)
+        for m in models:
+            step = _VALUE_STEP * (m.hi - m.lo)
+            partial = (raw(table.shifted(m, step), point) - raw(table.shifted(m, -step), point)) / (2.0 * step)
+            if partial != 0.0:
+                total += partial * m.gradient(u)
+        return total
 
     return ProblemEnvironment(
         id=tid,
@@ -279,7 +287,6 @@ def _build_airfoil_single() -> ProblemEnvironment:
         fn, _ld_aggregate,
         models=(cl, cd, cm),
         sense=MAXIMIZE,
-        gradient=_ratio_gradient(cl, cd),
         profile={
             "required_metrics": ["CL", "CD", "CM"],
             "compat_token": "airfoil-18w",
@@ -339,12 +346,6 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
     # so monotonicity holds by construction; the constraint is kept so the
     # task signature matches external evaluators that must earn it.
     monotonic = ConstraintSpec("alpha_monotonic", "inequality", lambda c: 0.0)
-
-    weights = np.array(_POLAR_WEIGHTS) / sum(_POLAR_WEIGHTS)
-
-    def grad(u: np.ndarray) -> np.ndarray:
-        return sum(w * m.gradient(u) for w, m in zip(weights, cd_models))
-
     points = tuple(
         OperatingPoint(
             cl_target=t, reynolds=reynolds_schedule(t), mach=0.03, weight=w
@@ -355,7 +356,6 @@ def _build_airfoil_multipoint() -> ProblemEnvironment:
         tid, space, points, fn, aggregate,
         models=(*cd_models, *cm_models, cl_max),
         sense=MINIMIZE,
-        gradient=grad,
         profile={
             "required_metrics": ["CD_weighted"],
             "compat_token": "airfoil-18w",
@@ -403,7 +403,6 @@ def _ld_task(
         tid, space, (op,), fn, _ld_aggregate,
         models=(cl, cd),
         sense=MAXIMIZE,
-        gradient=_ratio_gradient(cl, cd),
         profile=profile,
         label=label,
     )
@@ -438,12 +437,6 @@ def _build_delta_robust() -> ProblemEnvironment:
         raw = robust_min(lds)
         return raw, {"LD_worst": raw}
 
-    grads = [_ratio_gradient(cl, cd) for cl, cd in zip(cl_models, cd_models)]
-
-    def grad(u: np.ndarray) -> np.ndarray:
-        lds = [cl.value(u) / cd.value(u) for cl, cd in zip(cl_models, cd_models)]
-        return grads[int(np.argmin(lds))](u)
-
     points = (
         OperatingPoint(alpha=4.0, mach=0.35, reynolds=7.0e6),
         OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.5e6),
@@ -453,7 +446,6 @@ def _build_delta_robust() -> ProblemEnvironment:
         tid, space, points, fn, aggregate,
         models=(*cl_models, *cd_models),
         sense=MAXIMIZE,
-        gradient=grad,
         profile={
             "required_metrics": ["LD_worst"],
             "compat_token": "delta-wing",
@@ -481,17 +473,11 @@ def _build_delta_multiobjective() -> ProblemEnvironment:
         m["abs_CM"] = abs(m["CM"])
         return ld - _TRIM_WEIGHT * m["abs_CM"], m
 
-    ld_grad = _ratio_gradient(cl, cd)
-
-    def grad(u: np.ndarray) -> np.ndarray:
-        return ld_grad(u) - _TRIM_WEIGHT * np.sign(cm.value(u)) * cm.gradient(u)
-
     return _stand_in_env(
         tid, space, (OperatingPoint(alpha=10.0, mach=0.42, reynolds=8.9e6),),
         fn, aggregate,
         models=(cl, cd, cm),
         sense=MAXIMIZE,
-        gradient=grad,
         profile={
             "required_metrics": ["LD", "abs_CM"],
             "compat_token": "delta-wing",
@@ -560,11 +546,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
     cl = _model(tid, "CL", dim, -0.05, 0.35, alpha_slope=0.04)
     cp = _model(tid, "Cp", dim, -0.6, 0.2, alpha_slope=0.01)
     cfx = _model(tid, "Cfx", dim, 0.002, 0.006, alpha_slope=1e-4)
-    # integrated drag is linear in the two fields given the fixed cell layout
-    a_coef = sum(
-        s * a * nx for s, a, nx in zip(_BWB_CP_SCALE, _BWB_CELL_AREAS, _BWB_CELL_NX)
-    ) / _BWB_S_REF
-    b_coef = sum(s * a for s, a in zip(_BWB_CFX_SCALE, _BWB_CELL_AREAS)) / _BWB_S_REF
 
     def fn(t, point, op, k):
         alpha, bracketed, clv = _trim_to_lift(t, cl, op.cl_target, BWB_ALPHA_RANGE)
@@ -589,14 +570,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         raw = float(np.mean([pp["CD_int"] for pp in per_point]))
         return raw, {"CD_int_mean": raw}
 
-    def grad(u: np.ndarray) -> np.ndarray:
-        d_alpha = -cl.gradient(u) / cl.alpha_slope
-        total = np.zeros_like(u)
-        for _t in _BWB_CL_TARGETS:
-            total += a_coef * (cp.gradient(u) + cp.alpha_slope * d_alpha)
-            total += b_coef * (cfx.gradient(u) + cfx.alpha_slope * d_alpha)
-        return total / len(_BWB_CL_TARGETS)
-
     points = tuple(
         OperatingPoint(cl_target=t, mach=0.3, reynolds=1e7) for t in _BWB_CL_TARGETS
     )
@@ -604,7 +577,6 @@ def _build_bwb_multipoint() -> ProblemEnvironment:
         tid, space, points, fn, aggregate,
         models=(cl, cp, cfx),
         sense=MINIMIZE,
-        gradient=grad,
         profile={
             "required_metrics": ["CD_int_mean"],
             "compat_token": "bwb-9p",
@@ -673,17 +645,10 @@ def _build_transonic_single() -> ProblemEnvironment:
         raw = m["CD"] + TRANSONIC_CL_PENALTY * shortfall**2
         return raw, m
 
-    op = OperatingPoint(alpha=3.0, mach=0.82)
-
-    def grad(u: np.ndarray) -> np.ndarray:
-        shortfall = max(0.0, TRANSONIC_CL_FLOOR - cl.value(u, op.alpha))
-        return cd.gradient(u) - 2.0 * TRANSONIC_CL_PENALTY * shortfall * cl.gradient(u)
-
     return _stand_in_env(
-        tid, space, (op,), fn, aggregate,
+        tid, space, (OperatingPoint(alpha=3.0, mach=0.82),), fn, aggregate,
         models=(cl, cd),
         sense=MINIMIZE,
-        gradient=grad,
         profile={
             "required_metrics": ["CL", "CD"],
             "compat_token": "swept-wing-38p",
@@ -724,27 +689,6 @@ def _build_transonic_range() -> ProblemEnvironment:
         )
         return raw, {"range_objective": raw}
 
-    weights = np.array(_RANGE_CL_TARGETS) / sum(_RANGE_CL_TARGETS)
-
-    def grad(u: np.ndarray) -> np.ndarray:
-        d_alpha = -cl.gradient(u) / cl.alpha_slope
-        total = np.zeros_like(u)
-        for w, t in zip(weights, _RANGE_CL_TARGETS):
-            a = (t - cl.value(u, 0.0)) / cl.alpha_slope
-            clv = cl.value(u, a)
-            cdv = cd.value(u, a)
-            g_cl = cl.gradient(u) + cl.alpha_slope * d_alpha  # zero by construction
-            g_cd = cd.gradient(u) + cd.alpha_slope * d_alpha
-            d_ld = -RANGE_MACH * (g_cl * cdv - clv * g_cd) / cdv**2
-            d_pen = (
-                2.0
-                * (RANGE_MACH**2 * clv - RANGE_MACH * t)
-                * RANGE_MACH**2
-                * g_cl
-            )
-            total += w * (d_ld + d_pen)
-        return total
-
     points = tuple(
         OperatingPoint(cl_target=t, mach=RANGE_MACH, weight=t) for t in _RANGE_CL_TARGETS
     )
@@ -752,7 +696,6 @@ def _build_transonic_range() -> ProblemEnvironment:
         tid, space, points, fn, aggregate,
         models=(cl, cd),
         sense=MINIMIZE,
-        gradient=grad,
         profile={
             "required_metrics": ["range_objective"],
             "compat_token": "swept-wing-38p",
@@ -860,14 +803,10 @@ def _build_car() -> ProblemEnvironment:
         m = dict(per_point[0])
         return m["Cd"], m
 
-    def grad(u: np.ndarray) -> np.ndarray:
-        return (fp.gradient(u) + fs.gradient(u)) / (CAR_Q_INF_PA * CAR_A_REF_M2)
-
     return _stand_in_env(
         tid, space, (OperatingPoint(mach=0.117),), fn, aggregate,
         models=(fp, fs, lift),
         sense=MINIMIZE,
-        gradient=grad,
         profile={
             "scale_param": "car_size",
             "width_param": "car_width",
@@ -928,7 +867,6 @@ def _build_ceras() -> ProblemEnvironment:
         tid, space, (OperatingPoint(mach=0.78),), fn, aggregate,
         models=(fuel, sm),
         sense=MINIMIZE,
-        gradient=fuel.gradient,
         profile={
             "required_metrics": ["FuelMass", "StaticMargin"],
             "compat_token": "ceras-a320",
@@ -1037,9 +975,3 @@ def catalog_json() -> dict:
         "catalog_version": CATALOG_VERSION,
         "tasks": [get_environment(tid).describe() for tid in task_ids()],
     }
-
-
-def write_catalog(path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(catalog_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -194,7 +194,7 @@ def test_criterion_3_budget_protocol(capfd):
                     # Instrumented count includes FD stencils and the
                     # warm-start evaluation; it spends the budget exactly.
                     assert counter.designs == budget, (task, method, counter.designs)
-                    assert counter.designs == len(traj), (task, method)
+                    assert counter.designs == len(traj.records), (task, method)
             finally:
                 base.close()
 
@@ -338,7 +338,7 @@ def test_criterion_9_subprocess_protocol(capfd):
             )
         finally:
             env.close()
-        assert len(traj) == 5
+        assert len(traj.records) == 5
         for rec in traj.records:
             assert rec.reward is None
             assert rec.error is not None

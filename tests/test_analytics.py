@@ -263,7 +263,7 @@ class TestRunIngestion:
         env = env.with_evaluator(_FailsTwo(env.evaluator))
         warm = env.space.sample_uniform(seed=5, n=1)
         trajectory = run_with_budget(env, OptimizerConfig(method=method, budget=34, seed=2), warm)
-        assert len(trajectory) == 34 and sum(r.error is not None for r in trajectory.records) == 2
+        assert len(trajectory.records) == 34 and sum(r.error is not None for r in trajectory.records) == 2
         write_run_dir(str(tmp_path), trajectory, env.sense)
         cell = tmp_path / "delta-ld-single" / method / "seed2"
         run = read_run_dir(str(cell))
@@ -297,6 +297,21 @@ class TestRunIngestion:
         assert sum(cell in str(refused.value) for cell in cells) == 2 and cells[0] in str(refused.value)
         assert main(["compare", root, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_two_pairs_with_one_convergence_file_name_are_refused(self, tmp_path, capsys):
+        # (a_b, c) and (a, b_c) would both write convergence_a_b_c.csv, the second over the first.
+        root = str(tmp_path / "runs")
+        for task, method in (("a_b", "c"), ("a", "b_c"), ("a", "c"), ("a_b", "b_c")):
+            _write_run_dir(root, task, method, 0, (1.0, 2.0))
+        with pytest.raises(AnalyticsError) as refused:
+            load_run_set([root])
+        message = str(refused.value)
+        assert "task 'a_b' with method 'c'" in message and "task 'a' with method 'b_c'" in message
+        assert message.endswith("would share the convergence series convergence_a_b_c.csv")
+        capsys.readouterr()
+        assert main(["compare", root, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_cells_of_one_version_load_beside_cells_that_record_none(self, tmp_path):

@@ -811,6 +811,36 @@ class TestDiagnose:
              "--task", "car-drag-single", "--out", str(out)]
         ) == 3
 
+    def test_non_finite_metrics_give_a_strict_json_bundle(self, tmp_path, car_env):
+        metrics = {
+            "drag": float("nan"),
+            "Cd": float("inf"),
+            "lift": float("-inf"),
+            "drag_pressure": 150.0,
+            "drag_shear": 50.0,
+        }
+        d, m = self._write_inputs(tmp_path, _midpoint_design(car_env.space), metrics)
+        out = tmp_path / "bundle.json"
+        assert main(
+            ["diagnose", "--design", d, "--metrics", m,
+             "--task", "car-drag-single", "--out", str(out)]
+        ) == 3
+
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+
+        bundle = json.loads(out.read_text(), parse_constant=refuse)
+        assert bundle["input_snapshot"]["metrics"] == {
+            "drag": "NaN", "Cd": "Infinity", "lift": "-Infinity",
+            "drag_pressure": 150.0, "drag_shear": 50.0,
+        }
+        (f005,) = [
+            c for c in bundle["evidence_bundle"]["feasibility"]
+            if c["check_id"] == "F005_metrics_finite"
+        ]
+        assert f005["status"] == "issue"
+        assert f005["value"] == {"missing": [], "non_finite": ["drag", "Cd", "lift"]}
+
     def test_unknown_task(self, tmp_path, capsys):
         d, m = self._write_inputs(tmp_path, {}, {})
         assert main(

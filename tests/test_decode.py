@@ -165,5 +165,5 @@ def test_upper_bound_that_rounds_past_does_not_crash_a_run(method):
     assert space.denormalize(np.ones(1)).values["x"] == 3.6
     env = function_environment(space, lambda u: float((u[0] - 0.9) ** 2))
     traj = run_with_budget(env, OptimizerConfig(method=method, budget=200, seed=0))
-    assert len(traj) == 200
+    assert len(traj.records) == 200
     assert all(r.error is None for r in traj.records)

@@ -207,14 +207,14 @@ class TestBudgetProtocol:
         traj = run_with_budget(
             sphere_env(), OptimizerConfig(method=method, budget=budget, seed=0)
         )
-        assert len(traj) == budget
+        assert len(traj.records) == budget
 
     @pytest.mark.parametrize("method", METHODS)
     def test_budget_one(self, method):
         traj = run_with_budget(
             sphere_env(), OptimizerConfig(method=method, budget=1, seed=0)
         )
-        assert len(traj) == 1
+        assert len(traj.records) == 1
         assert traj.records[0].best_so_far == traj.records[0].reward
 
     @pytest.mark.parametrize("method", METHODS)
@@ -240,7 +240,7 @@ class TestBudgetProtocol:
             OptimizerConfig(method="evolve", budget=50, seed=0),
             warmstart=[optimum],
         )
-        assert len(traj) == 50
+        assert len(traj.records) == 50
         # The optimum is evaluated first; best_so_far stays at it throughout.
         assert traj.records[0].reward == pytest.approx(0.0)
         for rec in traj.records:
@@ -261,7 +261,7 @@ class TestBudgetProtocol:
         warm = env.space.sample_uniform(seed=3, n=3)
         config = OptimizerConfig(method=method, budget=3, seed=0)
         traj = run_with_budget(env.with_evaluator(Sizes()), config, warmstart=warm)
-        assert sizes == [3] and len(traj) == 3
+        assert sizes == [3] and len(traj.records) == 3
 
     def test_resolved_config_snapshot(self):
         traj = run_with_budget(
@@ -352,7 +352,7 @@ class TestLbfgsb:
 
         env = sphere_env().with_evaluator(FailsOnThirdCall())
         traj = run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=50, seed=0))
-        assert len(traj) == 50
+        assert len(traj.records) == 50
         assert [r.error for r in traj.records if r.error] == ["synthetic failure"]
         assert traj.records[2].error == "synthetic failure"
         # Start point plus the 8-row stencil of restart 0, then restart 1.
@@ -363,7 +363,7 @@ class TestLbfgsb:
         traj = run_with_budget(
             sphere_env().with_evaluator(evaluator), OptimizerConfig(method="lbfgsb", budget=40, seed=0)
         )
-        assert len(traj) == 40
+        assert len(traj.records) == 40
         assert [i for i, r in enumerate(traj.records) if r.error] == [0, 1]
         # Restarts 0 and 1 end at their failed start; restart 2 takes its 8-row stencil.
         assert [r.iteration for r in traj.records[:11]] == [0, 1] + [2] * 9
@@ -434,7 +434,7 @@ class TestCmaes:
         # A floor above the unit start covariance floors every generation.
         monkeypatch.setattr(cmaes, "EIGEN_FLOOR", 2.0)
         traj = run_with_budget(sphere_env(dim=3), OptimizerConfig(method="cmaes", budget=40, seed=0))
-        assert len(traj) == 40
+        assert len(traj.records) == 40
         assert traj.warnings == ("covariance eigenvalue floored at 2.0 in generation 0",)
 
 
@@ -571,7 +571,7 @@ class TestBo:
         for name, value in {"n_initial": 5, "fit_starts": 2, "fit_steps": 5}.items():
             monkeypatch.setitem(bo.DEFAULTS, name, value)
         traj = run_with_budget(sphere_env(2), OptimizerConfig(method="bo", budget=5 + k, seed=0))
-        assert len(traj) == 5 + k
+        assert len(traj.records) == 5 + k
         # One fit per model-guided proposal, none after the budget is spent.
         assert fits == list(range(5, 5 + k))
 
@@ -654,7 +654,7 @@ class TestBo:
         # Their standard deviation is 0; the GP standardizes them by 1 instead.
         env = function_environment(continuous_space({"x0": (0.0, 1.0), "x1": (0.0, 1.0)}), lambda u: 2.0)
         traj = run_with_budget(env, OptimizerConfig(method="bo", budget=36, seed=0))
-        assert len(traj) == 36 and traj.warnings == ()
+        assert len(traj.records) == 36 and traj.warnings == ()
 
     def test_initial_design_is_one_batch(self):
         evaluator = _SphereBatches()
@@ -940,7 +940,7 @@ class TestEvolve:
         archive = Archive(capacity=10)
         for i in range(10):
             archive.add(float(-i), np.full(2, i / 10))
-        best = archive.best[1]
+        best = archive.entries[0][1]
         rng = np.random.Generator(np.random.Philox(key=0))
         hits = sum(
             np.array_equal(archive.sample_parent(rng, 50.0), best)
@@ -1015,7 +1015,7 @@ class TestOnCatalogTasks:
         env = get_environment(task_id)
         try:
             traj = run_with_budget(env, OptimizerConfig(method=method, budget=60, seed=0))
-            assert len(traj) == 60
+            assert len(traj.records) == 60
             assert traj.best_reward is not None
         finally:
             env.close()
@@ -1024,6 +1024,6 @@ class TestOnCatalogTasks:
         env = get_environment("ceras-fuel-mixed")
         try:
             traj = run_with_budget(env, OptimizerConfig(method="lbfgsb", budget=80, seed=0))
-            assert len(traj) == 80
+            assert len(traj.records) == 80
         finally:
             env.close()

@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aerobench.landscape import MetricModel, metric_seed
 from aerobench.optimizers import BudgetedObjective, OptimizerConfig, method_names, run_with_budget
 from aerobench.problems import (
     EvaluationError,
     MAXIMIZE,
     MINIMIZE,
+    OperatingPoint,
     catalog_json,
     function_environment,
     get_environment,
     task_ids,
-    write_catalog,
 )
 from aerobench.problems import geometry
 from aerobench.problems.catalog import (
@@ -25,6 +26,7 @@ from aerobench.problems.catalog import (
     RANGE_ALPHA_RANGE,
     _airfoil_geometry_metrics,
     _airfoil_space,
+    _stand_in_env,
     overridden_spaces,
 )
 from aerobench.space import DesignPoint, ParamSpace, SpaceError, continuous_space
@@ -243,6 +245,39 @@ def test_analytic_gradient_matches_fd(task_id):
         env.close()
 
 
+def test_a_task_gets_its_gradient_from_its_own_objective():
+    # A ratio plus a lift-floor penalty, with no gradient written: the landscape
+    # gradient is derived from fn and aggregate, and ignores the unread model c.
+    space = continuous_space({f"x{i}": (0.0, 1.0) for i in range(4)})
+    a, b, c = (
+        MetricModel.seeded(metric_seed("toy", name), 4, lo, hi)
+        for name, lo, hi in (("a", 0.2, 1.2), ("b", 0.01, 0.08), ("c", -1.0, 1.0))
+    )
+
+    def fn(t, point, op, k):
+        return {"a": t.value(a), "b": t.value(b)}
+
+    def aggregate(per_point, ops):
+        m = dict(per_point[0])
+        return m["a"] / m["b"] + 10.0 * max(0.0, 0.7 - m["a"]) ** 2, m
+
+    env = _stand_in_env(
+        "toy", space, (OperatingPoint(mach=0.3),), fn, aggregate,
+        models=(a, b, c), sense=MAXIMIZE, profile={}, label="toy",
+    )
+    rng = np.random.Generator(np.random.Philox(key=5))
+    eps = 1e-6
+    for _ in range(50):
+        u = 0.05 + 0.9 * rng.random(4)
+        fd = np.empty(4)
+        for i in range(4):
+            up, um = u.copy(), u.copy()
+            up[i] += eps
+            um[i] -= eps
+            fd[i] = (env.landscape_value(up) - env.landscape_value(um)) / (2 * eps)
+        assert np.max(np.abs(env.landscape_gradient(u) - fd)) <= 1e-5
+
+
 def _landscape_and_objective(env, n=50):
     """(landscape at the evaluated u, evaluation) for n seeded designs."""
     rng = np.random.Generator(np.random.Philox(key=31))
@@ -325,12 +360,10 @@ def test_describe_is_json_serializable():
             env.close()
 
 
-def test_catalog_json_round_trip(tmp_path):
+def test_catalog_json_round_trip():
     data = catalog_json()
     assert len(data["tasks"]) == 12
-    path = tmp_path / "catalog.json"
-    write_catalog(str(path))
-    assert json.loads(path.read_text())["tasks"] == data["tasks"]
+    assert json.loads(json.dumps(data, indent=2, sort_keys=True)) == data
 
 
 class TestCatalogOverride:
@@ -563,7 +596,7 @@ def test_metric_missing_for_constraint_becomes_error_row():
     assert result.reward is None
     assert not result.feasible
     traj = run_with_budget(env, OptimizerConfig(method="pso", budget=5, seed=0))
-    assert len(traj) == 5
+    assert len(traj.records) == 5
     assert all(r.error == result.error and r.reward is None for r in traj.records)
 
 
@@ -595,7 +628,7 @@ def test_non_numeric_metric_becomes_error_row(key, value, reason):
     base = get_environment("airfoil-drag-multipoint")
     env = base.with_evaluator(_SetMetricEvaluator(base.evaluator, key, value))
     traj = run_with_budget(env, OptimizerConfig(method="pso", budget=3, seed=0))
-    assert len(traj) == 3
+    assert len(traj.records) == 3
     prefix = "evaluator metrics unusable for airfoil-drag-multipoint: "
     assert [(r.reward, r.error) for r in traj.records] == [(None, prefix + reason)] * 3
 
@@ -663,7 +696,7 @@ def test_malformed_answer_becomes_error_rows(task_id, method, fault, monkeypatch
     base = get_environment(task_id)
     evaluator = _Malformed(base, fault)
     traj = run_with_budget(base.with_evaluator(evaluator), OptimizerConfig(method=method, budget=25, seed=0))
-    assert [r.error for r in traj.records] == evaluator.expected and len(traj) == 25
+    assert [r.error for r in traj.records] == evaluator.expected and len(traj.records) == 25
     assert any(evaluator.expected)
     # The method is sent -inf for each error row and the finite reward of each other row.
     assert sent == [-np.inf if r.error else r.reward for r in traj.records[: len(sent)]]

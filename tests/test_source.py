@@ -403,6 +403,39 @@ def test_the_child_checks_see_calls_and_imports_but_not_names_or_prose():
     assert _subproc_imports(tree) == [5, 6, 7]
 
 
+def _gradient_calls(tree: ast.Module) -> list[str]:
+    """Per call of a `.gradient(...)` attribute, the name of the outermost function holding it."""
+    owner = {}
+    for func in reversed(list(ast.walk(tree))):  # outer functions come first, so reversed they overwrite inner ones
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, func.name) for node in ast.walk(func) if isinstance(node, ast.Call))
+    return [
+        owner.get(node, "<module>")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "gradient"
+    ]
+
+
+def test_only_the_task_scaffold_calls_a_model_gradient():
+    # A task states its objective once, as fn and aggregate; a builder that chains model gradients itself is a second copy.
+    calls = _gradient_calls(_tree(SRC / "aerobench" / "problems" / "catalog.py"))
+    assert calls and set(calls) == {"_stand_in_env"}
+
+
+def test_the_gradient_check_sees_calls_in_nested_functions_but_not_names_or_prose():
+    tree = ast.parse(
+        '"""Calls cl.gradient(u)."""\n'
+        "def _stand_in_env():\n"
+        "    def gradient(u):\n        return m.gradient(u)\n"
+        "def _build():\n"
+        "    def grad(u):\n        return cd.gradient(u) * 2\n"
+        "    g = cd.gradient\n"
+        "    return gradient(u)\n"
+        "h = fuel.gradient(u)\n"
+    )
+    assert _gradient_calls(tree) == ["<module>", "_stand_in_env", "_build"]
+
+
 ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
 
 
