@@ -14,12 +14,15 @@ run one at a time. The sections:
 - fit: the model cost of one round against the data count n, on n uniform
   designs of `car-drag-single` (20-D). The start theta is each tree's own
   cold fit on the first n - max(1, n // 10) rows, the theta a run holds when
-  a refit falls due. A warm fit from it on all n rows is timed and its
-  likelihood evaluations counted; where the tree has `_GP.factor`, a factor
-  at that theta is timed too. The acquisition costs the same on both trees
+  a refit falls due; that cold fit's likelihood evaluations are counted. A
+  warm fit from it on all n rows is timed and its likelihood evaluations
+  counted; where the tree has `_GP.factor`, a factor at that theta is timed
+  too, and where it has `_GP.extend`, appending the last row to the factor
+  of the others. A round between refits costs the append where the tree
+  has one, else the factor. The acquisition costs the same on both trees
   and is not included.
 - cells: `bo` wall time of one cell (seed 0) on `car-drag-single`, with its
-  fits and likelihood evaluations; budget 2000 runs on the change only.
+  fits and likelihood evaluations, at budgets 120, 240, 480 and 2000.
 - quality: best reward at budgets 60, 120 and 240 on five tasks, seeds 0-4.
   `bo` does not read its budget, so a budget-240 run's first 60 and 120
   records are the budget-60 and budget-120 runs; one such prefix is checked.
@@ -47,8 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIT_NS = (120, 240, 480, 960)
 FIT_TASK = CELL_TASK = "car-drag-single"
 FIT_REPEATS = 3
-CELL_BUDGETS = (120, 240, 480)
-CHANGE_ONLY_BUDGETS = (2000,)
+CELL_BUDGETS = (120, 240, 480, 2000)
 QUALITY_TASKS = (
     "delta-ld-single",
     "car-drag-single",
@@ -103,8 +105,8 @@ def child_fit(n: int) -> dict:
     m = len(x) - max(1, len(x) // 10)
     cold = bo._GP(x[:m], y[:m], lambda msg: None)
     cold.fit(np.random.Generator(np.random.Philox(key=1)))
-    theta = cold.theta
-    fit_s, factor_s = [], []
+    theta, cold_evals = cold.theta, counts["nll_evals"]
+    fit_s, factor_s, extend_s = [], [], []
     for _ in range(FIT_REPEATS):
         counts["nll_evals"] = 0
         gp = bo._GP(x, y, lambda msg: None, theta)
@@ -116,9 +118,18 @@ def child_fit(n: int) -> dict:
             start = time.perf_counter()
             gp.factor()
             factor_s.append(time.perf_counter() - start)
-    out = {"n": len(x), "warm_fit_s": sorted(fit_s)[len(fit_s) // 2], "warm_fit_nll_evals": counts["nll_evals"]}
-    if factor_s:
-        out["factor_s"] = sorted(factor_s)[len(factor_s) // 2]
+        if hasattr(bo._GP, "extend"):
+            gp = bo._GP(x[:-1], y[:-1], lambda msg: None, theta, capacity=len(x))
+            gp.factor()
+            gp.add(x[-1:], y[-1:])
+            start = time.perf_counter()
+            gp.extend()
+            extend_s.append(time.perf_counter() - start)
+    out = {"n": len(x), "cold_fit_nll_evals": cold_evals, "warm_fit_s": sorted(fit_s)[len(fit_s) // 2],
+           "warm_fit_nll_evals": counts["nll_evals"]}
+    for key, times in (("factor_s", factor_s), ("extend_s", extend_s)):
+        if times:
+            out[key] = sorted(times)[len(times) // 2]
     return out
 
 
@@ -187,10 +198,10 @@ def section_fit(trees: dict) -> dict:
         row = {side: in_tree(tree, "fit", n) for side, tree in trees.items()}
         for side, got in row.items():
             k = max(1, got["n"] // 10)
-            # One refit per k rounds, the other rounds factor at the kept theta.
-            got["model_s_per_round"] = (
-                (got["warm_fit_s"] + (k - 1) * got["factor_s"]) / k if "factor_s" in got else got["warm_fit_s"]
-            )
+            # One refit per k rounds; the other rounds keep theta and append
+            # or factor at it.
+            kept_s = got.get("extend_s", got.get("factor_s"))
+            got["model_s_per_round"] = (got["warm_fit_s"] + (k - 1) * kept_s) / k if kept_s else got["warm_fit_s"]
         rows[str(n)] = row
         print(f"fit n={n}: {json.dumps(row)}", flush=True)
     return rows
@@ -198,10 +209,9 @@ def section_fit(trees: dict) -> dict:
 
 def section_cells(trees: dict) -> dict:
     rows = {}
-    for budget in CELL_BUDGETS + CHANGE_ONLY_BUDGETS:
-        sides = trees if budget in CELL_BUDGETS else {"change": trees["change"]}
+    for budget in CELL_BUDGETS:
         row = {}
-        for side, tree in sides.items():
+        for side, tree in trees.items():
             got = in_tree(tree, "cell", CELL_TASK, budget, 0)
             got["best_reward"] = got.pop("best_so_far")[-1]
             row[side] = got

@@ -3,24 +3,34 @@ acquisition.
 
 An exact GP with an isotropic Matern-5/2 kernel models standardized rewards
 on the unit cube. The `n_initial` random designs go out as one batch (an
-error row is replaced in the next). Hyperparameters (length scale, signal
-variance, noise) are fit by gradient ascent on the marginal likelihood,
-accepting only improving steps; a start ends when an accepted step improves
-the likelihood by a relative FIT_FTOL or less. Until a fit succeeds, each
-fit is cold: it starts from a default theta and `fit_starts - 1` random
-ones. After that each fit is warm, one start from the theta of the last
-successful fit. A fit is due only once the data has grown by a tenth (at
-least one row) since the last one; the rounds in between keep theta and
-only factor the covariance of the new data at it, with no likelihood
-evaluation (Rasmussen & Williams 2006, Alg. 2.1). A failed fit or
-factorization proposes a random row and makes the next round refit. The
-model works on the Cholesky factor of the covariance: the data's pairwise
-distances are computed once per model, alpha = K^-1 y comes from two
-triangular solves, and the gradient's K^-1 from LAPACK potri, with no
-generic solve and no identity matrix. The acquisition, log EI, is computed
-in the stable form of Ament et al. (NeurIPS 2023), so it stays finite and
-ordered far below the incumbent instead of sitting on a floor. It is
-maximized over a Sobol candidate set plus a handful of local refinements.
+error row is replaced in the next). One model holds the run's data from
+then on, in buffers sized to the budget.
+
+Hyperparameters (length scale, signal variance, noise) are fit to the
+marginal likelihood. Until a fit succeeds, each fit is cold: it evaluates
+the likelihood once at a default theta and at `fit_starts - 1` random ones
+and refines only the best of them, the earliest on a tie. After that each
+fit is warm, one start from the theta of the last successful fit. The
+refinement is a projected BFGS on the three log hyperparameters (Nocedal &
+Wright 2006, ch. 6): the first step is at most 1 long in log space, a step
+that fails the Armijo test is halved, and a coordinate that the gradient
+holds at a bound stays there. A fit ends at an accepted step that improves
+the likelihood by a relative FIT_FTOL or less, and after at most
+`fit_steps + 1` evaluations of its refined start.
+
+A fit is due only once the data has grown by a tenth (at least one row)
+since the last one. The rounds in between keep theta and the jitter of the
+last factor, and append the new rows to the Cholesky factor in O(n^2) with
+no likelihood evaluation (Rasmussen & Williams 2006, Alg. 2.1); a new pivot
+that is not positive and finite makes the round factor in full. A failed
+fit or factorization proposes a random row and makes the next round refit.
+The model works on the Cholesky factor of the covariance: the pairwise
+distances grow with the data, alpha = K^-1 y comes from LAPACK potrs, and
+the gradient's K^-1 from potri, with no generic solve and no identity
+matrix. The acquisition, log EI, is computed in the stable form of Ament et
+al. (NeurIPS 2023), so it stays finite and ordered far below the incumbent
+instead of sitting on a floor. It is maximized over a Sobol candidate set
+plus a handful of local refinements.
 
 Each round's candidate set is a fresh scrambled Sobol sequence, the points
 scipy's `Sobol(d, scramble=True, seed=s).random(n)` gives, bit for bit,
@@ -28,8 +38,8 @@ built here without importing `scipy.stats`: Joe & Kuo direction numbers
 (from the table scipy ships, derived once per dimension per process),
 Matousek's linear matrix scramble plus a digital shift drawn from
 `default_rng(s)` in scipy's order, and the points in Gray-code order. The
-posterior's triangular solve calls LAPACK trtrs directly, as the fit calls
-potrs, potri and potrf.
+posterior's triangular solve calls LAPACK trtrs directly, as the model
+calls potrs, potri and potrf.
 """
 from __future__ import annotations
 
@@ -48,16 +58,17 @@ JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 SQRT5 = np.sqrt(5.0)
 
-# `fit_starts` counts the starts of a cold fit: the default theta plus
-# `fit_starts - 1` random ones. Once a fit has succeeded, each later fit is
-# warm, a single start from the last fitted theta.
+# A cold fit screens `fit_starts` starts, the default theta plus
+# `fit_starts - 1` random ones, with one likelihood evaluation each. Once a
+# fit has succeeded, each later fit is warm, a single start from the last
+# fitted theta. Either way one start is refined, in at most `fit_steps`
+# further evaluations.
 DEFAULTS = {
     "n_initial": 30,
     "n_candidates": 256,
     "n_refine": 10,
     "fit_starts": 4,
     "fit_steps": 40,
-    "fit_lr": 0.1,
 }
 
 
@@ -68,20 +79,22 @@ THETA_HI = np.log(np.array([1e2, 1e3, 1.0]))
 DEFAULT_THETA = np.log(np.array([0.5, 1.0, 1e-3]))  # the cold fit's first start
 DEFAULT_THETA.flags.writeable = False
 
-# A start of the fit ends at an accepted step whose relative reduction of the
-# negative log likelihood is at most FIT_FTOL (L-BFGS-B's `ftol` rule).
+# A fit ends at an accepted step whose relative reduction of the negative log
+# likelihood is at most FIT_FTOL (L-BFGS-B's `ftol` rule).
 FIT_FTOL = 1e-5
+# A step is accepted when it reduces the negative log likelihood by at least
+# ARMIJO_C times the reduction its gradient predicts.
+ARMIJO_C = 1e-4
 # A refit is due once the data has grown by n_fit // REFIT_DIVISOR rows, and
 # at least one, since the last successful fit at n_fit rows; in between, the
-# model is refactored at the kept theta.
+# model keeps theta and extends its factor by the new rows.
 REFIT_DIVISOR = 10
 
 
-def _matern52(r5: np.ndarray, length: float, signal_var: float):
-    """Matern-5/2 kernel on sqrt(5)-scaled distances, with a and exp(-a) for gradients."""
+def _matern52(r5: np.ndarray, length: float, signal_var: float) -> np.ndarray:
+    """Matern-5/2 kernel on sqrt(5)-scaled distances."""
     a = r5 / length
-    exp_a = np.exp(-a)
-    return signal_var * (1.0 + a + a**2 / 3.0) * exp_a, a, exp_a
+    return signal_var * ((1.0 + a + a * a / 3.0) * np.exp(-a))
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,9 +110,9 @@ def _scaled_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return SQRT5 * np.sqrt(_sq_dists(a, b))
 
 
-def _chol(kern: np.ndarray, noise: float, warn) -> np.ndarray | None:
-    """Lower Cholesky factor of kern + (noise + jitter) I, the jitter escalating
-    from JITTER_START; None when it never succeeds."""
+def _chol(kern: np.ndarray, noise: float, warn) -> tuple[np.ndarray | None, float | None]:
+    """The lower Cholesky factor of kern + (noise + jitter) I and its jitter,
+    escalating from JITTER_START; (None, None) when it never succeeds."""
     n = len(kern)
     diag = kern.diagonal() + noise
     k_mat = kern.copy()
@@ -109,73 +122,100 @@ def _chol(kern: np.ndarray, noise: float, warn) -> np.ndarray | None:
         chol, info = dpotrf(k_mat, lower=1)
         # potrf reports no failure on NaN input; a non-finite pivot catches it.
         if info == 0 and np.isfinite(chol.trace()):
-            return chol
+            return chol, jitter
         jitter *= 2.0
     warn(
         f"GP covariance not positive definite even with jitter {JITTER_MAX}; "
         f"condition diagnostics: diag range [{diag.min():.3e}, "
         f"{diag.max():.3e}], n={n}"
     )
-    return None
+    return None, None
 
 
 class _GP:
-    """Exact GP on standardized targets with Matern-5/2 kernel."""
+    """Exact GP on standardized targets with a Matern-5/2 kernel. Rows are
+    appended with `add`; the distances and the Cholesky factor live in
+    buffers of `capacity` rows."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, warn, theta: np.ndarray | None = None):
-        self.x = x
+    def __init__(self, x: np.ndarray, y: np.ndarray, warn, theta: np.ndarray | None = None,
+                 capacity: int = 0):
+        capacity = max(capacity, len(x))
+        self._x = np.empty((capacity, x.shape[1]))
+        self._y = np.empty(capacity)
+        self._r5 = np.empty((capacity, capacity))
+        # The factor of the first `_factored` rows, column-major in the first
+        # _factored**2 entries, so LAPACK takes it without a copy.
+        self._chol_buf = np.empty(capacity * capacity)
+        self._factored, self._jitter = 0, None
+        self._chol_cache = self._alpha = None
+        self.n = 0
+        self.warn = warn
+        # The last successful fit's theta, where the next fit starts; None
+        # makes it cold. A given theta makes the first fit warm.
+        self._fitted = theta
+        self.theta = DEFAULT_THETA if theta is None else theta
+        self.add(x, y)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._x[: self.n]
+
+    def add(self, x_new: np.ndarray, y_new: np.ndarray) -> None:
+        """Append rows and their rewards: the new rows' distances to every row,
+        and every target standardized again."""
+        n0, n = self.n, self.n + len(x_new)
+        self._x[n0:n] = x_new
+        self._y[n0:n] = y_new
+        block = _scaled_dists(self._x[:n], x_new)
+        self._r5[:n, n0:n] = block
+        self._r5[n0:n, :n] = block.T
+        self.n = n
+        y = self._y[:n]
         self.y_mean = float(np.mean(y))
         self.y_std = float(np.std(y))
         if self.y_std < 1e-12:
             self.y_std = 1.0
         self.y = (y - self.y_mean) / self.y_std
-        self.warn = warn
-        # A given theta (the last successful fit's) makes a fit warm: one start there.
-        self._warm = theta is not None
-        self.theta = DEFAULT_THETA if theta is None else theta
-        # Every likelihood evaluation reuses the distances between the data.
-        self._r5 = _scaled_dists(x, x)
-        self._chol_cache = None
-        self._alpha = None
 
     def _neg_mll_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray | None]:
         length, sf2, sn2 = np.exp(theta)
-        kern, a, exp_a = _matern52(self._r5, length, sf2)
-        chol = _chol(kern, sn2, lambda _msg: None)
+        n = self.n
+        # The unit-signal kernel and its derivative in log length share a,
+        # exp(-a), 1 + a and a^2 / 3; the kernel is the one `_matern52` gives.
+        a = self._r5[:n, :n] / length
+        exp_a = np.exp(-a)
+        a2_3 = a * a / 3.0
+        a += 1.0
+        base = (a + a2_3) * exp_a
+        chol, _ = _chol(sf2 * base, sn2, lambda _msg: None)
         if chol is None:
             return np.inf, None
         # LAPACK potrs directly: scipy's cho_solve wrapper costs more than the solve.
         alpha = dpotrs(chol, self.y, lower=1)[0]
-        n = len(self.y)
         nll = float(
             0.5 * self.y @ alpha
             + np.sum(np.log(chol.diagonal()))
             + 0.5 * n * np.log(2.0 * np.pi)
         )
-        # d(neg mll)/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
-        #                     = 0.5 (sum(K^-1 * dK) - alpha^T dK alpha).
+        # d(neg mll)/dtheta_j = 0.5 tr(W dK/dtheta_j), W = K^-1 - alpha alpha^T.
         # potri writes the lower triangle of K^-1 over L; the upper keeps L's zeros.
-        k_inv = dpotri(chol, lower=1)[0]
-        k_inv = k_inv + k_inv.T
-        k_inv.flat[:: n + 1] *= 0.5
-        dk_len = sf2 * (a**2 * (1.0 + a) / 3.0) * exp_a
-        grad = 0.5 * np.array(
-            [
-                np.vdot(k_inv, dk_len) - alpha @ dk_len @ alpha,
-                np.vdot(k_inv, kern) - alpha @ kern @ alpha,
-                sn2 * (np.trace(k_inv) - alpha @ alpha),
-            ]
-        )
+        w = dpotri(chol, lower=1)[0]
+        w = w + w.T
+        w.flat[:: n + 1] *= 0.5
+        w -= alpha[:, None] * alpha
+        a2_3 *= a
+        a2_3 *= exp_a
+        grad = 0.5 * np.array([sf2 * np.vdot(w, a2_3), sf2 * np.vdot(w, base), sn2 * np.trace(w)])
         return nll, grad
 
     def fit(self, rng: np.random.Generator) -> None:
-        # self.theta is the first start, so its likelihood is evaluated there;
-        # np.clip leaves it unchanged because it lies inside the bounds. A warm
-        # fit draws no random starts.
-        best_theta, best_val = self.theta, np.inf
-        starts = [self.theta]
-        if not self._warm:
-            starts += [
+        """Fit theta to the likelihood and factor the covariance there. A cold
+        fit screens its starts, one evaluation each, and refines the best; a
+        warm one refines the last fitted theta. A warm fit draws nothing from rng."""
+        if self._fitted is not None:
+            starts = [self._fitted]
+        else:
+            starts = [DEFAULT_THETA] + [
                 np.array(
                     [
                         rng.uniform(np.log(0.05), np.log(2.0)),
@@ -185,49 +225,111 @@ class _GP:
                 )
                 for _ in range(DEFAULTS["fit_starts"] - 1)
             ]
+        # Every start lies inside the bounds. The first is kept when none has
+        # a finite likelihood.
+        best = None
         for theta in starts:
-            theta = np.clip(theta.copy(), THETA_LO, THETA_HI)
             val, grad = self._neg_mll_and_grad(theta)
-            if not np.isfinite(val):
-                continue
-            lr = DEFAULTS["fit_lr"]
-            for _ in range(DEFAULTS["fit_steps"]):
-                if grad is None or not np.all(np.isfinite(grad)):
-                    break
-                cand = np.clip(theta - lr * grad, THETA_LO, THETA_HI)
-                cand_val, cand_grad = self._neg_mll_and_grad(cand)
-                # Accept only improving steps; otherwise shrink the step. A
-                # start ends at an accepted step that no longer pays.
-                if cand_val < val:
-                    stalled = val - cand_val <= FIT_FTOL * max(abs(val), abs(cand_val), 1.0)
-                    theta, val, grad = cand, cand_val, cand_grad
-                    if stalled:
-                        break
-                else:
-                    lr *= 0.5
-                    if lr < 1e-4:
-                        break
-            if val < best_val:
-                best_theta, best_val = theta, val
-        self.theta = best_theta
+            if best is None or val < best[1]:
+                best = theta, val, grad
+        theta, val, grad = best
+        if np.isfinite(val):
+            theta = self._refine(theta, val, grad)
+        self.theta = theta
         self.factor()
+        self._fitted = theta
+
+    def _refine(self, theta: np.ndarray, val: float, grad: np.ndarray) -> np.ndarray:
+        """Projected BFGS from one evaluated start, in at most `fit_steps`
+        further likelihood evaluations; the theta it ends at."""
+        h = None  # the inverse Hessian estimate, the identity until a step updates it
+        evals = 0
+        while evals < DEFAULTS["fit_steps"] and np.all(np.isfinite(grad)):
+            # A coordinate at a bound that the gradient pushes outward stays there.
+            held = ((theta <= THETA_LO) & (grad > 0)) | ((theta >= THETA_HI) & (grad < 0))
+            g = np.where(held, 0.0, grad)
+            if h is not None:
+                step = -(h @ g)
+                step[held] = 0.0
+                if g @ step >= 0.0:  # lost to rounding: start the estimate over
+                    h = None
+            if h is None:
+                step = -g / max(1.0, float(np.linalg.norm(g)))
+            t = 1.0
+            while True:
+                cand = np.clip(theta + t * step, THETA_LO, THETA_HI)
+                s = cand - theta
+                if not s.any():
+                    return theta
+                cand_val, cand_grad = self._neg_mll_and_grad(cand)
+                evals += 1
+                if cand_val <= val + ARMIJO_C * (grad @ s):
+                    break
+                if evals == DEFAULTS["fit_steps"]:
+                    return theta
+                t *= 0.5
+            stalled = val - cand_val <= FIT_FTOL * max(abs(val), abs(cand_val), 1.0)
+            dg = cand_grad - grad
+            curv = float(s @ dg)
+            if curv > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(dg)):
+                if h is None:
+                    h = np.eye(3) * (curv / float(dg @ dg))
+                rho = 1.0 / curv
+                v = np.eye(3) - rho * np.outer(s, dg)
+                h = v @ h @ v.T + rho * np.outer(s, s)
+            theta, val, grad = cand, cand_val, cand_grad
+            if stalled:
+                break
+        return theta
 
     def factor(self) -> None:
-        """Factor the covariance at self.theta and solve for alpha, for prediction."""
+        """Factor the covariance of every row at self.theta, escalating the
+        jitter from JITTER_START, and solve for alpha."""
         length, sf2, sn2 = np.exp(self.theta)
-        chol = _chol(_matern52(self._r5, length, sf2)[0], sn2, self.warn)
+        n = self.n
+        chol, jitter = _chol(_matern52(self._r5[:n, :n], length, sf2), sn2, self.warn)
         if chol is None:
             raise FloatingPointError("GP covariance factorization failed")
-        self._chol_cache = chol
-        self._alpha = dpotrs(chol, self.y, lower=1)[0]
+        self._chol_cache = self._chol_buf[: n * n].reshape((n, n), order="F")
+        self._chol_cache[...] = chol
+        self._factored, self._jitter = n, jitter
+        self._alpha = dpotrs(self._chol_cache, self.y, lower=1)[0]
+
+    def extend(self) -> None:
+        """After a successful factor, append the rows added since to it at the
+        kept theta and jitter, and solve for alpha again; factor in full when
+        a new pivot is not positive and finite."""
+        n0, n = self._factored, self.n
+        if n > n0:
+            length, sf2, sn2 = np.exp(self.theta)
+            old = self._chol_cache
+            k_new = _matern52(self._r5[:n, n0:n], length, sf2)
+            # [L11 0; L21 L22] factors [K11 K12; K21 K22] when L11 L21^T = K12
+            # and L22 factors the Schur complement K22 - L21 L21^T.
+            l21t = dtrtrs(old, k_new[:n0], lower=1)[0]
+            schur = k_new[n0:] - l21t.T @ l21t
+            schur.flat[:: n - n0 + 1] += sn2 + self._jitter
+            l22, info = dpotrf(schur, lower=1)
+            if info != 0 or not np.isfinite(l22.trace()):
+                self.factor()
+                return
+            new = self._chol_buf[: n * n].reshape((n, n), order="F")
+            # The columns move to the longer stride in place; numpy buffers
+            # the overlapping copy.
+            new[:n0, :n0] = old
+            new[:n0, n0:] = 0.0
+            new[n0:, :n0] = l21t.T
+            new[n0:, n0:] = l22
+            self._chol_cache, self._factored = new, n
+        self._alpha = dpotrs(self._chol_cache, self.y, lower=1)[0]
 
     def posterior(self, x_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         length, sf2, _ = np.exp(self.theta)
-        k_star = _matern52(_scaled_dists(x_new, self.x), length, sf2)[0]
+        k_star = _matern52(_scaled_dists(x_new, self.x), length, sf2)
         mu = k_star @ self._alpha
         # LAPACK trtrs directly, the call scipy's triangular solver makes on
-        # this F-ordered factor. Its diagonal is positive, as _chol checked, so it
-        # cannot report a singular factor.
+        # this F-ordered factor. Its diagonal is positive, as the factor
+        # checked, so it cannot report a singular factor.
         v = dtrtrs(self._chol_cache, k_star.T, lower=1)[0]
         var = np.maximum(sf2 - np.sum(v**2, axis=0), 1e-12)
         return mu, np.sqrt(var)
@@ -362,21 +464,23 @@ def run(dim: int, rng: np.random.Generator, warm: Warm, budget: int, warn) -> Pr
         for u, reward in zip(rows, (yield 0, rows)):
             observe(u, float(reward))
 
-    step = 0
-    # The last successful fit's theta, kept between refits; None means cold.
-    # A fit is due when the data count reaches `next_fit`, and at once after
-    # a failed fit or factorization.
-    theta, next_fit = None, 0
+    # One model holds the data from here on; a run observes at most its
+    # warm-start rows and its budget.
+    gp = _GP(np.array(xs), np.array(ys), warn, capacity=len(warm) + budget)
+    # A fit is due when the data count reaches `next_fit`, and at once after a
+    # failed fit or factorization.
+    step, next_fit = 0, 0
     while True:
         step += 1
-        n = len(xs)
-        gp = _GP(np.array(xs), np.array(ys), warn, theta)
+        if len(xs) > gp.n:
+            gp.add(np.array(xs[gp.n :]), np.array(ys[gp.n :]))
+        n = gp.n
         try:
             if n >= next_fit:
                 gp.fit(rng)
-                theta, next_fit = gp.theta, n + max(1, n // REFIT_DIVISOR)
+                next_fit = n + max(1, n // REFIT_DIVISOR)
             else:
-                gp.factor()
+                gp.extend()
         except FloatingPointError:
             # Fall back to random search once the model is unusable.
             next_fit = 0

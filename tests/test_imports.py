@@ -1,4 +1,4 @@
-"""What a command imports: only a `bo` run loads scipy, and not scipy.stats; none loads jsonschema.
+"""What a command imports: only a `bo` run loads scipy, and not scipy.stats or scipy.optimize; none loads jsonschema.
 
 Each case runs in a fresh interpreter, because this test process has long
 since imported scipy itself.
@@ -65,5 +65,8 @@ def test_bo_run_loads_scipy_and_completes(tmp_path):
     loaded = _loaded_after("scipy", code, tmp_path)
     assert "scipy.linalg" in loaded
     assert [m for m in loaded if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+    # Nor scipy.optimize: the GP fit is written here, and that import alone
+    # would add about 17 MB to a bo run's peak RSS.
+    assert [m for m in loaded if m == "scipy.optimize" or m.startswith("scipy.optimize.")] == []
     with open(tmp_path / "runs" / "delta-ld-single" / "bo" / "seed0" / "results.csv") as fh:
         assert len(fh.read().splitlines()) == 1 + 33

@@ -65,7 +65,6 @@ SETTING_RULES = {
         "n_refine": ">= 1",
         "fit_starts": ">= 1",
         "fit_steps": ">= 1",
-        "fit_lr": "> 0",
     },
     "cmaes": {"sigma0": "> 0"},
     "evolve": {
@@ -539,8 +538,8 @@ class TestBo:
         r = np.sqrt(5.0 * _sq_dists(x, x))
         k_mat = (1.0 + r + r**2 / 3.0) * np.exp(-r) - 3e-8 * np.eye(len(x))
         warnings = []
-        chol = _chol(k_mat, 0.0, warnings.append)
-        assert _reference_chol(k_mat)[1] == 4e-8
+        chol, jitter = _chol(k_mat, 0.0, warnings.append)
+        assert _reference_chol(k_mat)[1] == jitter == 4e-8
         np.testing.assert_allclose(
             chol @ chol.T, k_mat + 4e-8 * np.eye(len(x)), rtol=0, atol=1e-12
         )
@@ -554,7 +553,7 @@ class TestBo:
     )
     def test_chol_gives_up_with_warning(self, k_mat):
         warnings = []
-        assert _chol(k_mat, 0.0, warnings.append) is None
+        assert _chol(k_mat, 0.0, warnings.append) == (None, None)
         assert len(warnings) == 1
         assert "not positive definite" in warnings[0]
 
@@ -575,29 +574,107 @@ class TestBo:
         # One fit per model-guided proposal, none after the budget is spent.
         assert fits == list(range(5, 5 + k))
 
-    def test_fit_evaluates_default_theta_once(self, monkeypatch):
-        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 3)
-        monkeypatch.setitem(bo.DEFAULTS, "fit_steps", 5)
-        thetas = []
-        original = _GP._neg_mll_and_grad
+    @staticmethod
+    def _fit_evaluations(monkeypatch, gp, rng, screen=None):
+        """The (theta, value) of each likelihood evaluation of one `gp.fit(rng)`
+        and the start `_refine` was given; `screen` replaces the values of the
+        first evaluations, those of the starts."""
+        evaluated, refined = [], []
+        original_nll, original_refine = _GP._neg_mll_and_grad, _GP._refine
 
-        def recording(gp, theta):
-            thetas.append(np.array(theta))
-            return original(gp, theta)
+        def recording_nll(gp, theta):
+            val, grad = original_nll(gp, theta)
+            if screen is not None and len(evaluated) < len(screen):
+                val = screen[len(evaluated)]
+            evaluated.append((np.array(theta), val))
+            return val, grad
 
-        monkeypatch.setattr(_GP, "_neg_mll_and_grad", recording)
-        x, y = _gp_data(duplicates=False)
+        def recording_refine(gp, theta, *args):
+            refined.append(np.array(theta))
+            return original_refine(gp, theta, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(_GP, "_neg_mll_and_grad", recording_nll)
+            m.setattr(_GP, "_refine", recording_refine)
+            gp.fit(rng)
+        return evaluated, refined
+
+    @staticmethod
+    def _cold_starts(rng, count):
+        """The starts a cold fit screens, drawn from a copy of its generator."""
+        rng = copy.deepcopy(rng)
+        return [DEFAULT_THETA] + [
+            np.array([rng.uniform(np.log(0.05), np.log(2.0)), rng.uniform(np.log(0.1), np.log(4.0)),
+                      rng.uniform(np.log(1e-6), np.log(1e-2))])
+            for _ in range(count - 1)
+        ]
+
+    @pytest.mark.parametrize("key", [1, 2, 3])
+    def test_cold_fit_evaluates_each_start_once_then_refines_the_best(self, monkeypatch, key):
+        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 4)
+        x, y = _gp_data(duplicates=key == 3)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        starts = self._cold_starts(rng, 4)
         gp = _GP(x, y, lambda msg: None)
-        default = gp.theta.copy()
-        gp.fit(np.random.Generator(np.random.Philox(key=1)))
-        assert np.array_equal(thetas[0], default)
-        assert sum(np.array_equal(t, default) for t in thetas) == 1
+        evaluated, refined = self._fit_evaluations(monkeypatch, gp, rng)
+        thetas = [theta for theta, _ in evaluated]
+        for i, start in enumerate(starts):
+            assert np.array_equal(thetas[i], start)
+            assert sum(np.array_equal(theta, start) for theta in thetas) == 1
+        values = [val for _, val in evaluated[:4]]
+        assert len(refined) == 1 and np.array_equal(refined[0], starts[int(np.argmin(values))])
+        # The fitted likelihood is never worse than the best start's.
+        fitted, _ = gp._neg_mll_and_grad(gp.theta)
+        assert fitted <= min(values)
+        assert len(evaluated) <= 4 - 1 + bo.DEFAULTS["fit_steps"] + 1
+
+    def test_cold_fit_refines_the_earliest_of_tied_best_starts(self, monkeypatch):
+        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 4)
+        x, y = _gp_data(duplicates=False)
+        rng = np.random.Generator(np.random.Philox(key=1))
+        starts = self._cold_starts(rng, 4)
+        gp = _GP(x, y, lambda msg: None)
+        _, refined = self._fit_evaluations(monkeypatch, gp, rng, screen=[5.0, 3.0, 3.0, np.inf])
+        assert len(refined) == 1 and np.array_equal(refined[0], starts[1])
+
+    def test_the_first_step_is_at_most_1_long_and_keeps_a_held_bound(self, monkeypatch):
+        # At this start the signal variance sits at its upper bound and the
+        # gradient pushes it further out, so it stays there; the step is the
+        # gradient of the other two coordinates, scaled to length 1.
+        rng = np.random.Generator(np.random.Philox(key=3))
+        x = rng.random((30, 2))
+        start = np.array([np.log(5.0), bo.THETA_HI[1], np.log(1e-3)])
+        gp = _GP(x, np.sum((x - 0.5) ** 2, axis=1), lambda msg: None, start)
+        _, grad = gp._neg_mll_and_grad(start)
+        assert grad[1] < 0.0
+        free = grad * [1.0, 0.0, 1.0]
+        assert np.linalg.norm(free) > 1.0
+        evaluated, _ = self._fit_evaluations(monkeypatch, gp, None)
+        first = evaluated[1][0]
+        assert first[1] == bo.THETA_HI[1]
+        np.testing.assert_allclose(first, start - free / np.linalg.norm(free), rtol=1e-14)
+
+    @pytest.mark.parametrize("fit_steps", [1, 3, 6])
+    def test_a_fit_refines_in_at_most_fit_steps_plus_one_evaluations(self, monkeypatch, fit_steps):
+        # With no FIT_FTOL stop, a fit takes every evaluation it may.
+        monkeypatch.setattr(bo, "FIT_FTOL", 0.0)
+        monkeypatch.setitem(bo.DEFAULTS, "fit_starts", 3)
+        monkeypatch.setitem(bo.DEFAULTS, "fit_steps", fit_steps)
+        x, y = _gp_data(duplicates=False)
+        cold = _GP(x, y, lambda msg: None)
+        evaluated, _ = self._fit_evaluations(monkeypatch, cold, np.random.Generator(np.random.Philox(key=1)))
+        # Two screened starts are not refined; the third is, in fit_steps + 1.
+        assert len(evaluated) == 2 + fit_steps + 1
+        warm = _GP(x, y, lambda msg: None, cold.theta)
+        evaluated, refined = self._fit_evaluations(monkeypatch, warm, None)
+        assert np.array_equal(refined[0], cold.theta)
+        assert len(evaluated) <= fit_steps + 1
 
     @staticmethod
     def _record_fits(monkeypatch, fail=()):
         """The thetas each fit evaluated the likelihood at, and each fit's
-        result; fits whose index is in `fail` then raise FloatingPointError,
-        as a failed final factorization does."""
+        result; the final factorization of fits whose index is in `fail`
+        raises FloatingPointError."""
         evaluated, fitted = [], []
         original_fit, original_nll = _GP.fit, _GP._neg_mll_and_grad
 
@@ -605,12 +682,18 @@ class TestBo:
             evaluated[-1].append(np.array(theta))
             return original_nll(gp, theta)
 
+        def failing_factor():
+            raise FloatingPointError("GP covariance factorization failed")
+
         def recording_fit(gp, *args):
             evaluated.append([])
-            original_fit(gp, *args)
-            fitted.append(gp.theta.copy())
-            if len(fitted) - 1 in fail:
-                raise FloatingPointError("GP covariance factorization failed")
+            if len(evaluated) - 1 in fail:
+                gp.factor = failing_factor
+            try:
+                original_fit(gp, *args)
+            finally:
+                gp.__dict__.pop("factor", None)
+                fitted.append(gp.theta.copy())
 
         monkeypatch.setattr(_GP, "_neg_mll_and_grad", recording_nll)
         monkeypatch.setattr(_GP, "fit", recording_fit)
@@ -618,18 +701,24 @@ class TestBo:
 
     @staticmethod
     def _run_sphere(monkeypatch, budget):
-        # n_initial 5, so budget - 5 fits; fit_steps 8, so a warm fit makes <= 9 calls.
+        # n_initial 5, so budget - 5 fits; fit_steps 8, so a warm fit makes <= 9
+        # calls and a cold one, screening 4 starts, <= 12.
         monkeypatch.setitem(bo.DEFAULTS, "n_initial", 5)
         monkeypatch.setitem(bo.DEFAULTS, "fit_steps", 8)
         run_with_budget(sphere_env(2), OptimizerConfig(method="bo", budget=budget, seed=3))
+
+    @staticmethod
+    def _assert_cold(thetas):
+        # A cold fit screens the default theta and three distinct random starts first.
+        assert np.array_equal(thetas[0], DEFAULT_THETA)
+        assert len({theta.tobytes() for theta in thetas[:4]}) == 4
+        assert len(thetas) <= 12
 
     def test_each_fit_warm_starts_from_the_last_fitted_theta(self, monkeypatch):
         evaluated, fitted = self._record_fits(monkeypatch)
         self._run_sphere(monkeypatch, budget=12)
         assert len(fitted) == 7
-        # The cold fit starts at the default theta and runs fit_starts (4) starts.
-        assert np.array_equal(evaluated[0][0], DEFAULT_THETA)
-        assert len(evaluated[0]) > 9
+        self._assert_cold(evaluated[0])
         for previous, thetas in zip(fitted, evaluated[1:]):
             assert np.array_equal(thetas[0], previous)
             assert len(thetas) <= 9
@@ -646,8 +735,7 @@ class TestBo:
         evaluated, fitted = self._record_fits(monkeypatch, fail={0, 1})
         self._run_sphere(monkeypatch, budget=9)
         for thetas in evaluated[:3]:
-            assert np.array_equal(thetas[0], DEFAULT_THETA)
-            assert len(thetas) > 9
+            self._assert_cold(thetas)
         assert np.array_equal(evaluated[3][0], fitted[2])
 
     def test_constant_rewards_fit_without_warning(self):
@@ -678,58 +766,45 @@ class TestBo:
         assert [i for i, r in enumerate(traj.records) if r.error] == [3, 17, 30]
         assert fits == [30]
 
-    def test_warm_fit_stops_at_the_first_accepted_step_that_stops_paying(self, monkeypatch):
+    def test_the_ftol_stop_ends_a_fit(self, monkeypatch):
         # Noisy data: the likelihood has an interior optimum that the fit reaches.
         rng = np.random.Generator(np.random.Philox(key=1))
         x = rng.random((30, 2))
         y = np.sin(4 * x[:, 0]) + x[:, 1] ** 2 + 0.1 * rng.standard_normal(30)
         monkeypatch.setitem(bo.DEFAULTS, "fit_steps", 40)
 
-        def warm_fit_values():
-            values = []
-            original = _GP._neg_mll_and_grad
-
-            def recording(gp, theta):
-                val, grad = original(gp, theta)
-                values.append(val)
-                return val, grad
-
-            with monkeypatch.context() as m:
-                m.setattr(_GP, "_neg_mll_and_grad", recording)
-                _GP(x, y, lambda msg: None, DEFAULT_THETA).fit(None)
-            return values
+        def warm_fit():
+            gp = _GP(x, y, lambda msg: None, DEFAULT_THETA)
+            return gp, [val for _, val in self._fit_evaluations(monkeypatch, gp, None)[0]]
 
         with monkeypatch.context() as m:
             m.setattr(bo, "FIT_FTOL", 0.0)
-            # Without the stop rule this fit takes every step.
-            assert len(warm_fit_values()) == bo.DEFAULTS["fit_steps"] + 1
-        values = warm_fit_values()
-        assert len(values) < bo.DEFAULTS["fit_steps"] + 1
-        # The fit ends at the first accepted step whose relative gain is <= FIT_FTOL.
-        current, stop = values[0], None
-        for i, val in enumerate(values[1:], start=1):
-            if val < current:
-                if current - val <= bo.FIT_FTOL * max(abs(current), abs(val), 1.0):
-                    stop = i
-                    break
-                current = val
-        assert stop == len(values) - 1
+            _, unstopped = warm_fit()
+        gp, values = warm_fit()
+        assert len(values) < len(unstopped)
+        # The fit ends on an accepted step, at the likelihood of its last
+        # evaluation, whose gain over the step before is at most FIT_FTOL.
+        final = values[-1]
+        assert gp._neg_mll_and_grad(gp.theta)[0] == final
+        before = min(val for val in values[:-1] if val >= final)
+        assert before - final <= bo.FIT_FTOL * max(abs(before), abs(final), 1.0)
 
     @staticmethod
     def _record_rounds(monkeypatch):
         """Per model round: the data count, whether it fitted, its likelihood
         evaluations, its potri calls and the theta it predicted with."""
         rounds = []
-        original_init, original_fit = _GP.__init__, _GP.fit
+        original_fit, original_extend = _GP.fit, _GP.extend
         original_nll, original_potri = _GP._neg_mll_and_grad, bo.dpotri
 
-        def init(gp, x, *args):
-            original_init(gp, x, *args)
-            rounds.append({"n": len(x), "fit": False, "nll": 0, "potri": 0})
-
+        # A round either fits or keeps theta and extends the factor.
         def fit(gp, *args):
-            rounds[-1]["fit"] = True
+            rounds.append({"n": gp.n, "fit": True, "nll": 0, "potri": 0})
             original_fit(gp, *args)
+
+        def extend(gp):
+            rounds.append({"n": gp.n, "fit": False, "nll": 0, "potri": 0})
+            original_extend(gp)
 
         def nll(gp, theta):
             rounds[-1]["nll"] += 1
@@ -739,8 +814,8 @@ class TestBo:
             rounds[-1]["potri"] += 1
             return original_potri(*args, **kwargs)
 
-        monkeypatch.setattr(_GP, "__init__", init)
         monkeypatch.setattr(_GP, "fit", fit)
+        monkeypatch.setattr(_GP, "extend", extend)
         monkeypatch.setattr(_GP, "_neg_mll_and_grad", nll)
         monkeypatch.setattr(bo, "dpotri", potri)
         return rounds
@@ -770,26 +845,81 @@ class TestBo:
                 fitted = theta
             assert np.array_equal(theta, fitted)
 
+    @staticmethod
+    def _assert_full_factor(gp, factor=_GP.factor):
+        """gp's factor and alpha solve its covariance at the jitter a full
+        factor picks to 1e-12 in backward error, as a full factor's do, and
+        its factor and posterior are the full factor's to what K's condition
+        number allows: two backward-stable factors of one K differ by about
+        sqrt(cond K) eps, and K reaches cond 3e12 in the sphere run."""
+        ref = copy.deepcopy(gp)
+        factor(ref)
+        assert gp._jitter == ref._jitter
+        length, sf2, sn2 = np.exp(gp.theta)
+        k_mat = bo._matern52(gp._r5[: gp.n, : gp.n], length, sf2) + (sn2 + gp._jitter) * np.eye(gp.n)
+        chol, alpha, norm_k = gp._chol_cache, gp._alpha, np.linalg.norm(k_mat)
+        assert np.linalg.norm(chol @ chol.T - k_mat) <= 1e-12 * norm_k
+        assert np.linalg.norm(k_mat @ alpha - gp.y) <= 1e-12 * norm_k * np.linalg.norm(alpha)
+        tol = 1e-12 * np.sqrt(np.linalg.cond(k_mat))
+        assert np.max(np.abs(chol - ref._chol_cache)) <= tol * np.max(np.abs(ref._chol_cache))
+        x_new = np.random.Generator(np.random.Philox(key=9)).random((64, gp.x.shape[1]))
+        (mu, sigma), (ref_mu, ref_sigma) = gp.posterior(x_new), ref.posterior(x_new)
+        assert np.max(np.abs(mu - ref_mu)) <= tol * np.max(np.abs(ref_mu))
+        assert np.max(np.abs(sigma**2 - ref_sigma**2)) <= tol * sf2
+
+    def test_a_kept_theta_round_extends_to_the_full_factor(self, monkeypatch):
+        rounds = self._record_rounds(monkeypatch)
+        full = []
+        original_extend, original_factor = _GP.extend, _GP.factor
+        monkeypatch.setattr(_GP, "factor", lambda gp: full.append(gp.n) or original_factor(gp))
+
+        def extend(gp):
+            fitted = len(full)
+            original_extend(gp)
+            assert len(full) == fitted  # appended, not refactored
+            self._assert_full_factor(gp, original_factor)
+
+        monkeypatch.setattr(_GP, "extend", extend)
+        run_with_budget(sphere_env(2), OptimizerConfig(method="bo", budget=60, seed=0))
+        assert len([r for r in rounds if not r["fit"]]) == 22
+        assert full == [r["n"] for r in rounds if r["fit"]]
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_appending_rows_or_a_non_positive_pivot_gives_the_full_factor(self, monkeypatch, forced):
+        x, y = _gp_data(duplicates=False)
+        gp = _GP(x[:20], y[:20], lambda msg: None, DEFAULT_THETA, capacity=len(x))
+        gp.factor()
+        gp.add(x[20:], y[20:])
+        full = []
+        original_factor = _GP.factor
+        monkeypatch.setattr(_GP, "factor", lambda gp: full.append(gp.n) or original_factor(gp))
+        if forced:
+            # A kept jitter below minus the signal variance leaves no positive pivot.
+            gp._jitter = -2.0
+        gp.extend()
+        assert full == ([len(x)] if forced else [])
+        self._assert_full_factor(gp, original_factor)
+
     def test_failed_factorization_at_kept_theta_draws_a_random_row_then_refits(self, monkeypatch):
         rounds = self._record_rounds(monkeypatch)
         expected = []
         rngs = []
-        original_fit, original_factor = _GP.fit, _GP.factor
+        original_fit, original_extend = _GP.fit, _GP.extend
 
         def fit(gp, rng):
             rngs.append(rng)
             original_fit(gp, rng)
 
-        def factor(gp):
+        def extend(gp):
             # Round n = 31 keeps theta; its factorization fails, and the
             # fallback draws the next uniform row of the run's generator.
-            if not rounds[-1]["fit"] and len(gp.x) == 31:
+            if gp.n == 31:
                 expected.append(copy.deepcopy(rngs[-1]).random(2))
                 raise FloatingPointError("GP covariance factorization failed")
-            original_factor(gp)
+            original_extend(gp)
 
         monkeypatch.setattr(_GP, "fit", fit)
-        monkeypatch.setattr(_GP, "factor", factor)
+        monkeypatch.setattr(_GP, "extend", extend)
         evaluator = _SphereBatches()
         run_with_budget(
             sphere_env(2).with_evaluator(evaluator), OptimizerConfig(method="bo", budget=40, seed=0)
@@ -868,7 +998,7 @@ class TestBo:
         gp.fit(np.random.Generator(np.random.Philox(key=5)))
         x_new = np.random.Generator(np.random.Philox(key=6)).random((64, x.shape[1]))
         length, sf2, _ = np.exp(gp.theta)
-        k_star = bo._matern52(bo._scaled_dists(x_new, gp.x), length, sf2)[0]
+        k_star = bo._matern52(bo._scaled_dists(x_new, gp.x), length, sf2)
         v = solve_triangular(gp._chol_cache, k_star.T, lower=True, check_finite=False)
         want = np.sqrt(np.maximum(sf2 - np.sum(v**2, axis=0), 1e-12))
         _, got = gp.posterior(x_new)

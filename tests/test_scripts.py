@@ -26,6 +26,7 @@ def test_bench_bo_scale_fit_child_runs():
     report = _bench_bo_scale_child("fit", "40")
     assert report["n"] == 40
     assert report["warm_fit_s"] > 0.0 and report["warm_fit_nll_evals"] > 0
+    assert report["cold_fit_nll_evals"] > 0 and report["extend_s"] > 0.0
 
 
 def test_bench_bo_scale_round_child_runs():
